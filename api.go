@@ -42,6 +42,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 
 	"linkclust/internal/assoc"
 	"linkclust/internal/coarse"
@@ -189,36 +191,26 @@ type ClusterOptions struct {
 	// Recorder, when non-nil, collects phase timers and counters for the
 	// run; call Recorder.Report to obtain the RunReport.
 	Recorder *Recorder
-	// Pipeline selects the sort-overlapped sweep (SweepPipelined) instead of
-	// the windowed parallel sweep when Workers > 1. Output is bitwise
-	// identical either way.
-	Pipeline bool
-	// Engine selects the sweeping engine explicitly: EngineSerial,
-	// EngineParallel, EnginePipelined, or EngineAuto, which picks serial
-	// below a measured op-count threshold (see core.SweepAutoMinOps and
-	// DESIGN.md) and otherwise honors Workers/Pipeline. Empty keeps the
-	// legacy switch (Pipeline → pipelined, Workers > 1 → parallel, else
-	// serial). Every engine is bitwise identical — Engine affects speed
-	// only. The resolved engine is recorded on the Recorder's run report as
-	// meta key "sweep_engine".
+	// Engine selects the sweeping engine: EngineSerial, EngineParallel,
+	// EngineSpill, or EngineAuto, which picks serial below a measured
+	// op-count threshold (see core.SweepAutoMinOps and DESIGN.md) and the
+	// windowed parallel engine above it. Empty picks by Workers alone
+	// (Workers > 1 → parallel, else serial). Every engine is bitwise
+	// identical — Engine affects speed only. The resolved engine is recorded
+	// on the Recorder's run report as meta key "sweep_engine".
 	Engine string
-	// Relabel routes the initialization phase through the degree-ordered
-	// relabeled kernel (SimilarityRelabeled): vertices are renamed by
-	// descending degree for cache locality and every output is mapped back
-	// to original ids, so results are bitwise identical with or without it.
-	Relabel bool
 	// MemBudgetBytes, when positive, sets a soft live-heap budget for
 	// ClusterCtx: heap growth is measured from entry and checked at the
 	// initialization/sweep phase boundary. On breach the run escalates in
 	// two rungs. First it admits the pair list to disk and runs the
-	// out-of-core spilled sweep (SweepSpilled, recorded under
-	// CtrMemBudgetSpills), whose output is bitwise identical to the
-	// in-memory engines. Only if spilling itself fails at the disk — store
-	// creation or a write error, which leaves the pair list intact — does
-	// the run degrade to coarse-grained clustering (DefaultCoarseParams)
-	// over that list, recorded under CtrMemBudgetDegrades. "Soft" means
-	// overshoot within a phase is only observed at the phase boundary; zero
-	// disables the budget.
+	// out-of-core sweep (EngineSpill, recorded under CtrMemBudgetSpills),
+	// whose output is bitwise identical to the in-memory engines. Only if
+	// spilling itself fails at the disk — store creation or a write error,
+	// which leaves the pair list intact — does the run degrade to
+	// coarse-grained clustering (DefaultCoarseParams) over that list,
+	// recorded under CtrMemBudgetDegrades. "Soft" means overshoot within a
+	// phase is only observed at the phase boundary; zero disables the
+	// budget.
 	MemBudgetBytes int64
 	// SpillDir is the parent directory for the out-of-core sweep's private
 	// spill directory (EngineSpill or the budget admission path); empty
@@ -231,7 +223,7 @@ type ClusterOptions struct {
 // wedge-major (Gustavson) kernel, producing the similarity-annotated pair
 // list. Contributions are grouped by the smaller endpoint of each map-M key
 // into a per-row sparse accumulator, avoiding the global hash map of the
-// reference implementation (see SimilarityLegacy).
+// paper's reference implementation.
 func Similarity(g *Graph) *PairList { return core.Similarity(g) }
 
 // SimilarityParallel runs the initialization phase multi-threaded with the
@@ -243,39 +235,6 @@ func Similarity(g *Graph) *PairList { return core.Similarity(g) }
 // cap.
 func SimilarityParallel(g *Graph, workers int) *PairList {
 	return core.SimilarityParallel(g, workers)
-}
-
-// SimilarityRelabeled runs the initialization phase over a degree-ordered
-// relabeled copy of the graph — vertices renamed by descending degree so hub
-// rows share cache lines in the wedge kernel's scratch — and maps every
-// output back to original ids: pairs, common-neighbor lists, and the master
-// order are bitwise identical to Similarity/SimilarityParallel for any
-// worker count. Edge ids are untouched by relabeling, so dendrograms and
-// chain arrays built downstream need no translation. workers is normalized
-// as in SimilarityParallel.
-func SimilarityRelabeled(g *Graph, workers int) *PairList {
-	return core.SimilarityRelabeled(g, workers)
-}
-
-// SimilarityRelabeledCtx is SimilarityRelabeled with cooperative
-// cancellation, panic isolation, and optional instrumentation, mirroring
-// SimilarityCtx.
-func SimilarityRelabeledCtx(ctx context.Context, g *Graph, workers int, rec *Recorder) (*PairList, error) {
-	return core.SimilarityRelabeledCtx(ctx, g, workers, rec)
-}
-
-// SimilarityLegacy runs the initialization phase through the original
-// global hash-map accumulator — the paper's Section VI-A scheme, kept as
-// the differential-testing reference and benchmark baseline. After Sort its
-// output is element-wise identical to Similarity.
-func SimilarityLegacy(g *Graph) *PairList { return core.SimilarityLegacy(g) }
-
-// SimilarityParallelLegacy is the multi-threaded legacy path (per-worker
-// hash maps merged hierarchically, Section VI-A). Unlike SimilarityParallel
-// it matches the serial result only to float tolerance, because the map
-// merges reorder additions. workers is normalized as in SimilarityParallel.
-func SimilarityParallelLegacy(g *Graph, workers int) *PairList {
-	return core.SimilarityParallelLegacy(g, workers)
 }
 
 // Sweep runs the sweeping phase (Algorithm 2) over a pair list built from
@@ -290,48 +249,6 @@ func Sweep(g *Graph, pl *PairList) (*Result, error) { return core.Sweep(g, pl) }
 // normalized exactly as in SimilarityParallel.
 func SweepParallel(g *Graph, pl *PairList, workers int) (*Result, error) {
 	return core.SweepParallel(g, pl, workers)
-}
-
-// SweepPipelined runs the sweeping phase with the sort overlapped: the pair
-// list is MSD-radix partitioned on its similarity bits into buckets that
-// descend in similarity across bucket order, and the reservation engine of
-// SweepParallel consumes bucket k (sorted on arrival) while buckets k+1, ...
-// are still being sorted — removing the monolithic Sort barrier between the
-// two phases. The output is exact: the merge stream is bitwise identical to
-// Sweep and the pair list finishes fully sorted in place, for any worker
-// count. workers is normalized exactly as in SimilarityParallel.
-func SweepPipelined(g *Graph, pl *PairList, workers int) (*Result, error) {
-	return core.SweepPipelined(g, pl, workers)
-}
-
-// SweepSpilled runs the sweeping phase out of core: the pair list is
-// radix-partitioned into per-similarity-bucket spill files (in a private
-// directory under os.TempDir(), removed on every exit path), the in-memory
-// list is released, and the buckets stream back from disk through the same
-// frontier-fed engine the pipelined sweep drives — so the pair list never
-// has to be memory-resident during the merge. The merge stream is bitwise
-// identical to Sweep at any worker count. SweepSpilled consumes pl: on
-// success pl.Pairs is nil; only a write-phase disk failure leaves it
-// intact. workers is normalized exactly as in SimilarityParallel.
-func SweepSpilled(g *Graph, pl *PairList, workers int) (*Result, error) {
-	return core.SweepSpilled(g, pl, workers)
-}
-
-// SweepSpilledCtx is SweepSpilled with cooperative cancellation, panic
-// isolation, optional instrumentation, and an explicit spill parent
-// directory (empty means os.TempDir()). Cancellation is honored at the
-// scatter's poll points, the producer's bucket claims/publishes, and the
-// engine's window cuts; the run's spill directory is removed on every exit
-// path and no goroutine outlives the call.
-func SweepSpilledCtx(ctx context.Context, g *Graph, pl *PairList, workers int, spillDir string, rec *Recorder) (*Result, error) {
-	return core.SweepSpilledOpts(ctx, g, pl, workers, core.SpillOptions{Dir: spillDir}, rec)
-}
-
-// ClusterOutOfCore is the end-to-end out-of-core pipeline: the parallel
-// initialization phase followed by SweepSpilled. Output is bitwise
-// identical to Cluster for any worker count.
-func ClusterOutOfCore(g *Graph, workers int) (*Result, error) {
-	return core.ClusterOutOfCore(g, workers)
 }
 
 // CompactPairs converts a pair list to the struct-of-arrays layout, roughly
@@ -354,29 +271,6 @@ func Cluster(g *Graph) (*Result, error) { return core.Cluster(g) }
 // SimilarityParallel.
 func ClusterParallel(g *Graph, workers int) (*Result, error) {
 	return core.SweepParallel(g, core.SimilarityParallel(g, workers), workers)
-}
-
-// ClusterPipelined runs the fully pipelined fine-grained pipeline: the
-// parallel initialization phase followed by the sort-overlapped sweep of
-// SweepPipelined. Output is bitwise identical to Cluster and ClusterParallel
-// for any worker count; on multi-core machines it additionally hides the
-// K1·log K1 sort behind merge wall-clock. workers is normalized exactly as
-// in SimilarityParallel.
-func ClusterPipelined(g *Graph, workers int) (*Result, error) {
-	return core.ClusterPipelined(g, workers)
-}
-
-// ClusterInstrumented runs the fine-grained pipeline (parallel
-// initialization and parallel sweep when opts.Workers > 1, the serial paths
-// otherwise) with optional instrumentation: phase wall times and the
-// pairs-processed / chain-rewrite / merge counters land in opts.Recorder,
-// plus the sweep engine's window/round counters on the parallel path.
-func ClusterInstrumented(g *Graph, opts ClusterOptions) (*Result, error) {
-	pl := core.SimilarityParallelRecorded(g, opts.Workers, opts.Recorder)
-	if opts.Workers > 1 {
-		return core.SweepParallelRecorded(g, pl, opts.Workers, opts.Recorder)
-	}
-	return core.SweepRecorded(g, pl, opts.Recorder)
 }
 
 // SimilarityCtx is SimilarityParallel with cooperative cancellation, panic
@@ -405,121 +299,131 @@ func SweepParallelCtx(ctx context.Context, g *Graph, pl *PairList, workers int, 
 	return core.SweepParallelCtx(ctx, g, pl, workers, rec)
 }
 
-// SweepPipelinedCtx is SweepPipelined with cooperative cancellation, panic
-// isolation, and optional instrumentation. Cancellation points are the
-// engine's window cuts (consumer) and the bucket claims/publishes of the
-// sorting producer; shutdown is clean on both sides — the producer is never
-// left blocked on the frontier channel. On cancellation the pair list is left
-// unsorted but still a valid permutation, so it can be reused. When ctx never
-// cancels, output is bitwise identical to Sweep.
-func SweepPipelinedCtx(ctx context.Context, g *Graph, pl *PairList, workers int, rec *Recorder) (*Result, error) {
-	return core.SweepPipelinedCtx(ctx, g, pl, workers, rec)
-}
-
 // ClusterCtx is the cancellable, fault-tolerant end-to-end pipeline:
-// SimilarityCtx followed by the sweep selected by opts (pipelined when
-// opts.Pipeline, windowed-parallel when opts.Workers > 1, serial otherwise),
-// with opts.MemBudgetBytes optionally degrading the run to coarse-grained
-// clustering at the phase boundary (see ClusterOptions). Cancellation is
-// honored within one scheduling window at every stage; worker panics surface
-// as *WorkerPanicError; and when ctx never cancels, no budget breaches, and
-// no fault is injected, the result is bitwise identical to Cluster.
+// SimilarityCtx followed by RunSweep with the sweep engine opts selects, and
+// opts.MemBudgetBytes optionally escalating the run to the out-of-core sweep
+// (or, if spilling fails at the disk, to coarse-grained clustering) at the
+// phase boundary (see ClusterOptions). Cancellation is honored within one
+// scheduling window at every stage; worker panics surface as
+// *WorkerPanicError; and when ctx never cancels, no budget breaches, and no
+// fault is injected, the result is bitwise identical to Cluster.
 func ClusterCtx(ctx context.Context, g *Graph, opts ClusterOptions) (*Result, error) {
 	budget := obs.NewMemBudget(opts.MemBudgetBytes)
-	var (
-		pl  *PairList
-		err error
-	)
-	if opts.Relabel {
-		pl, err = core.SimilarityRelabeledCtx(ctx, g, opts.Workers, opts.Recorder)
-	} else {
-		pl, err = core.SimilarityCtx(ctx, g, opts.Workers, opts.Recorder)
-	}
+	pl, err := core.SimilarityCtx(ctx, g, opts.Workers, opts.Recorder)
 	if err != nil {
 		return nil, err
 	}
-	if budget.Exceeded() {
-		// Escalation ladder, rung 1: admit the pair list to disk and sweep
-		// out of core — exact output, the list no longer held in memory.
-		opts.Recorder.Add(CtrMemBudgetSpills, 1)
-		opts.Recorder.SetMeta("sweep_engine", EngineSpill)
-		res, serr := core.SweepSpilledOpts(ctx, g, pl, opts.Workers,
-			core.SpillOptions{Dir: opts.SpillDir}, opts.Recorder)
-		if serr == nil {
-			return res, nil
-		}
-		// Rung 2 applies only to disk failures during the write phase, which
-		// leave the pair list intact (SweepSpilled's contract). Cancellation,
-		// worker panics, and read-phase failures (list already released) are
-		// terminal.
-		if ctx.Err() != nil || pl.Pairs == nil {
-			return nil, serr
-		}
-		var wpe *par.WorkerPanicError
-		if errors.As(serr, &wpe) {
-			return nil, serr
-		}
-		opts.Recorder.Add(CtrMemBudgetDegrades, 1)
-		params := coarse.DefaultParams()
-		params.Workers = opts.Workers
-		cres, err := coarse.SweepCtx(ctx, g, pl, params, opts.Recorder)
-		if err != nil {
-			return nil, err
-		}
-		return coarseToResult(cres), nil
+	res, _, err := RunSweep(ctx, g, pl, opts, budget.Exceeded())
+	return res, err
+}
+
+// Sweep engine names accepted by ClusterOptions.Engine, the linkclust
+// -engine flag, and the daemon's "engine" option. Every engine yields a
+// bitwise-identical merge stream; the choice affects speed only.
+const (
+	EngineAuto     = core.SweepEngineAuto
+	EngineSerial   = core.SweepEngineSerial
+	EngineParallel = core.SweepEngineParallel
+	EngineSpill    = core.SweepEngineSpill
+)
+
+// engineNames lists the valid engine names in the order errors quote them.
+var engineNames = []string{EngineAuto, EngineSerial, EngineParallel, EngineSpill}
+
+// CheckEngine returns nil when name is a sweep engine ClusterOptions.Engine
+// accepts — the empty name included — and otherwise an error quoting name
+// and listing every valid engine.
+func CheckEngine(name string) error {
+	if name == "" || slices.Contains(engineNames, name) {
+		return nil
 	}
-	engine, err := resolveSweepEngine(opts, pl)
-	if err != nil {
-		return nil, err
+	return fmt.Errorf("unknown sweep engine %q (want %s)", name, strings.Join(engineNames, ", "))
+}
+
+// ResolveEngine maps an engine name to the engine that will run a sweep of
+// ops incident operations (K2, PairList.NumIncidentPairs) with the given
+// worker count. EngineAuto consults the measured op-count threshold
+// (core.ChooseSweepEngine); the empty name picks parallel when workers > 1
+// and serial otherwise; every other valid name resolves to itself. The
+// result is never EngineAuto.
+func ResolveEngine(name string, ops int64, workers int) (string, error) {
+	if err := CheckEngine(name); err != nil {
+		return "", err
 	}
-	opts.Recorder.SetMeta("sweep_engine", engine)
-	switch engine {
-	case core.SweepEngineSpill:
-		return core.SweepSpilledOpts(ctx, g, pl, opts.Workers,
-			core.SpillOptions{Dir: opts.SpillDir}, opts.Recorder)
-	case core.SweepEnginePipelined:
-		return core.SweepPipelinedCtx(ctx, g, pl, opts.Workers, opts.Recorder)
-	case core.SweepEngineParallel:
-		return core.SweepParallelCtx(ctx, g, pl, opts.Workers, opts.Recorder)
+	switch {
+	case name == EngineAuto:
+		return core.ChooseSweepEngine(ops, workers, false), nil
+	case name != "":
+		return name, nil
+	case workers > 1:
+		return EngineParallel, nil
 	default:
-		return core.SweepCtx(ctx, g, pl, opts.Recorder)
+		return EngineSerial, nil
 	}
 }
 
-// Sweep engine names accepted by ClusterOptions.Engine. Every engine yields
-// a bitwise-identical merge stream; the choice affects speed only.
-const (
-	EngineAuto      = core.SweepEngineAuto
-	EngineSerial    = core.SweepEngineSerial
-	EngineParallel  = core.SweepEngineParallel
-	EnginePipelined = core.SweepEnginePipelined
-	EngineSpill     = core.SweepEngineSpill
-)
+// SweepRun reports which path RunSweep took to its result.
+type SweepRun struct {
+	// Engine is the resolved engine that ran; EngineSpill after a budget
+	// breach, whichever rung produced the result.
+	Engine string
+	// Spilled is set when the out-of-core sweep produced the result, by
+	// explicit EngineSpill or by budget admission. A spilled merge stream is
+	// bitwise identical to an in-memory one.
+	Spilled bool
+	// Degraded is set when the result is coarse-grained: the budget was
+	// breached and spilling then failed at the disk.
+	Degraded bool
+}
 
-// resolveSweepEngine maps ClusterOptions to a concrete sweep engine. The
-// empty Engine keeps the pre-Engine behavior (Pipeline → pipelined,
-// Workers > 1 → parallel, else serial); EngineAuto consults the measured
-// op-count threshold with the pair list's true operation count (K2, the
-// exact number of operations the sweep will execute).
-func resolveSweepEngine(opts ClusterOptions, pl *PairList) (string, error) {
-	switch opts.Engine {
-	case "":
-		switch {
-		case opts.Pipeline:
-			return EnginePipelined, nil
-		case opts.Workers > 1:
-			return EngineParallel, nil
-		default:
-			return EngineSerial, nil
-		}
-	case EngineAuto:
-		return core.ChooseSweepEngine(pl.NumIncidentPairs(), opts.Workers, opts.Pipeline), nil
-	case EngineSerial, EngineParallel, EnginePipelined, EngineSpill:
-		return opts.Engine, nil
-	default:
-		return "", fmt.Errorf("linkclust: unknown sweep engine %q (want %q, %q, %q, %q, or %q)",
-			opts.Engine, EngineAuto, EngineSerial, EngineParallel, EnginePipelined, EngineSpill)
+// RunSweep is the sweeping phase of ClusterCtx over a pair list the caller
+// already holds (from SimilarityCtx, a cache, or a file). When overBudget
+// is false it runs the engine ResolveEngine picks from opts.Engine. When
+// overBudget is true — the caller's memory budget breached at the phase
+// boundary — it climbs the escalation ladder instead: the out-of-core sweep
+// first (recorded under CtrMemBudgetSpills), then, only if that fails
+// during its write phase with the pair list intact, coarse-grained
+// clustering with DefaultCoarseParams (recorded under
+// CtrMemBudgetDegrades). Cancellation, worker panics, and read-phase spill
+// failures are terminal. The resolved engine is recorded on opts.Recorder
+// as meta key "sweep_engine"; opts.MemBudgetBytes is not consulted.
+func RunSweep(ctx context.Context, g *Graph, pl *PairList, opts ClusterOptions, overBudget bool) (*Result, SweepRun, error) {
+	engine, err := ResolveEngine(opts.Engine, pl.NumIncidentPairs(), opts.Workers)
+	if err != nil {
+		return nil, SweepRun{}, err
 	}
+	if overBudget {
+		opts.Recorder.Add(CtrMemBudgetSpills, 1)
+		engine = EngineSpill
+	}
+	opts.Recorder.SetMeta("sweep_engine", engine)
+	run := SweepRun{Engine: engine}
+	var res *Result
+	switch engine {
+	case EngineSerial:
+		res, err = core.SweepCtx(ctx, g, pl, opts.Recorder)
+	case EngineParallel:
+		res, err = core.SweepParallelCtx(ctx, g, pl, opts.Workers, opts.Recorder)
+	default:
+		res, err = core.SweepSpilledOpts(ctx, g, pl, opts.Workers,
+			core.SpillOptions{Dir: opts.SpillDir}, opts.Recorder)
+		run.Spilled = err == nil
+		var wpe *par.WorkerPanicError
+		if err != nil && overBudget && ctx.Err() == nil && pl.Pairs != nil && !errors.As(err, &wpe) {
+			// A write-phase disk failure left the pair list intact: degrade.
+			opts.Recorder.Add(CtrMemBudgetDegrades, 1)
+			params := coarse.DefaultParams()
+			params.Workers = opts.Workers
+			var cres *coarse.Result
+			if cres, err = coarse.SweepCtx(ctx, g, pl, params, opts.Recorder); err == nil {
+				res, run.Degraded = coarseToResult(cres), true
+			}
+		}
+	}
+	if err != nil {
+		return nil, SweepRun{}, err
+	}
+	return res, run, nil
 }
 
 // Incremental streaming clustering. A Stream ingests edge arrivals and keeps
@@ -583,18 +487,6 @@ func coarseToResult(cres *coarse.Result) *core.Result {
 		Levels:         cres.Levels,
 		PairsProcessed: cres.OpsProcessed,
 	}
-}
-
-// CoarseClusterInstrumented is CoarseCluster with optional instrumentation:
-// initialization and coarse-sweep phases, epoch counters, and the replica
-// fan-out cost of parallel chunks land in opts.Recorder. opts.Workers, when
-// non-zero, overrides params.Workers for both phases.
-func CoarseClusterInstrumented(g *Graph, params CoarseParams, opts ClusterOptions) (*CoarseResult, error) {
-	if opts.Workers != 0 {
-		params.Workers = opts.Workers
-	}
-	pl := core.SimilarityParallelRecorded(g, params.Workers, opts.Recorder)
-	return coarse.SweepRecorded(g, pl, params, opts.Recorder)
 }
 
 // DefaultCoarseParams returns the paper's experimental parameters

@@ -280,30 +280,7 @@ func BenchmarkSimilarity(b *testing.B) {
 	b.Run("wedge", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = core.SimilarityWedge(g)
-		}
-	})
-}
-
-// BenchmarkSimilarityParallel is the acceptance benchmark of the kernel
-// swap: 8 workers on the medium workload, legacy hash-map accumulator
-// (per-worker maps + hierarchical merge + edge-bucketed pass 3) versus the
-// wedge-major count-then-fill kernel (no merge phase at all). The lcbench
-// `simkernel` experiment records the same comparison to
-// BENCH_similarity.json.
-func BenchmarkSimilarityParallel(b *testing.B) {
-	g := benchGraph(b, 0.01)
-	const workers = 8
-	b.Run("legacy", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = core.SimilarityParallelLegacy(g, workers)
-		}
-	})
-	b.Run("wedge", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = core.SimilarityWedgeParallel(g, workers)
+			_ = core.Similarity(g)
 		}
 	})
 }

@@ -58,6 +58,13 @@ func waitGoroutinesBack(t *testing.T, base int) {
 	}
 }
 
+// sweepSpilled runs the out-of-core engine over pl through the facade's
+// engine dispatch.
+func sweepSpilled(ctx context.Context, g *Graph, pl *PairList, workers int, dir string, rec *Recorder) (*Result, error) {
+	res, _, err := RunSweep(ctx, g, pl, ClusterOptions{Workers: workers, Recorder: rec, Engine: EngineSpill, SpillDir: dir}, false)
+	return res, err
+}
+
 // canceledCtx returns an already-canceled real context.
 func canceledCtx() context.Context {
 	ctx, cancel := context.WithCancel(context.Background())
@@ -82,8 +89,7 @@ func TestCancelPreCanceledParity(t *testing.T) {
 		}{
 			{"SweepCtx", func(pl *PairList) (*Result, error) { return SweepCtx(ctx, g, pl, nil) }},
 			{"SweepParallelCtx", func(pl *PairList) (*Result, error) { return SweepParallelCtx(ctx, g, pl, workers, nil) }},
-			{"SweepPipelinedCtx", func(pl *PairList) (*Result, error) { return SweepPipelinedCtx(ctx, g, pl, workers, nil) }},
-			{"SweepSpilledCtx", func(pl *PairList) (*Result, error) { return SweepSpilledCtx(ctx, g, pl, workers, "", nil) }},
+			{"spill", func(pl *PairList) (*Result, error) { return sweepSpilled(ctx, g, pl, workers, "", nil) }},
 		}
 		for _, e := range engines {
 			res, err := e.run(Similarity(g))
@@ -175,11 +181,8 @@ func TestCancelMidSweepEngines(t *testing.T) {
 		{"SweepParallelCtx", func(ctx context.Context, pl *PairList, workers int, rec *Recorder) (*Result, error) {
 			return SweepParallelCtx(ctx, g, pl, workers, rec)
 		}},
-		{"SweepPipelinedCtx", func(ctx context.Context, pl *PairList, workers int, rec *Recorder) (*Result, error) {
-			return SweepPipelinedCtx(ctx, g, pl, workers, rec)
-		}},
-		{"SweepSpilledCtx", func(ctx context.Context, pl *PairList, workers int, rec *Recorder) (*Result, error) {
-			return SweepSpilledCtx(ctx, g, pl, workers, "", rec)
+		{"spill", func(ctx context.Context, pl *PairList, workers int, rec *Recorder) (*Result, error) {
+			return sweepSpilled(ctx, g, pl, workers, "", rec)
 		}},
 	}
 	for _, e := range engines {
@@ -230,7 +233,7 @@ func TestCancelSpilledCleanup(t *testing.T) {
 	// small k values cancel before the read-back begins.
 	for _, k := range []int64{1, 3, 10} {
 		for _, workers := range []int{1, 4, 8} {
-			res, err := SweepSpilledCtx(newCountdownCtx(k), g, Similarity(g), workers, dir, nil)
+			res, err := sweepSpilled(newCountdownCtx(k), g, Similarity(g), workers, dir, nil)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("write-phase k=%d T=%d: err = %v, want context.Canceled", k, workers, err)
 			}
@@ -248,7 +251,7 @@ func TestCancelSpilledCleanup(t *testing.T) {
 		resetFaults(t)
 		ctx, cancel := context.WithCancel(context.Background())
 		fault.Arm(fault.CancelWindow, 2, cancel)
-		res, err := SweepSpilledCtx(ctx, g, Similarity(g), workers, dir, nil)
+		res, err := sweepSpilled(ctx, g, Similarity(g), workers, dir, nil)
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("read-phase T=%d: err = %v, want context.Canceled", workers, err)
@@ -266,10 +269,10 @@ func TestCancelSpilledCleanup(t *testing.T) {
 func TestCancelThenRerunIsClean(t *testing.T) {
 	g := goldenGraph(t)
 	pl := Similarity(g)
-	if _, err := SweepPipelinedCtx(newCountdownCtx(10), g, pl, 4, nil); !errors.Is(err, context.Canceled) {
+	if _, err := SweepParallelCtx(newCountdownCtx(10), g, pl, 4, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("setup cancel failed: %v", err)
 	}
-	res, err := SweepPipelined(g, pl, 4)
+	res, err := SweepParallel(g, pl, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

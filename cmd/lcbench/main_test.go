@@ -47,13 +47,13 @@ func TestRunTheoryExperiment(t *testing.T) {
 	}
 }
 
-func TestPipelineExperimentWritesValidBenchJSON(t *testing.T) {
-	path := t.TempDir() + "/BENCH_pipeline.json"
+func TestSimKernelExperimentWritesValidBenchJSON(t *testing.T) {
+	path := t.TempDir() + "/BENCH_similarity.json"
 	var out bytes.Buffer
-	if err := run([]string{"-experiment", "pipeline", "-repeats", "1", "-benchjson", path}, &out); err != nil {
+	if err := run([]string{"-experiment", "simkernel", "-repeats", "1", "-benchjson", path}, &out); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"pipeline:", "bench report written"} {
+	for _, want := range []string{"simkernel:", "bench report written"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("output missing %q:\n%s", want, out.String())
 		}

@@ -433,10 +433,8 @@ func cmdCluster(ctx context.Context, args []string, stdin io.Reader, stdout io.W
 		in       = fs.String("in", "-", "input graph (- for stdin)")
 		algo     = fs.String("algo", "sweep", "algorithm: sweep, coarse, nbm, slink")
 		workers  = fs.Int("workers", 1, "worker threads for init and the sweep/coarse phases")
-		pipeline = fs.Bool("pipeline", false, "sweep: overlap sorting with merging (output unchanged)")
-		engine   = fs.String("engine", "auto", "sweep engine: auto, serial, parallel, pipelined, spill (output identical; auto falls back to serial below a measured op-count threshold)")
+		engine   = fs.String("engine", "auto", "sweep engine: auto, serial, parallel, spill (output identical; auto falls back to serial below a measured op-count threshold)")
 		spillDir = fs.String("spill-dir", "", "sweep: spill similarity buckets to disk under this directory and sweep out of core (implies -engine spill; empty with -engine spill uses the system temp dir)")
-		relabel  = fs.Bool("relabel", false, "run phase I over a degree-relabeled graph for cache locality (output unchanged)")
 		stream   = fs.Bool("stream", false, "sweep: replay the input edges through the incremental stream engine (output unchanged)")
 		streamB  = fs.Int("stream-batch", 256, "stream: arrivals per ingest batch")
 		timeout  = fs.Duration("timeout", 0, "abort the run after this duration (0 = none)")
@@ -456,38 +454,27 @@ func cmdCluster(ctx context.Context, args []string, stdin io.Reader, stdout io.W
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *pipeline && *algo != "sweep" {
-		return fmt.Errorf("-pipeline only applies to -algo sweep")
+	if *engine == "" {
+		return fmt.Errorf("-engine must not be empty")
 	}
-	switch *engine {
-	case linkclust.EngineAuto, linkclust.EngineSerial, linkclust.EngineParallel, linkclust.EnginePipelined, linkclust.EngineSpill:
-	default:
-		return fmt.Errorf("unknown -engine %q (want auto, serial, parallel, pipelined or spill)", *engine)
-	}
-	if *pipeline && *engine != linkclust.EngineAuto && *engine != linkclust.EnginePipelined {
-		return fmt.Errorf("-pipeline conflicts with -engine %s", *engine)
+	if err := linkclust.CheckEngine(*engine); err != nil {
+		return err
 	}
 	if *spillDir != "" {
 		if *algo != "sweep" {
 			return fmt.Errorf("-spill-dir only applies to -algo sweep")
-		}
-		if *pipeline {
-			return fmt.Errorf("-spill-dir conflicts with -pipeline")
 		}
 		if *engine != linkclust.EngineAuto && *engine != linkclust.EngineSpill {
 			return fmt.Errorf("-spill-dir conflicts with -engine %s", *engine)
 		}
 		*engine = linkclust.EngineSpill
 	}
-	if *engine == linkclust.EngineSpill && *pipeline {
-		return fmt.Errorf("-pipeline conflicts with -engine spill")
-	}
 	if *stream {
 		if *algo != "sweep" {
 			return fmt.Errorf("-stream only applies to -algo sweep")
 		}
-		if *pairs != "" || *relabel || *pipeline {
-			return fmt.Errorf("-stream conflicts with -pairs, -relabel and -pipeline (the stream engine maintains phase I incrementally)")
+		if *pairs != "" {
+			return fmt.Errorf("-stream conflicts with -pairs (the stream engine maintains phase I incrementally)")
 		}
 		if *engine != linkclust.EngineAuto {
 			return fmt.Errorf("-stream conflicts with -engine %s", *engine)
@@ -507,8 +494,6 @@ func cmdCluster(ctx context.Context, args []string, stdin io.Reader, stdout io.W
 		rec.SetMeta("command", "cluster")
 		rec.SetMeta("algo", *algo)
 		rec.SetMeta("workers", strconv.Itoa(*workers))
-		rec.SetMeta("pipeline", strconv.FormatBool(*pipeline))
-		rec.SetMeta("relabel", strconv.FormatBool(*relabel))
 		rec.SetMeta("stream", strconv.FormatBool(*stream))
 	}
 	reportWritten := false
@@ -548,12 +533,6 @@ func cmdCluster(ctx context.Context, args []string, stdin io.Reader, stdout io.W
 		if err != nil {
 			return err
 		}
-	case *relabel:
-		// Bitwise identical to the plain kernel — see SimilarityRelabeled.
-		pl, err = core.SimilarityRelabeledCtx(ctx, g, *workers, rec)
-		if err != nil {
-			return err
-		}
 	default:
 		pl, err = core.SimilarityCtx(ctx, g, *workers, rec)
 		if err != nil {
@@ -586,34 +565,16 @@ func cmdCluster(ctx context.Context, args []string, stdin io.Reader, stdout io.W
 		mergeStream = res.Merges
 		d = linkclust.NewDendrogram(res)
 	case *algo == "sweep":
-		// The parallel and pipelined engines reproduce the serial merge
-		// stream bitwise, so -workers, -engine, and -pipeline only change
-		// how the sweep runs, never what it outputs. -pipeline forces the
-		// pipelined engine (legacy behavior); otherwise -engine auto picks
-		// by the measured op-count threshold.
-		sel := *engine
-		switch {
-		case *pipeline:
-			sel = linkclust.EnginePipelined
-		case sel == linkclust.EngineAuto:
-			sel = core.ChooseSweepEngine(pl.NumIncidentPairs(), *workers, false)
-		}
-		rec.SetMeta("sweep_engine", sel)
-		var res *linkclust.Result
-		switch sel {
-		case linkclust.EngineSpill:
-			res, err = core.SweepSpilledOpts(ctx, g, pl, *workers, core.SpillOptions{Dir: *spillDir}, rec)
-		case linkclust.EnginePipelined:
-			res, err = core.SweepPipelinedCtx(ctx, g, pl, *workers, rec)
-		case linkclust.EngineParallel:
-			res, err = core.SweepParallelCtx(ctx, g, pl, *workers, rec)
-		default:
-			res, err = core.SweepCtx(ctx, g, pl, rec)
-		}
+		// Every engine reproduces the serial merge stream bitwise, so
+		// -workers and -engine only change how the sweep runs, never what
+		// it outputs; -engine auto picks by the measured op-count threshold.
+		res, run, err := linkclust.RunSweep(ctx, g, pl, linkclust.ClusterOptions{
+			Workers: *workers, Recorder: rec, Engine: *engine, SpillDir: *spillDir,
+		}, false)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "algorithm      sweep (workers=%d, engine=%s)\n", *workers, sel)
+		fmt.Fprintf(stdout, "algorithm      sweep (workers=%d, engine=%s)\n", *workers, run.Engine)
 		fmt.Fprintf(stdout, "edges          %d\n", g.NumEdges())
 		fmt.Fprintf(stdout, "levels         %d\n", res.Levels)
 		fmt.Fprintf(stdout, "merges         %d\n", len(res.Merges))

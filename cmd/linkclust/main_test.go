@@ -262,42 +262,54 @@ func TestGraphWorkersFlagMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestClusterPipelineFlagMatchesPlain(t *testing.T) {
+// TestClusterEngineFlagMatchesPlain runs every explicit sweep engine at
+// worker counts 1, 2, 4 and 8 and requires the saved merge stream to equal
+// the default run's byte for byte, with the engine named in the banner; an
+// unknown engine must fail naming the valid ones.
+func TestClusterEngineFlagMatchesPlain(t *testing.T) {
 	gtext := pipeline(t)
 	dir := t.TempDir()
 	plain := dir + "/plain.bin"
-	piped := dir + "/piped.bin"
 	var out bytes.Buffer
 	if err := run(context.Background(), []string{"cluster", "-algo", "sweep", "-save-merges", plain}, strings.NewReader(gtext), &out); err != nil {
 		t.Fatal(err)
 	}
-	out.Reset()
-	err := run(context.Background(), []string{"cluster", "-algo", "sweep", "-pipeline", "-workers", "4", "-save-merges", piped},
-		strings.NewReader(gtext), &out)
+	want, err := os.ReadFile(plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "pipelined") {
-		t.Fatalf("pipelined run not labeled:\n%s", out.String())
+	for _, engine := range []string{"serial", "parallel", "spill"} {
+		for _, workers := range []string{"1", "2", "4", "8"} {
+			path := dir + "/" + engine + workers + ".bin"
+			out.Reset()
+			err := run(context.Background(), []string{"cluster", "-algo", "sweep", "-engine", engine, "-workers", workers, "-save-merges", path},
+				strings.NewReader(gtext), &out)
+			if err != nil {
+				t.Fatalf("-engine %s -workers %s: %v", engine, workers, err)
+			}
+			if !strings.Contains(out.String(), "engine="+engine) {
+				t.Fatalf("-engine %s run not labeled:\n%s", engine, out.String())
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("-engine %s -workers %s changed the merge stream", engine, workers)
+			}
+		}
 	}
-	a, err := os.ReadFile(plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(piped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("-pipeline changed the merge stream")
+	err = run(context.Background(), []string{"cluster", "-engine", "pipelined"}, strings.NewReader(gtext), &out)
+	if err == nil || !strings.Contains(err.Error(), "want auto, serial, parallel, spill") {
+		t.Fatalf("unknown engine error = %v, want one naming the valid engines", err)
 	}
 }
 
-func TestClusterPipelineFlagRequiresSweep(t *testing.T) {
+func TestClusterSpillDirRequiresSweep(t *testing.T) {
 	var out bytes.Buffer
-	err := run(context.Background(), []string{"cluster", "-algo", "coarse", "-pipeline"}, strings.NewReader("vertices 2\nedge 0 1 1\n"), &out)
+	err := run(context.Background(), []string{"cluster", "-algo", "coarse", "-spill-dir", t.TempDir()}, strings.NewReader("vertices 2\nedge 0 1 1\n"), &out)
 	if err == nil {
-		t.Fatal("-pipeline accepted with -algo coarse")
+		t.Fatal("-spill-dir accepted with -algo coarse")
 	}
 }
 

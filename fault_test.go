@@ -36,13 +36,13 @@ func TestFaultDisarmedMatchesGolden(t *testing.T) {
 	}
 	g := goldenGraph(t)
 	for _, workers := range []int{1, 4, 8} {
-		for _, pipeline := range []bool{false, true} {
-			res, err := ClusterCtx(context.Background(), g, ClusterOptions{Workers: workers, Pipeline: pipeline})
+		for _, engine := range []string{EngineSerial, EngineParallel, EngineSpill} {
+			res, err := ClusterCtx(context.Background(), g, ClusterOptions{Workers: workers, Engine: engine})
 			if err != nil {
-				t.Fatalf("T=%d pipeline=%v: %v", workers, pipeline, err)
+				t.Fatalf("T=%d engine=%s: %v", workers, engine, err)
 			}
 			if got := sha(canonMerges(res)); got != goldenClusterSHA {
-				t.Fatalf("T=%d pipeline=%v: hash %s, golden %s", workers, pipeline, got, goldenClusterSHA)
+				t.Fatalf("T=%d engine=%s: hash %s, golden %s", workers, engine, got, goldenClusterSHA)
 			}
 		}
 	}
@@ -66,10 +66,6 @@ func TestFaultWorkerPanic(t *testing.T) {
 		}},
 		{"sweep-parallel", 2, func() error {
 			_, err := SweepParallelCtx(context.Background(), g, clonePairs(pl), 4, nil)
-			return err
-		}},
-		{"sweep-pipelined", 2, func() error {
-			_, err := SweepPipelinedCtx(context.Background(), g, Similarity(g), 4, nil)
 			return err
 		}},
 		{"coarse", 2, func() error {
@@ -104,8 +100,8 @@ func clonePairs(pl *PairList) *PairList {
 	return &PairList{Pairs: append([]Pair(nil), pl.Pairs...)}
 }
 
-// TestFaultSlowProducer arms the pipelined sweep's bucket-sort point with a
-// stall: slow must not mean wrong — the merge stream stays golden because
+// TestFaultSlowProducer arms the spilled sweep's bucket read-back point with
+// a stall: slow must not mean wrong — the merge stream stays golden because
 // every scheduling decision is op-count-, not timing-, based.
 func TestFaultSlowProducer(t *testing.T) {
 	resetFaults(t)
@@ -117,7 +113,7 @@ func TestFaultSlowProducer(t *testing.T) {
 		// suite: the consumer's stall counters absorb it, the output may not.
 		runtime.Gosched()
 	})
-	res, err := SweepPipelinedCtx(context.Background(), g, Similarity(g), 4, nil)
+	res, err := ClusterCtx(context.Background(), g, ClusterOptions{Workers: 4, Engine: EngineSpill, SpillDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,8 +142,8 @@ func TestFaultCancelWindow(t *testing.T) {
 			_, err := SweepParallelCtx(ctx, g, Similarity(g), workers, nil)
 			return err
 		}},
-		{"pipelined", func(ctx context.Context, workers int) error {
-			_, err := SweepPipelinedCtx(ctx, g, Similarity(g), workers, nil)
+		{"spill", func(ctx context.Context, workers int) error {
+			_, err := ClusterCtx(ctx, g, ClusterOptions{Workers: workers, Engine: EngineSpill, SpillDir: t.TempDir()})
 			return err
 		}},
 		{"coarse", func(ctx context.Context, workers int) error {
@@ -298,8 +294,9 @@ func streamArrivals(g *Graph) []Arrival {
 // be golden.
 func TestFaultMatrix(t *testing.T) {
 	g := goldenGraph(t)
-	// MemBreach fires only when a budget is set; CancelWindow/SlowProducer/
-	// WorkerPanic all fire on the pipelined parallel path; the stream points
+	// MemBreach fires only when a budget is set; CancelWindow/WorkerPanic
+	// fire on the windowed parallel path and SlowProducer on the spilled
+	// sweep's read-back producer; the stream points
 	// fire on the incremental path (a whole-graph ingest hits the ingest
 	// point at the batch head, and the first snapshot — no checkpoints yet,
 	// so the replay fraction is 1 — takes the compaction fallback); the
@@ -325,14 +322,15 @@ func TestFaultMatrix(t *testing.T) {
 				if p == fault.SpillRead {
 					want = spill.ErrChecksum
 				}
-				if _, err = SweepSpilledCtx(context.Background(), g, Similarity(g), 4, "", nil); !errors.Is(err, want) {
+				spilled := ClusterOptions{Workers: 4, Engine: EngineSpill, SpillDir: t.TempDir()}
+				if _, err = ClusterCtx(context.Background(), g, spilled); !errors.Is(err, want) {
 					t.Fatalf("armed %s: err = %v, want %v", p, err, want)
 				}
 				if !fired {
 					t.Fatalf("point %s never fired on the out-of-core sweep", p)
 				}
 				fault.Reset()
-				res, err = SweepSpilledCtx(context.Background(), g, Similarity(g), 4, "", nil)
+				res, err = ClusterCtx(context.Background(), g, spilled)
 				if err != nil {
 					t.Fatalf("disarmed rerun: %v", err)
 				}
@@ -351,9 +349,12 @@ func TestFaultMatrix(t *testing.T) {
 				}
 				res, err = eng.Snapshot()
 			default:
-				opts := ClusterOptions{Workers: 4, Pipeline: true}
-				if p == fault.MemBreach {
+				opts := ClusterOptions{Workers: 4, Engine: EngineParallel}
+				switch p {
+				case fault.MemBreach:
 					opts.MemBudgetBytes = 1 << 50
+				case fault.SlowProducer:
+					opts.Engine, opts.SpillDir = EngineSpill, t.TempDir()
 				}
 				res, err = ClusterCtx(context.Background(), g, opts)
 			}

@@ -20,7 +20,7 @@ import (
 // the failure message — any other trigger is a regression in determinism.
 const (
 	goldenClusterSHA  = "acd8ee08ada0f030f60c9c94cac36a65c66d1d94744f3e18fadb6a8020d86e8c"
-	goldenCountersSHA = "427038e2c059a2de3862364b8c74ccbdf663850178c361d8c5fa315a1ba2b156"
+	goldenCountersSHA = "d380c6c2721ddb74aa477557fc7c247ffcd6061447500718f5ec51895c3892dd"
 	// goldenStreamCountersSHA pins the stream.* counters of the canonical
 	// golden-graph replay (batches of 512, a snapshot every fourth batch):
 	// like the engine counters above they are pure functions of the arrival
@@ -77,7 +77,6 @@ var goldenInvariantCounters = []string{
 	core.CtrSweepNoopDrops,
 	core.CtrSweepSerialDrains,
 	core.CtrSweepFlattens,
-	core.CtrPipelineBuckets,
 }
 
 // canonCounters serializes the worker-invariant counters of a run report in
@@ -93,9 +92,9 @@ func canonCounters(rep *RunReport) string {
 }
 
 // TestGoldenClusterOutput runs the fixed corpus through every fine-grained
-// engine — serial, parallel reservation, and pipelined, the latter two at
-// worker counts 1..8 — and requires every run to hash to the checked-in
-// golden value.
+// engine — serial, parallel reservation at worker counts 1..8, and the
+// out-of-core spilled sweep — and requires every run to hash to the
+// checked-in golden value.
 func TestGoldenClusterOutput(t *testing.T) {
 	g := goldenGraph(t)
 	serial, err := Cluster(g)
@@ -113,85 +112,62 @@ func TestGoldenClusterOutput(t *testing.T) {
 		if got := sha(canonMerges(par)); got != goldenClusterSHA {
 			t.Fatalf("ClusterParallel T=%d hash %s, golden %s", workers, got, goldenClusterSHA)
 		}
-		pip, err := ClusterPipelined(g, workers)
-		if err != nil {
-			t.Fatalf("pipelined T=%d: %v", workers, err)
-		}
-		if got := sha(canonMerges(pip)); got != goldenClusterSHA {
-			t.Fatalf("ClusterPipelined T=%d hash %s, golden %s", workers, got, goldenClusterSHA)
-		}
 	}
 	// The out-of-core sweep routes the same pair list through disk; the
 	// golden pin extends to it unchanged at representative worker counts.
 	for _, workers := range []int{1, 4, 8} {
-		ooc, err := ClusterOutOfCore(g, workers)
+		ooc, err := ClusterCtx(context.Background(), g, ClusterOptions{Workers: workers, Engine: EngineSpill, SpillDir: t.TempDir()})
 		if err != nil {
 			t.Fatalf("out-of-core T=%d: %v", workers, err)
 		}
 		if got := sha(canonMerges(ooc)); got != goldenClusterSHA {
-			t.Fatalf("ClusterOutOfCore T=%d hash %s, golden %s", workers, got, goldenClusterSHA)
+			t.Fatalf("spilled ClusterCtx T=%d hash %s, golden %s", workers, got, goldenClusterSHA)
 		}
 	}
 }
 
-// TestGoldenCounters runs the instrumented pipelined engine at several worker
+// TestGoldenCounters runs the instrumented windowed engine at several worker
 // counts and requires the worker-invariant counter set to hash to the
 // checked-in golden value every time — scheduling counters (windows, rounds,
-// deferrals, buckets) included, since the engine derives them from op counts,
-// not threads.
+// deferrals) included, since the engine derives them from op counts, not
+// threads. The spilled sweep feeds the same engine from disk, so its run
+// must report the identical set.
 func TestGoldenCounters(t *testing.T) {
 	g := goldenGraph(t)
-	for _, workers := range []int{1, 2, 4, 8} {
-		rec := NewRecorder()
-		if _, err := core.ClusterPipelinedRecorded(g, workers, rec); err != nil {
-			t.Fatalf("T=%d: %v", workers, err)
+	for _, opts := range []ClusterOptions{
+		{Workers: 1, Engine: EngineParallel},
+		{Workers: 2, Engine: EngineParallel},
+		{Workers: 4, Engine: EngineParallel},
+		{Workers: 8, Engine: EngineParallel},
+		{Workers: 4, Engine: EngineSpill, SpillDir: t.TempDir()},
+	} {
+		opts.Recorder = NewRecorder()
+		if _, err := ClusterCtx(context.Background(), g, opts); err != nil {
+			t.Fatalf("%s T=%d: %v", opts.Engine, opts.Workers, err)
 		}
-		if got := sha(canonCounters(rec.Report())); got != goldenCountersSHA {
-			t.Fatalf("T=%d counters hash %s, golden %s\ncounters:\n%s",
-				workers, got, goldenCountersSHA, canonCounters(rec.Report()))
-		}
-	}
-	// The non-pipelined parallel engine shares every engine counter and adds
-	// no bucket, so its invariant set must match after accounting for the
-	// pipeline-only counter.
-	rec := NewRecorder()
-	if _, err := ClusterInstrumented(g, ClusterOptions{Workers: 4, Recorder: rec}); err != nil {
-		t.Fatal(err)
-	}
-	pipRec := NewRecorder()
-	if _, err := core.ClusterPipelinedRecorded(g, 4, pipRec); err != nil {
-		t.Fatal(err)
-	}
-	a, b := rec.Report().Counters, pipRec.Report().Counters
-	for _, n := range goldenInvariantCounters {
-		if n == core.CtrPipelineBuckets {
-			continue
-		}
-		if a[n] != b[n] {
-			t.Errorf("counter %s: parallel %d vs pipelined %d", n, a[n], b[n])
+		canon := canonCounters(opts.Recorder.Report())
+		if got := sha(canon); got != goldenCountersSHA {
+			t.Fatalf("%s T=%d counters hash %s, golden %s\ncounters:\n%s",
+				opts.Engine, opts.Workers, got, goldenCountersSHA, canon)
 		}
 	}
 }
 
-// TestGoldenEngineAndRelabel extends the golden pin to the explicit engine
-// selector and the degree-ordered relabeled initialization: every
-// ClusterOptions.Engine value (auto included), with and without Relabel, at
-// several worker counts, must hash to the same golden value as the serial
-// pipeline — engine choice and vertex order affect speed only, never output.
-func TestGoldenEngineAndRelabel(t *testing.T) {
+// TestGoldenEngine extends the golden pin to the explicit engine selector:
+// every ClusterOptions.Engine value (auto included) at several worker counts
+// must hash to the same golden value as the serial pipeline — engine choice
+// affects speed only, never output.
+func TestGoldenEngine(t *testing.T) {
 	g := goldenGraph(t)
-	for _, engine := range []string{EngineAuto, EngineSerial, EngineParallel, EnginePipelined, EngineSpill} {
-		for _, relabel := range []bool{false, true} {
-			for _, workers := range []int{1, 4, 8} {
-				res, err := ClusterCtx(context.Background(), g,
-					ClusterOptions{Workers: workers, Engine: engine, Relabel: relabel})
-				if err != nil {
-					t.Fatalf("engine=%s relabel=%v T=%d: %v", engine, relabel, workers, err)
-				}
-				if got := sha(canonMerges(res)); got != goldenClusterSHA {
-					t.Fatalf("engine=%s relabel=%v T=%d hash %s, golden %s",
-						engine, relabel, workers, got, goldenClusterSHA)
-				}
+	for _, engine := range []string{EngineAuto, EngineSerial, EngineParallel, EngineSpill} {
+		for _, workers := range []int{1, 2, 4, 8} {
+			res, err := ClusterCtx(context.Background(), g,
+				ClusterOptions{Workers: workers, Engine: engine, SpillDir: t.TempDir()})
+			if err != nil {
+				t.Fatalf("engine=%s T=%d: %v", engine, workers, err)
+			}
+			if got := sha(canonMerges(res)); got != goldenClusterSHA {
+				t.Fatalf("engine=%s T=%d hash %s, golden %s", engine, workers, got, goldenClusterSHA)
 			}
 		}
 	}
@@ -276,31 +252,6 @@ func TestGoldenStreamCounters(t *testing.T) {
 		if got := sha(canon); got != goldenStreamCountersSHA {
 			t.Fatalf("T=%d stream counters hash %s, golden %s\ncounters:\n%s",
 				workers, got, goldenStreamCountersSHA, canon)
-		}
-	}
-}
-
-// TestGoldenCountersRelabeled checks that a relabeled run reports the same
-// worker-invariant counter set as a plain run of the same engine: relabeling
-// changes the traversal order inside the init phase, not what it computes.
-func TestGoldenCountersRelabeled(t *testing.T) {
-	g := goldenGraph(t)
-	plain := NewRecorder()
-	if _, err := ClusterInstrumented(g, ClusterOptions{Workers: 4, Recorder: plain}); err != nil {
-		t.Fatal(err)
-	}
-	rel := NewRecorder()
-	if _, err := ClusterCtx(context.Background(), g,
-		ClusterOptions{Workers: 4, Engine: EngineParallel, Relabel: true, Recorder: rel}); err != nil {
-		t.Fatal(err)
-	}
-	a, b := plain.Report().Counters, rel.Report().Counters
-	for _, n := range goldenInvariantCounters {
-		if n == core.CtrPipelineBuckets {
-			continue
-		}
-		if a[n] != b[n] {
-			t.Errorf("counter %s: plain %d vs relabeled %d", n, a[n], b[n])
 		}
 	}
 }

@@ -20,7 +20,6 @@ type kernelsResult struct {
 	IncidentPairs int64   `json:"incident_pairs"` // K2
 
 	PlainNs       int64 `json:"plain_ns"`        // wedge-major similarity
-	RelabeledNs   int64 `json:"relabeled_ns"`    // degree-ordered similarity
 	SweepSerialNs int64 `json:"sweep_serial_ns"` // serial claim-scan sweep
 	SweepCASNs    int64 `json:"sweep_cas_ns"`    // CAS min-reservation sweep, T=8
 
@@ -40,12 +39,12 @@ type kernelsReport struct {
 	Results   []kernelsResult   `json:"results"`
 }
 
-// Kernels is the self-validating smoke run for the PR 7 kernels: per fraction
-// α it checks that the degree-ordered relabeled similarity kernel (serial and
-// T=8) reproduces the plain wedge kernel's pair list bitwise, and that the
-// CAS min-reservation sweep at T=8 reproduces the serial merge stream bitwise
-// while actually scheduling rounds through the CAS path. Any divergence fails
-// the experiment, so a green run — e.g. the CI smoke step — certifies the
+// Kernels is the self-validating smoke run for the CAS sweep scheduler: per
+// fraction α it checks that the parallel wedge kernel at T=8 reproduces the
+// serial kernel's pair list bitwise, and that the CAS min-reservation sweep
+// at T=8 reproduces the serial merge stream bitwise while actually
+// scheduling rounds through the CAS path. Any divergence fails the
+// experiment, so a green run — e.g. the CI smoke step — certifies the
 // equivalences on real workloads, not just unit fixtures. Timings are
 // reported for orientation only; sweepkernel/simkernel own the measurements.
 func Kernels(w io.Writer, cfg Config) error {
@@ -62,10 +61,10 @@ func Kernels(w io.Writer, cfg Config) error {
 		return err
 	}
 	t := &Table{
-		Title:   "kernels: relabeled similarity and CAS sweep vs their serial baselines (bitwise)",
-		Columns: []string{"alpha", "K1", "K2", "plain", "relabeled", "sweep", "cas(T=8)", "cas-rounds", "auto-engine"},
+		Title:   "kernels: parallel similarity and CAS sweep vs their serial baselines (bitwise)",
+		Columns: []string{"alpha", "K1", "K2", "similarity", "sweep", "cas(T=8)", "cas-rounds", "auto-engine"},
 		Notes: []string{
-			"relabeled pair lists (serial and T=8) compared bitwise to the plain wedge kernel before timing is accepted",
+			"T=8 wedge pair list compared bitwise to the serial kernel before timing is accepted",
 			"CAS merge stream compared bitwise to the serial sweep; cas-rounds > 0 proves the lock-free path ran",
 			fmt.Sprintf("this machine exposes %d CPU core(s); GOMAXPROCS raised to 8 so the CAS path is exercised", runtime.NumCPU()),
 		},
@@ -84,16 +83,9 @@ func Kernels(w io.Writer, cfg Config) error {
 		end := cfg.Obs.Phase(fmt.Sprintf("kernels-alpha-%g", wl.Alpha))
 		var plain *core.PairList
 		plainNs := timeIt(cfg.Repeats, func() { plain = core.Similarity(g) })
-		var rel *core.PairList
-		relNs := timeIt(cfg.Repeats, func() { rel = core.SimilarityRelabeled(g, 1) })
-		if err := samePairList(plain, rel); err != nil {
+		if err := samePairList(plain, core.SimilarityParallel(g, 8)); err != nil {
 			end()
-			return fmt.Errorf("bench: alpha %v: relabeled similarity (serial): %w", wl.Alpha, err)
-		}
-		rel8 := core.SimilarityRelabeled(g, 8)
-		if err := samePairList(plain, rel8); err != nil {
-			end()
-			return fmt.Errorf("bench: alpha %v: relabeled similarity (T=8): %w", wl.Alpha, err)
+			return fmt.Errorf("bench: alpha %v: parallel similarity (T=8): %w", wl.Alpha, err)
 		}
 		plain.Sort() // both sweeps sort in place; hoist the shared cost
 		var serial *core.Result
@@ -133,7 +125,6 @@ func Kernels(w io.Writer, cfg Config) error {
 			Pairs:         len(plain.Pairs),
 			IncidentPairs: plain.NumIncidentPairs(),
 			PlainNs:       plainNs.Nanoseconds(),
-			RelabeledNs:   relNs.Nanoseconds(),
 			SweepSerialNs: serialNs.Nanoseconds(),
 			SweepCASNs:    casNs.Nanoseconds(),
 			CASRounds:     rec.Counter(core.CtrSweepCASRounds),
@@ -141,7 +132,7 @@ func Kernels(w io.Writer, cfg Config) error {
 		}
 		report.Results = append(report.Results, res)
 		t.AddRow(wl.Alpha, res.Pairs, res.IncidentPairs,
-			formatSeconds(plainNs), formatSeconds(relNs),
+			formatSeconds(plainNs),
 			formatSeconds(serialNs), formatSeconds(casNs),
 			res.CASRounds, res.Engine)
 	}

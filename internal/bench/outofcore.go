@@ -12,7 +12,7 @@ import (
 	"linkclust/internal/obs"
 )
 
-// outOfCoreWorkers is the thread sweep of the spilled-vs-pipelined
+// outOfCoreWorkers is the thread sweep of the spilled-vs-windowed
 // comparison.
 var outOfCoreWorkers = []int{1, 4, 8}
 
@@ -35,10 +35,10 @@ type outOfCoreResult struct {
 	SpillKB      int64 `json:"spill_kb"`
 	ReadStalls   int64 `json:"read_stalls"`
 
-	SpilledNs   int64   `json:"spilled_ns"`
-	PipelinedNs int64   `json:"pipelined_ns"`
-	Overhead    float64 `json:"overhead"` // spilled / pipelined wall clock
-	// Identical records that every timed run — spilled and pipelined — was
+	SpilledNs  int64   `json:"spilled_ns"`
+	WindowedNs int64   `json:"windowed_ns"`
+	Overhead   float64 `json:"overhead"` // spilled / windowed wall clock
+	// Identical records that every timed run — spilled and windowed — was
 	// compared bitwise to the serial sweep before its time was accepted.
 	Identical bool `json:"identical"`
 
@@ -67,7 +67,8 @@ type outOfCoreReport struct {
 // OutOfCore is the self-validating disk-spill benchmark: per fraction α and
 // worker count it times the spilled sweep (radix-partitioned pair list
 // written to per-bucket spill files, streamed back through the engine)
-// against the in-memory pipelined sweep, each run consuming a fresh clone of
+// against the in-memory windowed sweep (barrier sort, then SweepParallel's
+// engine over the whole list), each run consuming a fresh clone of
 // the same pair list. Every timed run is first compared bitwise to the
 // serial sweep — a divergence fails the whole experiment, so a reported time
 // is also a proof of correctness. Each row whose budget clears the
@@ -87,10 +88,10 @@ func OutOfCore(w io.Writer, cfg Config) error {
 		return err
 	}
 	t := &Table{
-		Title:   "outofcore: disk-spilled sweep vs in-memory pipelined (bitwise self-validating)",
-		Columns: []string{"alpha", "edges", "pairs", "pair-KB", "T", "buckets", "spill-KB", "stalls", "spilled", "pipelined", "overhead", "ladder"},
+		Title:   "outofcore: disk-spilled sweep vs in-memory windowed (bitwise self-validating)",
+		Columns: []string{"alpha", "edges", "pairs", "pair-KB", "T", "buckets", "spill-KB", "stalls", "spilled", "windowed", "overhead", "ladder"},
 		Notes: []string{
-			"every timed run, spilled and pipelined, is compared bitwise to the serial sweep before its time counts",
+			"every timed run, spilled and windowed, is compared bitwise to the serial sweep before its time counts",
 			"each run consumes a fresh pair-list clone built outside the timed region",
 			"ladder ok: ClusterCtx under budget pair-KB/4 -- a budget the spill payload exceeds >=4x -- rerouted",
 			"  through the spilled sweep (mem_budget_spills 1, mem_budget_degrades 0) and stayed bitwise identical;",
@@ -138,7 +139,7 @@ func clonePairList(pl *core.PairList) *core.PairList {
 	return &core.PairList{Pairs: append([]core.Pair(nil), pl.Pairs...)}
 }
 
-// outOfCoreAlpha runs the spilled-vs-pipelined protocol on one workload and
+// outOfCoreAlpha runs the spilled-vs-windowed protocol on one workload and
 // returns its rows, one per worker count.
 func outOfCoreAlpha(wl Workload, cfg Config, t *Table) ([]outOfCoreResult, error) {
 	g := wl.Graph
@@ -170,7 +171,7 @@ func outOfCoreAlpha(wl Workload, cfg Config, t *Table) ([]outOfCoreResult, error
 	var out []outOfCoreResult
 	for _, workers := range outOfCoreWorkers {
 		rec := obs.New()
-		var spilledNs, pipelinedNs time.Duration
+		var spilledNs, windowedNs time.Duration
 		for r := 0; r < repeats; r++ {
 			// Counters are taken from the first repeat only, keeping them
 			// single-run values (buckets and bytes are worker- and
@@ -196,16 +197,16 @@ func outOfCoreAlpha(wl Workload, cfg Config, t *Table) ([]outOfCoreResult, error
 		for r := 0; r < repeats; r++ {
 			pl := clonePairList(master)
 			start := time.Now()
-			res, err := core.SweepPipelined(g, pl, workers)
+			res, err := core.SweepParallel(g, pl, workers)
 			d := time.Since(start)
 			if err != nil {
-				return nil, fmt.Errorf("bench: pipelined sweep alpha %v T=%d: %w", wl.Alpha, workers, err)
+				return nil, fmt.Errorf("bench: windowed sweep alpha %v T=%d: %w", wl.Alpha, workers, err)
 			}
 			if err := sameMergeStream(serial, res); err != nil {
-				return nil, fmt.Errorf("bench: alpha %v T=%d: pipelined sweep diverged: %w", wl.Alpha, workers, err)
+				return nil, fmt.Errorf("bench: alpha %v T=%d: windowed sweep diverged: %w", wl.Alpha, workers, err)
 			}
-			if r == 0 || d < pipelinedNs {
-				pipelinedNs = d
+			if r == 0 || d < windowedNs {
+				windowedNs = d
 			}
 		}
 
@@ -248,8 +249,8 @@ func outOfCoreAlpha(wl Workload, cfg Config, t *Table) ([]outOfCoreResult, error
 			SpillKB:        kb(rec.Counter(core.CtrSpillBytesWritten)),
 			ReadStalls:     rec.Counter(core.CtrSpillReadStalls),
 			SpilledNs:      spilledNs.Nanoseconds(),
-			PipelinedNs:    pipelinedNs.Nanoseconds(),
-			Overhead:       float64(spilledNs) / float64(pipelinedNs),
+			WindowedNs:     windowedNs.Nanoseconds(),
+			Overhead:       float64(spilledNs) / float64(windowedNs),
 			Identical:      true,
 			LadderSpills:   spills,
 			LadderDegrades: degrades,
@@ -261,7 +262,7 @@ func outOfCoreAlpha(wl Workload, cfg Config, t *Table) ([]outOfCoreResult, error
 		out = append(out, row)
 		t.AddRow(wl.Alpha, row.Edges, row.Pairs, row.PairKB, workers,
 			row.SpillBuckets, row.SpillKB, row.ReadStalls,
-			formatSeconds(spilledNs), formatSeconds(pipelinedNs),
+			formatSeconds(spilledNs), formatSeconds(windowedNs),
 			fmt.Sprintf("%.2fx", row.Overhead), ladderCell)
 	}
 	return out, nil

@@ -17,8 +17,7 @@ import (
 // phases, a bench file captures a head-to-head comparison.
 const BenchSchemaV1 = "linkclust/bench/v1"
 
-// simKernelWorkers is the worker count of the parallel comparison — the
-// acceptance configuration of the kernel swap.
+// simKernelWorkers is the worker count of the parallel wedge column.
 const simKernelWorkers = 8
 
 // simKernelResult is one α row of the similarity-kernel microbenchmark.
@@ -29,13 +28,11 @@ type simKernelResult struct {
 	Pairs         int     `json:"pairs"`          // K1
 	IncidentPairs int64   `json:"incident_pairs"` // K2
 
-	LegacySerialNs   int64 `json:"legacy_serial_ns"`
-	WedgeSerialNs    int64 `json:"wedge_serial_ns"`
-	LegacyParallelNs int64 `json:"legacy_parallel_ns"`
-	WedgeParallelNs  int64 `json:"wedge_parallel_ns"`
+	LegacySerialNs  int64 `json:"legacy_serial_ns"`
+	WedgeSerialNs   int64 `json:"wedge_serial_ns"`
+	WedgeParallelNs int64 `json:"wedge_parallel_ns"`
 
-	SerialSpeedup   float64 `json:"serial_speedup"`
-	ParallelSpeedup float64 `json:"parallel_speedup"`
+	SerialSpeedup float64 `json:"serial_speedup"`
 }
 
 // simKernelReport is the BENCH_similarity.json document.
@@ -48,12 +45,12 @@ type simKernelReport struct {
 }
 
 // SimKernel benchmarks the initialization-phase kernels head-to-head per
-// fraction α: the legacy global hash-map accumulator (serial, and parallel
-// with hierarchical map merges) against the wedge-major Gustavson kernel
-// (serial, and parallel count-then-fill with no merge phase). Both produce
-// element-wise identical pair lists after Sort; this experiment measures
-// only the cost of getting there. With cfg.BenchJSON set, the comparison is
-// additionally written as a linkclust/bench/v1 JSON document.
+// fraction α: the legacy global hash-map accumulator against the
+// wedge-major Gustavson kernel, serially, plus the wedge kernel's parallel
+// count-then-fill path. All produce element-wise identical pair lists after
+// Sort; this experiment measures only the cost of getting there. With
+// cfg.BenchJSON set, the comparison is additionally written as a
+// linkclust/bench/v1 JSON document.
 func SimKernel(w io.Writer, cfg Config) error {
 	wls, err := BuildWorkloads(cfg)
 	if err != nil {
@@ -64,9 +61,7 @@ func SimKernel(w io.Writer, cfg Config) error {
 		Columns: []string{
 			"alpha", "K1", "K2",
 			"legacy-serial", "wedge-serial", "speedup",
-			fmt.Sprintf("legacy-par(T=%d)", simKernelWorkers),
 			fmt.Sprintf("wedge-par(T=%d)", simKernelWorkers),
-			"speedup",
 		},
 		Notes: []string{
 			"serial and parallel wedge output is bitwise identical to legacy serial after Sort",
@@ -88,33 +83,27 @@ func SimKernel(w io.Writer, cfg Config) error {
 		end := cfg.Obs.Phase(fmt.Sprintf("simkernel-alpha-%g", wl.Alpha))
 		var pl *core.PairList
 		legacySerial := timeIt(cfg.Repeats, func() { pl = core.SimilarityLegacy(g) })
-		wedgeSerial := timeIt(cfg.Repeats, func() { pl = core.SimilarityWedge(g) })
-		legacyPar := timeIt(cfg.Repeats, func() { pl = core.SimilarityParallelLegacy(g, simKernelWorkers) })
-		wedgePar := timeIt(cfg.Repeats, func() { pl = core.SimilarityWedgeParallel(g, simKernelWorkers) })
+		wedgeSerial := timeIt(cfg.Repeats, func() { pl = core.Similarity(g) })
+		wedgePar := timeIt(cfg.Repeats, func() { pl = core.SimilarityParallel(g, simKernelWorkers) })
 		end()
 		res := simKernelResult{
-			Alpha:            wl.Alpha,
-			Vertices:         g.NumVertices(),
-			Edges:            g.NumEdges(),
-			Pairs:            len(pl.Pairs),
-			IncidentPairs:    pl.NumIncidentPairs(),
-			LegacySerialNs:   legacySerial.Nanoseconds(),
-			WedgeSerialNs:    wedgeSerial.Nanoseconds(),
-			LegacyParallelNs: legacyPar.Nanoseconds(),
-			WedgeParallelNs:  wedgePar.Nanoseconds(),
+			Alpha:           wl.Alpha,
+			Vertices:        g.NumVertices(),
+			Edges:           g.NumEdges(),
+			Pairs:           len(pl.Pairs),
+			IncidentPairs:   pl.NumIncidentPairs(),
+			LegacySerialNs:  legacySerial.Nanoseconds(),
+			WedgeSerialNs:   wedgeSerial.Nanoseconds(),
+			WedgeParallelNs: wedgePar.Nanoseconds(),
 		}
 		if wedgeSerial > 0 {
 			res.SerialSpeedup = float64(legacySerial) / float64(wedgeSerial)
-		}
-		if wedgePar > 0 {
-			res.ParallelSpeedup = float64(legacyPar) / float64(wedgePar)
 		}
 		report.Results = append(report.Results, res)
 		t.AddRow(wl.Alpha, res.Pairs, res.IncidentPairs,
 			formatSeconds(legacySerial), formatSeconds(wedgeSerial),
 			formatFloat(res.SerialSpeedup)+"x",
-			formatSeconds(legacyPar), formatSeconds(wedgePar),
-			formatFloat(res.ParallelSpeedup)+"x")
+			formatSeconds(wedgePar))
 	}
 	t.Fprint(w)
 	if cfg.BenchJSON != "" {

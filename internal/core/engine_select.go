@@ -15,12 +15,9 @@ const (
 	// SweepEngineParallel is the windowed reservation engine
 	// (SweepParallel).
 	SweepEngineParallel = "parallel"
-	// SweepEnginePipelined overlaps pair-list sorting with merging
-	// (SweepPipelined).
-	SweepEnginePipelined = "pipelined"
-	// SweepEngineSpill is the out-of-core sweep (SweepSpilled): similarity
-	// buckets spill to disk and stream back through the pipelined engine's
-	// frontier, so the pair list never has to be memory-resident. Never
+	// SweepEngineSpill is the out-of-core sweep (SweepSpilledOpts):
+	// similarity buckets spill to disk and stream back into the windowed
+	// engine, so the pair list never has to be memory-resident. Never
 	// chosen by auto selection — the facade reaches it through the explicit
 	// engine option or the memory-budget admission path.
 	SweepEngineSpill = "spill"
@@ -29,10 +26,9 @@ const (
 // SweepAutoMinOps is the incident-operation count (K2 — the sum of
 // |Common| over the pair list, i.e. exactly the sweep's op count) below
 // which auto selection runs the serial sweep: under it the parallel
-// engines' fixed costs (packed-adjacency build, window bookkeeping, pool
-// barriers, and the pipelined engine's partition pass) exceed what
-// parallelism recovers, producing the sub-1× rows the PR 6 bench curves
-// show at small α.
+// engines' fixed costs (packed-adjacency build, window bookkeeping, and
+// pool barriers) exceed what parallelism recovers, producing the sub-1× rows
+// the sweepkernel bench curves show at small α.
 //
 // Measured on the reference word-association workloads (vocab 4000, docs
 // 6000) with 8 workers oversubscribed onto one physical core — the most
@@ -53,18 +49,18 @@ var SweepAutoMinOps = int64(1 << 17)
 
 // ChooseSweepEngine resolves the auto engine policy: serial below the
 // measured op-count threshold (or when workers normalize to 1 — parallel
-// scheduling can only lose there), otherwise the pipelined engine when
-// pipeline is requested and the windowed parallel engine when not. The
-// decision depends only on (ops, normalized workers, pipeline), never on
-// timing, so a given workload selects the same engine on every run — and
-// because every engine is bitwise-identical, even a different choice could
-// not change the output, only the speed.
-func ChooseSweepEngine(ops int64, workers int, pipeline bool) string {
+// scheduling can only lose there), otherwise the windowed parallel engine.
+// The decision depends only on (ops, normalized workers), never on timing,
+// so a given workload selects the same engine on every run — and because
+// every engine is bitwise-identical, even a different choice could not
+// change the output, only the speed.
+//
+// The third argument is ignored. It once selected the sort-overlapped
+// pipelined sweep, which was removed; it stays only so existing callers
+// keep compiling, and the next caller-side change can drop it.
+func ChooseSweepEngine(ops int64, workers int, _ bool) string {
 	if par.Normalize(workers) < 2 || ops < SweepAutoMinOps {
 		return SweepEngineSerial
-	}
-	if pipeline {
-		return SweepEnginePipelined
 	}
 	return SweepEngineParallel
 }

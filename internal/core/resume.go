@@ -65,7 +65,7 @@ func captureState(e *sweepEngine) SweepState {
 // optionally starting from a checkpoint and optionally emitting new
 // checkpoints as it goes.
 //
-// With from == nil it is SweepParallelCtx plus checkpointing. With a non-nil
+// With from == nil and save == nil it is SweepParallelCtx. With a non-nil
 // from — captured by an earlier SweepResumeCtx over a pair list whose entries
 // below from.Pos were identical — it restores the engine to the checkpoint
 // and replays only pairs at and above from.Pos. The resumed run's output is

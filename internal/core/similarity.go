@@ -149,9 +149,7 @@ type accumEntry struct {
 
 // accumulator builds map M incrementally through a global hash map — the
 // legacy kernel, kept as the reference implementation the wedge-major
-// kernel is differentially tested against. Each worker of the legacy
-// parallel initialization owns one; mergeFrom combines them (Section VI-A,
-// pass 2, step 2).
+// kernel is differentially tested against.
 type accumulator struct {
 	idx     map[uint64]int32 // packed pair -> entries index
 	entries []accumEntry
@@ -189,26 +187,6 @@ func (a *accumulator) add(u, v int32, prod float64, common int32) {
 func (a *accumulator) addDot(u, v int32, prod float64) {
 	if i, ok := a.idx[packPair(u, v)]; ok {
 		a.entries[i].dot += prod
-	}
-}
-
-// mergeFrom folds b into a. b's link indices are rebased into a's arena.
-func (a *accumulator) mergeFrom(b *accumulator) {
-	for _, be := range b.entries {
-		key := packPair(be.u, be.v)
-		i, ok := a.idx[key]
-		if !ok {
-			i = int32(len(a.entries))
-			a.idx[key] = i
-			a.entries = append(a.entries, accumEntry{u: be.u, v: be.v, head: -1})
-		}
-		e := &a.entries[i]
-		e.dot += be.dot
-		for li := be.head; li >= 0; li = b.links[li].next {
-			a.links = append(a.links, link{v: b.links[li].v, next: e.head})
-			e.head = int32(len(a.links) - 1)
-			e.n++
-		}
 	}
 }
 
@@ -293,7 +271,36 @@ func Similarity(g *graph.Graph) *PairList {
 // phase timers and the K1/K2 counters are recorded into rec. A nil rec
 // records nothing and adds no measurable overhead.
 func SimilarityRecorded(g *graph.Graph, rec *obs.Recorder) *PairList {
-	return SimilarityWedgeRecorded(g, rec)
+	// A background context never cancels, so the error is impossible.
+	pl, _ := similarityWedgeCtx(context.Background(), g, rec)
+	return pl
+}
+
+// SimilarityParallel runs Algorithm 1 multi-threaded with the wedge-major
+// kernel: rows of map M partition disjointly across workers, a count pass
+// sizes the CSR layout and a fill pass writes every row into precomputed
+// slots, with no map-merge phase and no edge rescan (see similarity_wedge.go).
+//
+// The resulting PairList contains exactly the same pairs, similarities and
+// common-neighbor sets as Similarity(g) — bitwise, for any worker count.
+//
+// The workers argument is normalized like every parallel entry point of the
+// pipeline: values below 2 (after clamping) run the serial implementation,
+// values above max(runtime.GOMAXPROCS(0), runtime.NumCPU()) are clamped to that cap.
+func SimilarityParallel(g *graph.Graph, workers int) *PairList {
+	return SimilarityParallelRecorded(g, workers, nil)
+}
+
+// SimilarityParallelRecorded is SimilarityParallel with optional
+// instrumentation: per-pass phase timers and the K1/K2 counters are
+// recorded into rec. A nil rec records nothing.
+//
+// A panic inside the kernel propagates to the caller as a
+// *par.WorkerPanicError panic (use SimilarityCtx for an error return).
+func SimilarityParallelRecorded(g *graph.Graph, workers int, rec *obs.Recorder) *PairList {
+	// A background context never cancels, so the error is impossible.
+	pl, _ := similarityWedgeParallelCtx(context.Background(), g, workers, rec)
+	return pl
 }
 
 // SimilarityLegacy runs Algorithm 1 serially through the original global

@@ -13,12 +13,12 @@ import (
 
 // Wedge-major (Gustavson/SPA) implementation of Algorithm 1.
 //
-// The legacy implementation (similarityLegacyRecorded) is vertex-major over
-// the *common neighbor*: for every vertex v, each ordered neighbor pair
-// (vj, vk) of v contributes to map-M key (vj, vk) through a global hash-map
-// accumulator. That funnels every one of the K2 wedge contributions through
-// a map lookup, a linked-list append, and — in the parallel path — a
-// hierarchical merge of per-worker maps.
+// The legacy implementation (SimilarityLegacy, kept as the test oracle) is
+// vertex-major over the *common neighbor*: for every vertex v, each ordered
+// neighbor pair (vj, vk) of v contributes to map-M key (vj, vk) through a
+// global hash-map accumulator. That funnels every one of the K2 wedge
+// contributions through a map lookup and a linked-list append, and a
+// parallel version would need a hierarchical merge of per-worker maps.
 //
 // The wedge-major kernel instead groups work by the *smaller endpoint* u of
 // each map key: for every neighbor k of u and every neighbor v > u of k,
@@ -30,8 +30,7 @@ import (
 // map, no link arena, and no merge phase at all: a count pass sizes a
 // CSR-style layout (per-row pair and wedge offsets), and a fill pass writes
 // every row into its precomputed slots. The diagonal (H1) term of pass 3 is
-// applied inline by each row's owner, eliminating the full-edge rescans of
-// the legacy parallel path.
+// applied inline by each row's owner, so no pass rescans the edge list.
 //
 // For a fixed pair (u, v) both implementations accumulate contributions in
 // ascending order of the common neighbor and apply the diagonal term last,
@@ -54,15 +53,6 @@ type rowAccum struct {
 	// slices and per-neighbor suffix cursors of the current row.
 	nbs [][]graph.Half
 	cur []int32
-
-	// Relabeled-kernel scratch (see relabel.go): the per-wedge product log
-	// parallel to ks/vs, the per-row product scatter region, and the
-	// region-sort buffers.
-	ps   []float64
-	pr   []float64
-	idx  []int32
-	kTmp []int32
-	pTmp []float64
 }
 
 func newRowAccum(n int) *rowAccum {
@@ -219,21 +209,6 @@ func (a *arenaChunks) alloc(n int) []int32 {
 	return a.cur[lo : lo+n : lo+n]
 }
 
-// SimilarityWedge runs Algorithm 1 serially with the wedge-major kernel.
-// Pairs appear in (U, V)-lexicographic order; similarities and
-// common-neighbor lists are bitwise identical to SimilarityLegacy, so the
-// two agree element-wise after Sort.
-func SimilarityWedge(g *graph.Graph) *PairList {
-	return SimilarityWedgeRecorded(g, nil)
-}
-
-// SimilarityWedgeRecorded is SimilarityWedge with optional instrumentation.
-func SimilarityWedgeRecorded(g *graph.Graph, rec *obs.Recorder) *PairList {
-	// A background context never cancels, so the error is impossible.
-	pl, _ := similarityWedgeCtx(context.Background(), g, rec)
-	return pl
-}
-
 // similarityWedgeCtx is the serial wedge-major kernel with cooperative
 // cancellation: the context is checked every wedgeRowBlock rows, matching the
 // parallel kernel's claim granularity.
@@ -281,33 +256,10 @@ func similarityWedgeCtx(ctx context.Context, g *graph.Graph, rec *obs.Recorder) 
 	return pl, nil
 }
 
-// SimilarityWedgeParallel runs Algorithm 1 with the wedge-major kernel and
-// worker-partitioned rows: a count pass sizes the CSR layout, a fill pass
-// writes each row into its precomputed slots. There is no merge phase — no
-// two workers ever touch the same output slot — and the result is
-// deterministic: identical to SimilarityWedge for any worker count,
-// including bitwise-equal similarities.
-//
-// The workers argument is normalized like every parallel entry point of the
-// pipeline: values below 2 (after clamping) run the serial wedge kernel,
-// values above max(runtime.GOMAXPROCS(0), runtime.NumCPU()) are clamped to that cap.
-func SimilarityWedgeParallel(g *graph.Graph, workers int) *PairList {
-	return SimilarityWedgeParallelRecorded(g, workers, nil)
-}
-
 // wedgeRowBlock is the dynamic-scheduling granule of both parallel passes:
 // workers claim contiguous row blocks off an atomic cursor, so hub-heavy
 // prefixes cannot serialize the sweep behind one unlucky static partition.
 const wedgeRowBlock = 256
-
-// SimilarityWedgeParallelRecorded is SimilarityWedgeParallel with optional
-// instrumentation. A panic inside the kernel propagates to the caller as a
-// *par.WorkerPanicError panic (use SimilarityCtx for an error return).
-func SimilarityWedgeParallelRecorded(g *graph.Graph, workers int, rec *obs.Recorder) *PairList {
-	// A background context never cancels, so the error is impossible.
-	pl, _ := similarityWedgeParallelCtx(context.Background(), g, workers, rec)
-	return pl
-}
 
 // SimilarityCtx is the cancellable, panic-isolated entry point of Algorithm 1:
 // SimilarityParallelRecorded with cooperative cancellation. The context is

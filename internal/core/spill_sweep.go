@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 
+	"linkclust/internal/fault"
 	"linkclust/internal/graph"
 	"linkclust/internal/obs"
 	"linkclust/internal/par"
@@ -14,9 +16,8 @@ import (
 // Counter names recorded by the out-of-core (spilled) sweep.
 const (
 	// CtrSpillBuckets counts the non-empty similarity buckets written to
-	// disk. The bucket policy (width by list size) is shared with the
-	// in-memory pipelined sweep, so this always equals CtrPipelineBuckets
-	// for the same pair list — and like it, is worker-invariant.
+	// disk. The bucket width adapts to list size only, never to workers, so
+	// the count is a pure function of the pair list and worker-invariant.
 	CtrSpillBuckets = "spill.buckets"
 	// CtrSpillBytesWritten is the bytes the spill store wrote (encoded pair
 	// payloads plus per-bucket headers). A pure function of the pair list,
@@ -34,6 +35,90 @@ const (
 // plus one in-flight block per writer.
 const spillScatterPollPairs = 2048
 
+// Bucket policy of the spill partition.
+const (
+	// spillBucketAhead bounds the frontier channel: the read-back producer
+	// may run at most this many buckets ahead of the consumer before
+	// blocking.
+	spillBucketAhead = 8
+	// spillSmallPairs selects the reduced bucket-bit width: lists below
+	// this size use spillSmallBits so the histogram never dwarfs the input.
+	// The threshold depends only on list length, keeping bucket boundaries
+	// (and CtrSpillBuckets) worker-invariant.
+	spillSmallPairs = 1 << 13
+	// spillBits is the MSD radix width of the similarity partition — sign,
+	// the full 11-bit exponent, and 4 mantissa bits, so each binade of
+	// similarities splits into 16 buckets.
+	spillBits = 16
+	// spillSmallBits is the width used below spillSmallPairs.
+	spillSmallBits = 8
+)
+
+// simBucket maps a similarity to its MSD radix bucket: the top bits of the
+// descending monotonic key of its float64 representation. The key transform
+// (flip all bits of negatives, set the sign bit of non-negatives, then
+// complement for descending order) makes bucket ids ascend as similarity
+// descends, and equal similarities always share a bucket — so emitting
+// buckets in ascending id order, each fully sorted by cmpPairs, concatenates
+// to exactly the list-L order of PairList.Sort.
+func simBucket(sim float64, shift uint) int {
+	b := math.Float64bits(sim)
+	if b == 1<<63 {
+		// -0 compares equal to +0 in cmpPairs, so it must share +0's bucket
+		// or an equal-similarity tie could straddle a bucket boundary and
+		// break the concatenated (U,V) tie order.
+		b = 0
+	}
+	if int64(b) < 0 {
+		b = ^b
+	} else {
+		b |= 1 << 63
+	}
+	return int(^b >> shift)
+}
+
+// bucketLayout is the histogram pass of the spill partition: the radix
+// shift for this list size, every bucket's extent in the fully sorted list
+// (offs[b]:offs[b+1]), and the non-empty bucket ids in ascending order. The
+// per-worker histograms are summed, so the layout is worker-invariant.
+func bucketLayout(pairs []Pair, workers int) (shift uint, offs, ids []int) {
+	n := len(pairs)
+	bits := spillBits
+	if n < spillSmallPairs {
+		bits = spillSmallBits
+	}
+	nb := 1 << bits
+	shift = uint(64 - bits)
+	w := max(min(workers, n), 1)
+	counts := make([]int, w*nb)
+	par.Do(n, w, func(t, lo, hi int) {
+		row := counts[t*nb : (t+1)*nb]
+		for i := lo; i < hi; i++ {
+			row[simBucket(pairs[i].Sim, shift)]++
+		}
+	})
+	offs = make([]int, nb+1)
+	pos := 0
+	for b := 0; b < nb; b++ {
+		offs[b] = pos
+		for t := 0; t < w; t++ {
+			pos += counts[t*nb+b]
+		}
+		if pos > offs[b] {
+			ids = append(ids, b)
+		}
+	}
+	offs[nb] = pos
+	return shift, offs, ids
+}
+
+// spillReaders returns the read-back producer's decode/sort budget: roughly
+// half the worker count, leaving the rest for the consumer's
+// resolve/find/apply fan-outs that run concurrently with bucket decoding.
+func spillReaders(workers int) int {
+	return max(workers/2, 1)
+}
+
 // SpillOptions configures the out-of-core sweep's disk store.
 type SpillOptions struct {
 	// Dir is the parent directory for the run's private spill directory
@@ -41,33 +126,22 @@ type SpillOptions struct {
 	Dir string
 }
 
-// SweepSpilled runs Algorithm 2 out of core: the pair list is MSD-radix
-// partitioned — with exactly the pipelined sweep's bucket policy — into
-// per-bucket spill files instead of an in-memory scratch, the in-memory
-// list is released, and a producer pool streams the buckets back from disk
-// (each sorted on arrival) into the same streaming engine the pipelined
-// sweep drives. The pair list therefore never needs to be resident twice,
-// and during the merge phase only the engine's window plus a bounded bucket
-// read-ahead is in memory; the merge stream stays bitwise identical to
-// Sweep, SweepParallel, and SweepPipelined at any worker count.
+// SweepSpilledOpts runs Algorithm 2 out of core: the pair list is
+// MSD-radix partitioned on its similarity bits into per-bucket spill files,
+// the in-memory list is released, and a producer pool streams the buckets
+// back from disk (each sorted on arrival, in descending-similarity bucket
+// order) into the windowed reservation engine of SweepParallel. The pair
+// list therefore never needs to be resident twice, and during the merge
+// phase only the engine's window plus a bounded bucket read-ahead is in
+// memory; the merge stream stays bitwise identical to Sweep and
+// SweepParallel at any worker count.
 //
-// SweepSpilled CONSUMES the pair list: on success and on any read-phase
+// SweepSpilledOpts CONSUMES the pair list: on success and on any read-phase
 // failure pl.Pairs is nil (the memory was released to disk). Only a
 // write-phase failure — store creation or a block write, before anything
 // was released — leaves pl intact, which is what lets the facade fall back
 // to coarse-grained clustering when the disk itself fails.
-func SweepSpilled(g *graph.Graph, pl *PairList, workers int) (*Result, error) {
-	return SweepSpilledOpts(context.Background(), g, pl, workers, SpillOptions{}, nil)
-}
-
-// SweepSpilledCtx is SweepSpilled with cooperative cancellation, panic
-// isolation, and optional instrumentation, with the spill directory in its
-// default location.
-func SweepSpilledCtx(ctx context.Context, g *graph.Graph, pl *PairList, workers int, rec *obs.Recorder) (*Result, error) {
-	return SweepSpilledOpts(ctx, g, pl, workers, SpillOptions{}, rec)
-}
-
-// SweepSpilledOpts is the fully parameterized out-of-core sweep.
+//
 // Cancellation points are the scatter's per-worker poll (write phase), the
 // producer's bucket claims and publishes, and the engine's op-count window
 // cuts (read phase); on every exit path — success, cancellation, fault, or
@@ -99,45 +173,11 @@ func SweepSpilledOpts(ctx context.Context, g *graph.Graph, pl *PairList, workers
 		return e.res, nil
 	}
 
-	// Phase A — histogram + scatter to disk. The bucket policy (bit width by
-	// list size, the simBucket key transform) is exactly partitionPairs', so
-	// bucket ids, per-bucket extents, and the non-empty bucket count match
-	// the in-memory pipelined sweep bucket for bucket.
+	// Phase A — histogram + scatter to disk.
 	endWrite := rec.Phase("spill-write")
 	pairs := pl.Pairs
-	bits := pipelineBits
-	if n < pipelineSmallPairs {
-		bits = pipelineSmallBits
-	}
-	nb := 1 << bits
-	shift := uint(64 - bits)
-	w := workers
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	counts := make([]int, w*nb)
-	par.Do(n, w, func(t, lo, hi int) {
-		row := counts[t*nb : (t+1)*nb]
-		for i := lo; i < hi; i++ {
-			row[simBucket(pairs[i].Sim, shift)]++
-		}
-	})
-	offs := make([]int, nb+1)
-	pos := 0
-	var bucketIDs []int
-	for b := 0; b < nb; b++ {
-		offs[b] = pos
-		for t := 0; t < w; t++ {
-			pos += counts[t*nb+b]
-		}
-		if pos > offs[b] {
-			bucketIDs = append(bucketIDs, b)
-		}
-	}
-	offs[nb] = pos
+	w := min(workers, n)
+	shift, offs, bucketIDs := bucketLayout(pairs, w)
 
 	store, err := spill.NewStore(bucketIDs, spill.Options{Dir: opt.Dir})
 	if err != nil {
@@ -177,9 +217,9 @@ func SweepSpilledOpts(ctx context.Context, g *graph.Graph, pl *PairList, workers
 	pl.Invalidate()
 	pairs = nil
 
-	// Phase C — stream the buckets back through the engine, mirroring
-	// SweepPipelinedCtx's producer/consumer structure. buf holds the pair
-	// headers only (the dominant commons payload stays on disk until its
+	// Phase C — stream the buckets back through the engine: an ordered
+	// producer pool decodes and sorts buckets while the consumer merges the
+	// ones already published. buf holds the pair headers only (the dominant commons payload stays on disk until its
 	// bucket is decoded, and is dropped again once the engine's window
 	// cursor passes it).
 	buf := make([]Pair, n)
@@ -195,11 +235,12 @@ func SweepSpilledOpts(ctx context.Context, g *graph.Graph, pl *PairList, workers
 	slotPairs := make([][]Pair, len(bucketIDs))
 	slotErr := make([]error, len(bucketIDs))
 	var readErr error
-	frontiers := make(chan int, pipelineBucketAhead)
+	frontiers := make(chan int, spillBucketAhead)
 	prodDone := make(chan error, 1)
 	go func() {
 		defer close(frontiers)
-		prodDone <- par.OrderedCtx(prodCtx, len(bucketIDs), pipelineSorters(workers), func(i int) {
+		prodDone <- par.OrderedCtx(prodCtx, len(bucketIDs), spillReaders(workers), func(i int) {
+			fault.Hit(fault.SlowProducer)
 			b := bucketIDs[i]
 			bk, err := store.OpenBucket(b)
 			if err != nil {
@@ -241,8 +282,9 @@ func SweepSpilledOpts(ctx context.Context, g *graph.Graph, pl *PairList, workers
 		})
 	}()
 
-	// Join the producer before unwinding on a consumer panic, exactly as the
-	// pipelined sweep does: release it, drain to the channel close, wait.
+	// Join the producer before unwinding on a consumer panic: release it,
+	// drain to the channel close, and wait for its pool, so no read-back
+	// worker outlives the call.
 	prodJoined := false
 	defer func() {
 		if !prodJoined {
@@ -304,7 +346,7 @@ func SweepSpilledOpts(ctx context.Context, g *graph.Graph, pl *PairList, workers
 	return e.res, nil
 }
 
-// SpillPayloadBytes returns the exact on-disk payload footprint SweepSpilled
+// SpillPayloadBytes returns the exact on-disk payload footprint SweepSpilledOpts
 // would write for pl: the fixed record prefix plus the common-neighbor
 // words of every pair. Callers size memory budgets against it — the bench
 // harness derives its "pair list at least 4× the budget" out-of-core
@@ -324,22 +366,4 @@ func recordSpill(rec *obs.Recorder, buckets, bytes, stalls int64) {
 	rec.Add(CtrSpillBuckets, buckets)
 	rec.Add(CtrSpillBytesWritten, bytes)
 	rec.Add(CtrSpillReadStalls, stalls)
-}
-
-// ClusterOutOfCore is the end-to-end out-of-core pipeline: the parallel
-// initialization phase followed by SweepSpilled. Output is bitwise
-// identical to Cluster for any worker count.
-func ClusterOutOfCore(g *graph.Graph, workers int) (*Result, error) {
-	return SweepSpilled(g, SimilarityParallel(g, workers), workers)
-}
-
-// ClusterOutOfCoreCtx is ClusterOutOfCore with cooperative cancellation,
-// panic isolation, optional instrumentation, and an explicit spill
-// directory.
-func ClusterOutOfCoreCtx(ctx context.Context, g *graph.Graph, workers int, opt SpillOptions, rec *obs.Recorder) (*Result, error) {
-	pl, err := SimilarityCtx(ctx, g, workers, rec)
-	if err != nil {
-		return nil, err
-	}
-	return SweepSpilledOpts(ctx, g, pl, workers, opt, rec)
 }

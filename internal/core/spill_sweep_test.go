@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"testing"
 
@@ -82,7 +83,7 @@ func TestSweepSpilledLargeRandom(t *testing.T) {
 			t.Fatalf("seed %d serial: %v", seed, err)
 		}
 		for _, workers := range []int{1, 3, 8} {
-			res, err := SweepSpilled(g, Similarity(g), workers)
+			res, err := SweepSpilledOpts(context.Background(), g, Similarity(g), workers, SpillOptions{}, nil)
 			if err != nil {
 				t.Fatalf("seed %d T=%d: %v", seed, workers, err)
 			}
@@ -134,15 +135,11 @@ func TestSweepSpilledErrorParity(t *testing.T) {
 
 // TestSweepSpilledCounters checks the spilled path's instrumentation: the
 // bucket and bytes counters must be positive and worker-invariant, and the
-// bucket count must equal the in-memory pipelined sweep's — the two share
-// one bucket policy.
+// bucket count must equal the partition's non-empty bucket count.
 func TestSweepSpilledCounters(t *testing.T) {
 	g := graph.ErdosRenyi(200, 0.08, rng.New(4))
-	pipRec := obs.New()
-	if _, err := SweepPipelinedRecorded(g, Similarity(g), 4, pipRec); err != nil {
-		t.Fatal(err)
-	}
-	pipBuckets := pipRec.Counter(CtrPipelineBuckets)
+	_, _, ids := bucketLayout(Similarity(g).Pairs, 1)
+	wantBuckets := int64(len(ids))
 	var buckets, bytes int64 = -1, -1
 	for _, workers := range []int{1, 4, 8} {
 		rec := obs.New()
@@ -157,8 +154,8 @@ func TestSweepSpilledCounters(t *testing.T) {
 		if b < 1 || by < 1 {
 			t.Fatalf("T=%d: buckets=%d bytes=%d, want both positive", workers, b, by)
 		}
-		if b != pipBuckets {
-			t.Fatalf("T=%d: %d spill buckets, pipelined reports %d — bucket policies diverged", workers, b, pipBuckets)
+		if b != wantBuckets {
+			t.Fatalf("T=%d: %d spill buckets, partition has %d", workers, b, wantBuckets)
 		}
 		if buckets >= 0 && (b != buckets || by != bytes) {
 			t.Fatalf("T=%d: buckets/bytes %d/%d, want worker-invariant %d/%d", workers, b, by, buckets, bytes)
@@ -251,4 +248,72 @@ func TestSweepSpilledReadFaultCleansUp(t *testing.T) {
 		t.Fatal("read-phase failure left the pair list claiming to be valid")
 	}
 	requireEmptySpillParent(t, dir)
+}
+
+// TestSimBucketOrder pins the radix key's two load-bearing properties:
+// bucket ids are non-decreasing as similarity decreases, and equal
+// similarities share a bucket — together these make the concatenation of
+// per-bucket-sorted runs equal the global sort.
+func TestSimBucketOrder(t *testing.T) {
+	sims := []float64{
+		2.5, 1.0, 0.999999, 0.75, 0.5, 0.5, 0.25, 0.1, 1e-3, 1e-9, 5e-300,
+		0.0, math.Copysign(0, -1), -1e-9, -0.5, -1, -3,
+	}
+	const shift = 64 - spillBits
+	for i := 1; i < len(sims); i++ {
+		hi, lo := sims[i-1], sims[i]
+		bh, bl := simBucket(hi, shift), simBucket(lo, shift)
+		if hi > lo && bh > bl {
+			t.Errorf("simBucket(%v) = %d > simBucket(%v) = %d; buckets must ascend as similarity descends", hi, bh, lo, bl)
+		}
+		if hi == lo && bh != bl {
+			t.Errorf("equal similarities %v landed in buckets %d and %d", hi, bh, bl)
+		}
+	}
+	// ±0 compare equal as floats and must share a bucket, or a tie could be
+	// split across a bucket boundary and break the concatenation order.
+	if simBucket(0, shift) != simBucket(math.Copysign(0, -1), shift) {
+		t.Errorf("+0 and -0 landed in different buckets (%d vs %d)",
+			simBucket(0, shift), simBucket(math.Copysign(0, -1), shift))
+	}
+}
+
+// TestPartitionPairsIsSortPrefix checks the spill partition against the sort
+// it replaces: placing every pair at its bucket's offset and sorting each
+// bucket must reproduce PairList.Sort exactly, for any histogram worker
+// count — so the bucket offsets are the buckets' positions in list L.
+func TestPartitionPairsIsSortPrefix(t *testing.T) {
+	g := graph.ErdosRenyi(150, 0.08, rng.New(11))
+	want := Similarity(g)
+	want.Sort()
+	for _, workers := range []int{1, 2, 8} {
+		pairs := Similarity(g).Pairs
+		shift, offs, ids := bucketLayout(pairs, workers)
+		if got := offs[len(offs)-1]; got != len(pairs) {
+			t.Fatalf("workers=%d: partition covers %d pairs, want %d", workers, got, len(pairs))
+		}
+		sorted := make([]Pair, len(pairs))
+		cur := append([]int(nil), offs...)
+		for _, p := range pairs {
+			b := simBucket(p.Sim, shift)
+			sorted[cur[b]] = p
+			cur[b]++
+		}
+		covered := 0
+		for _, b := range ids {
+			sub := &PairList{Pairs: sorted[offs[b]:offs[b+1]]}
+			sub.SortWorkers(1)
+			covered += len(sub.Pairs)
+		}
+		if covered != len(pairs) {
+			t.Fatalf("workers=%d: non-empty buckets carry %d pairs, want %d", workers, covered, len(pairs))
+		}
+		for i := range want.Pairs {
+			gp, wp := &sorted[i], &want.Pairs[i]
+			if gp.U != wp.U || gp.V != wp.V || gp.Sim != wp.Sim {
+				t.Fatalf("workers=%d: pair %d = (%d,%d,%v), want (%d,%d,%v)",
+					workers, i, gp.U, gp.V, gp.Sim, wp.U, wp.V, wp.Sim)
+			}
+		}
+	}
 }

@@ -44,7 +44,7 @@ func (r *Result) NumClusters() int { return r.Chain.NumClusters() }
 // edge absent from g, which indicates the list was built from a different
 // graph.
 func Sweep(g *graph.Graph, pl *PairList) (*Result, error) {
-	return SweepRecorded(g, pl, nil)
+	return SweepCtx(context.Background(), g, pl, nil)
 }
 
 // SweepRecorded is Sweep with optional instrumentation: sort and merge
@@ -53,45 +53,7 @@ func Sweep(g *graph.Graph, pl *PairList) (*Result, error) {
 // adds no measurable overhead (instrumentation happens at phase
 // granularity, never inside the merge loop).
 func SweepRecorded(g *graph.Graph, pl *PairList, rec *obs.Recorder) (*Result, error) {
-	end := rec.Phase("sweep")
-	defer end()
-	endSort := rec.Phase("sort")
-	pl.Sort()
-	endSort()
-	endMerge := rec.Phase("merge")
-	defer endMerge()
-	res := &Result{Chain: NewChain(g.NumEdges())}
-	for i := range pl.Pairs {
-		p := &pl.Pairs[i]
-		for _, k := range p.Common {
-			e1, ok1 := g.EdgeBetween(int(p.U), int(k))
-			e2, ok2 := g.EdgeBetween(int(p.V), int(k))
-			if !ok1 || !ok2 {
-				return nil, fmt.Errorf("core: pair (%d,%d) common neighbor %d has no incident edges in graph", p.U, p.V, k)
-			}
-			res.PairsProcessed++
-			if c1, c2, merged := res.Chain.Merge(e1, e2); merged {
-				res.Levels++
-				into := c1
-				if c2 < into {
-					into = c2
-				}
-				res.Merges = append(res.Merges, Merge{
-					Level: res.Levels,
-					A:     c1,
-					B:     c2,
-					Into:  into,
-					Sim:   p.Sim,
-				})
-			}
-		}
-	}
-	if rec != nil {
-		rec.Add(CtrSweepPairsProcessed, res.PairsProcessed)
-		rec.Add(CtrSweepChainRewrites, res.Chain.Changes())
-		rec.Add(CtrSweepMerges, int64(len(res.Merges)))
-	}
-	return res, nil
+	return SweepCtx(context.Background(), g, pl, rec)
 }
 
 // SweepCtx is the serial sweep with cooperative cancellation and panic
@@ -160,11 +122,5 @@ func SweepCtx(ctx context.Context, g *graph.Graph, pl *PairList, rec *obs.Record
 // Cluster is the serial end-to-end pipeline: Algorithm 1 followed by
 // Algorithm 2.
 func Cluster(g *graph.Graph) (*Result, error) {
-	return ClusterRecorded(g, nil)
-}
-
-// ClusterRecorded is the end-to-end pipeline with optional instrumentation
-// covering both phases.
-func ClusterRecorded(g *graph.Graph, rec *obs.Recorder) (*Result, error) {
-	return SweepRecorded(g, SimilarityRecorded(g, rec), rec)
+	return Sweep(g, Similarity(g))
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -75,10 +76,10 @@ func TestSweepCASEngaged(t *testing.T) {
 	}
 }
 
-// TestSweepCASPipelined checks that the pipelined engine — which shares the
-// window scheduler — also routes through the CAS pass at multi-worker counts
-// and stays bitwise identical to serial.
-func TestSweepCASPipelined(t *testing.T) {
+// TestSweepCASSpilled checks that the out-of-core sweep — which feeds the
+// same window scheduler from disk — also routes through the CAS pass at
+// multi-worker counts and stays bitwise identical to serial.
+func TestSweepCASSpilled(t *testing.T) {
 	g := graph.ErdosRenyi(400, 0.05, rng.New(2))
 	serial, err := Sweep(g, Similarity(g))
 	if err != nil {
@@ -86,13 +87,13 @@ func TestSweepCASPipelined(t *testing.T) {
 	}
 	for _, workers := range []int{2, 8} {
 		rec := obs.New()
-		pip, err := SweepPipelinedRecorded(g, Similarity(g), workers, rec)
+		sp, err := SweepSpilledOpts(context.Background(), g, Similarity(g), workers, SpillOptions{Dir: t.TempDir()}, rec)
 		if err != nil {
 			t.Fatalf("T=%d: %v", workers, err)
 		}
-		requireIdenticalSweep(t, fmt.Sprintf("pipelined T=%d", workers), pip, serial)
+		requireIdenticalSweep(t, fmt.Sprintf("spilled T=%d", workers), sp, serial)
 		if rec.Counter(CtrSweepCASRounds) == 0 {
-			t.Fatalf("pipelined T=%d: no CAS rounds", workers)
+			t.Fatalf("spilled T=%d: no CAS rounds", workers)
 		}
 	}
 }

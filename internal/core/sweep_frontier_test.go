@@ -1,0 +1,156 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"slices"
+	"testing"
+
+	"linkclust/internal/graph"
+	"linkclust/internal/rng"
+)
+
+// sweepFrontierFed drives the windowed engine the way the spilled sweep's
+// read-back pipeline does, minus the disk: a producer goroutine places the
+// pairs of pl in their similarity buckets, sorts each bucket in turn, and
+// publishes the bucket's end as the new frontier while the consumer merges
+// everything below the frontiers already published. A pl already marked
+// sorted skips the partition and is published one pair at a time, the
+// finest frontier granularity. pl itself is left untouched; the engine's
+// pair buffer is returned alongside the result.
+func sweepFrontierFed(g *graph.Graph, pl *PairList, workers int) (*Result, []Pair, error) {
+	n := len(pl.Pairs)
+	buf := make([]Pair, n)
+	frontiers := make(chan int, spillBucketAhead)
+	if pl.Sorted() {
+		copy(buf, pl.Pairs)
+		go func() {
+			defer close(frontiers)
+			for f := 1; f <= n; f++ {
+				frontiers <- f
+			}
+		}()
+	} else {
+		shift, offs, ids := bucketLayout(pl.Pairs, workers)
+		cur := slices.Clone(offs)
+		for _, p := range pl.Pairs {
+			b := simBucket(p.Sim, shift)
+			buf[cur[b]] = p
+			cur[b]++
+		}
+		go func() {
+			defer close(frontiers)
+			for _, b := range ids {
+				slices.SortFunc(buf[offs[b]:offs[b+1]], cmpPairs)
+				frontiers <- offs[b+1]
+			}
+		}()
+	}
+
+	e := &sweepEngine{g: g, pl: &PairList{Pairs: buf}, workers: workers, ctx: context.Background()}
+	e.init()
+	var err error
+	for f := range frontiers {
+		if err == nil {
+			err = e.consume(f, false)
+		}
+	}
+	if err == nil {
+		err = e.consume(n, true)
+	}
+	return e.res, buf, err
+}
+
+// TestSweepPipelinedDifferential is the in-memory differential of the
+// engine's pipelined (frontier-fed) consumption, the contract the spilled
+// sweep's read-back relies on: on every graph family and every worker count
+// 1..8, feeding the list bucket by bucket while later buckets are still
+// being sorted must reproduce the serial sweep exactly, and the engine's
+// buffer must end in list-L order.
+func TestSweepPipelinedDifferential(t *testing.T) {
+	for name, g := range wedgeTestGraphs(t) {
+		t.Run(name, func(t *testing.T) {
+			serial, err := Sweep(g, Similarity(g))
+			if err != nil {
+				t.Fatalf("serial: %v", err)
+			}
+			for workers := 1; workers <= 8; workers++ {
+				res, buf, err := sweepFrontierFed(g, Similarity(g), workers)
+				if err != nil {
+					t.Fatalf("T=%d: %v", workers, err)
+				}
+				requireIdenticalSweep(t, fmt.Sprintf("pipelined T=%d vs serial", workers), res, serial)
+				for i := 1; i < len(buf); i++ {
+					if cmpPairs(buf[i-1], buf[i]) > 0 {
+						t.Fatalf("T=%d: engine buffer out of order at %d", workers, i)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestSweepPipelinedLargeRandom pushes past the shared families with graphs
+// big enough to cut many windows, span many similarity buckets, and cross
+// the engine's fan-out thresholds.
+func TestSweepPipelinedLargeRandom(t *testing.T) {
+	for seed := uint64(0); seed < 3; seed++ {
+		g := graph.ErdosRenyi(300, 0.06, rng.New(seed))
+		serial, err := Sweep(g, Similarity(g))
+		if err != nil {
+			t.Fatalf("seed %d serial: %v", seed, err)
+		}
+		for _, workers := range []int{1, 3, 8} {
+			res, _, err := sweepFrontierFed(g, Similarity(g), workers)
+			if err != nil {
+				t.Fatalf("seed %d T=%d: %v", seed, workers, err)
+			}
+			requireIdenticalSweep(t, fmt.Sprintf("seed %d T=%d", seed, workers), res, serial)
+		}
+	}
+}
+
+// TestSweepPipelinedPresorted advances the frontier one pair at a time over
+// a pre-sorted list: window cuts depend only on op counts, so the finest
+// feed must still reproduce the serial sweep.
+func TestSweepPipelinedPresorted(t *testing.T) {
+	g := graph.ErdosRenyi(120, 0.1, rng.New(7))
+	serial, err := Sweep(g, Similarity(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		pl := Similarity(g)
+		pl.Sort()
+		res, _, err := sweepFrontierFed(g, pl, workers)
+		if err != nil {
+			t.Fatalf("T=%d: %v", workers, err)
+		}
+		requireIdenticalSweep(t, fmt.Sprintf("presorted T=%d", workers), res, serial)
+	}
+}
+
+// TestSweepPipelinedErrorParity feeds a pair list from a foreign graph
+// through the frontier: the engine must surface exactly the serial sweep's
+// error (first failing operation in serial order) at every worker count,
+// even though later buckets are still arriving when it fails.
+func TestSweepPipelinedErrorParity(t *testing.T) {
+	g, err := graph.Circulant(48, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := graph.Complete(48)
+	_, serialErr := Sweep(g, Similarity(foreign))
+	if serialErr == nil {
+		t.Fatal("serial sweep accepted a foreign pair list")
+	}
+	for workers := 1; workers <= 8; workers++ {
+		_, _, pipeErr := sweepFrontierFed(g, Similarity(foreign), workers)
+		if pipeErr == nil {
+			t.Fatalf("T=%d: pipelined sweep accepted a foreign pair list", workers)
+		}
+		if pipeErr.Error() != serialErr.Error() {
+			t.Fatalf("T=%d: error %q, want serial's %q", workers, pipeErr, serialErr)
+		}
+	}
+}

@@ -91,7 +91,7 @@ const (
 // reservation engine keeps a single chain precisely so every event is
 // attributed at its serial position.
 func SweepParallel(g *graph.Graph, pl *PairList, workers int) (*Result, error) {
-	return SweepParallelRecorded(g, pl, workers, nil)
+	return SweepParallelCtx(context.Background(), g, pl, workers, nil)
 }
 
 // SweepParallelRecorded is SweepParallel with optional instrumentation:
@@ -109,28 +109,29 @@ func SweepParallelRecorded(g *graph.Graph, pl *PairList, workers int, rec *obs.R
 // count; on cancellation every pool drains before ctx.Err() is returned, so
 // no goroutine outlives the call. A panic inside a worker surfaces as a
 // *par.WorkerPanicError. The checks are pure reads — when ctx never cancels,
-// the merge stream is bitwise identical to the serial Sweep.
-func SweepParallelCtx(ctx context.Context, g *graph.Graph, pl *PairList, workers int, rec *obs.Recorder) (res *Result, err error) {
-	defer par.RecoverPanicError(&err)
-	workers = par.Normalize(workers)
-	end := rec.Phase("sweep")
-	defer end()
-	endSort := rec.Phase("sort")
-	serr := pl.SortWorkersCtx(ctx, workers)
-	endSort()
-	if serr != nil {
-		return nil, serr
-	}
-	endMerge := rec.Phase("merge")
-	defer endMerge()
+// the merge stream is bitwise identical to the serial Sweep. It is
+// SweepResumeCtx without a checkpoint to start from or to save.
+func SweepParallelCtx(ctx context.Context, g *graph.Graph, pl *PairList, workers int, rec *obs.Recorder) (*Result, error) {
+	return SweepResumeCtx(ctx, g, pl, nil, workers, 0, nil, rec)
+}
 
-	e := &sweepEngine{g: g, pl: pl, workers: workers, ctx: ctx}
-	res, err = e.run()
-	if err != nil {
-		return nil, err
+// recordSweepEngine records the counters shared by every engine-backed
+// sweep: the serial sweep's op/rewrite/merge counters plus the engine's
+// scheduling counters.
+func recordSweepEngine(rec *obs.Recorder, e *sweepEngine) {
+	if rec == nil {
+		return
 	}
-	recordSweepEngine(rec, e)
-	return res, nil
+	rec.Add(CtrSweepPairsProcessed, e.res.PairsProcessed)
+	rec.Add(CtrSweepChainRewrites, e.res.Chain.Changes())
+	rec.Add(CtrSweepMerges, int64(len(e.res.Merges)))
+	rec.Add(CtrSweepWindows, e.windows)
+	rec.Add(CtrSweepRounds, e.rounds)
+	rec.Add(CtrSweepDeferrals, e.deferrals)
+	rec.Add(CtrSweepNoopDrops, e.drops)
+	rec.Add(CtrSweepSerialDrains, e.drains)
+	rec.Add(CtrSweepFlattens, e.flattens)
+	rec.Add(CtrSweepCASRounds, e.casRounds)
 }
 
 // sweepEngine holds the shared chain, the per-window operation buffers
@@ -187,9 +188,9 @@ type sweepEngine struct {
 
 	// Streaming window cursor: pairs [wp, wq) are accumulated into the
 	// window under construction, carrying wops incident operations. The
-	// monolithic run and the pipelined consumer share this state, so window
-	// boundaries — a greedy, purely op-count-based function of the sorted
-	// pair order — are identical whether the list arrives whole or in
+	// monolithic run and the spilled read-back consumer share this state, so
+	// window boundaries — a greedy, purely op-count-based function of the
+	// sorted pair order — are identical whether the list arrives whole or in
 	// sorted-bucket increments.
 	wp, wq int
 	wops   int
@@ -229,14 +230,6 @@ type roundBuf struct {
 	drops, defers int64
 }
 
-func (e *sweepEngine) run() (*Result, error) {
-	e.init()
-	if err := e.consume(len(e.pl.Pairs), true); err != nil {
-		return nil, err
-	}
-	return e.res, nil
-}
-
 // init allocates the chain, the reservation table, and the per-worker
 // buffers, and builds the packed adjacency. It must run before the first
 // consume call.
@@ -260,8 +253,9 @@ func (e *sweepEngine) init() {
 // exactly the merge stream) of a single whole-list call.
 //
 // Pairs below the frontier must be in their final sorted positions and must
-// not change afterwards; the pipelined producer guarantees this by emitting
-// a frontier only after the bucket below it is sorted and copied in place.
+// not change afterwards; the spilled read-back producer guarantees this by
+// emitting a frontier only after the bucket below it is sorted and copied in
+// place.
 func (e *sweepEngine) consume(frontier int, final bool) error {
 	pairs := e.pl.Pairs
 	for {

@@ -46,9 +46,10 @@ const (
 	// action simulates a crash inside a fan-out; the pool must recover it,
 	// cancel its siblings, and surface a typed *par.WorkerPanicError.
 	WorkerPanic Point = iota
-	// SlowProducer fires in the pipelined sweep's bucket producer, once per
-	// bucket sorted. Arming it with a sleep simulates a stalled sort stage;
-	// the merge stream must stay bitwise identical (slow is not wrong).
+	// SlowProducer fires in the spilled sweep's read-back producer, once
+	// per bucket read from disk. Arming it with a sleep simulates a stalled
+	// read-and-sort stage; the merge stream must stay bitwise identical
+	// (slow is not wrong).
 	SlowProducer
 	// CancelWindow fires at every op-count window cut of the sweep engine —
 	// the engine's cancellation points. Arming it with a context-cancel

@@ -7,10 +7,10 @@
 // and signal handling.
 //
 // Determinism is what makes the cache sound: every engine in the facade
-// (serial, windowed-parallel, pipelined) produces a bitwise-identical merge
+// (serial, windowed-parallel, spill) produces a bitwise-identical merge
 // stream for a given (graph, algorithm) at any worker count, so worker
-// count and pipeline mode are deliberately excluded from cache keys — a
-// result computed at T=8 pipelined serves a T=1 serial request verbatim.
+// count and engine are deliberately excluded from cache keys — a result
+// computed at T=8 parallel serves a T=1 serial request verbatim.
 // See DESIGN.md §8.
 package jobs
 
@@ -29,8 +29,8 @@ type Algorithm string
 
 const (
 	// AlgoSweep is the fine-grained sweep (Algorithm 2); the engine —
-	// serial, windowed-parallel, or pipelined — follows Options.Workers and
-	// Options.Pipeline and never changes the output.
+	// serial, windowed-parallel, or spill — follows Options.Engine and
+	// Options.Workers and never changes the output.
 	AlgoSweep Algorithm = "sweep"
 	// AlgoCoarse is the coarse-grained sweep of Section V with the default
 	// parameters (γ=2, φ=100, δ0=1000, η0=8).
@@ -45,17 +45,13 @@ type Options struct {
 	// Workers is the per-job worker count, normalized like every facade
 	// entry point (see par.Normalize). Does not affect the output.
 	Workers int `json:"workers,omitempty"`
-	// Pipeline selects the sort-overlapped sweep when Workers > 1. Does not
-	// affect the output.
-	Pipeline bool `json:"pipeline,omitempty"`
 	// Engine selects the sweep engine for AlgoSweep jobs: "auto" (the
-	// default — serial below the measured op-count threshold, otherwise
-	// Workers/Pipeline decide), "serial", "parallel", "pipelined", or
-	// "spill" (the out-of-core sweep over the daemon's spill directory).
-	// Does not affect the output, so it is excluded from result cache keys
-	// like Workers and Pipeline — spilled results are cacheable under the
-	// same keys precisely because the spilled merge stream is bitwise
-	// identical.
+	// default — serial below the measured op-count threshold, parallel above
+	// it when Workers > 1), "serial", "parallel", or "spill" (the
+	// out-of-core sweep over the daemon's spill directory). Does not affect
+	// the output, so it is excluded from result cache keys like Workers —
+	// spilled results are cacheable under the same keys precisely because
+	// the spilled merge stream is bitwise identical.
 	Engine string `json:"engine,omitempty"`
 	// TimeoutMS bounds the job's run time; 0 inherits the manager default.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -79,11 +75,8 @@ func (o Options) normalize() (Options, error) {
 	if o.Engine == "" {
 		o.Engine = linkclust.EngineAuto
 	}
-	switch o.Engine {
-	case linkclust.EngineAuto, linkclust.EngineSerial, linkclust.EngineParallel, linkclust.EnginePipelined, linkclust.EngineSpill:
-	default:
-		return o, fmt.Errorf("jobs: unknown engine %q (want %q, %q, %q, %q or %q)",
-			o.Engine, linkclust.EngineAuto, linkclust.EngineSerial, linkclust.EngineParallel, linkclust.EnginePipelined, linkclust.EngineSpill)
+	if err := linkclust.CheckEngine(o.Engine); err != nil {
+		return o, fmt.Errorf("jobs: %w", err)
 	}
 	if o.TimeoutMS < 0 {
 		return o, fmt.Errorf("jobs: negative timeout_ms %d", o.TimeoutMS)
@@ -93,8 +86,8 @@ func (o Options) normalize() (Options, error) {
 
 // resultKey is the content address of a job's output: SHA-256 over the
 // canonical graph bytes' hash and the result-affecting options. Worker
-// count and pipeline mode are excluded — the engines are bitwise
-// worker-invariant — and so are the timeout and memory budget, because a
+// count and engine are excluded — the engines are bitwise identical at any
+// worker count — and so are the timeout and memory budget, because a
 // run that degrades or is cancelled never populates the cache (only clean,
 // budget-respecting results are stored; see Manager.runJob).
 func (o Options) resultKey(graphKey [sha256.Size]byte) [sha256.Size]byte {

@@ -16,7 +16,6 @@ import (
 	"linkclust"
 	"linkclust/internal/core"
 	"linkclust/internal/obs"
-	"linkclust/internal/par"
 	"linkclust/internal/persist"
 )
 
@@ -634,55 +633,21 @@ func (m *Manager) execute(ctx context.Context, j *Job, rec *linkclust.Recorder) 
 		m.store.savePairs(j.graphKey, pl)
 	}
 
-	// Budget breach at the phase boundary. A sweep job first tries the
-	// out-of-core spilled sweep — its merge stream is bitwise identical to
-	// the in-memory engines, so the result stays cacheable. Only if the
-	// spill itself fails cleanly (pair list intact, no cancellation, no
-	// worker panic) does the job fall to the coarse-degrade rung. Coarse
-	// jobs have nothing to spill for: a breach simply marks them degraded
-	// as before.
-	degraded := false
-	var spillRes *linkclust.Result
-	if budget.Exceeded() {
-		spill := j.Options.Algorithm == AlgoSweep
-		if spill {
-			rec.Add(linkclust.CtrMemBudgetSpills, 1)
-			rec.SetMeta("sweep_engine", linkclust.EngineSpill)
-			sres, serr := linkclust.SweepSpilledCtx(ctx, g, pl, j.Options.Workers, m.cfg.SpillDir, rec)
-			switch {
-			case serr == nil:
-				spillRes = sres
-			case ctx.Err() != nil || pl.Pairs == nil:
-				// Cancelled, or the pair list is already on disk (read-phase
-				// failure): nothing left to degrade onto.
-				return nil, nil, pairsHit, serr
-			default:
-				var wpe *par.WorkerPanicError
-				if errors.As(serr, &wpe) {
-					return nil, nil, pairsHit, serr
-				}
-				spill = false // write-phase failure with pl intact: degrade
-			}
-		}
-		if !spill {
-			rec.Add(linkclust.CtrMemBudgetDegrades, 1)
-			m.mDegraded.Add(1)
-			degraded = true
-		}
-	}
-
+	// Budget breach at the phase boundary. A sweep job climbs the facade's
+	// escalation ladder (linkclust.RunSweep): the out-of-core sweep first —
+	// bitwise identical, so the result stays cacheable — and the coarse
+	// degrade only if spilling fails at the disk. Coarse jobs have nothing
+	// to spill for: a breach simply marks them degraded.
+	overBudget := budget.Exceeded()
 	var (
 		merges []core.Merge
-		res    = &Result{Degraded: degraded}
+		res    = &Result{}
 	)
-	if spillRes != nil {
-		merges = spillRes.Merges
-		res.Levels = spillRes.Levels
-		res.FinalClusters = spillRes.NumClusters()
-		res.PairsProcessed = spillRes.PairsProcessed
-		res.Spilled = true
-		m.mSpilled.Add(1)
-	} else if j.Options.Algorithm == AlgoCoarse || degraded {
+	if j.Options.Algorithm == AlgoCoarse {
+		if overBudget {
+			rec.Add(linkclust.CtrMemBudgetDegrades, 1)
+			res.Degraded = true
+		}
 		params := linkclust.DefaultCoarseParams()
 		params.Workers = j.Options.Workers
 		cres, err := linkclust.CoarseSweepCtx(ctx, g, pl, params, rec)
@@ -694,71 +659,21 @@ func (m *Manager) execute(ctx context.Context, j *Job, rec *linkclust.Recorder) 
 		res.FinalClusters = cres.FinalClusters
 		res.PairsProcessed = cres.OpsProcessed
 	} else {
-		var (
-			sres *linkclust.Result
-			err  error
-		)
-		// Engine choice cannot change the output (all engines are bitwise
-		// identical), so the daemon defaults to "auto": serial below the
-		// measured op-count threshold — where parallel scheduling only adds
-		// overhead — and the Workers/Pipeline-selected engine above it.
-		engine := j.Options.Engine
-		if engine == "" || engine == linkclust.EngineAuto {
-			engine = core.ChooseSweepEngine(pl.NumIncidentPairs(), j.Options.Workers, j.Options.Pipeline)
-		}
-		// Checkpointed execution replaces the windowed-parallel engine when
-		// persistence is on (same engine plus state capture — output stays
-		// bitwise identical), and unconditionally when the job carries a
-		// replayed checkpoint: the resumed sweep replays only pairs past the
-		// checkpoint and emits the identical merge stream.
-		checkpointing := m.store.enabled() && m.cfg.CheckpointOps > 0 && engine == linkclust.EngineParallel
-		if j.resume != nil {
-			engine = linkclust.EngineParallel
-			checkpointing = checkpointing || m.store.enabled() && m.cfg.CheckpointOps > 0
-			rec.SetMeta("resumed_from_pos", strconv.Itoa(j.resume.Pos))
-			m.mResumed.Add(1)
-		}
-		rec.SetMeta("sweep_engine", engine)
-		switch {
-		case engine == linkclust.EngineParallel && (checkpointing || j.resume != nil):
-			var save func(core.SweepState)
-			saveEvery := 0
-			if checkpointing {
-				saveEvery = m.cfg.CheckpointOps
-				total := len(pl.Pairs)
-				save = func(st core.SweepState) {
-					if st.Pos >= total {
-						return // final state; the done record supersedes it
-					}
-					if m.store.saveCkpt(j.ID, j.graphKey, &st) {
-						m.store.append(persist.Record{
-							Op: persist.OpCkpt, ID: j.ID, Pos: st.Pos,
-							AtUnixMS: time.Now().UnixMilli(),
-						})
-					}
-				}
-			}
-			sres, err = core.SweepResumeCtx(ctx, g, pl, j.resume, j.Options.Workers, saveEvery, save, rec)
-		case engine == linkclust.EnginePipelined:
-			sres, err = linkclust.SweepPipelinedCtx(ctx, g, pl, j.Options.Workers, rec)
-		case engine == linkclust.EngineParallel:
-			sres, err = linkclust.SweepParallelCtx(ctx, g, pl, j.Options.Workers, rec)
-		case engine == linkclust.EngineSpill:
-			sres, err = linkclust.SweepSpilledCtx(ctx, g, pl, j.Options.Workers, m.cfg.SpillDir, rec)
-			if err == nil {
-				res.Spilled = true
-				m.mSpilled.Add(1)
-			}
-		default:
-			sres, err = linkclust.SweepCtx(ctx, g, pl, rec)
-		}
+		sres, run, err := m.sweep(ctx, j, pl, rec, overBudget)
 		if err != nil {
 			return nil, nil, pairsHit, err
 		}
+		res.Spilled, res.Degraded = run.Spilled, run.Degraded
 		merges = sres.Merges
 		res.Levels = sres.Levels
 		res.FinalClusters = sres.NumClusters()
 		res.PairsProcessed = sres.PairsProcessed
+	}
+	if res.Spilled {
+		m.mSpilled.Add(1)
+	}
+	if res.Degraded {
+		m.mDegraded.Add(1)
 	}
 	res.Merges = len(merges)
 
@@ -769,11 +684,58 @@ func (m *Manager) execute(ctx context.Context, j *Job, rec *linkclust.Recorder) 
 	sum := sha256.Sum256(buf.Bytes())
 	res.MergesSHA256 = hex.EncodeToString(sum[:])
 
-	if !degraded {
+	if !res.Degraded {
 		m.cache.putResult(&resultEntry{key: j.resultKey, result: *res, merges: buf.Bytes()})
 		m.store.saveResult(j.resultKey, res, buf.Bytes())
 	}
 	return res, buf.Bytes(), pairsHit, nil
+}
+
+// sweep runs a fine-grained job's sweeping phase. Checkpointed and resumed
+// jobs run core.SweepResumeCtx — the windowed parallel engine plus state
+// capture, so output stays bitwise identical — and everything else goes
+// through linkclust.RunSweep, the facade's one engine dispatch and budget
+// ladder. A budget breach always takes the ladder.
+func (m *Manager) sweep(ctx context.Context, j *Job, pl *linkclust.PairList, rec *linkclust.Recorder, overBudget bool) (*linkclust.Result, linkclust.SweepRun, error) {
+	opts := linkclust.ClusterOptions{
+		Workers:  j.Options.Workers,
+		Recorder: rec,
+		Engine:   j.Options.Engine,
+		SpillDir: m.cfg.SpillDir,
+	}
+	engine, err := linkclust.ResolveEngine(opts.Engine, pl.NumIncidentPairs(), opts.Workers)
+	if err != nil {
+		return nil, linkclust.SweepRun{}, err
+	}
+	checkpointing := m.store.enabled() && m.cfg.CheckpointOps > 0
+	resumable := j.resume != nil || checkpointing && engine == linkclust.EngineParallel
+	if overBudget || !resumable {
+		return linkclust.RunSweep(ctx, j.graph, pl, opts, overBudget)
+	}
+	if j.resume != nil {
+		rec.SetMeta("resumed_from_pos", strconv.Itoa(j.resume.Pos))
+		m.mResumed.Add(1)
+	}
+	rec.SetMeta("sweep_engine", linkclust.EngineParallel)
+	var save func(core.SweepState)
+	saveEvery := 0
+	if checkpointing {
+		saveEvery = m.cfg.CheckpointOps
+		total := len(pl.Pairs)
+		save = func(st core.SweepState) {
+			if st.Pos >= total {
+				return // final state; the done record supersedes it
+			}
+			if m.store.saveCkpt(j.ID, j.graphKey, &st) {
+				m.store.append(persist.Record{
+					Op: persist.OpCkpt, ID: j.ID, Pos: st.Pos,
+					AtUnixMS: time.Now().UnixMilli(),
+				})
+			}
+		}
+	}
+	res, err := core.SweepResumeCtx(ctx, j.graph, pl, j.resume, opts.Workers, saveEvery, save, rec)
+	return res, linkclust.SweepRun{Engine: linkclust.EngineParallel}, err
 }
 
 // Status returns the job's current state snapshot.

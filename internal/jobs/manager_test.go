@@ -136,7 +136,7 @@ func TestResultCacheHitSkipsEverything(t *testing.T) {
 	defer m.Close()
 
 	text := graphText(t, 50, 2)
-	st, err := m.Submit(text, Options{Workers: 4, Pipeline: true})
+	st, err := m.Submit(text, Options{Workers: 4, Engine: linkclust.EngineParallel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,6 +432,38 @@ func TestExplicitSpillEngineJob(t *testing.T) {
 	if st.Result.MergesSHA256 != st2.Result.MergesSHA256 {
 		t.Fatalf("spilled stream %s != serial stream %s",
 			st.Result.MergesSHA256, st2.Result.MergesSHA256)
+	}
+}
+
+// TestEngineMatrixMatchesSerial runs every engine at T ∈ {1,2,4,8}, each on
+// a fresh manager so no cache answers, and requires every merge stream to
+// equal the serial job's bit for bit.
+func TestEngineMatrixMatchesSerial(t *testing.T) {
+	text := graphText(t, 60, 9)
+	run := func(opts Options) Status {
+		t.Helper()
+		m := NewManager(Config{Concurrency: 1, SpillDir: t.TempDir()})
+		defer m.Close()
+		st, err := m.Submit(text, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st = waitState(t, m, st.ID); st.State != StateDone {
+			t.Fatalf("engine=%s T=%d: job %s (%s)", opts.Engine, opts.Workers, st.State, st.Error)
+		}
+		return st
+	}
+	want := run(Options{Engine: linkclust.EngineSerial}).Result.MergesSHA256
+	for _, engine := range []string{linkclust.EngineAuto, linkclust.EngineSerial, linkclust.EngineParallel, linkclust.EngineSpill} {
+		for _, workers := range []int{1, 2, 4, 8} {
+			st := run(Options{Engine: engine, Workers: workers})
+			if st.Result.MergesSHA256 != want {
+				t.Fatalf("engine=%s T=%d: merges %s, serial %s", engine, workers, st.Result.MergesSHA256, want)
+			}
+			if st.Result.Spilled != (engine == linkclust.EngineSpill) {
+				t.Fatalf("engine=%s T=%d: spilled=%v", engine, workers, st.Result.Spilled)
+			}
+		}
 	}
 }
 

@@ -377,19 +377,25 @@ func (m *Manager) serveRecovered(j *Job, at time.Time) bool {
 // a replay abort.
 func (m *Manager) replayJob(id string, submit persist.Record, terminal *persist.Record) {
 	var opts Options
-	if json.Unmarshal(submit.Options, &opts) != nil {
-		return
-	}
-	opts, err := opts.normalize()
-	if err != nil {
-		return
-	}
-	keyBytes, err := hex.DecodeString(submit.GraphSHA)
-	if err != nil || len(keyBytes) != 32 {
-		return
+	err := json.Unmarshal(submit.Options, &opts)
+	if err == nil {
+		// An engine name this build does not know was accepted by an older
+		// one whose engine has since been removed. The engine never changes
+		// the output or the result key, so the job replays under auto.
+		if linkclust.CheckEngine(opts.Engine) != nil {
+			opts.Engine = linkclust.EngineAuto
+		}
+		opts, err = opts.normalize()
 	}
 	var graphKey [32]byte
-	copy(graphKey[:], keyBytes)
+	if err == nil {
+		var keyBytes []byte
+		keyBytes, err = hex.DecodeString(submit.GraphSHA)
+		if err == nil && len(keyBytes) != len(graphKey) {
+			err = fmt.Errorf("graph hash has %d bytes, want %d", len(keyBytes), len(graphKey))
+		}
+		copy(graphKey[:], keyBytes)
+	}
 
 	j := &Job{
 		ID:         id,
@@ -403,6 +409,17 @@ func (m *Manager) replayJob(id string, submit persist.Record, terminal *persist.
 		m.mu.Lock()
 		m.idem[submit.IdemKey] = id
 		m.mu.Unlock()
+	}
+	if err != nil {
+		// Keep the id and idempotency key answerable: the job becomes a
+		// failed record rather than vanishing.
+		j.State = StateFailed
+		j.Err = fmt.Sprintf("jobs: journaled submit unrecoverable after restart: %v", err)
+		j.FinishedAt = time.Now()
+		m.mu.Lock()
+		m.retainLocked(j)
+		m.mu.Unlock()
+		return
 	}
 
 	rerun := true

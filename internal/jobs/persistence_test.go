@@ -1,11 +1,15 @@
 package jobs
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"linkclust"
 	"linkclust/internal/fault"
+	"linkclust/internal/persist"
 )
 
 // In-process recovery tests for the persistent manager: journal replay,
@@ -85,6 +89,81 @@ func TestPersistentRecoveryServesCompleted(t *testing.T) {
 	}
 	if mt.JobsRecovered != 0 {
 		t.Fatalf("jobs_recovered = %d for a completed job, want 0 (served, not re-run)", mt.JobsRecovered)
+	}
+}
+
+// TestPersistentRecoveryRemovedEngine replays a journal whose submit record
+// names an engine and option this build no longer has — the removed
+// pipelined sweep ("engine":"pipelined","pipeline":true). The done job must
+// still be served under its original id with the same merges hash, and its
+// idempotency key must still map to it.
+func TestPersistentRecoveryRemovedEngine(t *testing.T) {
+	resetJobFaults(t)
+	dir := t.TempDir()
+	text := graphText(t, 60, 205)
+
+	m1 := openPersistent(t, Config{Concurrency: 2, StateDir: dir})
+	st, err := m1.SubmitIdem(text, Options{}, "idem-pipelined")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st = waitState(t, m1, st.ID)
+	if st.State != StateDone {
+		t.Fatalf("job %s (%s)", st.State, st.Error)
+	}
+	wantSHA := st.Result.MergesSHA256
+	m1.Close()
+
+	// Rewrite the journal as an older build would have left it.
+	pd, err := persist.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, records, _, err := pd.OpenJournal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if err := os.Remove(filepath.Join(dir, "journal.wal")); err != nil {
+		t.Fatal(err)
+	}
+	if j, _, _, err = pd.OpenJournal(); err != nil {
+		t.Fatal(err)
+	}
+	rewrote := false
+	for _, rec := range records {
+		if rec.Op == persist.OpSubmit && rec.ID == st.ID {
+			rec.Options = json.RawMessage(`{"algorithm":"sweep","engine":"pipelined","pipeline":true}`)
+			rewrote = true
+		}
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+	pd.Close()
+	if !rewrote {
+		t.Fatal("no submit record for the job in the journal")
+	}
+
+	m2 := openPersistent(t, Config{Concurrency: 2, StateDir: dir})
+	defer m2.Close()
+	got, err := m2.Status(st.ID)
+	if err != nil {
+		t.Fatalf("job submitted with a removed engine vanished on replay: %v", err)
+	}
+	if got.State != StateDone || got.Result.MergesSHA256 != wantSHA {
+		t.Fatalf("recovered job = %s (%s) sha=%v, want done %s", got.State, got.Error, got.Result, wantSHA)
+	}
+	if got.Options.Engine != linkclust.EngineAuto {
+		t.Fatalf("recovered engine %q, want %q", got.Options.Engine, linkclust.EngineAuto)
+	}
+	again, err := m2.SubmitIdem(text, Options{}, "idem-pipelined")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.ID != st.ID {
+		t.Fatalf("idempotent resubmit returned %s, want original %s", again.ID, st.ID)
 	}
 }
 

@@ -19,12 +19,17 @@ func Porter(word string) string {
 	s := newStemmer(word)
 	s.step1a()
 	s.step1b()
-	s.step1c()
-	s.step2()
-	s.step3()
-	s.step4()
-	s.step5a()
-	s.step5b()
+	// Step 1 can cut the word to a single letter ("ies" -> "i"); the later
+	// steps read b[k-1], so, as in the reference implementation, they only
+	// run on a word that still has two letters.
+	if s.k > 0 {
+		s.step1c()
+		s.step2()
+		s.step3()
+		s.step4()
+		s.step5a()
+		s.step5b()
+	}
 	return string(s.b[:s.k+1])
 }
 

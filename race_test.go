@@ -9,7 +9,6 @@ package linkclust
 
 import (
 	"context"
-	"math"
 	"sync"
 	"testing"
 
@@ -55,14 +54,14 @@ func TestRaceSimilarityParallel(t *testing.T) {
 // any overlap is a race the detector will flag.
 func TestRaceSimilarityWedgeKernel(t *testing.T) {
 	g := raceGraph(4)
-	serial := core.SimilarityWedge(g)
+	serial := core.Similarity(g)
 	var wg sync.WaitGroup
 	for _, workers := range []int{2, 4, 8} {
 		for rep := 0; rep < 3; rep++ {
 			wg.Add(1)
 			go func(workers int) {
 				defer wg.Done()
-				pl := core.SimilarityWedgeParallel(g, workers)
+				pl := core.SimilarityParallel(g, workers)
 				if len(pl.Pairs) != len(serial.Pairs) {
 					t.Errorf("workers=%d: %d pairs, want %d", workers, len(pl.Pairs), len(serial.Pairs))
 					return
@@ -79,31 +78,6 @@ func TestRaceSimilarityWedgeKernel(t *testing.T) {
 		}
 	}
 	wg.Wait()
-}
-
-// TestRaceSimilarityParallelLegacy keeps race coverage on the legacy
-// hash-map fallback (hierarchical map merges, bucketed pass 3), which only
-// matches serial to float tolerance.
-func TestRaceSimilarityParallelLegacy(t *testing.T) {
-	g := raceGraph(1)
-	serial := core.SimilarityLegacy(g)
-	serial.Sort()
-	for rep := 0; rep < 2; rep++ {
-		for _, workers := range []int{2, 4, 8} {
-			pl := core.SimilarityParallelLegacy(g, workers)
-			pl.Sort()
-			if len(pl.Pairs) != len(serial.Pairs) {
-				t.Fatalf("workers=%d: %d pairs, want %d", workers, len(pl.Pairs), len(serial.Pairs))
-			}
-			for i := range serial.Pairs {
-				s, p := &serial.Pairs[i], &pl.Pairs[i]
-				if s.U != p.U || s.V != p.V || math.Abs(s.Sim-p.Sim) > 1e-12 {
-					t.Fatalf("workers=%d pair %d: (%d,%d,%v) vs (%d,%d,%v)",
-						workers, i, p.U, p.V, p.Sim, s.U, s.V, s.Sim)
-				}
-			}
-		}
-	}
 }
 
 func TestRaceCoarseSweepReplicaMerge(t *testing.T) {
@@ -225,7 +199,7 @@ func TestSweepSortsPairListInPlace(t *testing.T) {
 
 // TestRaceClusterCtxSharedGraph is the service-layer scenario under the race
 // detector: many concurrent ClusterCtx jobs over ONE shared immutable Graph,
-// with mixed engines (serial, windowed-parallel, pipelined) and mixed worker
+// with mixed engines (serial, windowed-parallel, spill) and mixed worker
 // counts — exactly how the linkclustd worker pool runs jobs against interned
 // graphs. Every concurrent result must be bitwise identical to the solo
 // serial run; any engine write to shared graph state would surface both as a
@@ -238,13 +212,14 @@ func TestRaceClusterCtxSharedGraph(t *testing.T) {
 	}
 
 	type variant struct {
-		workers  int
-		pipeline bool
+		workers int
+		engine  string
 	}
 	variants := []variant{
-		{1, false}, {2, false}, {4, false}, {8, false},
-		{2, true}, {4, true}, {8, true},
+		{1, ""}, {2, ""}, {4, ""}, {8, ""},
+		{2, EngineSpill}, {4, EngineSpill}, {8, EngineSpill},
 	}
+	spillDir := t.TempDir()
 	var wg sync.WaitGroup
 	for rep := 0; rep < 3; rep++ {
 		for _, v := range variants {
@@ -253,21 +228,22 @@ func TestRaceClusterCtxSharedGraph(t *testing.T) {
 				defer wg.Done()
 				res, err := ClusterCtx(context.Background(), g, ClusterOptions{
 					Workers:  v.workers,
-					Pipeline: v.pipeline,
+					Engine:   v.engine,
+					SpillDir: spillDir,
 				})
 				if err != nil {
-					t.Errorf("workers=%d pipeline=%v: %v", v.workers, v.pipeline, err)
+					t.Errorf("workers=%d engine=%q: %v", v.workers, v.engine, err)
 					return
 				}
 				if len(res.Merges) != len(solo.Merges) {
-					t.Errorf("workers=%d pipeline=%v: %d merges, want %d",
-						v.workers, v.pipeline, len(res.Merges), len(solo.Merges))
+					t.Errorf("workers=%d engine=%q: %d merges, want %d",
+						v.workers, v.engine, len(res.Merges), len(solo.Merges))
 					return
 				}
 				for i := range solo.Merges {
 					if res.Merges[i] != solo.Merges[i] {
-						t.Errorf("workers=%d pipeline=%v merge %d: %+v, want %+v",
-							v.workers, v.pipeline, i, res.Merges[i], solo.Merges[i])
+						t.Errorf("workers=%d engine=%q merge %d: %+v, want %+v",
+							v.workers, v.engine, i, res.Merges[i], solo.Merges[i])
 						return
 					}
 				}
