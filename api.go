@@ -7,19 +7,22 @@
 // overlapping and hierarchical community structure. This package provides
 // the paper's three acceleration axes behind one facade:
 //
-//   - Algorithm — the two-phase serial sweep: Similarity (Algorithm 1)
-//     computes incident-pair similarities in three graph passes; Cluster /
-//     Sweep (Algorithm 2) replays them through the chain array C in
+//   - Algorithm — the two-phase sweep: SimilarityCtx (Algorithm 1)
+//     computes incident-pair similarities in three graph passes; SweepCtx
+//     (Algorithm 2) replays them through the chain array C in
 //     O(|V| + K1·log K1 + √K2·|E|) time, versus O(|E|²) for classic
-//     single-linkage (SLINK / next-best-merge).
-//   - Modeling — CoarseCluster produces coarse-grained dendrograms whose
+//     single-linkage (SLINK / next-best-merge). ClusterCtx runs both.
+//   - Modeling — CoarseClusterCtx produces coarse-grained dendrograms whose
 //     per-level merge rate is bounded by γ, stopping below φ clusters, with
 //     rollback-based chunk-size estimation.
-//   - Parallelization — SimilarityParallel, SweepParallel and
-//     CoarseParams.Workers run both phases multi-threaded (Section VI),
-//     including the corrected replica-merge scheme for array C and a
-//     deterministic reservation engine for the fine-grained sweep whose
-//     merge stream is bitwise identical to serial at any worker count.
+//   - Parallelization — ClusterOptions.Workers and CoarseParams.Workers run
+//     both phases multi-threaded (Section VI), including the corrected
+//     replica-merge scheme for array C and a deterministic reservation
+//     engine (SweepParallelCtx) for the fine-grained sweep whose merge
+//     stream is bitwise identical to serial at any worker count.
+//
+// Every phase has one entry point. Each takes a context and an optional
+// *Recorder (directly, or as ClusterOptions.Recorder); nil records nothing.
 //
 // Dendrogram analysis (cuts, partition density, overlapping communities)
 // and the paper's word-association-network pipeline (tokenizing, stemming,
@@ -31,10 +34,11 @@
 //	g := linkclust.NewGraphBuilder(4)
 //	g.MustAddEdge(0, 1, 1)
 //	// ... add edges ...
-//	res, err := linkclust.Cluster(g.Build(nil))
+//	graph := g.Build(nil)
+//	res, err := linkclust.ClusterCtx(context.Background(), graph, linkclust.ClusterOptions{Workers: 4})
 //	d := linkclust.NewDendrogram(res)
-//	theta, density, labels := linkclust.BestCut(g.Build(nil), d)
-//	comms := linkclust.Communities(g.Build(nil), labels)
+//	theta, density, labels := linkclust.BestCut(graph, d)
+//	comms := linkclust.Communities(graph, labels)
 package linkclust
 
 import (
@@ -92,9 +96,6 @@ type (
 	Result = core.Result
 	// Chain is the array C with the F(i)/MERGE primitives.
 	Chain = core.Chain
-	// CompactPairList is the struct-of-arrays pair list for
-	// memory-constrained runs.
-	CompactPairList = core.CompactPairList
 
 	// CoarseParams configures coarse-grained clustering (γ, φ, δ0, η0,
 	// worker count).
@@ -219,82 +220,42 @@ type ClusterOptions struct {
 	SpillDir string
 }
 
-// Similarity runs the initialization phase (Algorithm 1) serially with the
+// SimilarityCtx runs the initialization phase (Algorithm 1) with the
 // wedge-major (Gustavson) kernel, producing the similarity-annotated pair
 // list. Contributions are grouped by the smaller endpoint of each map-M key
 // into a per-row sparse accumulator, avoiding the global hash map of the
-// paper's reference implementation.
-func Similarity(g *Graph) *PairList { return core.Similarity(g) }
-
-// SimilarityParallel runs the initialization phase multi-threaded with the
-// wedge-major kernel: rows of map M partition disjointly across workers
-// (count-then-fill into a CSR layout, no merge phase), and the output is
-// bitwise identical to Similarity for any worker count. The workers
-// argument is normalized: values below 2 (after clamping) fall back to the
-// serial path, values above max(runtime.GOMAXPROCS(0), runtime.NumCPU()) are clamped to that
-// cap.
-func SimilarityParallel(g *Graph, workers int) *PairList {
-	return core.SimilarityParallel(g, workers)
-}
-
-// Sweep runs the sweeping phase (Algorithm 2) over a pair list built from
-// the same graph.
-func Sweep(g *Graph, pl *PairList) (*Result, error) { return core.Sweep(g, pl) }
-
-// SweepParallel runs the sweeping phase multi-threaded: the sorted pair list
-// is cut into merge-batch windows, each resolved and applied in conflict-free
-// sub-batch rounds over one shared chain. The output is exact — the merge
-// stream is bitwise identical to Sweep and the final partition element-wise
-// equal, for any worker count. The pair list is sorted in place. workers is
-// normalized exactly as in SimilarityParallel.
-func SweepParallel(g *Graph, pl *PairList, workers int) (*Result, error) {
-	return core.SweepParallel(g, pl, workers)
-}
-
-// CompactPairs converts a pair list to the struct-of-arrays layout, roughly
-// halving the pipeline's dominant allocation on large graphs.
-func CompactPairs(pl *PairList) *CompactPairList { return core.Compact(pl) }
-
-// SweepCompact is Sweep over the compact layout; results are identical.
-func SweepCompact(g *Graph, c *CompactPairList) (*Result, error) {
-	return core.SweepCompact(g, c)
-}
-
-// Cluster is the serial end-to-end pipeline: Similarity then Sweep.
-func Cluster(g *Graph) (*Result, error) { return core.Cluster(g) }
-
-// ClusterParallel runs the fully parallel fine-grained pipeline: the
-// parallel initialization phase followed by the parallel fine-grained sweep.
-// (The paper parallelizes only the coarse-grained sweep; the reservation
-// engine goes beyond it while reproducing the serial result exactly, so this
-// is a drop-in replacement for Cluster.) workers is normalized exactly as in
-// SimilarityParallel.
-func ClusterParallel(g *Graph, workers int) (*Result, error) {
-	return core.SweepParallel(g, core.SimilarityParallel(g, workers), workers)
-}
-
-// SimilarityCtx is SimilarityParallel with cooperative cancellation, panic
-// isolation, and optional instrumentation: the context is checked at every
-// row-block claim of the wedge kernel, and a worker panic surfaces as a
-// *WorkerPanicError instead of crashing. On a nil error the output is bitwise
-// identical to Similarity / SimilarityParallel.
+// paper's reference implementation; with workers > 1, rows partition
+// disjointly across workers (count-then-fill into a CSR layout, no merge
+// phase). The output is bitwise identical for any worker count. workers is
+// normalized: values below 2 (after clamping) run serially, values above
+// max(runtime.GOMAXPROCS(0), runtime.NumCPU()) are clamped to that cap.
+//
+// The context is checked at every row-block claim of the wedge kernel, a
+// worker panic surfaces as a *WorkerPanicError instead of crashing, and rec
+// (optional) receives per-pass phase timers and the K1/K2 counters.
 func SimilarityCtx(ctx context.Context, g *Graph, workers int, rec *Recorder) (*PairList, error) {
 	return core.SimilarityCtx(ctx, g, workers, rec)
 }
 
-// SweepCtx is the serial sweep with cooperative cancellation: the context is
-// checked once per 8192 incident-edge operations (the same window size as
-// the parallel engines), bounding cancel latency by one window.
+// SweepCtx runs the sweeping phase (Algorithm 2) serially over a pair list
+// built from the same graph, sorting it in place. The context is checked
+// once per 8192 incident-edge operations (the same window size as the
+// parallel engines), bounding cancel latency by one window.
 func SweepCtx(ctx context.Context, g *Graph, pl *PairList, rec *Recorder) (*Result, error) {
 	return core.SweepCtx(ctx, g, pl, rec)
 }
 
-// SweepParallelCtx is SweepParallel with cooperative cancellation, panic
-// isolation, and optional instrumentation. Cancellation is checked at every
-// op-count window cut and inside the parallel sort; on cancellation every
-// worker pool drains before context.Canceled (or the context's error) is
-// returned, so no goroutine outlives the call. When ctx never cancels, the
-// merge stream is bitwise identical to Sweep for any worker count.
+// SweepParallelCtx runs the sweeping phase multi-threaded: the sorted pair
+// list is cut into merge-batch windows, each resolved and applied in
+// conflict-free sub-batch rounds over one shared chain. The pair list is
+// sorted in place; workers is normalized exactly as in SimilarityCtx. (The
+// paper parallelizes only the coarse-grained sweep; this engine goes beyond
+// it while reproducing the serial result exactly.) Cancellation is checked
+// at every op-count window cut and inside the parallel sort; on
+// cancellation every worker pool drains before context.Canceled (or the
+// context's error) is returned, so no goroutine outlives the call. When ctx
+// never cancels, the merge stream is bitwise identical to SweepCtx for any
+// worker count.
 func SweepParallelCtx(ctx context.Context, g *Graph, pl *PairList, workers int, rec *Recorder) (*Result, error) {
 	return core.SweepParallelCtx(ctx, g, pl, workers, rec)
 }
@@ -306,7 +267,8 @@ func SweepParallelCtx(ctx context.Context, g *Graph, pl *PairList, workers int, 
 // phase boundary (see ClusterOptions). Cancellation is honored within one
 // scheduling window at every stage; worker panics surface as
 // *WorkerPanicError; and when ctx never cancels, no budget breaches, and no
-// fault is injected, the result is bitwise identical to Cluster.
+// fault is injected, the result is bitwise identical to a serial SweepCtx
+// over SimilarityCtx's output, for every engine and worker count.
 func ClusterCtx(ctx context.Context, g *Graph, opts ClusterOptions) (*Result, error) {
 	budget := obs.NewMemBudget(opts.MemBudgetBytes)
 	pl, err := core.SimilarityCtx(ctx, g, opts.Workers, opts.Recorder)
@@ -430,14 +392,14 @@ func RunSweep(ctx context.Context, g *Graph, pl *PairList, opts ClusterOptions, 
 // the clustering current: only the similarity rows an arrival can affect are
 // recomputed, and each snapshot replays the sweep from the deepest still-valid
 // checkpoint (or falls back to the batch pipeline when the compaction trigger
-// fires). Snapshots are bitwise identical to a batch Cluster run on the
+// fires). Snapshots are bitwise identical to a batch ClusterCtx run on the
 // accumulated graph — see internal/stream and DESIGN.md §9.
 type (
 	// Stream is the incremental clustering engine. All methods are safe for
 	// concurrent use; a Snapshot observes all or none of a concurrent ingest.
 	Stream = stream.Engine
-	// StreamOptions configures a Stream (workers, vertex bound, compaction
-	// triggers, checkpoint spacing, recorder). The zero value is usable.
+	// StreamOptions configures a Stream (workers, recorder, vertex bound,
+	// compaction trigger). The zero value is usable.
 	StreamOptions = stream.Options
 	// Arrival is one streamed edge: endpoints and weight, validated exactly
 	// like GraphBuilder.AddEdge; a repeated pair overwrites the weight.
@@ -460,10 +422,12 @@ const (
 // Stream.Snapshot.
 func NewStream(opt StreamOptions) (*Stream, error) { return stream.New(opt) }
 
-// CoarseClusterCtx is CoarseCluster with cooperative cancellation, panic
-// isolation, and optional instrumentation: the context is checked at every
-// chunk boundary of the coarse sweep (and at every row-block claim of the
-// initialization), bounding cancel latency by one chunk.
+// CoarseClusterCtx runs Algorithm 1 (parallel when params.Workers > 1)
+// followed by the coarse-grained sweeping algorithm of Section V. A nonzero
+// opts.Workers overrides params.Workers; either is normalized exactly as in
+// SimilarityCtx. The context is checked at every chunk boundary of the
+// coarse sweep (and at every row-block claim of the initialization),
+// bounding cancel latency by one chunk.
 func CoarseClusterCtx(ctx context.Context, g *Graph, params CoarseParams, opts ClusterOptions) (*CoarseResult, error) {
 	if opts.Workers != 0 {
 		params.Workers = opts.Workers
@@ -493,23 +457,11 @@ func coarseToResult(cres *coarse.Result) *core.Result {
 // (γ=2, φ=100, δ0=1000, η0=8, serial).
 func DefaultCoarseParams() CoarseParams { return coarse.DefaultParams() }
 
-// CoarseCluster runs Algorithm 1 (parallel when params.Workers > 1)
-// followed by the coarse-grained sweeping algorithm of Section V.
-// params.Workers is normalized exactly as in SimilarityParallel.
-func CoarseCluster(g *Graph, params CoarseParams) (*CoarseResult, error) {
-	return coarse.Sweep(g, core.SimilarityParallel(g, params.Workers), params)
-}
-
-// CoarseSweep runs only the coarse-grained sweeping phase over an existing
-// pair list (sorted in place if needed) — useful when comparing sweeping
-// strategies over one initialization, as the paper's Fig. 5(2) does.
-func CoarseSweep(g *Graph, pl *PairList, params CoarseParams) (*CoarseResult, error) {
-	return coarse.Sweep(g, pl, params)
-}
-
-// CoarseSweepCtx is CoarseSweep with cooperative cancellation, panic
-// isolation, and optional instrumentation: the context is checked at every
-// chunk boundary, bounding cancel latency by one chunk. It is the entry
+// CoarseSweepCtx runs only the coarse-grained sweeping phase over an
+// existing pair list (sorted in place if needed) — useful when comparing
+// sweeping strategies over one initialization, as the paper's Fig. 5(2)
+// does. The context is checked at every chunk boundary, bounding cancel
+// latency by one chunk. It is the entry
 // point for callers that already hold a pair list (for example from a
 // similarity cache) and need the coarse phase alone — the degrade target of
 // the memory-budget path when Phase I was skipped.

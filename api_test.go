@@ -2,6 +2,7 @@ package linkclust
 
 import (
 	"bytes"
+	"context"
 	"testing"
 )
 
@@ -26,11 +27,12 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatalf("K ordering violated: %+v", stats)
 	}
 
-	res, err := Cluster(g)
+	ctx := context.Background()
+	res, err := ClusterCtx(ctx, g, ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ClusterParallel(g, 3)
+	par, err := ClusterCtx(ctx, g, ClusterOptions{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +44,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	params.Phi = 10
 	params.Delta0 = 50
 	params.Workers = 2
-	cres, err := CoarseCluster(g, params)
+	cres, err := CoarseClusterCtx(ctx, g, params, ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,12 +98,19 @@ func TestFacadeSimilarityPaths(t *testing.T) {
 	b.MustAddEdge(1, 2, 1)
 	b.MustAddEdge(2, 3, 1)
 	g := b.Build(nil)
-	s := Similarity(g)
-	p := SimilarityParallel(g, 2)
+	ctx := context.Background()
+	s, err := SimilarityCtx(ctx, g, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := SimilarityCtx(ctx, g, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(s.Pairs) != len(p.Pairs) {
 		t.Fatalf("similarity paths disagree: %d vs %d pairs", len(s.Pairs), len(p.Pairs))
 	}
-	res, err := Sweep(g, s)
+	res, err := SweepCtx(ctx, g, s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,34 +119,5 @@ func TestFacadeSimilarityPaths(t *testing.T) {
 	}
 	if PartitionDensity(g, res.Chain.Assignments()) < -1 {
 		t.Fatal("absurd partition density")
-	}
-}
-
-func TestFacadeCompactPath(t *testing.T) {
-	b := NewGraphBuilder(6)
-	b.MustAddEdge(0, 1, 1)
-	b.MustAddEdge(1, 2, 1)
-	b.MustAddEdge(2, 0, 1)
-	b.MustAddEdge(2, 3, 1)
-	b.MustAddEdge(3, 4, 1)
-	b.MustAddEdge(4, 5, 1)
-	b.MustAddEdge(5, 3, 1)
-	g := b.Build(nil)
-	pl := Similarity(g)
-	std, err := Sweep(g, &PairList{Pairs: append([]Pair(nil), pl.Pairs...)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmp, err := SweepCompact(g, CompactPairs(pl))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(std.Merges) != len(cmp.Merges) {
-		t.Fatalf("compact path diverged: %d vs %d merges", len(cmp.Merges), len(std.Merges))
-	}
-	for i := range std.Merges {
-		if std.Merges[i] != cmp.Merges[i] {
-			t.Fatalf("merge %d differs", i)
-		}
 	}
 }

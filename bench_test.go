@@ -19,6 +19,7 @@ package linkclust
 //	BenchmarkFig1Example    the running example graph end to end
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -258,7 +259,7 @@ func BenchmarkFig1Example(b *testing.B) {
 	g := graph.PaperExample()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Cluster(g); err != nil {
+		if _, err := core.Sweep(g, core.Similarity(g)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -393,39 +394,6 @@ func BenchmarkAblationParallelInitMerge(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCompactLayout compares the standard pair list against
-// the struct-of-arrays CompactPairList: allocation volume (the -benchmem
-// bytes column) is the point, sweep time the sanity check.
-func BenchmarkAblationCompactLayout(b *testing.B) {
-	g := benchGraph(b, 0.001)
-	pl := core.Similarity(g)
-	pl.Sort()
-	compact := core.Compact(copyPairList(pl))
-	compact.Sort()
-	b.Run("sweep/standard", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Sweep(g, copyPairList(pl)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("sweep/compact", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := core.SweepCompact(g, compact); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("convert", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = core.Compact(pl)
-		}
-	})
-}
-
 // BenchmarkObsOverhead quantifies the cost of the observability layer on
 // the hot sweeping phase. "baseline" is the uninstrumented entry point,
 // "nil-recorder" the instrumented path with recording disabled (the default
@@ -448,7 +416,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 	b.Run("nil-recorder", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.SweepRecorded(g, copyPairList(pl), nil); err != nil {
+			if _, err := core.SweepCtx(context.Background(), g, copyPairList(pl), nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -457,7 +425,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 		b.ReportAllocs()
 		rec := obs.New()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.SweepRecorded(g, copyPairList(pl), rec); err != nil {
+			if _, err := core.SweepCtx(context.Background(), g, copyPairList(pl), rec); err != nil {
 				b.Fatal(err)
 			}
 		}

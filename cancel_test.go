@@ -92,7 +92,7 @@ func TestCancelPreCanceledParity(t *testing.T) {
 			{"spill", func(pl *PairList) (*Result, error) { return sweepSpilled(ctx, g, pl, workers, "", nil) }},
 		}
 		for _, e := range engines {
-			res, err := e.run(Similarity(g))
+			res, err := e.run(core.Similarity(g))
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("%s T=%d: err = %v, want context.Canceled", e.name, workers, err)
 			}
@@ -135,7 +135,7 @@ func TestCancelMidSort(t *testing.T) {
 	g := goldenGraph(t)
 	base := runtime.NumGoroutine()
 	for workers := 2; workers <= 8; workers *= 2 {
-		pl := Similarity(g)
+		pl := core.Similarity(g)
 		// k=1 survives SortFuncCtx's entry check and cancels at the first
 		// merge-round boundary.
 		err := pl.SortWorkersCtx(newCountdownCtx(1), workers)
@@ -147,7 +147,7 @@ func TestCancelMidSort(t *testing.T) {
 		}
 		// The canceled sort left a permutation; a fresh sweep must still
 		// reproduce the serial merge stream exactly.
-		res, err := SweepParallel(g, pl, workers)
+		res, err := SweepParallelCtx(context.Background(), g, pl, workers, nil)
 		if err != nil {
 			t.Fatalf("T=%d: sweep after canceled sort: %v", workers, err)
 		}
@@ -164,7 +164,7 @@ func TestCancelMidSort(t *testing.T) {
 // return context.Canceled.
 func TestCancelMidSweepEngines(t *testing.T) {
 	g := goldenGraph(t)
-	full, err := Cluster(g)
+	full, err := core.Sweep(g, core.Similarity(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestCancelMidSweepEngines(t *testing.T) {
 			// Generous enough to get past the sort's polls, small enough to
 			// land well inside the merge loop's window sequence.
 			ctx := newCountdownCtx(20)
-			res, err := e.run(ctx, Similarity(g), workers, rec)
+			res, err := e.run(ctx, core.Similarity(g), workers, rec)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("%s T=%d: err = %v, want context.Canceled", e.name, workers, err)
 			}
@@ -233,7 +233,7 @@ func TestCancelSpilledCleanup(t *testing.T) {
 	// small k values cancel before the read-back begins.
 	for _, k := range []int64{1, 3, 10} {
 		for _, workers := range []int{1, 4, 8} {
-			res, err := sweepSpilled(newCountdownCtx(k), g, Similarity(g), workers, dir, nil)
+			res, err := sweepSpilled(newCountdownCtx(k), g, core.Similarity(g), workers, dir, nil)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("write-phase k=%d T=%d: err = %v, want context.Canceled", k, workers, err)
 			}
@@ -251,7 +251,7 @@ func TestCancelSpilledCleanup(t *testing.T) {
 		resetFaults(t)
 		ctx, cancel := context.WithCancel(context.Background())
 		fault.Arm(fault.CancelWindow, 2, cancel)
-		res, err := sweepSpilled(ctx, g, Similarity(g), workers, dir, nil)
+		res, err := sweepSpilled(ctx, g, core.Similarity(g), workers, dir, nil)
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("read-phase T=%d: err = %v, want context.Canceled", workers, err)
@@ -268,11 +268,11 @@ func TestCancelSpilledCleanup(t *testing.T) {
 // changes a subsequent full run — same graph, same pair list, golden output.
 func TestCancelThenRerunIsClean(t *testing.T) {
 	g := goldenGraph(t)
-	pl := Similarity(g)
+	pl := core.Similarity(g)
 	if _, err := SweepParallelCtx(newCountdownCtx(10), g, pl, 4, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("setup cancel failed: %v", err)
 	}
-	res, err := SweepParallel(g, pl, 4)
+	res, err := SweepParallelCtx(context.Background(), g, pl, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
@@ -281,8 +282,7 @@ func controlMerges(t *testing.T, text string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := linkclust.Similarity(g)
-	res, err := linkclust.SweepParallel(g, pl, 2)
+	res, err := linkclust.ClusterCtx(context.Background(), g, linkclust.ClusterOptions{Workers: 2, Engine: linkclust.EngineParallel})
 	if err != nil {
 		t.Fatal(err)
 	}

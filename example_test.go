@@ -1,6 +1,7 @@
 package linkclust_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,7 +25,7 @@ func twoTriangles() *linkclust.Graph {
 // read off the communities at the best partition-density cut.
 func Example() {
 	g := twoTriangles()
-	res, err := linkclust.Cluster(g)
+	res, err := linkclust.ClusterCtx(context.Background(), g, linkclust.ClusterOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func Example() {
 // vertices can belong to several communities.
 func ExampleNodeMemberships() {
 	g := twoTriangles()
-	res, _ := linkclust.Cluster(g)
+	res, _ := linkclust.ClusterCtx(context.Background(), g, linkclust.ClusterOptions{})
 	d := linkclust.NewDendrogram(res)
 	_, _, labels := linkclust.BestCut(g, d)
 	comms := linkclust.Communities(g, labels)
@@ -72,14 +73,14 @@ func ExampleComputeStats() {
 	// V=5 E=6 K1=10 K2=10 K3=15
 }
 
-// ExampleCoarseCluster runs the coarse-grained algorithm, which bounds the
-// cluster-merge rate per level and stops below φ clusters.
-func ExampleCoarseCluster() {
+// ExampleCoarseClusterCtx runs the coarse-grained algorithm, which bounds
+// the cluster-merge rate per level and stops below φ clusters.
+func ExampleCoarseClusterCtx() {
 	g := twoTriangles()
 	params := linkclust.DefaultCoarseParams()
 	params.Phi = 2
 	params.Delta0 = 4
-	res, err := linkclust.CoarseCluster(g, params)
+	res, err := linkclust.CoarseClusterCtx(context.Background(), g, params, linkclust.ClusterOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -89,10 +90,13 @@ func ExampleCoarseCluster() {
 	// clusters: 2 (processed 60% of incident pairs)
 }
 
-// ExampleSimilarity inspects the Tanimoto similarities of Algorithm 1.
-func ExampleSimilarity() {
+// ExampleSimilarityCtx inspects the Tanimoto similarities of Algorithm 1.
+func ExampleSimilarityCtx() {
 	g := twoTriangles()
-	pl := linkclust.Similarity(g)
+	pl, err := linkclust.SimilarityCtx(context.Background(), g, 1, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 	pl.Sort()
 	top := pl.Pairs[0]
 	fmt.Printf("most similar vertex pair: %s,%s (%.2f) via %d common neighbors\n",

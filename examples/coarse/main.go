@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -33,13 +34,17 @@ func main() {
 
 	// One shared initialization phase; then compare the two sweeps, as
 	// the paper's Fig. 5(2) does.
+	ctx := context.Background()
 	start := time.Now()
-	pl := linkclust.Similarity(g)
+	pl, err := linkclust.SimilarityCtx(ctx, g, 1, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 	initTime := time.Since(start)
 
 	finePairs := &linkclust.PairList{Pairs: append([]linkclust.Pair(nil), pl.Pairs...)}
 	start = time.Now()
-	fine, err := linkclust.Sweep(g, finePairs)
+	fine, err := linkclust.SweepCtx(ctx, g, finePairs, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,7 +54,7 @@ func main() {
 	params.Phi = 50
 	params.Delta0 = 200
 	start = time.Now()
-	coarse, err := linkclust.CoarseSweep(g, pl, params)
+	coarse, err := linkclust.CoarseSweepCtx(ctx, g, pl, params, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -40,7 +41,8 @@ func main() {
 	// score each against the truth. Partition density (computable without
 	// ground truth) should peak near the NMI peak — that is what makes it
 	// a usable model-selection criterion.
-	res, err := linkclust.Cluster(g)
+	ctx := context.Background()
+	res, err := linkclust.ClusterCtx(ctx, g, linkclust.ClusterOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -78,7 +80,7 @@ func main() {
 	params := linkclust.DefaultCoarseParams()
 	params.Phi = cfg.Communities
 	params.Delta0 = 100
-	cres, err := linkclust.CoarseCluster(g, params)
+	cres, err := linkclust.CoarseClusterCtx(ctx, g, params, linkclust.ClusterOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,7 +32,7 @@ func main() {
 	clique(3, 4, 5, 6) // d e f g
 	g := b.Build(nil)
 
-	res, err := linkclust.Cluster(g)
+	res, err := linkclust.ClusterCtx(context.Background(), g, linkclust.ClusterOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 // Multi-core strong scaling (Section VI / Fig. 6): both phases of the
 // algorithm run multi-threaded — the initialization phase partitions the
-// graph passes across workers and merges per-worker maps hierarchically;
-// the coarse-grained sweeping phase replicates array C per worker and
-// combines replicas with the corrected merge scheme.
+// rows of map M across workers, with no merge phase; the coarse-grained
+// sweeping phase replicates array C per worker and combines replicas with
+// the corrected merge scheme.
 //
 // This example sweeps the thread count, reports wall-clock speedups, and
 // verifies that every thread count produces the identical clustering.
@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"runtime"
@@ -35,13 +36,17 @@ func main() {
 	fmt.Printf("machine: %d CPU core(s) — speedups saturate at the core count\n\n", runtime.NumCPU())
 
 	threads := []int{1, 2, 4, 6}
+	ctx := context.Background()
 
 	fmt.Println("initialization phase (Algorithm 1, Section VI-A):")
 	var baseInit time.Duration
 	var refPairs int
 	for _, t := range threads {
 		start := time.Now()
-		pl := linkclust.SimilarityParallel(g, t)
+		pl, err := linkclust.SimilarityCtx(ctx, g, t, nil)
+		if err != nil {
+			log.Fatal(err)
+		}
 		d := time.Since(start)
 		if t == 1 {
 			baseInit = d
@@ -63,7 +68,7 @@ func main() {
 	for _, t := range threads {
 		params.Workers = t
 		start := time.Now()
-		res, err := linkclust.CoarseCluster(g, params)
+		res, err := linkclust.CoarseClusterCtx(ctx, g, params, linkclust.ClusterOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

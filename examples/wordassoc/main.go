@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -35,7 +36,7 @@ func main() {
 		alpha, s.Vertices, s.Edges, s.Density)
 	fmt.Printf("K1=%d vertex pairs, K2=%d incident edge pairs\n\n", s.K1, s.K2)
 
-	res, err := linkclust.ClusterParallel(g, 4)
+	res, err := linkclust.ClusterCtx(context.Background(), g, linkclust.ClusterOptions{Workers: 4})
 	if err != nil {
 		log.Fatal(err)
 	}

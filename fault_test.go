@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"linkclust/internal/core"
 	"linkclust/internal/fault"
 	"linkclust/internal/persist"
 	"linkclust/internal/spill"
@@ -53,7 +54,7 @@ func TestFaultDisarmedMatchesGolden(t *testing.T) {
 // never crash, and never leak the rest of its pool.
 func TestFaultWorkerPanic(t *testing.T) {
 	g := goldenGraph(t)
-	pl := Similarity(g)
+	pl := core.Similarity(g)
 	pl.Sort()
 	scenarios := []struct {
 		name string
@@ -135,11 +136,11 @@ func TestFaultCancelWindow(t *testing.T) {
 		run  func(ctx context.Context, workers int) error
 	}{
 		{"serial", func(ctx context.Context, _ int) error {
-			_, err := SweepCtx(ctx, g, Similarity(g), nil)
+			_, err := SweepCtx(ctx, g, core.Similarity(g), nil)
 			return err
 		}},
 		{"parallel", func(ctx context.Context, workers int) error {
-			_, err := SweepParallelCtx(ctx, g, Similarity(g), workers, nil)
+			_, err := SweepParallelCtx(ctx, g, core.Similarity(g), workers, nil)
 			return err
 		}},
 		{"spill", func(ctx context.Context, workers int) error {
@@ -232,7 +233,7 @@ func TestFaultMemBreach(t *testing.T) {
 	// The coarse path must actually differ from the fine-grained sweep's
 	// level structure (one level per chunk, not per threshold) — proof the
 	// degrade really rerouted rather than relabeled.
-	fine, err := Cluster(g)
+	fine, err := core.Sweep(g, core.Similarity(g))
 	if err != nil {
 		t.Fatal(err)
 	}

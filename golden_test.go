@@ -97,20 +97,20 @@ func canonCounters(rep *RunReport) string {
 // checked-in golden value.
 func TestGoldenClusterOutput(t *testing.T) {
 	g := goldenGraph(t)
-	serial, err := Cluster(g)
+	serial, err := core.Sweep(g, core.Similarity(g))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := sha(canonMerges(serial)); got != goldenClusterSHA {
-		t.Fatalf("serial Cluster hash %s, golden %s", got, goldenClusterSHA)
+		t.Fatalf("serial core.Sweep hash %s, golden %s", got, goldenClusterSHA)
 	}
 	for workers := 1; workers <= 8; workers++ {
-		par, err := ClusterParallel(g, workers)
+		par, err := ClusterCtx(context.Background(), g, ClusterOptions{Workers: workers, Engine: EngineParallel})
 		if err != nil {
 			t.Fatalf("parallel T=%d: %v", workers, err)
 		}
 		if got := sha(canonMerges(par)); got != goldenClusterSHA {
-			t.Fatalf("ClusterParallel T=%d hash %s, golden %s", workers, got, goldenClusterSHA)
+			t.Fatalf("parallel ClusterCtx T=%d hash %s, golden %s", workers, got, goldenClusterSHA)
 		}
 	}
 	// The out-of-core sweep routes the same pair list through disk; the

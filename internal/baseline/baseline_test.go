@@ -275,7 +275,7 @@ func TestMSTMergeStreamProperties(t *testing.T) {
 		}
 	}
 	// Agreement with the sweeping algorithm's merge count.
-	res, err := core.Cluster(g)
+	res, err := core.Sweep(g, core.Similarity(g))
 	if err != nil {
 		t.Fatal(err)
 	}

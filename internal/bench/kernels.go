@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -104,7 +105,7 @@ func Kernels(w io.Writer, cfg Config) error {
 		rec := obs.New()
 		var cas *core.Result
 		casNs := timeIt(cfg.Repeats, func() {
-			r, err2 := core.SweepParallelRecorded(g, plain, 8, rec)
+			r, err2 := core.SweepParallelCtx(context.Background(), g, plain, 8, rec)
 			if err2 != nil {
 				err = err2
 				return

@@ -41,7 +41,7 @@ type streamResult struct {
 	TotalOps     int64 `json:"total_ops"` // K2 of the post-batch graph
 
 	IncrementalNs int64   `json:"incremental_ns"` // IngestBatch + Snapshot
-	BatchNs       int64   `json:"batch_ns"`       // ClusterParallel from scratch
+	BatchNs       int64   `json:"batch_ns"`       // parallel batch clustering from scratch
 	Speedup       float64 `json:"speedup"`
 	// Identical records that the snapshot was compared bitwise to the batch
 	// run before its time was accepted; a divergence fails the experiment.
@@ -60,9 +60,9 @@ type streamReport struct {
 // Stream is the self-validating incremental-clustering benchmark: per fraction
 // α it warms a stream engine with all but the last few small batches of the
 // word graph's edges, then times those batches — IngestBatch plus Snapshot
-// against the incremental engine versus a full ClusterParallel from scratch on
-// the identical prefix graph (same edge ids, since both sides see the edges in
-// id order). Every
+// against the incremental engine versus full parallel batch clustering from
+// scratch on the identical prefix graph (same edge ids, since both sides see
+// the edges in id order). Every
 // snapshot is compared bitwise to the batch result before its time counts, so
 // a green run certifies the differential contract on real workloads while
 // measuring what incrementality buys. Compaction is disabled for the timed
@@ -83,7 +83,7 @@ func Stream(w io.Writer, cfg Config) error {
 		Title:   "stream: incremental ingest+snapshot vs batch clustering from scratch (bitwise, T=8)",
 		Columns: []string{"alpha", "edges", "+batch", "rows", "replay-ops", "K2", "incremental", "batch", "speedup"},
 		Notes: []string{
-			"every incremental snapshot is compared bitwise to a ClusterParallel run on the identical prefix graph before its time counts",
+			"every incremental snapshot is compared bitwise to a parallel batch run on the identical prefix graph before its time counts",
 			fmt.Sprintf("all but the last %d batches of %d arrivals are ingested untimed (steady state); the small timed batches model a trickle of arrivals on a large accumulated graph", streamTimedSteps, streamTimedBatch),
 			"incremental timings are single-shot (ingest mutates the engine); the batch side reports the minimum over -repeats runs",
 			"compaction is disabled on the timed engine: the batch column is exactly the compaction fallback's cost",

@@ -198,24 +198,18 @@ type levelPoint struct {
 // Sweep runs the coarse-grained sweeping algorithm over the sorted pair
 // list. The pair list is sorted in place if needed.
 func Sweep(g *graph.Graph, pl *core.PairList, params Params) (*Result, error) {
-	return SweepRecorded(g, pl, params, nil)
+	return SweepCtx(context.Background(), g, pl, params, nil)
 }
 
-// SweepRecorded is Sweep with optional instrumentation: sort/chunk phase
-// timers, the epoch and chain-rewrite counters, and the replica fan-out
-// cost of parallel runs are recorded into rec. A nil rec records nothing
-// and adds no measurable overhead.
-func SweepRecorded(g *graph.Graph, pl *core.PairList, params Params, rec *obs.Recorder) (*Result, error) {
-	return SweepCtx(context.Background(), g, pl, params, rec)
-}
-
-// SweepCtx is SweepRecorded with cooperative cancellation and panic
-// isolation. The context is checked at every chunk boundary — the coarse
-// sweep's natural synchronization points, where the replica fan-out is
-// quiescent — plus inside the initial parallel sort, so cancel latency is
-// bounded by one chunk of merge work (chunks start at Delta0 operations and
-// grow adaptively). A panic inside the replica fan-out surfaces as a
-// *par.WorkerPanicError.
+// SweepCtx is Sweep with cooperative cancellation, panic isolation, and
+// optional instrumentation: sort/chunk phase timers, the epoch and
+// chain-rewrite counters, and the replica fan-out cost of parallel runs are
+// recorded into rec (a nil rec records nothing). The context is checked at
+// every chunk boundary — the coarse sweep's natural synchronization points,
+// where the replica fan-out is quiescent — plus inside the initial parallel
+// sort, so cancel latency is bounded by one chunk of merge work (chunks
+// start at Delta0 operations and grow adaptively). A panic inside the
+// replica fan-out surfaces as a *par.WorkerPanicError.
 func SweepCtx(ctx context.Context, g *graph.Graph, pl *core.PairList, params Params, rec *obs.Recorder) (res *Result, err error) {
 	defer par.RecoverPanicError(&err)
 	params.Workers = par.Normalize(params.Workers)

@@ -47,25 +47,6 @@ func (ch *Chain) Find(i int32) int32 {
 	return i
 }
 
-// FindCompressAtomic is the two-pass find_compress of the atomic union-find
-// literature (gbbs-style): pass one walks the chain to its terminal through
-// atomic loads, pass two CAS-rewrites every visited entry to point at it. It
-// returns the terminal and the number of rewrites this call won; the change
-// counter is NOT touched — callers fold their per-worker rewrite sums into
-// AddChanges after their barrier, keeping the counter write race-free.
-//
-// It is safe to call concurrently from many goroutines ON A QUIESCENT chain
-// (no Merge running): compression rewrites entries only to their fixed
-// terminals, so concurrent walks always read valid next hops, concurrent
-// CASes of one entry write the same value, and each entry's single
-// transition is credited to exactly one caller. The parallel sweep engine
-// uses the same primitive between its merge barriers (see casRound).
-func (ch *Chain) FindCompressAtomic(i int32) (root int32, rewrites int64) {
-	root = findAtomic(ch.c, i)
-	rewrites = compressPathAtomic(ch.c, i, root)
-	return root, rewrites
-}
-
 // Follow appends F(i) — every edge index on the chain from i to its
 // self-loop, inclusive — to buf and returns the extended slice.
 func (ch *Chain) Follow(i int32, buf []int32) []int32 {

@@ -78,7 +78,7 @@ func TestPairListRoundTripUnsorted(t *testing.T) {
 
 func TestMergesRoundTrip(t *testing.T) {
 	g := graph.ErdosRenyi(30, 0.25, rng.New(2))
-	res, err := Cluster(g)
+	res, err := Sweep(g, Similarity(g))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -230,10 +231,10 @@ func FuzzSpillRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzSimilarityKernels drives the cache-blocked wedge kernel (forced onto
-// every row with tiny tiles) over arbitrary small graphs, serially and at
-// several worker counts: it must reproduce the plain wedge kernel's pair
-// list bitwise in its pre-Sort master order.
+// FuzzSimilarityKernels drives the parallel wedge kernel (count-then-fill
+// into a CSR layout) over arbitrary small graphs at several worker counts:
+// it must reproduce the serial kernel's pair list bitwise in its pre-Sort
+// master order, not just as a set.
 func FuzzSimilarityKernels(f *testing.F) {
 	f.Add([]byte{4, 0, 1, 1, 1, 2, 1, 2, 3, 1, 0, 2, 1})
 	f.Add([]byte{16, 0, 1, 0, 1, 2, 0, 2, 0, 0})
@@ -244,12 +245,9 @@ func FuzzSimilarityKernels(f *testing.F) {
 		if g == nil {
 			return
 		}
-		plain := Similarity(g)
-		restore := forceBlockedKernel()
-		defer restore()
-		requireIdenticalPreSort(t, "fuzz forced-blocked vs plain", Similarity(g), plain)
+		serial := Similarity(g)
 		for _, workers := range []int{3, 8} {
-			requireIdenticalPreSort(t, "fuzz forced-blocked parallel vs plain", SimilarityParallel(g, workers), plain)
+			requireIdenticalPreSort(t, fmt.Sprintf("fuzz parallel T=%d vs serial", workers), SimilarityParallel(g, workers), serial)
 		}
 	})
 }

@@ -230,7 +230,7 @@ func (rk *RowKernel) Row(g *graph.Graph, u int, h1, h2 []float64) []Pair {
 		panic(fmt.Sprintf("core: RowKernel sized for %d vertices got graph with %d (call Grow)", rk.n, g.NumVertices()))
 	}
 	ra := rk.ra
-	w := ra.enumerateRowDispatch(g, u)
+	w := ra.enumerateRow(g, u)
 	var pairs []Pair
 	if w > 0 {
 		commons := make([]int32, w)

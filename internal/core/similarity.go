@@ -262,17 +262,10 @@ func (a *accumulator) materialize(h2 []float64) *PairList {
 // Similarity runs Algorithm 1 serially with the wedge-major (Gustavson)
 // kernel, producing the similarity-annotated pair list (map M). The result
 // is deterministic: pairs appear in (U, V)-lexicographic order until Sort
-// is called.
+// is called. SimilarityCtx is the instrumented, cancellable form.
 func Similarity(g *graph.Graph) *PairList {
-	return SimilarityRecorded(g, nil)
-}
-
-// SimilarityRecorded is Similarity with optional instrumentation: per-pass
-// phase timers and the K1/K2 counters are recorded into rec. A nil rec
-// records nothing and adds no measurable overhead.
-func SimilarityRecorded(g *graph.Graph, rec *obs.Recorder) *PairList {
 	// A background context never cancels, so the error is impossible.
-	pl, _ := similarityWedgeCtx(context.Background(), g, rec)
+	pl, _ := similarityWedgeCtx(context.Background(), g, nil)
 	return pl
 }
 
@@ -282,24 +275,16 @@ func SimilarityRecorded(g *graph.Graph, rec *obs.Recorder) *PairList {
 // slots, with no map-merge phase and no edge rescan (see similarity_wedge.go).
 //
 // The resulting PairList contains exactly the same pairs, similarities and
-// common-neighbor sets as Similarity(g) — bitwise, for any worker count.
+// common-neighbor sets as Similarity(g) — bitwise, in the same pre-Sort
+// order, for any worker count.
 //
 // The workers argument is normalized like every parallel entry point of the
 // pipeline: values below 2 (after clamping) run the serial implementation,
 // values above max(runtime.GOMAXPROCS(0), runtime.NumCPU()) are clamped to that cap.
-func SimilarityParallel(g *graph.Graph, workers int) *PairList {
-	return SimilarityParallelRecorded(g, workers, nil)
-}
-
-// SimilarityParallelRecorded is SimilarityParallel with optional
-// instrumentation: per-pass phase timers and the K1/K2 counters are
-// recorded into rec. A nil rec records nothing.
-//
 // A panic inside the kernel propagates to the caller as a
 // *par.WorkerPanicError panic (use SimilarityCtx for an error return).
-func SimilarityParallelRecorded(g *graph.Graph, workers int, rec *obs.Recorder) *PairList {
-	// A background context never cancels, so the error is impossible.
-	pl, _ := similarityWedgeParallelCtx(context.Background(), g, workers, rec)
+func SimilarityParallel(g *graph.Graph, workers int) *PairList {
+	pl, _ := similarityWedgeParallelCtx(context.Background(), g, workers, nil)
 	return pl
 }
 
@@ -310,29 +295,13 @@ func SimilarityParallelRecorded(g *graph.Graph, workers int, rec *obs.Recorder) 
 // with bitwise-equal similarities. Pairs appear in first-encounter order
 // (vertex-major by common neighbor).
 func SimilarityLegacy(g *graph.Graph) *PairList {
-	return SimilarityLegacyRecorded(g, nil)
-}
-
-// SimilarityLegacyRecorded is SimilarityLegacy with optional
-// instrumentation.
-func SimilarityLegacyRecorded(g *graph.Graph, rec *obs.Recorder) *PairList {
-	end := rec.Phase("similarity")
-	defer end()
 	n := g.NumVertices()
 	h1 := make([]float64, n)
 	h2 := make([]float64, n)
-	endPass := rec.Phase("pass1-norms")
 	vertexNorms(g, h1, h2, 0, n)
-	endPass()
 	acc := newAccumulator(g.NumEdges())
-	endPass = rec.Phase("pass2-common")
 	accumulateCommon(g, acc, 0, n)
-	endPass()
-	endPass = rec.Phase("pass3-finalize")
-	pl := acc.finalize(g, h1, h2)
-	endPass()
-	recordPairListStats(rec, pl)
-	return pl
+	return acc.finalize(g, h1, h2)
 }
 
 // recordPairListStats records the K1/K2 counters of a finished

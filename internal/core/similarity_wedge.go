@@ -48,11 +48,6 @@ type rowAccum struct {
 	touched []int32   // candidate v's touched this row, first-touch order
 	ks      []int32   // wedge centers k, in enumeration (ascending-k) order
 	vs      []int32   // wedge far endpoints v, parallel to ks
-
-	// Blocked-kernel scratch (see similarity_blocked.go): cached neighbor
-	// slices and per-neighbor suffix cursors of the current row.
-	nbs [][]graph.Half
-	cur []int32
 }
 
 func newRowAccum(n int) *rowAccum {
@@ -238,7 +233,7 @@ func similarityWedgeCtx(ctx context.Context, g *graph.Graph, rec *obs.Recorder) 
 				return nil, err
 			}
 		}
-		w := ra.enumerateRowDispatch(g, u)
+		w := ra.enumerateRow(g, u)
 		if w > 0 {
 			rows++
 			commons := arena.alloc(w)
@@ -261,11 +256,12 @@ func similarityWedgeCtx(ctx context.Context, g *graph.Graph, rec *obs.Recorder) 
 // prefixes cannot serialize the sweep behind one unlucky static partition.
 const wedgeRowBlock = 256
 
-// SimilarityCtx is the cancellable, panic-isolated entry point of Algorithm 1:
-// SimilarityParallelRecorded with cooperative cancellation. The context is
-// checked at every row-block claim (wedgeRowBlock rows), in the serial path as
-// in the parallel one, so cancel latency is bounded by one block of rows per
-// worker. On cancellation it returns ctx.Err() and the partial output is
+// SimilarityCtx is the cancellable, panic-isolated entry point of
+// Algorithm 1: SimilarityParallel with cooperative cancellation and optional
+// instrumentation (per-pass phase timers and the K1/K2 counters). The
+// context is checked at every row-block claim (wedgeRowBlock rows), in the
+// serial path as in the parallel one, so cancel latency is bounded by one
+// block of rows per worker. On cancellation it returns ctx.Err() and the partial output is
 // discarded; a panic inside the kernel surfaces as a *par.WorkerPanicError.
 func SimilarityCtx(ctx context.Context, g *graph.Graph, workers int, rec *obs.Recorder) (pl *PairList, err error) {
 	defer par.RecoverPanicError(&err)
@@ -370,7 +366,7 @@ func similarityWedgeParallelCtx(ctx context.Context, g *graph.Graph, workers int
 				hi = n
 			}
 			for u := lo; u < hi; u++ {
-				w := ra.enumerateRowDispatch(g, u)
+				w := ra.enumerateRow(g, u)
 				if int64(w) != rowWedges[u] || len(ra.touched) != int(rowPairs[u]) {
 					panic(fmt.Sprintf("core: wedge fill pass disagrees with count pass at row %d (%d/%d wedges, %d/%d pairs)",
 						u, w, rowWedges[u], len(ra.touched), rowPairs[u]))

@@ -174,3 +174,30 @@ func TestWedgeCountMatchesFill(t *testing.T) {
 		fill.resetMarks(g, u)
 	}
 }
+
+// requireIdenticalPreSort asserts two pair lists are element-wise identical
+// in their natural (pre-Sort) order — the parallel kernel's contract is the
+// serial kernel's exact master order, not just set equality.
+func requireIdenticalPreSort(t *testing.T, label string, got, want *PairList) {
+	t.Helper()
+	if len(got.Pairs) != len(want.Pairs) {
+		t.Fatalf("%s: %d pairs, want %d", label, len(got.Pairs), len(want.Pairs))
+	}
+	for i := range want.Pairs {
+		g, w := &got.Pairs[i], &want.Pairs[i]
+		if g.U != w.U || g.V != w.V {
+			t.Fatalf("%s pair %d: (%d,%d), want (%d,%d)", label, i, g.U, g.V, w.U, w.V)
+		}
+		if g.Sim != w.Sim {
+			t.Fatalf("%s pair (%d,%d): sim %v, want bitwise-equal %v", label, g.U, g.V, g.Sim, w.Sim)
+		}
+		if len(g.Common) != len(w.Common) {
+			t.Fatalf("%s pair (%d,%d): commons %v, want %v", label, g.U, g.V, g.Common, w.Common)
+		}
+		for j := range w.Common {
+			if g.Common[j] != w.Common[j] {
+				t.Fatalf("%s pair (%d,%d): commons %v, want %v", label, g.U, g.V, g.Common, w.Common)
+			}
+		}
+	}
+}

@@ -42,18 +42,9 @@ func (r *Result) NumClusters() int { return r.Chain.NumClusters() }
 // neighbor k, the clusters of edges (U, k) and (V, k). The pair list is
 // sorted in place. An error is returned only if the pair list references an
 // edge absent from g, which indicates the list was built from a different
-// graph.
+// graph. SweepCtx is the instrumented, cancellable form.
 func Sweep(g *graph.Graph, pl *PairList) (*Result, error) {
 	return SweepCtx(context.Background(), g, pl, nil)
-}
-
-// SweepRecorded is Sweep with optional instrumentation: sort and merge
-// phase timers plus the pairs-processed, chain-rewrite (Fig. 2(1)) and
-// merge-event counters are recorded into rec. A nil rec records nothing and
-// adds no measurable overhead (instrumentation happens at phase
-// granularity, never inside the merge loop).
-func SweepRecorded(g *graph.Graph, pl *PairList, rec *obs.Recorder) (*Result, error) {
-	return SweepCtx(context.Background(), g, pl, rec)
 }
 
 // SweepCtx is the serial sweep with cooperative cancellation and panic
@@ -117,10 +108,4 @@ func SweepCtx(ctx context.Context, g *graph.Graph, pl *PairList, rec *obs.Record
 		rec.Add(CtrSweepMerges, int64(len(res.Merges)))
 	}
 	return res, nil
-}
-
-// Cluster is the serial end-to-end pipeline: Algorithm 1 followed by
-// Algorithm 2.
-func Cluster(g *graph.Graph) (*Result, error) {
-	return Sweep(g, Similarity(g))
 }

@@ -29,7 +29,7 @@ func TestSweepCASDifferential(t *testing.T) {
 			}
 			for workers := 1; workers <= 8; workers++ {
 				rec := obs.New()
-				par, err := SweepParallelRecorded(g, Similarity(g), workers, rec)
+				par, err := SweepParallelCtx(context.Background(), g, Similarity(g), workers, rec)
 				if err != nil {
 					t.Fatalf("T=%d: %v", workers, err)
 				}
@@ -58,7 +58,7 @@ func TestSweepCASEngaged(t *testing.T) {
 	}
 	for _, workers := range []int{2, 4, 8} {
 		rec := obs.New()
-		par, err := SweepParallelRecorded(g, Similarity(g), workers, rec)
+		par, err := SweepParallelCtx(context.Background(), g, Similarity(g), workers, rec)
 		if err != nil {
 			t.Fatalf("T=%d: %v", workers, err)
 		}
@@ -68,7 +68,7 @@ func TestSweepCASEngaged(t *testing.T) {
 		}
 	}
 	rec := obs.New()
-	if _, err := SweepParallelRecorded(g, Similarity(g), 1, rec); err != nil {
+	if _, err := SweepParallelCtx(context.Background(), g, Similarity(g), 1, rec); err != nil {
 		t.Fatal(err)
 	}
 	if got := rec.Counter(CtrSweepCASRounds); got != 0 {
@@ -98,8 +98,9 @@ func TestSweepCASSpilled(t *testing.T) {
 	}
 }
 
-// TestChainFindCompressAtomic checks the atomic find against the plain one on
-// a maximal path: same root, full compression, and a rewrite count equal to
+// TestChainFindCompressAtomic checks the two-pass atomic find_compress that
+// casRound runs — findAtomic to the terminal, then compressPathAtomic — on a
+// maximal path: same root, full compression, and a rewrite count equal to
 // the number of entries that did not already point at the root.
 func TestChainFindCompressAtomic(t *testing.T) {
 	n := 1000
@@ -107,7 +108,8 @@ func TestChainFindCompressAtomic(t *testing.T) {
 	for i := 1; i < n; i++ {
 		ch.c[i] = int32(i - 1) // one long path: n-1 -> n-2 -> ... -> 0
 	}
-	root, rewrites := ch.FindCompressAtomic(int32(n - 1))
+	root := findAtomic(ch.c, int32(n-1))
+	rewrites := compressPathAtomic(ch.c, int32(n-1), root)
 	if root != 0 {
 		t.Fatalf("root %d, want 0", root)
 	}
@@ -141,7 +143,8 @@ func TestChainFindCompressAtomicConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			root, rw := ch.FindCompressAtomic(start)
+			root := findAtomic(ch.c, start)
+			rw := compressPathAtomic(ch.c, start, root)
 			if root != 0 {
 				t.Errorf("start %d: root %d, want 0", start, root)
 			}

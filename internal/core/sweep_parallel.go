@@ -94,23 +94,17 @@ func SweepParallel(g *graph.Graph, pl *PairList, workers int) (*Result, error) {
 	return SweepParallelCtx(context.Background(), g, pl, workers, nil)
 }
 
-// SweepParallelRecorded is SweepParallel with optional instrumentation:
-// sort/merge phase timers plus the serial sweep's counters and the engine's
-// window/round/deferral counters are recorded into rec. A nil rec records
-// nothing and adds no measurable overhead.
-func SweepParallelRecorded(g *graph.Graph, pl *PairList, workers int, rec *obs.Recorder) (*Result, error) {
-	return SweepParallelCtx(context.Background(), g, pl, workers, rec)
-}
-
-// SweepParallelCtx is SweepParallelRecorded with cooperative cancellation and
-// panic isolation. The context is checked at every op-count window cut (8192
-// incident operations) and inside the parallel sort, so cancel latency is
-// bounded by one window of merge work (or one sort round) for any worker
-// count; on cancellation every pool drains before ctx.Err() is returned, so
-// no goroutine outlives the call. A panic inside a worker surfaces as a
-// *par.WorkerPanicError. The checks are pure reads — when ctx never cancels,
-// the merge stream is bitwise identical to the serial Sweep. It is
-// SweepResumeCtx without a checkpoint to start from or to save.
+// SweepParallelCtx is SweepParallel with cooperative cancellation, panic
+// isolation, and optional instrumentation: sort/merge phase timers plus the
+// serial sweep's counters and the engine's window/round/deferral counters
+// are recorded into rec. The context is checked at every op-count window
+// cut (8192 incident operations) and inside the parallel sort, so cancel
+// latency is bounded by one window of merge work (or one sort round) for
+// any worker count; on cancellation every pool drains before ctx.Err() is
+// returned, so no goroutine outlives the call. A panic inside a worker
+// surfaces as a *par.WorkerPanicError. The checks are pure reads — when ctx
+// never cancels, the merge stream is bitwise identical to the serial Sweep.
+// It is SweepResumeCtx without a checkpoint to start from or to save.
 func SweepParallelCtx(ctx context.Context, g *graph.Graph, pl *PairList, workers int, rec *obs.Recorder) (*Result, error) {
 	return SweepResumeCtx(ctx, g, pl, nil, workers, 0, nil, rec)
 }
@@ -588,39 +582,6 @@ func (e *sweepEngine) fail(pi, op int, k int32) {
 		e.err = fmt.Errorf("core: pair (%d,%d) common neighbor %d has no incident edges in graph", pr.U, pr.V, k)
 	}
 	e.errMu.Unlock()
-}
-
-// gallopTo locates neighbor k in a sorted neighbor-id array, starting from
-// index from: an exponential probe bounds the range, a binary search pins
-// it. Successive k values are ascending, so resuming from the previous match
-// makes a whole pair's lookups O(|Common| · log(gap)) with strong locality
-// instead of |Common| full binary searches.
-func gallopTo(to []int32, from int, k int32) (pos int, ok bool) {
-	i := from
-	if i < len(to) && to[i] < k {
-		step := 1
-		for i+step < len(to) && to[i+step] < k {
-			i += step
-			step <<= 1
-		}
-		lo, hi := i+1, i+step
-		if hi > len(to) {
-			hi = len(to)
-		}
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if to[mid] < k {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		i = lo
-	}
-	if i < len(to) && to[i] == k {
-		return i, true
-	}
-	return i, false
 }
 
 // find computes the pre-round cluster ids of every pending op. It is

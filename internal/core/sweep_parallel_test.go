@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -136,7 +137,7 @@ func TestSweepParallelErrorParity(t *testing.T) {
 func TestSweepParallelCounters(t *testing.T) {
 	g := graph.ErdosRenyi(200, 0.08, rng.New(4))
 	rec := obs.New()
-	res, err := SweepParallelRecorded(g, Similarity(g), 4, rec)
+	res, err := SweepParallelCtx(context.Background(), g, Similarity(g), 4, rec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 
 func TestSweepPaperExample(t *testing.T) {
 	g := graph.PaperExample()
-	res, err := Cluster(g)
+	res, err := Sweep(g, Similarity(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestSweepPaperExample(t *testing.T) {
 
 func TestSweepMergeLevelsStrictlyIncrease(t *testing.T) {
 	g := graph.ErdosRenyi(40, 0.2, rng.New(2))
-	res, err := Cluster(g)
+	res, err := Sweep(g, Similarity(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestSweepMergeLevelsStrictlyIncrease(t *testing.T) {
 func TestSweepMergeSimsNonIncreasing(t *testing.T) {
 	// Single-linkage dendrograms merge at non-increasing similarity.
 	g := graph.ErdosRenyi(40, 0.25, rng.New(7))
-	res, err := Cluster(g)
+	res, err := Sweep(g, Similarity(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestSweepClusterCountConsistency(t *testing.T) {
 	// clusters at end = |E| - (number of merges).
 	for seed := uint64(0); seed < 5; seed++ {
 		g := graph.ErdosRenyi(30, 0.2, rng.New(seed))
-		res, err := Cluster(g)
+		res, err := Sweep(g, Similarity(g))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,8 @@ func TestSweepClusterCountConsistency(t *testing.T) {
 func TestSweepConnectedEdgesConverge(t *testing.T) {
 	// In a complete graph all edges are mutually reachable through
 	// incident pairs, so the sweep must end with one cluster.
-	res, err := Cluster(graph.Complete(7))
+	g := graph.Complete(7)
+	res, err := Sweep(g, Similarity(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestSweepConnectedEdgesConverge(t *testing.T) {
 func TestSweepDisjointEdgesUntouched(t *testing.T) {
 	// A perfect matching has no incident edge pairs: nothing merges.
 	g := graph.DisjointEdges(5)
-	res, err := Cluster(g)
+	res, err := Sweep(g, Similarity(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +117,11 @@ func TestSweepDisjointEdgesUntouched(t *testing.T) {
 
 func TestSweepDeterministic(t *testing.T) {
 	g := graph.ErdosRenyi(35, 0.2, rng.New(11))
-	a, err := Cluster(g)
+	a, err := Sweep(g, Similarity(g))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Cluster(g)
+	b, err := Sweep(g, Similarity(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestSweepWithParallelInit(t *testing.T) {
 	// Parallel Phase I feeding serial Phase II must give the same
 	// dendrogram as the all-serial pipeline.
 	g := graph.ErdosRenyi(50, 0.15, rng.New(13))
-	serial, err := Cluster(g)
+	serial, err := Sweep(g, Similarity(g))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func bruteCophenetic(d *Dendrogram, a, b int32) float64 {
 
 func TestCopheneticMatchesBruteForce(t *testing.T) {
 	g := graph.ErdosRenyi(20, 0.3, rng.New(3))
-	res, err := core.Cluster(g)
+	res, err := core.Sweep(g, core.Similarity(g))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package dendro
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"linkclust/internal/core"
@@ -20,7 +21,7 @@ func clusterCount(labels []int32) int {
 func paperDendrogram(t *testing.T) (*graph.Graph, *Dendrogram) {
 	t.Helper()
 	g := graph.PaperExample()
-	res, err := core.Cluster(g)
+	res, err := core.Sweep(g, core.Similarity(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestCutSimMiddleLayer(t *testing.T) {
 func TestCutMonotone(t *testing.T) {
 	// Lowering the threshold can only merge clusters, never split.
 	g := graph.ErdosRenyi(30, 0.2, rng.New(1))
-	res, err := core.Cluster(g)
+	res, err := core.Sweep(g, core.Similarity(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestPartitionDensityRange(t *testing.T) {
 	// D is bounded above by 1 and below by -2/3 (Ahn et al.); check on
 	// random cuts.
 	g := graph.ErdosRenyi(25, 0.3, rng.New(2))
-	res, err := core.Cluster(g)
+	res, err := core.Sweep(g, core.Similarity(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,6 +157,79 @@ func TestPartitionDensityRange(t *testing.T) {
 			t.Fatalf("density %v out of [-2/3, 1]", dens)
 		}
 	}
+}
+
+// TestPartitionDensityDeterministic pins the summation order of
+// PartitionDensity: on a cut with many multi-node communities, repeated
+// calls must agree bitwise with each other and with a reference sum taken
+// in ascending label order, and repeated BestCut calls must pick the same
+// threshold and labels. A float sum in map iteration order fails this.
+func TestPartitionDensityDeterministic(t *testing.T) {
+	g := graph.ErdosRenyi(300, 0.03, rng.New(9))
+	res, err := core.Sweep(g, core.Similarity(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := New(g.NumEdges(), res.Merges)
+
+	// The cut with the most communities of three or more nodes.
+	var labels []int32
+	most := 0
+	for _, th := range d.Thresholds() {
+		l := d.CutSim(th)
+		if n := len(multiNodeTerms(g, l)); n > most {
+			most, labels = n, l
+		}
+	}
+	if most < 50 {
+		t.Fatalf("densest cut has only %d multi-node communities; need many to expose order", most)
+	}
+	var ref float64
+	for _, term := range multiNodeTerms(g, labels) {
+		ref += term
+	}
+	ref = 2 * ref / float64(g.NumEdges())
+	for i := 0; i < 20; i++ {
+		if got := PartitionDensity(g, labels); math.Float64bits(got) != math.Float64bits(ref) {
+			t.Fatalf("call %d: density %x, want label-order sum %x", i, math.Float64bits(got), math.Float64bits(ref))
+		}
+	}
+
+	theta, dens, best := BestCut(g, d)
+	for i := 0; i < 2; i++ {
+		th, de, l := BestCut(g, d)
+		if th != theta || math.Float64bits(de) != math.Float64bits(dens) || !slices.Equal(l, best) {
+			t.Fatalf("BestCut call %d: theta %v density %v, first call theta %v density %v", i, th, de, theta, dens)
+		}
+	}
+}
+
+// multiNodeTerms returns the partition-density terms of labels' communities
+// with three or more nodes, in ascending label order.
+func multiNodeTerms(g *graph.Graph, labels []int32) []float64 {
+	links := map[int32]int{}
+	nodes := map[int32]map[int32]bool{}
+	for e, l := range labels {
+		if nodes[l] == nil {
+			nodes[l] = map[int32]bool{}
+		}
+		edge := g.Edge(e)
+		links[l]++
+		nodes[l][edge.U], nodes[l][edge.V] = true, true
+	}
+	ids := make([]int32, 0, len(links))
+	for l := range links {
+		ids = append(ids, l)
+	}
+	slices.Sort(ids)
+	var terms []float64
+	for _, l := range ids {
+		mc, nc := float64(links[l]), float64(len(nodes[l]))
+		if nc > 2 {
+			terms = append(terms, mc*(mc-nc+1)/((nc-2)*(nc-1)))
+		}
+	}
+	return terms
 }
 
 func TestBestCutTwoCliques(t *testing.T) {
@@ -174,7 +248,7 @@ func TestBestCutTwoCliques(t *testing.T) {
 		}
 	}
 	g := b.Build(nil)
-	res, err := core.Cluster(g)
+	res, err := core.Sweep(g, core.Similarity(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +275,7 @@ func TestBestCutTwoCliques(t *testing.T) {
 
 func TestCommunitiesPartitionEdges(t *testing.T) {
 	g := graph.ErdosRenyi(20, 0.3, rng.New(5))
-	res, err := core.Cluster(g)
+	res, err := core.Sweep(g, core.Similarity(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +349,7 @@ func TestCutK(t *testing.T) {
 func TestCutKMatchesCutLevelOnStrictStream(t *testing.T) {
 	// On a strict (one merge per level) stream, CutK(n-r) == CutLevel(r).
 	g := graph.ErdosRenyi(20, 0.3, rng.New(6))
-	res, err := core.Cluster(g)
+	res, err := core.Sweep(g, core.Similarity(g))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,10 @@ import (
 // vertices those links touch. Communities with n_c = 2 (a single link, or
 // parallel structure collapsing to two nodes) contribute 0 by convention.
 // labels[e] is the cluster id of edge e.
+//
+// The sum runs over communities in the order the edge scan first meets
+// their labels — ascending label for dendrogram cuts, whose labels are
+// cluster minima — so a labeling always scores to the same float bits.
 func PartitionDensity(g *graph.Graph, labels []int32) float64 {
 	m := g.NumEdges()
 	if m == 0 {
@@ -24,13 +28,16 @@ func PartitionDensity(g *graph.Graph, labels []int32) float64 {
 		links int
 		nodes map[int32]struct{}
 	}
-	comms := make(map[int32]*comm)
+	index := make(map[int32]int)
+	var comms []comm
 	for e := 0; e < m; e++ {
-		c, ok := comms[labels[e]]
+		i, ok := index[labels[e]]
 		if !ok {
-			c = &comm{nodes: make(map[int32]struct{})}
-			comms[labels[e]] = c
+			i = len(comms)
+			index[labels[e]] = i
+			comms = append(comms, comm{nodes: make(map[int32]struct{})})
 		}
+		c := &comms[i]
 		edge := g.Edge(e)
 		c.links++
 		c.nodes[edge.U] = struct{}{}

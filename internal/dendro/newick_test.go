@@ -44,7 +44,7 @@ func TestNewickPaperExample(t *testing.T) {
 func TestNewickForest(t *testing.T) {
 	// A perfect matching never merges: n trees of single leaves.
 	g := graph.DisjointEdges(3)
-	res, err := core.Cluster(g)
+	res, err := core.Sweep(g, core.Similarity(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestNewickForest(t *testing.T) {
 
 func TestNewickBranchLengthsNonNegative(t *testing.T) {
 	g := graph.ErdosRenyi(20, 0.3, rng.New(4))
-	res, err := core.Cluster(g)
+	res, err := core.Sweep(g, core.Similarity(g))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,9 +71,6 @@ type Config struct {
 	// CacheEntries bounds each side of the content-addressed cache and the
 	// shared-graph registry (default 64; <0 disables caching).
 	CacheEntries int
-	// MaxJobs bounds retained job records; the oldest finished jobs are
-	// evicted first (default 1024).
-	MaxJobs int
 	// StateDir enables crash-safe persistence: the job journal, the durable
 	// cache tier, graph blobs, and sweep checkpoints all live under it, and
 	// startup replays the journal (re-serving completed results, re-running
@@ -101,9 +98,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 64
-	}
-	if c.MaxJobs <= 0 {
-		c.MaxJobs = 1024
 	}
 	if c.StateDir != "" && c.CheckpointOps == 0 {
 		c.CheckpointOps = 1 << 20
@@ -481,12 +475,16 @@ func (m *Manager) recordRawLocked(rawKey, graphKey [sha256.Size]byte, g *linkclu
 	}
 }
 
+// maxJobs bounds retained job records; past it, the oldest finished job is
+// evicted first.
+const maxJobs = 1024
+
 // retainLocked records the job and evicts the oldest finished records past
 // the retention bound.
 func (m *Manager) retainLocked(j *Job) {
 	m.jobs[j.ID] = j
 	m.order = append(m.order, j.ID)
-	if len(m.order) <= m.cfg.MaxJobs {
+	if len(m.order) <= maxJobs {
 		return
 	}
 	for i, id := range m.order {

@@ -97,7 +97,8 @@ func batchOracle(t *testing.T, n int, arrivals []Arrival, k int) *core.Result {
 	for _, a := range arrivals[:k] {
 		b.MustAddEdge(a.U, a.V, a.W)
 	}
-	res, err := core.Cluster(b.Build(nil))
+	g := b.Build(nil)
+	res, err := core.Sweep(g, core.Similarity(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func batchOracle(t *testing.T, n int, arrivals []Arrival, k int) *core.Result {
 // TestStreamDifferential is the tentpole's correctness matrix: each family's
 // edge set is streamed in 5 shuffled arrival orders × batch sizes {1, 16,
 // all} × worker counts {1, 4, 8}, and every Snapshot must equal — bitwise —
-// a batch Cluster run on the exact prefix graph.
+// a batch Similarity + Sweep run on the exact prefix graph.
 func TestStreamDifferential(t *testing.T) {
 	for name, g := range streamTestGraphs(t) {
 		t.Run(name, func(t *testing.T) {

@@ -35,8 +35,8 @@ func fuzzWeight(b byte) float64 {
 // in fuzz-chosen batch sizes and worker counts. Every batch must either be
 // rejected atomically with a typed validation error (the graph.Builder
 // error taxonomy) or be accepted, and after the sequence the engine's
-// Snapshot must equal — bitwise — a batch Cluster run on a Builder fed
-// exactly the accepted batches. Byte layout: [n-seed, knobs, then (u, v, w)
+// Snapshot must equal — bitwise — a batch Similarity + Sweep run on a
+// Builder fed exactly the accepted batches. Byte layout: [n-seed, knobs, then (u, v, w)
 // triples].
 func FuzzStream(f *testing.F) {
 	f.Add([]byte{8, 0x21, 0, 1, 9, 1, 2, 9, 0, 2, 9, 2, 2, 9})
@@ -95,7 +95,8 @@ func FuzzStream(f *testing.F) {
 		if err != nil {
 			t.Fatalf("snapshot: %v", err)
 		}
-		want, err := core.Cluster(oracle.Build(nil))
+		og := oracle.Build(nil)
+		want, err := core.Sweep(og, core.Similarity(og))
 		if err != nil {
 			t.Fatalf("oracle: %v", err)
 		}

@@ -120,7 +120,8 @@ func TestStreamConcurrentIngestSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.Cluster(e.Graph())
+	final := e.Graph()
+	want, err := core.Sweep(final, core.Similarity(final))
 	if err != nil {
 		t.Fatal(err)
 	}

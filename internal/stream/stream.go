@@ -4,9 +4,9 @@
 // (one all-partners row per arrival endpoint), the fresh pairs are spliced
 // into the maintained sorted pair list, and each Snapshot replays the
 // fine-grained sweep from the earliest invalidated position using the
-// engine's resumable checkpoints. The result
-// is bitwise identical to a batch Cluster run on the accumulated graph —
-// that differential property, not speed, is the package's contract, and the
+// engine's resumable checkpoints. The result is bitwise identical to a
+// batch Similarity + Sweep run on the accumulated graph — that
+// differential property, not speed, is the package's contract, and the
 // batch path doubles as the compaction fallback when too much of the list
 // has been invalidated for replay to pay off.
 //
@@ -89,18 +89,13 @@ type Options struct {
 	// sweep operations needing replay reaches it. Zero means the default of
 	// 0.5; values above 1 never trigger on fraction.
 	CompactDirtyFraction float64
-	// CompactAfterOps triggers the batch fallback once the operations
-	// replayed since the last compaction reach it. Zero disables the
-	// op-count trigger.
-	CompactAfterOps int64
-	// CheckpointEvery is the minimum operation spacing of sweep checkpoints
-	// kept for future replays. Zero means the default (32768); checkpoints
-	// land only on the engine's op-count window boundaries regardless.
-	CheckpointEvery int
 }
 
 const (
-	defaultDirtyFraction   = 0.5
+	defaultDirtyFraction = 0.5
+	// defaultCheckpointEvery is the minimum operation spacing of sweep
+	// checkpoints kept for future replays; checkpoints land only on the
+	// engine's op-count window boundaries regardless.
 	defaultCheckpointEvery = 32768
 	// maxCheckpoints bounds the kept checkpoint list; past it, every other
 	// interior checkpoint is dropped (deterministically, by index).
@@ -113,7 +108,6 @@ const (
 type Engine struct {
 	opt   Options
 	dirty float64
-	ckEv  int
 
 	mu sync.Mutex
 	g  *graph.Dynamic
@@ -137,8 +131,6 @@ type Engine struct {
 	clean bool
 	snap  *graph.Graph
 	res   *core.Result
-
-	opsSinceCompact int64
 }
 
 // New returns an engine with the given options.
@@ -153,14 +145,9 @@ func New(opt Options) (*Engine, error) {
 	if dirty < 0 || math.IsNaN(dirty) {
 		return nil, fmt.Errorf("stream: invalid CompactDirtyFraction %v", opt.CompactDirtyFraction)
 	}
-	ckEv := opt.CheckpointEvery
-	if ckEv <= 0 {
-		ckEv = defaultCheckpointEvery
-	}
 	e := &Engine{
 		opt:     opt,
 		dirty:   dirty,
-		ckEv:    ckEv,
 		g:       graph.NewDynamic(),
 		pending: make(map[int]struct{}),
 	}
@@ -418,7 +405,7 @@ func (e *Engine) Snapshot() (*core.Result, error) {
 }
 
 // SnapshotCtx returns the clustering of the graph accumulated so far — the
-// merge stream, chain, and counters a batch Cluster run on Graph() would
+// merge stream, chain, and counters a batch Similarity + Sweep run on Graph() would
 // produce, bitwise. It replays the sweep from the deepest checkpoint still
 // valid after the last splice, unless the compaction trigger fires, in which
 // case it recomputes the pair list through the batch similarity path (the
@@ -449,19 +436,14 @@ func (e *Engine) SnapshotCtx(ctx context.Context) (*core.Result, error) {
 	if from != nil {
 		replay = opsIn(e.pl, from.Pos)
 	}
-	compact := false
-	if total > 0 && float64(replay)/float64(total) >= e.dirty {
-		compact = true
-	}
-	if e.opt.CompactAfterOps > 0 && e.opsSinceCompact+replay >= e.opt.CompactAfterOps {
-		compact = true
-	}
+	compact := total > 0 && float64(replay)/float64(total) >= e.dirty
 
-	// CheckpointEvery is a *minimum* spacing: on large lists it is raised so
-	// one pass captures at most maxCheckpoints states. Each capture deep-copies
-	// the chain and merge stream (O(|E| + K1)), so a fixed spacing would make
-	// checkpointing quadratic in list size across a replay.
-	saveEvery := int64(e.ckEv)
+	// defaultCheckpointEvery is a *minimum* spacing: on large lists it is
+	// raised so one pass captures at most maxCheckpoints states. Each capture
+	// deep-copies the chain and merge stream (O(|E| + K1)), so a fixed
+	// spacing would make checkpointing quadratic in list size across a
+	// replay.
+	saveEvery := int64(defaultCheckpointEvery)
 	if adaptive := total / maxCheckpoints; saveEvery < adaptive {
 		saveEvery = adaptive
 	}
@@ -485,7 +467,6 @@ func (e *Engine) SnapshotCtx(ctx context.Context) (*core.Result, error) {
 		// it (same content, freshly compacted storage).
 		e.pl = pl.Pairs
 		e.ckpts = thinCheckpoints(ckpts)
-		e.opsSinceCompact = 0
 		rec.Add(CtrCompactions, 1)
 		rec.Add(CtrReplayedOps, total)
 	} else {
@@ -521,7 +502,6 @@ func (e *Engine) SnapshotCtx(ctx context.Context) (*core.Result, error) {
 			}
 		}
 		e.ckpts = thinCheckpoints(merged)
-		e.opsSinceCompact += replay
 		rec.Add(CtrReplayedOps, replay)
 	}
 	e.snap, e.res = g, res

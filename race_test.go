@@ -94,7 +94,7 @@ func TestRaceCoarseSweepReplicaMerge(t *testing.T) {
 		for _, workers := range []int{2, 4, 8} {
 			params.Workers = workers
 			rec := obs.New()
-			res, err := coarse.SweepRecorded(g, pl, params, rec)
+			res, err := coarse.SweepCtx(context.Background(), g, pl, params, rec)
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}
@@ -133,7 +133,7 @@ func TestRaceSweepParallel(t *testing.T) {
 			wg.Add(1)
 			go func(workers int) {
 				defer wg.Done()
-				res, err := core.SweepParallelRecorded(g, core.Similarity(g), workers, rec)
+				res, err := core.SweepParallelCtx(context.Background(), g, core.Similarity(g), workers, rec)
 				if err != nil {
 					t.Errorf("workers=%d: %v", workers, err)
 					return
@@ -269,8 +269,12 @@ func TestRaceSharedRecorder(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pl := core.SimilarityParallelRecorded(g, 4, rec)
-			if _, err := core.SweepRecorded(g, pl, rec); err != nil {
+			pl, err := core.SimilarityCtx(context.Background(), g, 4, rec)
+			if err != nil {
+				errs <- err
+				return
+			}
+			if _, err := core.SweepCtx(context.Background(), g, pl, rec); err != nil {
 				errs <- err
 			}
 		}()

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"linkclust/internal/core"
 	"linkclust/internal/graph"
 	"linkclust/internal/planted"
 	"linkclust/internal/rng"
@@ -53,17 +54,17 @@ func TestSpilledDifferentialMatrix(t *testing.T) {
 	for name, tc := range spillDiffGraphs(t) {
 		t.Run(name, func(t *testing.T) {
 			g := tc.g
-			if wide := Similarity(g).NumIncidentPairs() >= 1<<13; wide != tc.wide {
+			if wide := core.Similarity(g).NumIncidentPairs() >= 1<<13; wide != tc.wide {
 				t.Fatalf("family sized for wide=%v buckets but NumIncidentPairs lands in wide=%v", tc.wide, wide)
 			}
-			serial, err := SweepCtx(context.Background(), g, Similarity(g), nil)
+			serial, err := SweepCtx(context.Background(), g, core.Similarity(g), nil)
 			if err != nil {
 				t.Fatalf("serial: %v", err)
 			}
 			want := sha(canonMerges(serial))
 			var buckets, bytes int64 = -1, -1
 			for _, workers := range []int{1, 4, 8} {
-				par, err := SweepParallel(g, Similarity(g), workers)
+				par, err := SweepParallelCtx(context.Background(), g, core.Similarity(g), workers, nil)
 				if err != nil {
 					t.Fatalf("parallel T=%d: %v", workers, err)
 				}
@@ -71,7 +72,7 @@ func TestSpilledDifferentialMatrix(t *testing.T) {
 					t.Fatalf("parallel T=%d hash %s, serial %s", workers, got, want)
 				}
 				rec := NewRecorder()
-				sp, err := sweepSpilled(context.Background(), g, Similarity(g), workers, t.TempDir(), rec)
+				sp, err := sweepSpilled(context.Background(), g, core.Similarity(g), workers, t.TempDir(), rec)
 				if err != nil {
 					t.Fatalf("spilled T=%d: %v", workers, err)
 				}
