@@ -486,7 +486,9 @@ func PartitionDensity(g *Graph, labels []int32) float64 {
 }
 
 // BestCut returns the similarity threshold whose flat clustering maximizes
-// partition density, with that density and clustering.
+// partition density, with that density and clustering. Ties go to the higher
+// threshold, and theta is 2 (above every similarity) whenever the
+// all-singletons cut wins. One union-find pass scores every threshold.
 func BestCut(g *Graph, d *Dendrogram) (theta, density float64, labels []int32) {
 	return dendro.BestCut(g, d)
 }

@@ -664,8 +664,13 @@ func cmdCluster(ctx context.Context, args []string, stdin io.Reader, stdout io.W
 		}
 		fmt.Fprintf(stdout, "dendrogram written to %s\n", *newick)
 	}
+	// -dot and -communities draw the same best cut.
+	var theta, density float64
+	var labels []int32
+	if (*dot != "" || *comms > 0) && d != nil {
+		theta, density, labels = linkclust.BestCut(g, d)
+	}
 	if *dot != "" && d != nil {
-		_, _, labels := linkclust.BestCut(g, d)
 		f, err := os.Create(*dot)
 		if err != nil {
 			return err
@@ -680,7 +685,6 @@ func cmdCluster(ctx context.Context, args []string, stdin io.Reader, stdout io.W
 		fmt.Fprintf(stdout, "DOT graph written to %s\n", *dot)
 	}
 	if *comms > 0 && d != nil {
-		theta, density, labels := linkclust.BestCut(g, d)
 		fmt.Fprintf(stdout, "best cut: sim >= %.6g, partition density %.4f\n", theta, density)
 		cs := linkclust.Communities(g, labels)
 		for i, c := range cs {

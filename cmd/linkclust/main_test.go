@@ -5,9 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
+
+	"linkclust"
 )
 
 // pipeline produces a small corpus and graph through the actual subcommands.
@@ -208,6 +211,64 @@ func TestClusterDotOutput(t *testing.T) {
 	}
 	if !strings.Contains(string(data), "graph linkclust {") || !strings.Contains(string(data), "--") {
 		t.Fatalf("DOT malformed: %.100s", data)
+	}
+}
+
+// TestClusterDotAndCommunities sets -dot and -communities together: the DOT
+// file must colour edges by the same best cut the printed communities and
+// density come from.
+func TestClusterDotAndCommunities(t *testing.T) {
+	// Two K4s sharing vertex 3, plus a triangle hanging off vertex 6: the
+	// best cut keeps the three dense groups apart.
+	var gb strings.Builder
+	gb.WriteString("vertices 9\n")
+	for _, clique := range [][]int{{0, 1, 2, 3}, {3, 4, 5, 6}, {6, 7, 8}} {
+		for i, u := range clique {
+			for _, v := range clique[i+1:] {
+				fmt.Fprintf(&gb, "edge %d %d 1\n", u, v)
+			}
+		}
+	}
+	gtext := gb.String()
+	path := t.TempDir() + "/graph.dot"
+	var out bytes.Buffer
+	err := run(context.Background(), []string{"cluster", "-algo", "sweep", "-dot", path, "-communities", "1000"}, strings.NewReader(gtext), &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dotFile, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	g, err := linkclust.ReadGraph(strings.NewReader(gtext))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := linkclust.ClusterCtx(context.Background(), g, linkclust.ClusterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	theta, density, labels := linkclust.BestCut(g, linkclust.NewDendrogram(res))
+	var wantDOT bytes.Buffer
+	if err := linkclust.WriteDOT(&wantDOT, g, func(e int32) int32 { return labels[e] }); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(dotFile, wantDOT.Bytes()) {
+		t.Fatal("DOT colouring differs from the best cut")
+	}
+	comms := linkclust.Communities(g, labels)
+	if len(comms) < 2 {
+		t.Fatalf("best cut has %d communities; need several to tell cuts apart", len(comms))
+	}
+	if want := fmt.Sprintf("best cut: sim >= %.6g, partition density %.4f\n", theta, density); !strings.Contains(out.String(), want) {
+		t.Fatalf("output missing %q:\n%s", want, out.String())
+	}
+	for i, c := range comms {
+		want := fmt.Sprintf("community %d: %d links, %d nodes:", i+1, len(c.Edges), len(c.Nodes))
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("output missing %q:\n%s", want, out.String())
+		}
 	}
 }
 

@@ -236,18 +236,7 @@ func TestBestCutTwoCliques(t *testing.T) {
 	// Two K4s sharing one vertex: the best cut separates the cliques into
 	// two dense link communities with density 1 and the shared vertex in
 	// both communities.
-	b := graph.NewBuilder(7)
-	for u := 0; u < 4; u++ {
-		for v := u + 1; v < 4; v++ {
-			b.MustAddEdge(u, v, 1)
-		}
-	}
-	for u := 3; u < 7; u++ {
-		for v := u + 1; v < 7; v++ {
-			b.MustAddEdge(u, v, 1)
-		}
-	}
-	g := b.Build(nil)
+	g := twoCliques()
 	res, err := core.Sweep(g, core.Similarity(g))
 	if err != nil {
 		t.Fatal(err)
