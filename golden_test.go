@@ -20,7 +20,7 @@ import (
 // the failure message — any other trigger is a regression in determinism.
 const (
 	goldenClusterSHA  = "acd8ee08ada0f030f60c9c94cac36a65c66d1d94744f3e18fadb6a8020d86e8c"
-	goldenCountersSHA = "d380c6c2721ddb74aa477557fc7c247ffcd6061447500718f5ec51895c3892dd"
+	goldenCountersSHA = "5104a6ec61026174e8700e44bd0dc6ebf113751e0e2bfbf0f5e0073b7a0d327b"
 	// goldenStreamCountersSHA pins the stream.* counters of the canonical
 	// golden-graph replay (batches of 512, a snapshot every fourth batch):
 	// like the engine counters above they are pure functions of the arrival
@@ -77,6 +77,7 @@ var goldenInvariantCounters = []string{
 	core.CtrSweepNoopDrops,
 	core.CtrSweepSerialDrains,
 	core.CtrSweepFlattens,
+	core.CtrSweepTailOps,
 }
 
 // canonCounters serializes the worker-invariant counters of a run report in

@@ -48,7 +48,9 @@ type SweepState struct {
 }
 
 // captureState deep-copies the engine's resumable state at its current
-// window boundary.
+// window boundary. A closed engine's boundary is the closing window's end:
+// the ops retired past it change nothing but PairsProcessed, which is
+// therefore captured without them.
 func captureState(e *sweepEngine) SweepState {
 	return SweepState{
 		Pos:             e.wp,
@@ -56,7 +58,7 @@ func captureState(e *sweepEngine) SweepState {
 		Changes:         e.ch.changes,
 		Merges:          append([]Merge(nil), e.res.Merges...),
 		Levels:          e.res.Levels,
-		PairsProcessed:  e.res.PairsProcessed,
+		PairsProcessed:  e.res.PairsProcessed - e.tailOps,
 		OpsSinceFlatten: e.opsSinceFlatten,
 	}
 }
@@ -80,16 +82,21 @@ func captureState(e *sweepEngine) SweepState {
 //
 // When save is non-nil it receives a checkpoint at every window boundary
 // reached after at least saveEvery operations since the last one (saveEvery
-// <= 0 disables intermediate checkpoints), plus a final checkpoint with Pos =
-// len(pl.Pairs) after the last window. Checkpoints are deep copies; save may
-// retain them.
+// <= 0 disables intermediate checkpoints), plus a final checkpoint, flagged
+// final, after the last window. The engine closes once its merges span the
+// op graph (see closeIfSpanned), so no checkpoint is captured past the
+// closing window: the final one sits at the closing window's end, or at
+// len(pl.Pairs) for a list that never closes. Because the closing point is a
+// function of the merges alone, a resume from it against a grown graph cuts
+// exactly the windows of a from-scratch run. Checkpoints are deep copies;
+// save may retain them.
 //
 // The pair list must be in list-L order already (its sorted flag set — see
 // NewSortedPairList) or is sorted here. Cancellation and panic isolation
 // match SweepParallelCtx: the context is polled at every window cut, and on
 // error the partial result is discarded (checkpoints already delivered to
 // save remain valid — they describe prefixes that were fully processed).
-func SweepResumeCtx(ctx context.Context, g *graph.Graph, pl *PairList, from *SweepState, workers, saveEvery int, save func(SweepState), rec *obs.Recorder) (res *Result, err error) {
+func SweepResumeCtx(ctx context.Context, g *graph.Graph, pl *PairList, from *SweepState, workers, saveEvery int, save func(st SweepState, final bool), rec *obs.Recorder) (res *Result, err error) {
 	defer par.RecoverPanicError(&err)
 	workers = par.Normalize(workers)
 	end := rec.Phase("sweep")
@@ -134,7 +141,7 @@ func SweepResumeCtx(ctx context.Context, g *graph.Graph, pl *PairList, from *Swe
 		// output, so this changes only where checkpoints become available.
 		lastSaved := pos
 		next := pos
-		for next < n {
+		for next < n && !e.closed {
 			ops := 0
 			for next < n && ops < saveEvery {
 				ops += len(pl.Pairs[next].Common)
@@ -143,20 +150,19 @@ func SweepResumeCtx(ctx context.Context, g *graph.Graph, pl *PairList, from *Swe
 			if err := e.consume(next, next == n); err != nil {
 				return nil, err
 			}
-			if e.wp > lastSaved && e.wp < n {
-				save(captureState(e))
+			if !e.closed && e.wp > lastSaved && e.wp < n {
+				save(captureState(e), false)
 				lastSaved = e.wp
 			}
 		}
-		if n == pos {
-			// Empty replay range: still run the final cut so counters record.
-			if err := e.consume(n, true); err != nil {
-				return nil, err
-			}
+		// Retire a closed run's tail in one pass (and, for an empty replay
+		// range, still run the final cut); a no-op otherwise.
+		if err := e.consume(n, true); err != nil {
+			return nil, err
 		}
 	}
 	if save != nil {
-		save(captureState(e))
+		save(captureState(e), true)
 	}
 	recordSweepEngine(rec, e)
 	return e.res, nil

@@ -44,7 +44,7 @@ func TestSweepResumeFromEveryCheckpoint(t *testing.T) {
 		pl := Similarity(g)
 		var ckpts []SweepState
 		got, err := SweepResumeCtx(context.Background(), g, pl, nil, 4, 2048,
-			func(s SweepState) { ckpts = append(ckpts, s) }, nil)
+			func(s SweepState, _ bool) { ckpts = append(ckpts, s) }, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,9 +52,22 @@ func TestSweepResumeFromEveryCheckpoint(t *testing.T) {
 		if len(ckpts) < 3 {
 			t.Fatalf("seed=%d: only %d checkpoints (need intermediate coverage)", seed, len(ckpts))
 		}
+		// The final checkpoint sits at the closing window's end: the first
+		// state whose merges span the op graph, with nothing captured past it.
 		last := ckpts[len(ckpts)-1]
-		if last.Pos != len(pl.Pairs) {
-			t.Fatalf("seed=%d: final checkpoint at %d, want %d", seed, last.Pos, len(pl.Pairs))
+		forest := forestSize(g)
+		if last.Levels != forest || last.Pos >= len(pl.Pairs) {
+			t.Fatalf("seed=%d: final checkpoint at pos %d of %d with %d levels, want the closing window (forest %d)",
+				seed, last.Pos, len(pl.Pairs), last.Levels, forest)
+		}
+		if ops := opsBelow(pl, last.Pos); last.PairsProcessed != ops {
+			t.Fatalf("seed=%d: final checkpoint counts %d ops, %d lie below its pos", seed, last.PairsProcessed, ops)
+		}
+		for _, c := range ckpts[:len(ckpts)-1] {
+			if c.Levels >= forest || c.Pos >= last.Pos {
+				t.Fatalf("seed=%d: checkpoint at pos %d (%d levels) is not before the closing window at %d",
+					seed, c.Pos, c.Levels, last.Pos)
+			}
 		}
 		for ci := range ckpts {
 			workers := 1 + ci%8
@@ -64,6 +77,99 @@ func TestSweepResumeFromEveryCheckpoint(t *testing.T) {
 			}
 			requireIdenticalChainState(t,
 				fmt.Sprintf("seed=%d resume from pos %d T=%d", seed, ckpts[ci].Pos, workers), res, want)
+		}
+	}
+}
+
+// opsBelow sums the incident-operation counts of pairs below pos.
+func opsBelow(pl *PairList, pos int) int64 {
+	var n int64
+	for _, p := range pl.Pairs[:pos] {
+		n += int64(len(p.Common))
+	}
+	return n
+}
+
+// TestSweepResumeClosedOnGrownGraph resumes from a closed run's final
+// checkpoint against a grown graph, as the stream's non-compaction path
+// does: the checkpoint's chain is extended with singleton entries for the
+// new edges, and the resumed run must equal a from-scratch run on the grown
+// graph bitwise — merge stream, chain array, rewrite counter. Two growths:
+// a lone edge leaves the spanning-forest size unchanged, so the resumed
+// engine is closed on entry; a weak path adds one pair that sorts after the
+// checkpoint and one forest edge, so the resumed engine must keep cutting
+// windows from the checkpoint, exactly where a from-scratch run does.
+func TestSweepResumeClosedOnGrownGraph(t *testing.T) {
+	g0 := graph.ErdosRenyi(300, 0.08, rng.New(5))
+	pl0 := Similarity(g0)
+	var final SweepState
+	if _, err := SweepResumeCtx(context.Background(), g0, pl0, nil, 2, 4096,
+		func(s SweepState, last bool) {
+			if last {
+				final = s
+			}
+		}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if final.Levels != forestSize(g0) || final.Pos >= len(pl0.Pairs) {
+		t.Fatalf("final checkpoint at pos %d of %d with %d levels: the run did not close (forest %d)",
+			final.Pos, len(pl0.Pairs), final.Levels, forestSize(g0))
+	}
+	n := g0.NumVertices()
+	for _, grow := range []struct {
+		name   string
+		add    func(b *graph.Builder)
+		forest int32 // spanning-forest edges the growth adds
+	}{
+		{"lone-edge", func(b *graph.Builder) { b.MustAddEdge(n, n+1, 0.5) }, 0},
+		{"weak-path", func(b *graph.Builder) {
+			b.MustAddEdge(n, n+1, 0.5)
+			b.MustAddEdge(n+2, n+3, 1)
+			b.MustAddEdge(n+3, n+4, 1e-9)
+		}, 1},
+	} {
+		name := grow.name
+		b := graph.NewBuilder(n + 5)
+		for _, e := range g0.Edges() {
+			b.MustAddEdge(int(e.U), int(e.V), e.Weight)
+		}
+		grow.add(b)
+		g1 := b.Build(nil)
+		if got := forestSize(g1); got != final.Levels+grow.forest {
+			t.Fatalf("%s: forest %d, want %d", name, got, final.Levels+grow.forest)
+		}
+		pl1 := Similarity(g1)
+		pl1.Sort()
+		for i := 0; i < final.Pos; i++ {
+			p, q := &pl0.Pairs[i], &pl1.Pairs[i]
+			if p.U != q.U || p.V != q.V || p.Sim != q.Sim || len(p.Common) != len(q.Common) {
+				t.Fatalf("%s: grown list diverges at pair %d, before the checkpoint at %d", name, i, final.Pos)
+			}
+		}
+		st := final
+		st.Chain = make([]int32, g1.NumEdges())
+		copy(st.Chain, final.Chain)
+		for i := len(final.Chain); i < len(st.Chain); i++ {
+			st.Chain[i] = int32(i)
+		}
+		want, err := SweepParallel(g1, pl1, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial, err := Sweep(g1, pl1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireIdenticalSweep(t, name+" from scratch vs serial", want, serial)
+		if want.Levels != final.Levels+grow.forest {
+			t.Fatalf("%s: %d levels, want %d", name, want.Levels, final.Levels+grow.forest)
+		}
+		for _, workers := range []int{1, 2, 8} {
+			got, err := SweepResumeCtx(context.Background(), g1, pl1, &st, workers, 0, nil, nil)
+			if err != nil {
+				t.Fatalf("%s T=%d: %v", name, workers, err)
+			}
+			requireIdenticalChainState(t, fmt.Sprintf("%s resume T=%d", name, workers), got, want)
 		}
 	}
 }

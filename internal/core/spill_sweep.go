@@ -321,7 +321,7 @@ func SweepSpilledOpts(ctx context.Context, g *graph.Graph, pl *PairList, workers
 			// Everything below the window cursor is at its final position
 			// and will never be re-read: drop the commons references so each
 			// bucket's decode arena frees as the sweep moves past it.
-			for ; released < e.wp; released++ {
+			for ; released < e.retired(); released++ {
 				buf[released].Common = nil
 			}
 		}

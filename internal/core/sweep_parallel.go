@@ -36,6 +36,11 @@ const (
 	// available, so the value is worker-dependent — but which operations it
 	// selects, defers, or drops is not (see casRound).
 	CtrSweepCASRounds = "sweep.cas_rounds"
+	// CtrSweepTailOps counts operations retired by the closure pass: ops
+	// after the window whose merges completed the op graph's spanning
+	// forest. They are no-ops by construction, so they are counted in
+	// CtrSweepNoopDrops as well.
+	CtrSweepTailOps = "sweep.tail_ops"
 )
 
 // Engine tuning. Every threshold is a function of operation counts only —
@@ -84,12 +89,11 @@ const (
 // periodic count-triggered flatten passes, so the two take different rewrite
 // sequences to the same partition.
 //
-// The ISSUE's replica scheme (per-worker clones folded with MergeChains, as
-// the coarse sweep uses via MergeOpsReplicated) cannot achieve stream
-// exactness: replica folds only reveal partition diffs, losing which
-// operation caused which merge and the serial (A, B) operand order. The
-// reservation engine keeps a single chain precisely so every event is
-// attributed at its serial position.
+// The engine stops merging once the merge stream spans the op graph: after
+// the window in which Levels reaches |E| minus the number of non-isolated
+// components of g, every later op joins two edges already in one cluster,
+// so the rest of the list is retired by one read-only edge-existence pass
+// (see retire) instead of being resolved and scheduled.
 func SweepParallel(g *graph.Graph, pl *PairList, workers int) (*Result, error) {
 	return SweepParallelCtx(context.Background(), g, pl, workers, nil)
 }
@@ -98,11 +102,12 @@ func SweepParallel(g *graph.Graph, pl *PairList, workers int) (*Result, error) {
 // isolation, and optional instrumentation: sort/merge phase timers plus the
 // serial sweep's counters and the engine's window/round/deferral counters
 // are recorded into rec. The context is checked at every op-count window
-// cut (8192 incident operations) and inside the parallel sort, so cancel
-// latency is bounded by one window of merge work (or one sort round) for
-// any worker count; on cancellation every pool drains before ctx.Err() is
-// returned, so no goroutine outlives the call. A panic inside a worker
-// surfaces as a *par.WorkerPanicError. The checks are pure reads — when ctx
+// cut (8192 incident operations), every 8192 ops of each closure-pass
+// worker, and inside the parallel sort, so cancel latency is bounded by one
+// window of merge work (or one sort round) for any worker count; on
+// cancellation every pool drains before ctx.Err() is returned, so no
+// goroutine outlives the call. A panic inside a worker surfaces as a
+// *par.WorkerPanicError. The checks are pure reads — when ctx
 // never cancels, the merge stream is bitwise identical to the serial Sweep.
 // It is SweepResumeCtx without a checkpoint to start from or to save.
 func SweepParallelCtx(ctx context.Context, g *graph.Graph, pl *PairList, workers int, rec *obs.Recorder) (*Result, error) {
@@ -126,6 +131,7 @@ func recordSweepEngine(rec *obs.Recorder, e *sweepEngine) {
 	rec.Add(CtrSweepSerialDrains, e.drains)
 	rec.Add(CtrSweepFlattens, e.flattens)
 	rec.Add(CtrSweepCASRounds, e.casRounds)
+	rec.Add(CtrSweepTailOps, e.tailOps)
 }
 
 // sweepEngine holds the shared chain, the per-window operation buffers
@@ -191,6 +197,20 @@ type sweepEngine struct {
 
 	opsSinceFlatten int64
 
+	// forest is the op graph's spanning-forest size (see forestSize): no
+	// sweep over g can emit more merges. Once Levels reaches it at a window
+	// boundary the engine is closed: wp stays at that boundary, and pairs
+	// from wp on are only checked for edge existence by retire, which
+	// advances tp. rowOf, bits and words are its neighbor bitsets (see
+	// buildRows), built when the engine closes.
+	forest  int32
+	closed  bool
+	tp      int
+	tailOps int64
+	rowOf   []int32
+	bits    []uint64
+	words   int
+
 	windows, rounds, deferrals, drops, drains, flattens, casRounds int64
 
 	errMu sync.Mutex
@@ -235,7 +255,23 @@ func (e *sweepEngine) init() {
 	e.parChg = make([]int64, e.workers)
 	e.wbuf = make([]survivorBuf, e.workers)
 	e.rbuf = make([]roundBuf, e.workers)
+	e.forest = forestSize(e.g)
 	e.buildCSR()
+}
+
+// forestSize returns the size of a maximum spanning forest of the op graph,
+// whose vertices are g's edges: |E| minus the number of components of g
+// that have at least one edge. Phase I emits an op for every wedge, so the
+// op graph's components are exactly g's edge components, and each merge
+// joins two clusters of one component.
+func forestSize(g *graph.Graph) int32 {
+	_, comps := graph.ConnectedComponents(g)
+	for v := 0; v < g.NumVertices(); v++ {
+		if g.Degree(v) == 0 {
+			comps--
+		}
+	}
+	return int32(g.NumEdges() - comps)
 }
 
 // consume advances the window cutter over pairs below the frontier index and
@@ -250,9 +286,16 @@ func (e *sweepEngine) init() {
 // not change afterwards; the spilled read-back producer guarantees this by
 // emitting a frontier only after the bucket below it is sorted and copied in
 // place.
+//
+// Closure is checked at every window boundary (and on entry, which covers a
+// forest of size zero and a restored checkpoint that had already closed).
+// The closing point depends only on the merges, so it is the same for any
+// worker count and any frontier sequence; past it consume hands the pairs
+// to retire.
 func (e *sweepEngine) consume(frontier int, final bool) error {
 	pairs := e.pl.Pairs
-	for {
+	e.closeIfSpanned()
+	for !e.closed {
 		// Accumulate pairs into the window under construction, with
 		// per-pair op offsets for the parallel fill.
 		for e.wq < frontier && e.wops < sweepWindowOps {
@@ -292,7 +335,26 @@ func (e *sweepEngine) consume(frontier int, final bool) error {
 		e.wp = e.wq
 		e.wops = 0
 		e.offs = e.offs[:0]
+		e.closeIfSpanned()
 	}
+	return e.retire(frontier)
+}
+
+// closeIfSpanned closes the engine once the merge stream spans the op
+// graph. It runs only at window boundaries, where wq == wp.
+func (e *sweepEngine) closeIfSpanned() {
+	if !e.closed && e.res.Levels >= e.forest {
+		e.closed = true
+		e.tp = e.wp
+	}
+}
+
+// retired returns the pair index below which every pair is fully processed.
+func (e *sweepEngine) retired() int {
+	if e.closed {
+		return e.tp
+	}
+	return e.wp
 }
 
 // flatten rewrites every chain entry to point directly at its cluster
@@ -577,11 +639,16 @@ func (e *sweepEngine) resolveRange(p0, lo, hi int, b *survivorBuf) {
 func (e *sweepEngine) fail(pi, op int, k int32) {
 	e.errMu.Lock()
 	if e.err == nil || op < e.errOp {
-		pr := &e.pl.Pairs[pi]
 		e.errOp = op
-		e.err = fmt.Errorf("core: pair (%d,%d) common neighbor %d has no incident edges in graph", pr.U, pr.V, k)
+		e.err = missingEdgeError(&e.pl.Pairs[pi], k)
 	}
 	e.errMu.Unlock()
+}
+
+// missingEdgeError is the serial sweep's error for an op whose edge (U, k)
+// or (V, k) is not in the graph.
+func missingEdgeError(pr *Pair, k int32) error {
+	return fmt.Errorf("core: pair (%d,%d) common neighbor %d has no incident edges in graph", pr.U, pr.V, k)
 }
 
 // find computes the pre-round cluster ids of every pending op. It is

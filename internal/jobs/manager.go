@@ -715,14 +715,13 @@ func (m *Manager) sweep(ctx context.Context, j *Job, pl *linkclust.PairList, rec
 		m.mResumed.Add(1)
 	}
 	rec.SetMeta("sweep_engine", linkclust.EngineParallel)
-	var save func(core.SweepState)
+	var save func(core.SweepState, bool)
 	saveEvery := 0
 	if checkpointing {
 		saveEvery = m.cfg.CheckpointOps
-		total := len(pl.Pairs)
-		save = func(st core.SweepState) {
-			if st.Pos >= total {
-				return // final state; the done record supersedes it
+		save = func(st core.SweepState, final bool) {
+			if final {
+				return // the done record supersedes it
 			}
 			if m.store.saveCkpt(j.ID, j.graphKey, &st) {
 				m.store.append(persist.Record{

@@ -119,7 +119,7 @@ type Engine struct {
 	rks []*core.RowKernel
 	// pl is the maintained pair list in list-L order; ckpts are sweep states
 	// valid against it, ascending by Pos (the last one, when clean, is the
-	// full-replay state at Pos = len(pl)).
+	// final state of the last sweep: its closing window's end).
 	pl    []core.Pair
 	ckpts []core.SweepState
 	// pending holds endpoints of applied-but-unrefreshed arrivals. Non-empty
@@ -448,7 +448,7 @@ func (e *Engine) SnapshotCtx(ctx context.Context) (*core.Result, error) {
 		saveEvery = adaptive
 	}
 	var ckpts []core.SweepState
-	save := func(s core.SweepState) { ckpts = append(ckpts, s) }
+	save := func(s core.SweepState, _ bool) { ckpts = append(ckpts, s) }
 	var res *core.Result
 	if compact {
 		fault.Hit(fault.StreamCompact)
