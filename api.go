@@ -390,16 +390,16 @@ func RunSweep(ctx context.Context, g *Graph, pl *PairList, opts ClusterOptions, 
 
 // Incremental streaming clustering. A Stream ingests edge arrivals and keeps
 // the clustering current: only the similarity rows an arrival can affect are
-// recomputed, and each snapshot replays the sweep from the deepest still-valid
-// checkpoint (or falls back to the batch pipeline when the compaction trigger
-// fires). Snapshots are bitwise identical to a batch ClusterCtx run on the
-// accumulated graph — see internal/stream and DESIGN.md §9.
+// recomputed and spliced into a maintained sorted pair list, and each snapshot
+// is one sweep of that list. Snapshots are bitwise identical to a batch
+// ClusterCtx run on the accumulated graph — see internal/stream and DESIGN.md
+// §9.
 type (
 	// Stream is the incremental clustering engine. All methods are safe for
 	// concurrent use; a Snapshot observes all or none of a concurrent ingest.
 	Stream = stream.Engine
-	// StreamOptions configures a Stream (workers, recorder, vertex bound,
-	// compaction trigger). The zero value is usable.
+	// StreamOptions configures a Stream (workers, recorder, vertex bound).
+	// The zero value is usable.
 	StreamOptions = stream.Options
 	// Arrival is one streamed edge: endpoints and weight, validated exactly
 	// like GraphBuilder.AddEdge; a repeated pair overwrites the weight.
@@ -411,9 +411,14 @@ type (
 // so they join the golden worker-invariant set.
 const (
 	CtrStreamAffectedRows = stream.CtrAffectedRows
-	CtrStreamReplayedOps  = stream.CtrReplayedOps
-	CtrStreamCompactions  = stream.CtrCompactions
-	CtrStreamBatches      = stream.CtrBatches
+	// CtrStreamReplayedOps counts the ops snapshots sweep: the list's K2
+	// per snapshot.
+	CtrStreamReplayedOps = stream.CtrReplayedOps
+	// CtrStreamCompactions is never recorded (snapshots have no batch
+	// fallback). It stays exported only because the benchmark reads it; the
+	// next benchmark change retires it.
+	CtrStreamCompactions = stream.CtrCompactions
+	CtrStreamBatches     = stream.CtrBatches
 )
 
 // NewStream returns an incremental clustering engine. Feed it with

@@ -334,6 +334,57 @@ func BenchmarkSweepParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkStreamStep times one step of the end-to-end benchmark's
+// stream-trickle workload: a 16-edge IngestBatch plus a Snapshot on a warm
+// stream over the corpus-communities-sized word graph, whose last 1,600
+// edges arrive as the trickle. When the trickle runs out, a fresh engine is
+// warmed untimed. It reports the largest ratio over all steps of the Common
+// ints the maintained list can keep reachable to its live op count — the
+// storage the engine's re-pack bounds.
+func BenchmarkStreamStep(b *testing.B) {
+	g, err := corpusGraph()
+	if err != nil {
+		b.Fatal(err)
+	}
+	arrivals := make([]Arrival, g.NumEdges())
+	for i, e := range g.Edges() {
+		arrivals[i] = Arrival{U: int(e.U), V: int(e.V), W: e.Weight}
+	}
+	const batch, trickle = 16, 1600
+	warm := len(arrivals) - trickle
+	var eng *Stream
+	next := len(arrivals)
+	worst := 0.0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if next == len(arrivals) {
+			b.StopTimer()
+			if eng, err = NewStream(StreamOptions{}); err == nil {
+				err = eng.IngestBatch(arrivals[:warm])
+			}
+			if err == nil {
+				_, err = eng.Snapshot()
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			next = warm
+			b.StartTimer()
+		}
+		if err := eng.IngestBatch(arrivals[next : next+batch]); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.Snapshot(); err != nil {
+			b.Fatal(err)
+		}
+		next += batch
+		held, live := eng.CommonInts()
+		worst = max(worst, float64(held)/float64(live))
+	}
+	b.ReportMetric(worst, "common-ints/live-op")
+}
+
 // BenchmarkPairListSort isolates the K1·log K1 sort that becomes the
 // dominant serial fraction once the wedge kernel shrinks accumulation:
 // the legacy closure-based sort.Slice-equivalent serial path (workers=1)

@@ -299,9 +299,9 @@ func TestFaultMatrix(t *testing.T) {
 	// fire on the windowed parallel path and SlowProducer on the spilled
 	// sweep's read-back producer; the stream points
 	// fire on the incremental path (a whole-graph ingest hits the ingest
-	// point at the batch head, and the first snapshot — no checkpoints yet,
-	// so the replay fraction is 1 — takes the compaction fallback); the
-	// spill points fire on the out-of-core sweep.
+	// point at the batch head, and the first snapshot hits the snapshot
+	// point at its sweep entry); the spill points fire on the out-of-core
+	// sweep.
 	for _, p := range fault.Points() {
 		t.Run(p.String(), func(t *testing.T) {
 			resetFaults(t)
@@ -339,7 +339,7 @@ func TestFaultMatrix(t *testing.T) {
 					t.Fatalf("disarmed hash %s, golden %s", got, goldenClusterSHA)
 				}
 				return
-			case fault.StreamIngest, fault.StreamCompact:
+			case fault.StreamIngest, fault.StreamSnapshot:
 				var eng *Stream
 				eng, err = NewStream(StreamOptions{Workers: 4, MaxVertices: g.NumVertices()})
 				if err != nil {
@@ -457,8 +457,8 @@ func testPersistFaultPoint(t *testing.T, p fault.Point, fired *bool) {
 
 // TestFaultStreamCancel arms the stream points with a context cancel. The
 // ingest point fires before any mutation, so a cancelled ingest must leave
-// the graph untouched; the compact point fires after the trigger decision
-// but before any batch work, so a cancelled snapshot must leave the engine
+// the graph untouched; the snapshot point fires after the refresh but
+// before the sweep, so a cancelled snapshot must leave the engine
 // retryable. Either way, disarming and retrying produces the golden
 // clustering, and no goroutine outlives the cancelled call.
 func TestFaultStreamCancel(t *testing.T) {
@@ -495,15 +495,12 @@ func TestFaultStreamCancel(t *testing.T) {
 		waitGoroutinesBack(t, base)
 	})
 
-	t.Run("compact", func(t *testing.T) {
+	t.Run("snapshot", func(t *testing.T) {
 		resetFaults(t)
 		base := runtime.NumGoroutine()
 		eng, err := NewStream(StreamOptions{
 			Workers:     4,
 			MaxVertices: g.NumVertices(),
-			// Any replay triggers compaction, so the armed point is reached
-			// on the very first snapshot.
-			CompactDirtyFraction: 1e-12,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -513,7 +510,7 @@ func TestFaultStreamCancel(t *testing.T) {
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		fault.Arm(fault.StreamCompact, 1, cancel)
+		fault.Arm(fault.StreamSnapshot, 1, cancel)
 		if _, err := eng.SnapshotCtx(ctx); !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}

@@ -25,7 +25,7 @@ const (
 	// golden-graph replay (batches of 512, a snapshot every fourth batch):
 	// like the engine counters above they are pure functions of the arrival
 	// sequence and batching, never of the worker count.
-	goldenStreamCountersSHA = "2a2b8be5d1b7970b6bdfc8b81808e2e708efd9c794e812852ae03fe0053417ce"
+	goldenStreamCountersSHA = "ff3610ed7784afa8a9cf0edba4a56c719b66e65a3175396f96e32076e16ad410"
 )
 
 // goldenGraph builds the fixed-seed word-association network the golden
@@ -179,9 +179,8 @@ func TestGoldenEngine(t *testing.T) {
 
 // replayGoldenStream feeds the golden graph's edges, in id order, into a
 // stream engine in batches of 512 with a snapshot every fourth batch — the
-// intermediate snapshots build checkpoints and exercise the replay (and,
-// at the default dirty fraction, the compaction) path mid-stream — and
-// returns the final snapshot.
+// intermediate snapshots sweep the spliced list mid-stream — and returns the
+// final snapshot.
 func replayGoldenStream(t *testing.T, eng *Stream, arr []Arrival) *Result {
 	t.Helper()
 	const batch = 512
@@ -236,9 +235,9 @@ func canonStreamCounters(rep *RunReport) string {
 }
 
 // TestGoldenStreamCounters pins the stream.* counters of the canonical
-// replay: affected rows, replayed ops, compactions, and batches all derive
-// from the arrival sequence and op counts, so every worker count must
-// serialize to the same checked-in hash.
+// replay: affected rows, replayed ops, compactions (never recorded, so 0),
+// and batches all derive from the arrival sequence and op counts, so every
+// worker count must serialize to the same checked-in hash.
 func TestGoldenStreamCounters(t *testing.T) {
 	g := goldenGraph(t)
 	arr := streamArrivals(g)

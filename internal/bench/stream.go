@@ -18,10 +18,10 @@ const streamWorkers = 8
 
 // The timed protocol: everything but the last streamTimedSteps batches of
 // streamTimedBatch arrivals is ingested (and snapshotted once) untimed, so
-// every timed batch arrives at an engine with a mature pair list and
-// checkpoint set — the steady state the incremental path is for. Batches are
-// deliberately small: the scenario under test is "a trickle of arrivals on a
-// large accumulated graph", where from-scratch reclustering is pure waste.
+// every timed batch arrives at an engine with a mature pair list — the
+// steady state the incremental path is for. Batches are deliberately small:
+// the scenario under test is "a trickle of arrivals on a large accumulated
+// graph", where from-scratch reclustering is pure waste.
 const (
 	streamTimedBatch = 64
 	streamTimedSteps = 5
@@ -34,8 +34,8 @@ type streamResult struct {
 	BatchEdges int     `json:"batch_edges"` // arrivals in this batch
 
 	// AffectedRows/ReplayedOps are the engine's own counters for this batch:
-	// similarity rows recomputed and sweep ops replayed from the resume
-	// checkpoint — the incremental path's actual work.
+	// similarity rows recomputed and sweep ops the snapshot ran — the
+	// incremental path's actual work.
 	AffectedRows int64 `json:"affected_rows"`
 	ReplayedOps  int64 `json:"replayed_ops"`
 	TotalOps     int64 `json:"total_ops"` // K2 of the post-batch graph
@@ -65,9 +65,7 @@ type streamReport struct {
 // the edges in id order). Every
 // snapshot is compared bitwise to the batch result before its time counts, so
 // a green run certifies the differential contract on real workloads while
-// measuring what incrementality buys. Compaction is disabled for the timed
-// engine: the batch column *is* the compaction fallback's cost, so the table
-// reads directly as replay-path versus fallback.
+// measuring what incrementality buys.
 func Stream(w io.Writer, cfg Config) error {
 	// Both sides run T=8; par.Normalize clamps to GOMAXPROCS, so raise it for
 	// the duration as the kernels experiment does.
@@ -86,7 +84,6 @@ func Stream(w io.Writer, cfg Config) error {
 			"every incremental snapshot is compared bitwise to a parallel batch run on the identical prefix graph before its time counts",
 			fmt.Sprintf("all but the last %d batches of %d arrivals are ingested untimed (steady state); the small timed batches model a trickle of arrivals on a large accumulated graph", streamTimedSteps, streamTimedBatch),
 			"incremental timings are single-shot (ingest mutates the engine); the batch side reports the minimum over -repeats runs",
-			"compaction is disabled on the timed engine: the batch column is exactly the compaction fallback's cost",
 		},
 	}
 	report := &streamReport{
@@ -144,9 +141,6 @@ func streamAlpha(wl Workload, cfg Config, t *Table) ([]streamResult, error) {
 		Workers:     streamWorkers,
 		Recorder:    rec,
 		MaxVertices: n,
-		// Above 1 never triggers on fraction; the batch column below is the
-		// fallback's cost, measured directly.
-		CompactDirtyFraction: 2,
 	})
 	if err != nil {
 		return nil, err
@@ -162,7 +156,7 @@ func streamAlpha(wl Workload, cfg Config, t *Table) ([]streamResult, error) {
 		return out
 	}
 	// Warm phase, untimed: bulk ingest and one snapshot so the engine holds a
-	// full pair list and checkpoints before measurement starts.
+	// full pair list before measurement starts.
 	if err := eng.IngestBatch(batchOf(0, warm)); err != nil {
 		return nil, err
 	}
@@ -184,9 +178,6 @@ func streamAlpha(wl Workload, cfg Config, t *Table) ([]streamResult, error) {
 			return nil, err
 		}
 		incNs := time.Since(start)
-		if c := rec.Counter(stream.CtrCompactions); c != 0 {
-			return nil, fmt.Errorf("bench: alpha %v: timed engine compacted %d times with compaction disabled", wl.Alpha, c)
-		}
 
 		// The batch side: the identical prefix graph from scratch. Replay in
 		// id order gives the Builder the same edge ids the dynamic graph

@@ -123,7 +123,7 @@ func SweepResumeCtx(ctx context.Context, g *graph.Graph, pl *PairList, from *Swe
 		}
 		copy(e.ch.c, from.Chain)
 		e.ch.changes = from.Changes
-		e.res.Merges = append([]Merge(nil), from.Merges...)
+		e.res.Merges = append(e.res.Merges, from.Merges...)
 		e.res.Levels = from.Levels
 		e.res.PairsProcessed = from.PairsProcessed
 		e.opsSinceFlatten = from.OpsSinceFlatten

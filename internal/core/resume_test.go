@@ -91,14 +91,14 @@ func opsBelow(pl *PairList, pos int) int64 {
 }
 
 // TestSweepResumeClosedOnGrownGraph resumes from a closed run's final
-// checkpoint against a grown graph, as the stream's non-compaction path
-// does: the checkpoint's chain is extended with singleton entries for the
-// new edges, and the resumed run must equal a from-scratch run on the grown
-// graph bitwise — merge stream, chain array, rewrite counter. Two growths:
-// a lone edge leaves the spanning-forest size unchanged, so the resumed
-// engine is closed on entry; a weak path adds one pair that sorts after the
-// checkpoint and one forest edge, so the resumed engine must keep cutting
-// windows from the checkpoint, exactly where a from-scratch run does.
+// checkpoint against a grown graph: the checkpoint's chain is extended with
+// singleton entries for the new edges, and the resumed run must equal a
+// from-scratch run on the grown graph bitwise — merge stream, chain array,
+// rewrite counter. Two growths: a lone edge leaves the spanning-forest size
+// unchanged, so the resumed engine is closed on entry; a weak path adds one
+// pair that sorts after the checkpoint and one forest edge, so the resumed
+// engine must keep cutting windows from the checkpoint, exactly where a
+// from-scratch run does.
 func TestSweepResumeClosedOnGrownGraph(t *testing.T) {
 	g0 := graph.ErdosRenyi(300, 0.08, rng.New(5))
 	pl0 := Similarity(g0)

@@ -244,18 +244,20 @@ type roundBuf struct {
 	drops, defers int64
 }
 
-// init allocates the chain, the reservation table, and the per-worker
-// buffers, and builds the packed adjacency. It must run before the first
-// consume call.
+// init allocates the chain, the reservation table, the per-worker buffers
+// and the merge stream, and builds the packed adjacency. It must run before
+// the first consume call. The forest size bounds the merges, and a full
+// sweep emits exactly that many, so the stream is allocated once at its
+// final size.
 func (e *sweepEngine) init() {
 	m := e.g.NumEdges()
 	e.ch = NewChain(m)
-	e.res = &Result{Chain: e.ch}
+	e.forest = forestSize(e.g)
+	e.res = &Result{Chain: e.ch, Merges: make([]Merge, 0, e.forest)}
 	e.resv = make([]int64, m)
 	e.parChg = make([]int64, e.workers)
 	e.wbuf = make([]survivorBuf, e.workers)
 	e.rbuf = make([]roundBuf, e.workers)
-	e.forest = forestSize(e.g)
 	e.buildCSR()
 }
 

@@ -66,11 +66,11 @@ const (
 	// reports ctx.Err() and the next Snapshot still matches the batch oracle
 	// on the pre-batch graph.
 	StreamIngest
-	// StreamCompact fires at the entry of every stream compaction (the
-	// batch-path fallback), after the trigger decided but before the batch
-	// recompute starts. Arming it with a context-cancel action exercises the
-	// engine's compaction-abort path; disarmed runs stay golden.
-	StreamCompact
+	// StreamSnapshot fires at the sweep entry of every stream snapshot,
+	// after the pending refresh completed and before the sweep starts.
+	// Arming it with a context-cancel action exercises the snapshot-abort
+	// path; disarmed runs stay golden.
+	StreamSnapshot
 	// SpillWrite fires in the spill store's write-behind pool, once per
 	// block write (the flush of a full or final per-bucket buffer). A firing
 	// hit is the fault: the block is not written and the store fails with an
@@ -118,8 +118,8 @@ func (p Point) String() string {
 		return "mem-breach"
 	case StreamIngest:
 		return "stream-ingest"
-	case StreamCompact:
-		return "stream-compact"
+	case StreamSnapshot:
+		return "stream-snapshot"
 	case SpillWrite:
 		return "spill-write"
 	case SpillRead:
@@ -138,7 +138,7 @@ func (p Point) String() string {
 // Points returns every registered injection point, for docs and the
 // fault-matrix test that arms each one in turn.
 func Points() []Point {
-	return []Point{WorkerPanic, SlowProducer, CancelWindow, MemBreach, StreamIngest, StreamCompact, SpillWrite, SpillRead, JournalAppend, CacheStoreWrite, CacheStoreLoad}
+	return []Point{WorkerPanic, SlowProducer, CancelWindow, MemBreach, StreamIngest, StreamSnapshot, SpillWrite, SpillRead, JournalAppend, CacheStoreWrite, CacheStoreLoad}
 }
 
 type arming struct {

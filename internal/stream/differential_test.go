@@ -5,12 +5,12 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"unsafe"
 
 	"linkclust/internal/assoc"
 	"linkclust/internal/core"
 	"linkclust/internal/corpus"
 	"linkclust/internal/graph"
-	"linkclust/internal/obs"
 	"linkclust/internal/planted"
 	"linkclust/internal/rng"
 )
@@ -175,57 +175,16 @@ func TestStreamDifferential(t *testing.T) {
 	}
 }
 
-// TestStreamCompactionPolicies pins the trigger behavior at its extremes —
-// a never-compacting engine must pay zero compactions and still be exact, an
-// always-compacting engine must compact on every snapshot and still be exact
-// — plus the duplicate-arrival path (weight overwrites mid-stream).
+// TestStreamCompactionPolicies covers the duplicate-arrival path, which the
+// engine's old compaction triggers had to get right and its one snapshot path
+// still must: it streams a graph's edges and then overwrites a slice of them
+// with new weights (last write wins on both sides), taking a snapshot after
+// every batch. Each one must equal — bitwise — a batch run on the same arrival
+// prefix replayed through a Builder.
 func TestStreamCompactionPolicies(t *testing.T) {
 	g := graph.ErdosRenyi(64, 0.12, rng.New(3))
 	arrivals := arrivalsOf(g)
 	m := len(arrivals)
-	for _, tc := range []struct {
-		name    string
-		dirty   float64
-		wantMin int64
-		wantMax int64
-	}{
-		{"never", 2.0, 0, 0},
-		{"always", 1e-12, 1, int64(m)},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			rec := obs.New()
-			e, err := New(Options{Workers: 4, MaxVertices: g.NumVertices(),
-				CompactDirtyFraction: tc.dirty, Recorder: rec})
-			if err != nil {
-				t.Fatal(err)
-			}
-			snaps := 0
-			for lo := 0; lo < m; lo += 16 {
-				hi := min(lo+16, m)
-				if err := e.IngestBatch(arrivals[lo:hi]); err != nil {
-					t.Fatal(err)
-				}
-				res, err := e.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				snaps++
-				requireSameResult(t, fmt.Sprintf("%s prefix=%d", tc.name, hi),
-					res, batchOracle(t, g.NumVertices(), arrivals, hi))
-			}
-			got := rec.Counter(CtrCompactions)
-			if tc.wantMax == 0 && got != 0 {
-				t.Fatalf("never-compact engine compacted %d times", got)
-			}
-			if tc.wantMin > 0 && got != int64(snaps) {
-				t.Fatalf("always-compact engine compacted %d times over %d snapshots", got, snaps)
-			}
-		})
-	}
-
-	// Duplicate arrivals: replay a prefix, then overwrite a slice of the
-	// edges with new weights; the oracle replays the same sequence through a
-	// Builder (last write wins on both sides).
 	t.Run("overwrites", func(t *testing.T) {
 		seq := append([]Arrival(nil), arrivals...)
 		src := rng.New(9)
@@ -243,13 +202,86 @@ func TestStreamCompactionPolicies(t *testing.T) {
 			if err := e.IngestBatch(seq[lo:hi]); err != nil {
 				t.Fatal(err)
 			}
+			res, err := e.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameResult(t, fmt.Sprintf("prefix=%d", hi), res, batchOracle(t, g.NumVertices(), seq, hi))
 		}
-		res, err := e.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameResult(t, "overwrites", res, batchOracle(t, g.NumVertices(), seq, len(seq)))
 	})
+}
+
+// TestStreamCommonRepack drives enough small batches through the engine to
+// re-pack its Common storage several times. Every snapshot must stay
+// bitwise equal to the batch oracle; after every ingest the loose count stays
+// at most half the live op count and live equals the list's op count; and
+// right after a re-pack the list's Common slices lie back to back, in list
+// order, in one arena.
+func TestStreamCommonRepack(t *testing.T) {
+	graphs := streamTestGraphs(t)
+	for _, tc := range []struct {
+		name  string
+		batch int
+	}{
+		{"erdos-renyi", 4},
+		{"word-association", 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := graphs[tc.name]
+			arrivals := arrivalsOf(g)
+			e, err := New(Options{Workers: 4, MaxVertices: g.NumVertices()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for lo := 0; lo < len(arrivals); lo += tc.batch {
+				hi := min(lo+tc.batch, len(arrivals))
+				before := e.repacks
+				if err := e.IngestBatch(arrivals[lo:hi]); err != nil {
+					t.Fatal(err)
+				}
+				var ops int64
+				for _, p := range e.pl {
+					ops += int64(len(p.Common))
+				}
+				if ops != e.live {
+					t.Fatalf("prefix=%d: live = %d, list holds %d ops", hi, e.live, ops)
+				}
+				if 2*e.loose > e.live {
+					t.Fatalf("prefix=%d: loose = %d > live/2 (live %d)", hi, e.loose, e.live)
+				}
+				if held, live := e.CommonInts(); held < live {
+					t.Fatalf("prefix=%d: held %d < live %d", hi, held, live)
+				}
+				if e.repacks != before {
+					requirePacked(t, fmt.Sprintf("prefix=%d", hi), e.pl)
+				}
+				res, err := e.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameResult(t, fmt.Sprintf("prefix=%d", hi), res,
+					batchOracle(t, g.NumVertices(), arrivals, hi))
+			}
+			if e.repacks < 3 {
+				t.Fatalf("%d re-packs over %d arrivals in batches of %d, want at least 3",
+					e.repacks, len(arrivals), tc.batch)
+			}
+		})
+	}
+}
+
+// requirePacked asserts that each pair's Common slice starts where the
+// previous one ends.
+func requirePacked(t *testing.T, label string, pl []core.Pair) {
+	t.Helper()
+	var next uintptr
+	for i, p := range pl {
+		at := uintptr(unsafe.Pointer(unsafe.SliceData(p.Common)))
+		if i > 0 && at != next {
+			t.Fatalf("%s: pair %d's Common is not adjacent to pair %d's", label, i, i-1)
+		}
+		next = at + uintptr(len(p.Common))*unsafe.Sizeof(p.Common[0])
+	}
 }
 
 // TestStreamAutoGrow checks the unbounded-vertex mode: arrivals extend the

@@ -2,13 +2,10 @@
 // stream: arrivals mutate a copy-on-write dynamic graph, only the similarity
 // pairs an arrival can change are recomputed through the batch wedge kernel
 // (one all-partners row per arrival endpoint), the fresh pairs are spliced
-// into the maintained sorted pair list, and each Snapshot replays the
-// fine-grained sweep from the earliest invalidated position using the
-// engine's resumable checkpoints. The result is bitwise identical to a
-// batch Similarity + Sweep run on the accumulated graph — that
-// differential property, not speed, is the package's contract, and the
-// batch path doubles as the compaction fallback when too much of the list
-// has been invalidated for replay to pay off.
+// into the maintained sorted pair list, and each Snapshot runs one
+// fine-grained sweep over that list. The result is bitwise identical to a
+// batch Similarity + Sweep run on the accumulated graph — that differential
+// property, not speed, is the package's contract.
 //
 // Correctness rests on three facts established by the batch engines:
 //
@@ -25,18 +22,16 @@
 //     makes the post-arrival neighborhoods supersets of every intermediate
 //     state and lets refreshes batch across arrivals). Every other pair in
 //     the maintained list is untouched storage from earlier refreshes.
-//  3. Sweep resumability. The sweep engine's behavior beyond a window
-//     boundary is a pure function of the captured SweepState plus the pairs
-//     beyond it, so replaying from a checkpoint at or below the splice's
-//     first divergence reproduces the from-scratch merge stream bitwise
-//     (core.SweepResumeCtx).
+//  3. One sweep of the spliced list. Facts 1 and 2 make the spliced list
+//     equal, element for element, to the batch list L sorted, so a sweep
+//     of it from position 0 is the batch sweep (core.SweepParallelCtx):
+//     a snapshot never reruns Phase I and never sorts.
 package stream
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -55,10 +50,13 @@ const (
 	// CtrAffectedRows counts similarity rows recomputed across refreshes —
 	// one all-partners kernel row per distinct pending arrival endpoint.
 	CtrAffectedRows = "stream.affected_rows"
-	// CtrReplayedOps counts sweep operations replayed by snapshots (ops at
-	// and above the resume checkpoint; a compaction counts the full list).
+	// CtrReplayedOps counts the sweep operations snapshots run: each
+	// snapshot sweeps the whole maintained list, so it adds the list's op
+	// count (K2).
 	CtrReplayedOps = "stream.replayed_ops"
-	// CtrCompactions counts snapshots that fell back to the batch path.
+	// CtrCompactions is never recorded: snapshots have no batch fallback
+	// any more. The name stays because benchmark readers still look it up;
+	// the next benchmark change retires it.
 	CtrCompactions = "stream.compactions"
 	// CtrBatches counts successfully ingested arrival batches.
 	CtrBatches = "stream.batches"
@@ -73,41 +71,25 @@ type Arrival struct {
 }
 
 // Options configures an Engine. The zero value is usable: auto-grown vertex
-// set, default workers, dirty-fraction compaction at one half.
+// set, default workers.
 type Options struct {
-	// Workers is the worker count for row recomputation sorts and sweep
-	// replays, normalized like every parallel entry point.
+	// Workers is the worker count for row recomputation sorts and snapshot
+	// sweeps, normalized like every parallel entry point.
 	Workers int
 	// Recorder receives the stream.* counters plus the phase timers and
-	// counters of the underlying similarity/sweep runs. Nil records nothing.
+	// counters of the underlying sweep runs. Nil records nothing.
 	Recorder *obs.Recorder
 	// MaxVertices fixes the vertex set to [0, MaxVertices) and rejects
 	// arrivals outside it, mirroring graph.NewBuilder(n). Zero means the
 	// vertex set grows on demand to max(U, V)+1.
 	MaxVertices int
-	// CompactDirtyFraction triggers the batch fallback when the fraction of
-	// sweep operations needing replay reaches it. Zero means the default of
-	// 0.5; values above 1 never trigger on fraction.
-	CompactDirtyFraction float64
 }
-
-const (
-	defaultDirtyFraction = 0.5
-	// defaultCheckpointEvery is the minimum operation spacing of sweep
-	// checkpoints kept for future replays; checkpoints land only on the
-	// engine's op-count window boundaries regardless.
-	defaultCheckpointEvery = 32768
-	// maxCheckpoints bounds the kept checkpoint list; past it, every other
-	// interior checkpoint is dropped (deterministically, by index).
-	maxCheckpoints = 16
-)
 
 // Engine is the incremental clustering engine. All methods are safe for
 // concurrent use; ingestion and snapshots serialize on one mutex, so a
 // Snapshot observes either all or none of any concurrent IngestBatch.
 type Engine struct {
-	opt   Options
-	dirty float64
+	opt Options
 
 	mu sync.Mutex
 	g  *graph.Dynamic
@@ -117,20 +99,26 @@ type Engine struct {
 	// rks holds one row kernel per refresh worker; each worker owns its
 	// scratch, so recomputed rows stay pure functions of (graph, h1, h2).
 	rks []*core.RowKernel
-	// pl is the maintained pair list in list-L order; ckpts are sweep states
-	// valid against it, ascending by Pos (the last one, when clean, is the
-	// final state of the last sweep: its closing window's end).
-	pl    []core.Pair
-	ckpts []core.SweepState
+	// pl is the maintained pair list in list-L order and live its op count
+	// (Σ len(Common), K2).
+	pl   []core.Pair
+	live int64
+	// A spliced pair's Common aliases the kernel row PairsTouching allocated,
+	// so one surviving pair pins its whole row, duplicates dropped at dedup
+	// included. loose counts the Common ints spliced in since the last
+	// re-pack; once it passes live/2, repackLocked copies every Common into
+	// one exact-size arena. held bounds the Common ints the list keeps
+	// reachable: the last re-pack's arena plus every kernel row since.
+	// repacks counts re-packs, for tests.
+	loose, held int64
+	repacks     int
 	// pending holds endpoints of applied-but-unrefreshed arrivals. Non-empty
 	// only after a cancelled ingest; the next ingest or snapshot retries the
 	// refresh (idempotent — rows recompute from the graph).
 	pending map[int]struct{}
 
-	// snap/res cache the last snapshot; valid while clean.
-	clean bool
-	snap  *graph.Graph
-	res   *core.Result
+	// res caches the last snapshot until the next ingest.
+	res *core.Result
 }
 
 // New returns an engine with the given options.
@@ -138,16 +126,8 @@ func New(opt Options) (*Engine, error) {
 	if opt.MaxVertices < 0 {
 		return nil, fmt.Errorf("stream: negative MaxVertices %d: %w", opt.MaxVertices, graph.ErrVertexRange)
 	}
-	dirty := opt.CompactDirtyFraction
-	if dirty == 0 {
-		dirty = defaultDirtyFraction
-	}
-	if dirty < 0 || math.IsNaN(dirty) {
-		return nil, fmt.Errorf("stream: invalid CompactDirtyFraction %v", opt.CompactDirtyFraction)
-	}
 	e := &Engine{
 		opt:     opt,
-		dirty:   dirty,
 		g:       graph.NewDynamic(),
 		pending: make(map[int]struct{}),
 	}
@@ -224,7 +204,7 @@ func (e *Engine) IngestBatchCtx(ctx context.Context, batch []Arrival) error {
 		e.pending[a.V] = struct{}{}
 	}
 	if len(batch) > 0 {
-		e.clean = false
+		e.res = nil
 		e.opt.Recorder.Add(CtrBatches, 1)
 	}
 	return e.refreshLocked(ctx)
@@ -244,9 +224,8 @@ func (e *Engine) growLocked(n int) {
 }
 
 // refreshLocked recomputes the similarity rows invalidated by the pending
-// endpoints and splices them into the maintained pair list, pruning sweep
-// checkpoints past the first divergence. It commits only at the end: a
-// cancellation mid-way leaves the old list, checkpoints, and pending set in
+// endpoints and splices them into the maintained pair list. It commits only
+// at the end: a cancellation mid-way leaves the old list and pending set in
 // place (norm entries of pending vertices may already be refreshed, which is
 // harmless — they are recomputed from the current graph, and only rows
 // computed in the same successful refresh read them).
@@ -324,12 +303,15 @@ func (e *Engine) refreshLocked(ctx context.Context) error {
 		nfresh += len(r)
 	}
 	fresh := make([]core.Pair, 0, nfresh)
+	var rowInts, kept int64
 	for i, r := range perD {
 		d := int32(dset[i])
 		for _, p := range r {
+			rowInts += int64(len(p.Common))
 			if o := p.U + p.V - d; inD[o] && o < d {
 				continue
 			}
+			kept += int64(len(p.Common))
 			fresh = append(fresh, p)
 		}
 	}
@@ -337,66 +319,87 @@ func (e *Engine) refreshLocked(ctx context.Context) error {
 		return err
 	}
 
-	// Splice: drop the affected rows' old pairs, merge the fresh ones in
-	// list-L order, and find the first index where the new list diverges.
-	newPl := make([]core.Pair, 0, len(e.pl)+len(fresh))
-	divergence := -1
-	fi := 0
-	for _, p := range e.pl {
+	// Splice in place, past the last cancellation point: drop the affected
+	// rows' old pairs, then merge the fresh ones in from the back in list-L
+	// order. A step allocates a new array only when the list outgrows its
+	// capacity, so the list is not reallocated and refaulted per ingest.
+	pl := e.pl
+	live := e.live + kept
+	j := 0
+	for _, p := range pl {
 		if inD[p.U] || inD[p.V] {
+			live -= int64(len(p.Common))
 			continue
 		}
-		for fi < len(fresh) && core.CmpPairs(fresh[fi], p) < 0 {
-			newPl = appendTracked(newPl, fresh[fi], e.pl, &divergence)
-			fi++
+		pl[j] = p
+		j++
+	}
+	old := len(pl)
+	n := j + len(fresh)
+	if n > cap(pl) {
+		grown := make([]core.Pair, n, n+n/16)
+		copy(grown, pl[:j])
+		pl, old = grown, 0
+	}
+	pl = pl[:n]
+	// Old pairs sit in pl[:i+1], the unmerged fresh ones in fresh[:f+1],
+	// and k = i+f+1 is the next slot to fill, so a write never lands on an
+	// old pair not yet moved. On a tie the old pair goes first, as in a
+	// forward merge.
+	i, f := j-1, len(fresh)-1
+	for k := n - 1; f >= 0; k-- {
+		if i >= 0 && core.CmpPairs(fresh[f], pl[i]) < 0 {
+			pl[k] = pl[i]
+			i--
+		} else {
+			pl[k] = fresh[f]
+			f--
 		}
-		newPl = appendTracked(newPl, p, e.pl, &divergence)
 	}
-	for ; fi < len(fresh); fi++ {
-		newPl = appendTracked(newPl, fresh[fi], e.pl, &divergence)
-	}
-	if divergence < 0 {
-		divergence = min(len(newPl), len(e.pl))
+	// Slots past a shrunk end held old pairs; clearing them drops their
+	// Common rows.
+	if old > n {
+		clear(pl[n:old])
 	}
 
 	// Commit.
-	e.pl = newPl
-	for len(e.ckpts) > 0 && e.ckpts[len(e.ckpts)-1].Pos > divergence {
-		e.ckpts = e.ckpts[:len(e.ckpts)-1]
+	e.pl, e.live = pl, live
+	e.loose += kept
+	e.held += rowInts
+	if 2*e.loose > e.live {
+		e.repackLocked()
 	}
 	clear(e.pending)
-	e.clean = false
-	e.snap, e.res = nil, nil
+	e.res = nil
 	e.opt.Recorder.Add(CtrAffectedRows, int64(len(dset)))
 	return nil
 }
 
-// appendTracked appends p to dst, recording in *div the first position where
-// dst stops matching old element-wise.
-func appendTracked(dst []core.Pair, p core.Pair, old []core.Pair, div *int) []core.Pair {
-	if *div < 0 {
-		i := len(dst)
-		if i >= len(old) || !samePair(&old[i], &p) {
-			*div = i
-		}
+// repackLocked copies every Common list of the maintained list into one
+// exact-size arena, in list order, releasing the kernel rows the spliced
+// pairs pinned. Its O(K2) copy is amortized over the more than K2/2 ints
+// spliced in since the previous re-pack, and the trigger reads op counts
+// only, so re-packs land at the same ingests at every worker count.
+func (e *Engine) repackLocked() {
+	arena := make([]int32, e.live)
+	off := 0
+	for i := range e.pl {
+		n := copy(arena[off:], e.pl[i].Common)
+		e.pl[i].Common = arena[off : off+n : off+n]
+		off += n
 	}
-	return append(dst, p)
+	e.loose, e.held = 0, e.live
+	e.repacks++
 }
 
-// samePair reports bitwise pair equality. Common lists are compared by
-// content with an aliasing fast path: an unchanged row keeps its old arena
-// slices, so most survivors compare by pointer.
-func samePair(a, b *core.Pair) bool {
-	if a.U != b.U || a.V != b.V || math.Float64bits(a.Sim) != math.Float64bits(b.Sim) {
-		return false
-	}
-	if len(a.Common) != len(b.Common) {
-		return false
-	}
-	if len(a.Common) == 0 || &a.Common[0] == &b.Common[0] {
-		return true
-	}
-	return slices.Equal(a.Common, b.Common)
+// CommonInts reports the maintained list's op count (live, one op per
+// Common entry: K2) and an upper bound on the Common ints the list keeps
+// reachable (held): the last re-pack's arena plus every kernel row
+// allocated since.
+func (e *Engine) CommonInts() (held, live int64) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.held, e.live
 }
 
 // Snapshot clusters the accumulated graph. See SnapshotCtx.
@@ -405,11 +408,10 @@ func (e *Engine) Snapshot() (*core.Result, error) {
 }
 
 // SnapshotCtx returns the clustering of the graph accumulated so far — the
-// merge stream, chain, and counters a batch Similarity + Sweep run on Graph() would
-// produce, bitwise. It replays the sweep from the deepest checkpoint still
-// valid after the last splice, unless the compaction trigger fires, in which
-// case it recomputes the pair list through the batch similarity path (the
-// correctness oracle) and rebuilds the checkpoints from scratch. Results are
+// merge stream, chain, and counters a batch Similarity + Sweep run on
+// Graph() would produce, bitwise. It finishes any pending refresh, then runs
+// one sweep of the maintained list from position 0: the list already is the
+// batch list L in sorted order, so no Phase I and no sort run. Results are
 // cached until the next successful ingest; callers must not mutate the
 // returned Result. On cancellation the engine state is unchanged and the
 // next call retries.
@@ -419,93 +421,19 @@ func (e *Engine) SnapshotCtx(ctx context.Context) (*core.Result, error) {
 	if err := e.refreshLocked(ctx); err != nil {
 		return nil, err
 	}
-	if e.clean && e.res != nil {
+	if e.res != nil {
 		return e.res, nil
 	}
-	g := e.g.Snapshot()
-	rec := e.opt.Recorder
-
-	// Decide replay vs compaction from the op counts, which are pure
-	// functions of the arrival history — never of workers or timing.
-	var from *core.SweepState
-	if len(e.ckpts) > 0 {
-		from = &e.ckpts[len(e.ckpts)-1]
+	fault.Hit(fault.StreamSnapshot)
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	total := opsIn(e.pl, 0)
-	replay := total
-	if from != nil {
-		replay = opsIn(e.pl, from.Pos)
+	res, err := core.SweepParallelCtx(ctx, e.g.Snapshot(), core.NewSortedPairList(e.pl), e.opt.Workers, e.opt.Recorder)
+	if err != nil {
+		return nil, err
 	}
-	compact := total > 0 && float64(replay)/float64(total) >= e.dirty
-
-	// defaultCheckpointEvery is a *minimum* spacing: on large lists it is
-	// raised so one pass captures at most maxCheckpoints states. Each capture
-	// deep-copies the chain and merge stream (O(|E| + K1)), so a fixed
-	// spacing would make checkpointing quadratic in list size across a
-	// replay.
-	saveEvery := int64(defaultCheckpointEvery)
-	if adaptive := total / maxCheckpoints; saveEvery < adaptive {
-		saveEvery = adaptive
-	}
-	var ckpts []core.SweepState
-	save := func(s core.SweepState, _ bool) { ckpts = append(ckpts, s) }
-	var res *core.Result
-	if compact {
-		fault.Hit(fault.StreamCompact)
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		pl, err := core.SimilarityCtx(ctx, g, e.opt.Workers, rec)
-		if err != nil {
-			return nil, err
-		}
-		res, err = core.SweepResumeCtx(ctx, g, pl, nil, e.opt.Workers, int(saveEvery), save, rec)
-		if err != nil {
-			return nil, err
-		}
-		// The batch list is the oracle the maintained list must equal; adopt
-		// it (same content, freshly compacted storage).
-		e.pl = pl.Pairs
-		e.ckpts = thinCheckpoints(ckpts)
-		rec.Add(CtrCompactions, 1)
-		rec.Add(CtrReplayedOps, total)
-	} else {
-		// A checkpoint captured against a shorter edge set extends with
-		// identity entries: ops below its position involve only edges that
-		// existed when it was taken, so later edges are still singletons
-		// there, exactly as in a from-scratch run.
-		if from != nil && len(from.Chain) < g.NumEdges() {
-			st := *from
-			chain := make([]int32, g.NumEdges())
-			copy(chain, st.Chain)
-			for i := len(st.Chain); i < len(chain); i++ {
-				chain[i] = int32(i)
-			}
-			st.Chain = chain
-			from = &st
-		}
-		var err error
-		res, err = core.SweepResumeCtx(ctx, g, core.NewSortedPairList(e.pl), from, e.opt.Workers, int(saveEvery), save, rec)
-		if err != nil {
-			return nil, err
-		}
-		// Checkpoints at or below the resume point stay valid for the
-		// current list; the replay's saves extend past them.
-		merged := append([]core.SweepState{}, e.ckpts...)
-		floor := -1
-		if from != nil {
-			floor = from.Pos
-		}
-		for _, s := range ckpts {
-			if s.Pos > floor {
-				merged = append(merged, s)
-			}
-		}
-		e.ckpts = thinCheckpoints(merged)
-		rec.Add(CtrReplayedOps, replay)
-	}
-	e.snap, e.res = g, res
-	e.clean = true
+	e.opt.Recorder.Add(CtrReplayedOps, e.live)
+	e.res = res
 	return res, nil
 }
 
@@ -514,28 +442,4 @@ func (e *Engine) Graph() *graph.Graph {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.g.Snapshot()
-}
-
-// opsIn sums the incident-operation counts of pairs at and above pos.
-func opsIn(pl []core.Pair, pos int) int64 {
-	var n int64
-	for i := pos; i < len(pl); i++ {
-		n += int64(len(pl[i].Common))
-	}
-	return n
-}
-
-// thinCheckpoints deterministically caps the checkpoint list: while too
-// long, every other interior checkpoint is dropped (the final state is
-// always kept).
-func thinCheckpoints(cks []core.SweepState) []core.SweepState {
-	for len(cks) > maxCheckpoints {
-		out := cks[:0]
-		for i := 0; i < len(cks)-1; i += 2 {
-			out = append(out, cks[i])
-		}
-		out = append(out, cks[len(cks)-1])
-		cks = out
-	}
-	return cks
 }
