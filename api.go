@@ -245,13 +245,16 @@ func SweepCtx(ctx context.Context, g *Graph, pl *PairList, rec *Recorder) (*Resu
 	return core.SweepCtx(ctx, g, pl, rec)
 }
 
-// SweepParallelCtx runs the sweeping phase multi-threaded: the sorted pair
-// list is cut into merge-batch windows, each resolved and applied in
-// conflict-free sub-batch rounds over one shared chain. The pair list is
-// sorted in place; workers is normalized exactly as in SimilarityCtx. (The
-// paper parallelizes only the coarse-grained sweep; this engine goes beyond
-// it while reproducing the serial result exactly.) Cancellation is checked
-// at every op-count window cut and inside the parallel sort; on
+// SweepParallelCtx runs the sweeping phase multi-threaded: list L is cut
+// into merge-batch windows, each resolved and applied in conflict-free
+// sub-batch rounds over one shared chain. An unsorted pair list is sorted in
+// place only as far as the sweep reads it: after the merges span the graph
+// the rest is retired unsorted, so pl.Pairs is left in list-L order only
+// through the closing similarity bucket (core.SweepResumeCtx has the
+// details). workers is normalized exactly as in SimilarityCtx. (The paper
+// parallelizes only the coarse-grained sweep; this engine goes beyond it
+// while reproducing the serial result exactly.) Cancellation is checked at
+// every op-count window cut and inside every bucket sort; on
 // cancellation every worker pool drains before context.Canceled (or the
 // context's error) is returned, so no goroutine outlives the call. When ctx
 // never cancels, the merge stream is bitwise identical to SweepCtx for any
@@ -268,7 +271,8 @@ func SweepParallelCtx(ctx context.Context, g *Graph, pl *PairList, workers int, 
 // scheduling window at every stage; worker panics surface as
 // *WorkerPanicError; and when ctx never cancels, no budget breaches, and no
 // fault is injected, the result is bitwise identical to a serial SweepCtx
-// over SimilarityCtx's output, for every engine and worker count.
+// over SimilarityCtx's output, for every engine and worker count. The pair
+// list is internal; the in-memory engine sorts only its closing prefix.
 func ClusterCtx(ctx context.Context, g *Graph, opts ClusterOptions) (*Result, error) {
 	budget := obs.NewMemBudget(opts.MemBudgetBytes)
 	pl, err := core.SimilarityCtx(ctx, g, opts.Workers, opts.Recorder)
@@ -349,6 +353,11 @@ type SweepRun struct {
 // CtrMemBudgetDegrades). Cancellation, worker panics, and read-phase spill
 // failures are terminal. The resolved engine is recorded on opts.Recorder
 // as meta key "sweep_engine"; opts.MemBudgetBytes is not consulted.
+//
+// Afterwards pl is fully sorted only by the serial engine. The parallel
+// engine and a coarse degrade sort an unsorted list only as far as they read
+// it (see SweepParallelCtx), and the out-of-core sweep consumes it; callers
+// that need list L afterwards must Sort it.
 func RunSweep(ctx context.Context, g *Graph, pl *PairList, opts ClusterOptions, overBudget bool) (*Result, SweepRun, error) {
 	engine, err := ResolveEngine(opts.Engine, pl.NumIncidentPairs(), opts.Workers)
 	if err != nil {
@@ -463,7 +472,8 @@ func coarseToResult(cres *coarse.Result) *core.Result {
 func DefaultCoarseParams() CoarseParams { return coarse.DefaultParams() }
 
 // CoarseSweepCtx runs only the coarse-grained sweeping phase over an
-// existing pair list (sorted in place if needed) — useful when comparing
+// existing pair list — sorted in place only as far as the sweep reads it,
+// through the last similarity bucket it reaches — useful when comparing
 // sweeping strategies over one initialization, as the paper's Fig. 5(2)
 // does. The context is checked at every chunk boundary, bounding cancel
 // latency by one chunk. It is the entry

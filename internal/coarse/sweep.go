@@ -195,8 +195,12 @@ type levelPoint struct {
 	beta int
 }
 
-// Sweep runs the coarse-grained sweeping algorithm over the sorted pair
-// list. The pair list is sorted in place if needed.
+// Sweep runs the coarse-grained sweeping algorithm over list L. An unsorted
+// pair list is sorted in place only as far as the sweep reads it: each
+// similarity bucket is sorted when a chunk reaches it (see
+// core.SortCursor). Afterwards pl.Pairs is a permutation in list-L order
+// through the last bucket read and in no particular order after it, and
+// pl.Sorted() is false unless the sweep read the last bucket.
 func Sweep(g *graph.Graph, pl *core.PairList, params Params) (*Result, error) {
 	return SweepCtx(context.Background(), g, pl, params, nil)
 }
@@ -206,10 +210,11 @@ func Sweep(g *graph.Graph, pl *core.PairList, params Params) (*Result, error) {
 // chain-rewrite counters, and the replica fan-out cost of parallel runs are
 // recorded into rec (a nil rec records nothing). The context is checked at
 // every chunk boundary — the coarse sweep's natural synchronization points,
-// where the replica fan-out is quiescent — plus inside the initial parallel
-// sort, so cancel latency is bounded by one chunk of merge work (chunks
-// start at Delta0 operations and grow adaptively). A panic inside the
-// replica fan-out surfaces as a *par.WorkerPanicError.
+// where the replica fan-out is quiescent — plus inside every bucket sort,
+// so cancel latency is bounded by one chunk of merge work (chunks start at
+// Delta0 operations and grow adaptively). A panic inside the replica
+// fan-out surfaces as a *par.WorkerPanicError. The bucket histogram and
+// the bucket sorts are timed under the "sort-worklist" phase.
 func SweepCtx(ctx context.Context, g *graph.Graph, pl *core.PairList, params Params, rec *obs.Recorder) (res *Result, err error) {
 	defer par.RecoverPanicError(&err)
 	params.Workers = par.Normalize(params.Workers)
@@ -247,6 +252,9 @@ func SweepCtx(ctx context.Context, g *graph.Graph, pl *core.PairList, params Par
 	endRun := rec.Phase("chunks")
 	s.run()
 	endRun()
+	// The list is sorted bucket by bucket as the chunks reach it; that time
+	// is also inside "chunks".
+	rec.AddPhase("sort-worklist", w.took)
 	if s.err != nil {
 		return nil, s.err
 	}

@@ -1,6 +1,7 @@
 package coarse
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -508,5 +509,42 @@ func TestGammaTildeConfigurable(t *testing.T) {
 	p.GammaTilde = 0
 	if _, err := Sweep(g, pl, p); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCoarseUnsortedMatchesPresorted sweeps Phase I's unsorted output,
+// which the work list sorts one similarity bucket at a time as the chunks
+// reach it, and the same list sorted up front: every output — merges,
+// epochs, op counts, final partition — must be identical, and a sweep that
+// stops early must leave the unsorted list's tail unsorted.
+func TestCoarseUnsortedMatchesPresorted(t *testing.T) {
+	g := graph.ErdosRenyi(300, 0.06, rng.New(21))
+	for _, workers := range []int{1, 4} {
+		params := DefaultParams()
+		params.Workers = workers
+		sorted := core.Similarity(g)
+		sorted.Sort()
+		want, err := Sweep(g, sorted, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl := core.Similarity(g)
+		got, err := Sweep(g, pl, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.OpsProcessed+want.OpsWasted >= want.TotalOps || pl.Sorted() {
+			t.Fatalf("T=%d: %d of %d ops processed, list sorted %v: want an early stop over a partly sorted list",
+				workers, want.OpsProcessed+want.OpsWasted, want.TotalOps, pl.Sorted())
+		}
+		if !slices.Equal(got.Merges, want.Merges) || !slices.Equal(got.Epochs, want.Epochs) ||
+			got.Levels != want.Levels || got.OpsProcessed != want.OpsProcessed ||
+			got.OpsWasted != want.OpsWasted || got.TotalOps != want.TotalOps ||
+			got.FinalClusters != want.FinalClusters {
+			t.Fatalf("T=%d: unsorted sweep differs from the presorted one", workers)
+		}
+		if !slices.Equal(got.Chain.Assignments(), want.Chain.Assignments()) {
+			t.Fatalf("T=%d: final partitions differ", workers)
+		}
 	}
 }

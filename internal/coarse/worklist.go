@@ -17,39 +17,57 @@ package coarse
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"linkclust/internal/core"
 	"linkclust/internal/graph"
 	"linkclust/internal/par"
 )
 
-// workList adapts the sorted list L for chunked processing. Edge lookups
-// are resolved lazily, pair by pair: the whole point of coarse-grained
-// clustering is that the tail of the list is never processed, so its
-// incident edge pairs must never be touched (an eager K2-sized
-// precomputation would dominate the runtime the early stop saves).
+// workList adapts list L for chunked processing. The list is sorted lazily,
+// one similarity bucket at a time through a core.SortCursor, and edge
+// lookups are resolved lazily, pair by pair: the whole point of
+// coarse-grained clustering is that the tail of the list is never
+// processed, so it must never be sorted either, and its incident edge pairs
+// must never be touched (an eager K2-sized precomputation would dominate
+// the runtime the early stop saves). Rollbacks and reused states only
+// revisit positions already read, which are sorted.
 type workList struct {
 	g     *graph.Graph
 	pairs []core.Pair
+	cur   *core.SortCursor
+	err   error         // first bucket-sort failure (cancellation or a panic)
+	took  time.Duration // time spent in bucket sorts
 	total int64
 	buf   [][2]int32 // scratch reused across opsOf calls
 }
 
-// buildWorkList wraps the pair list, sorting it if needed.
+// buildWorkList wraps the pair list for lazy sorting.
 func buildWorkList(g *graph.Graph, pl *core.PairList) (*workList, error) {
 	return buildWorkListCtx(context.Background(), g, pl, 0)
 }
 
-// buildWorkListCtx is buildWorkList with a cancellable sort; workers <= 0
-// selects the default sort parallelism.
+// buildWorkListCtx is buildWorkList with cancellable bucket sorts; workers
+// <= 0 selects the default sort parallelism.
 func buildWorkListCtx(ctx context.Context, g *graph.Graph, pl *core.PairList, workers int) (*workList, error) {
 	if workers <= 0 {
 		workers = par.DefaultCap()
 	}
-	if err := pl.SortWorkersCtx(ctx, workers); err != nil {
+	cur, err := core.NewSortCursor(ctx, pl, workers)
+	if err != nil {
 		return nil, err
 	}
-	return &workList{g: g, pairs: pl.Pairs, total: pl.NumIncidentPairs()}, nil
+	return &workList{g: g, pairs: pl.Pairs, cur: cur, total: pl.NumIncidentPairs()}, nil
+}
+
+// ensure sorts the list through vertex pair p. A failure is kept and
+// reported by the next opsOf call.
+func (w *workList) ensure(p int) {
+	if p >= w.cur.Sorted() && w.err == nil {
+		start := time.Now()
+		w.err = w.cur.SortTo(p)
+		w.took += time.Since(start)
+	}
 }
 
 // numPairs returns the number of vertex pairs (entries of L).
@@ -59,13 +77,20 @@ func (w *workList) numPairs() int { return len(w.pairs) }
 func (w *workList) totalOps() int64 { return w.total }
 
 // sim returns the similarity of vertex pair p.
-func (w *workList) sim(p int) float64 { return w.pairs[p].Sim }
+func (w *workList) sim(p int) float64 {
+	w.ensure(p)
+	return w.pairs[p].Sim
+}
 
 // opsOf resolves the merge operations of vertex pair p: for each common
 // neighbor k of (U, V), the edge pair ((U,k), (V,k)). The returned slice is
 // valid until the next opsOf call. An error indicates the pair list was
-// built from a different graph.
+// built from a different graph, or that sorting the list failed.
 func (w *workList) opsOf(p int) ([][2]int32, error) {
+	w.ensure(p)
+	if w.err != nil {
+		return nil, w.err
+	}
 	pr := &w.pairs[p]
 	w.buf = w.buf[:0]
 	for _, k := range pr.Common {
@@ -82,5 +107,6 @@ func (w *workList) opsOf(p int) ([][2]int32, error) {
 // opCount returns |l| for vertex pair p — the number of incident edge pairs
 // it contributes.
 func (w *workList) opCount(p int) int64 {
+	w.ensure(p)
 	return int64(len(w.pairs[p].Common))
 }

@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"linkclust/internal/graph"
+	"linkclust/internal/rng"
 	"linkclust/internal/spill"
 )
 
@@ -44,7 +46,7 @@ func fuzzGraph(data []byte) *graph.Graph {
 //   - merge similarities are non-increasing along the level sequence
 //     (the pair list is swept in descending similarity order),
 //   - the parallel engine reproduces the serial stream exactly at several
-//     worker counts.
+//     worker counts, from Phase I's order and from a seeded shuffle of it.
 func FuzzSweep(f *testing.F) {
 	f.Add([]byte{4, 0, 1, 1, 1, 2, 1, 2, 3, 1, 0, 2, 1})
 	f.Add([]byte{16, 0, 1, 0, 1, 2, 0, 2, 0, 0})
@@ -96,6 +98,20 @@ func FuzzSweep(f *testing.F) {
 				t.Fatalf("T=%d: %v", workers, err)
 			}
 			requireIdenticalSweep(t, "fuzz parallel vs serial", par, serial)
+		}
+		// Phase I's order is one unsorted order among many; the engine
+		// sorts any of them only as far as it reads.
+		h := fnv.New64a()
+		h.Write(data)
+		src := rng.New(h.Sum64())
+		for _, workers := range []int{1, 2, 5, 8} {
+			pl := Similarity(g)
+			src.Shuffle(len(pl.Pairs), func(i, j int) { pl.Pairs[i], pl.Pairs[j] = pl.Pairs[j], pl.Pairs[i] })
+			par, err := SweepParallel(g, pl, workers)
+			if err != nil {
+				t.Fatalf("shuffled T=%d: %v", workers, err)
+			}
+			requireIdenticalSweep(t, "fuzz shuffled parallel vs serial", par, serial)
 		}
 	})
 }

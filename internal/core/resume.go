@@ -63,22 +63,22 @@ func captureState(e *sweepEngine) SweepState {
 	}
 }
 
-// SweepResumeCtx runs the fine-grained sweep over a sorted pair list,
-// optionally starting from a checkpoint and optionally emitting new
-// checkpoints as it goes.
+// SweepResumeCtx runs the fine-grained sweep over a pair list, optionally
+// starting from a checkpoint and optionally emitting new checkpoints as it
+// goes.
 //
 // With from == nil and save == nil it is SweepParallelCtx. With a non-nil
 // from — captured by an earlier SweepResumeCtx over a pair list whose entries
-// below from.Pos were identical — it restores the engine to the checkpoint
-// and replays only pairs at and above from.Pos. The resumed run's output is
-// bitwise identical to a from-scratch run over the current list: the engine's
-// window cutter is a greedy pure function of op counts over the sorted order,
-// so with an identical prefix every boundary below Pos recurs, and the
-// engine's state at a boundary is exactly (chain, merges, counters,
-// opsSinceFlatten) — all restored here. The reservation table needs no
-// restoration: a fresh table is all zeros, every live reservation tag of
-// round g exceeds g<<32 > 0, and both schedulers ignore tags below the
-// current round's base.
+// below from.Pos were identical in list-L order — it restores the engine to
+// the checkpoint and replays only pairs at and above from.Pos. The resumed
+// run's output is bitwise identical to a from-scratch run over the current
+// list: the engine's window cutter is a greedy pure function of op counts
+// over the sorted order, so with an identical prefix every boundary below
+// Pos recurs, and the engine's state at a boundary is exactly (chain,
+// merges, counters, opsSinceFlatten) — all restored here. The reservation
+// table needs no restoration: a fresh table is all zeros, every live
+// reservation tag of round g exceeds g<<32 > 0, and both schedulers ignore
+// tags below the current round's base.
 //
 // When save is non-nil it receives a checkpoint at every window boundary
 // reached after at least saveEvery operations since the last one (saveEvery
@@ -91,27 +91,50 @@ func captureState(e *sweepEngine) SweepState {
 // exactly the windows of a from-scratch run. Checkpoints are deep copies;
 // save may retain them.
 //
-// The pair list must be in list-L order already (its sorted flag set — see
-// NewSortedPairList) or is sorted here. Cancellation and panic isolation
-// match SweepParallelCtx: the context is polled at every window cut, and on
-// error the partial result is discarded (checkpoints already delivered to
-// save remain valid — they describe prefixes that were fully processed).
+// A list flagged sorted (see NewSortedPairList) is swept as it is. Any other
+// list is sorted in place only as far as the sweep reads it, through a
+// SortCursor: each similarity bucket is sorted when the sweep reaches it,
+// and sorting stops at the closing window's bucket. Afterwards pl.Pairs is
+// a permutation whose prefix through that bucket is in list-L order and
+// whose rest is in no particular order; pl.Sorted() is false unless the
+// sweep sorted the last bucket. Window cuts, merges, Levels and checkpoint
+// positions are those of a full sort. The unsorted rest is retired by the
+// order-free closure pass; if one of its ops fails, only that op's bucket
+// is sorted, so the error is exactly serial Sweep's. Before a resume the
+// list is sorted through from.Pos.
+//
+// Cancellation and panic isolation match SweepParallelCtx: the context is
+// polled at every window cut and inside every bucket sort, and on error the
+// partial result is discarded (checkpoints already delivered to save remain
+// valid — they describe prefixes that were fully processed).
 func SweepResumeCtx(ctx context.Context, g *graph.Graph, pl *PairList, from *SweepState, workers, saveEvery int, save func(st SweepState, final bool), rec *obs.Recorder) (res *Result, err error) {
 	defer par.RecoverPanicError(&err)
 	workers = par.Normalize(workers)
 	end := rec.Phase("sweep")
 	defer end()
 	endSort := rec.Phase("sort")
-	serr := pl.SortWorkersCtx(ctx, workers)
+	cur, err := NewSortCursor(ctx, pl, workers)
 	endSort()
-	if serr != nil {
-		return nil, serr
+	if err != nil {
+		return nil, err
 	}
 	endMerge := rec.Phase("merge")
-	defer endMerge()
+	defer func() { endMerge() }()
+	// Bucket sorts interleave with the merges; keep their time under "sort".
+	sortTo := func(i int) error {
+		endMerge()
+		endSort := rec.Phase("sort")
+		err := cur.SortTo(i)
+		endSort()
+		endMerge = rec.Phase("merge")
+		return err
+	}
 
 	n := len(pl.Pairs)
 	e := &sweepEngine{g: g, pl: pl, workers: workers, ctx: ctx}
+	if !pl.sorted {
+		e.cur = cur
+	}
 	e.init()
 	pos := 0
 	if from != nil {
@@ -120,6 +143,9 @@ func SweepResumeCtx(ctx context.Context, g *graph.Graph, pl *PairList, from *Swe
 		}
 		if len(from.Chain) != g.NumEdges() {
 			return nil, fmt.Errorf("core: sweep checkpoint chain has %d entries, graph has %d edges", len(from.Chain), g.NumEdges())
+		}
+		if err := sortTo(from.Pos - 1); err != nil {
+			return nil, err
 		}
 		copy(e.ch.c, from.Chain)
 		e.ch.changes = from.Changes
@@ -131,35 +157,43 @@ func SweepResumeCtx(ctx context.Context, g *graph.Graph, pl *PairList, from *Swe
 		pos = from.Pos
 	}
 
-	if save == nil || saveEvery <= 0 {
-		if err := e.consume(n, true); err != nil {
-			return nil, err
-		}
-	} else {
-		// Feed the list in frontier increments of ~saveEvery operations;
-		// consume's window cutter makes increment boundaries invisible to the
-		// output, so this changes only where checkpoints become available.
-		lastSaved := pos
-		next := pos
-		for next < n && !e.closed {
-			ops := 0
-			for next < n && ops < saveEvery {
-				ops += len(pl.Pairs[next].Common)
-				next++
-			}
-			if err := e.consume(next, next == n); err != nil {
+	// Feed the list in frontier increments, each capped at the sorted
+	// prefix and, when checkpointing, at ~saveEvery operations. consume's
+	// window cutter makes increment boundaries invisible to the output, and
+	// a checkpoint is offered only after a full saveEvery increment, so
+	// neither the bucket sizes nor the cap moves a window or a checkpoint.
+	checkpointing := save != nil && saveEvery > 0
+	lastSaved, next, ops := pos, pos, 0
+	e.closeIfSpanned()
+	for next < n && !e.closed {
+		if next >= cur.Sorted() {
+			if err := sortTo(next); err != nil {
 				return nil, err
 			}
+		}
+		lim := cur.Sorted()
+		if !checkpointing {
+			next = lim
+		}
+		for next < lim && ops < saveEvery {
+			ops += len(pl.Pairs[next].Common)
+			next++
+		}
+		if err := e.consume(next, next == n); err != nil {
+			return nil, err
+		}
+		if checkpointing && (ops >= saveEvery || next == n) {
+			ops = 0
 			if !e.closed && e.wp > lastSaved && e.wp < n {
 				save(captureState(e), false)
 				lastSaved = e.wp
 			}
 		}
-		// Retire a closed run's tail in one pass (and, for an empty replay
-		// range, still run the final cut); a no-op otherwise.
-		if err := e.consume(n, true); err != nil {
-			return nil, err
-		}
+	}
+	// Retire a closed run's tail — sorted or not — in one pass (and, for an
+	// empty replay range, still run the final cut); a no-op otherwise.
+	if err := e.consume(n, true); err != nil {
+		return nil, err
 	}
 	if save != nil {
 		save(captureState(e), true)

@@ -32,8 +32,9 @@ func requireIdenticalChainState(t *testing.T, label string, got, want *Result) {
 // TestSweepResumeFromEveryCheckpoint is the resume engine's differential
 // test: a checkpointing run must (a) itself match SweepParallel bitwise, and
 // (b) every checkpoint it emits, replayed on a fresh engine over the same
-// sorted list, must reproduce the same final state — merge stream, chain
-// array, rewrite counter — at several worker counts on both sides.
+// list and over a fresh unsorted one, must reproduce the same final state —
+// merge stream, chain array, rewrite counter — at several worker counts on
+// both sides.
 func TestSweepResumeFromEveryCheckpoint(t *testing.T) {
 	for seed := uint64(0); seed < 3; seed++ {
 		g := graph.ErdosRenyi(300, 0.08, rng.New(seed))
@@ -77,6 +78,15 @@ func TestSweepResumeFromEveryCheckpoint(t *testing.T) {
 			}
 			requireIdenticalChainState(t,
 				fmt.Sprintf("seed=%d resume from pos %d T=%d", seed, ckpts[ci].Pos, workers), res, want)
+			// The daemon resumes over a fresh, unsorted copy of the cached
+			// pair list, which the resume sorts only through the checkpoint
+			// and then as far as it reads.
+			res, err = SweepResumeCtx(context.Background(), g, Similarity(g), &ckpts[ci], workers, 0, nil, nil)
+			if err != nil {
+				t.Fatalf("seed=%d ckpt=%d unsorted: %v", seed, ci, err)
+			}
+			requireIdenticalChainState(t,
+				fmt.Sprintf("seed=%d unsorted resume from pos %d T=%d", seed, ckpts[ci].Pos, workers), res, want)
 		}
 	}
 }

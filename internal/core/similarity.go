@@ -52,7 +52,9 @@ type Pair struct {
 }
 
 // PairList is the materialized map M of Algorithm 1 plus the similarity
-// scores. After Sort it is the list L of Algorithm 2.
+// scores. After Sort it is the list L of Algorithm 2. The windowed and
+// coarse sweeps sort an unsorted list only as far as they read it (see
+// SortCursor), leaving it a permutation that is list L only up to a point.
 //
 // Pairs is exported and mutable; code that reorders or rewrites it after a
 // Sort must call Invalidate, or the cached sort state goes stale and a later

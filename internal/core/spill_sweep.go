@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"slices"
 
 	"linkclust/internal/fault"
@@ -35,82 +34,9 @@ const (
 // plus one in-flight block per writer.
 const spillScatterPollPairs = 2048
 
-// Bucket policy of the spill partition.
-const (
-	// spillBucketAhead bounds the frontier channel: the read-back producer
-	// may run at most this many buckets ahead of the consumer before
-	// blocking.
-	spillBucketAhead = 8
-	// spillSmallPairs selects the reduced bucket-bit width: lists below
-	// this size use spillSmallBits so the histogram never dwarfs the input.
-	// The threshold depends only on list length, keeping bucket boundaries
-	// (and CtrSpillBuckets) worker-invariant.
-	spillSmallPairs = 1 << 13
-	// spillBits is the MSD radix width of the similarity partition — sign,
-	// the full 11-bit exponent, and 4 mantissa bits, so each binade of
-	// similarities splits into 16 buckets.
-	spillBits = 16
-	// spillSmallBits is the width used below spillSmallPairs.
-	spillSmallBits = 8
-)
-
-// simBucket maps a similarity to its MSD radix bucket: the top bits of the
-// descending monotonic key of its float64 representation. The key transform
-// (flip all bits of negatives, set the sign bit of non-negatives, then
-// complement for descending order) makes bucket ids ascend as similarity
-// descends, and equal similarities always share a bucket — so emitting
-// buckets in ascending id order, each fully sorted by cmpPairs, concatenates
-// to exactly the list-L order of PairList.Sort.
-func simBucket(sim float64, shift uint) int {
-	b := math.Float64bits(sim)
-	if b == 1<<63 {
-		// -0 compares equal to +0 in cmpPairs, so it must share +0's bucket
-		// or an equal-similarity tie could straddle a bucket boundary and
-		// break the concatenated (U,V) tie order.
-		b = 0
-	}
-	if int64(b) < 0 {
-		b = ^b
-	} else {
-		b |= 1 << 63
-	}
-	return int(^b >> shift)
-}
-
-// bucketLayout is the histogram pass of the spill partition: the radix
-// shift for this list size, every bucket's extent in the fully sorted list
-// (offs[b]:offs[b+1]), and the non-empty bucket ids in ascending order. The
-// per-worker histograms are summed, so the layout is worker-invariant.
-func bucketLayout(pairs []Pair, workers int) (shift uint, offs, ids []int) {
-	n := len(pairs)
-	bits := spillBits
-	if n < spillSmallPairs {
-		bits = spillSmallBits
-	}
-	nb := 1 << bits
-	shift = uint(64 - bits)
-	w := max(min(workers, n), 1)
-	counts := make([]int, w*nb)
-	par.Do(n, w, func(t, lo, hi int) {
-		row := counts[t*nb : (t+1)*nb]
-		for i := lo; i < hi; i++ {
-			row[simBucket(pairs[i].Sim, shift)]++
-		}
-	})
-	offs = make([]int, nb+1)
-	pos := 0
-	for b := 0; b < nb; b++ {
-		offs[b] = pos
-		for t := 0; t < w; t++ {
-			pos += counts[t*nb+b]
-		}
-		if pos > offs[b] {
-			ids = append(ids, b)
-		}
-	}
-	offs[nb] = pos
-	return shift, offs, ids
-}
+// spillBucketAhead bounds the frontier channel: the read-back producer may
+// run at most this many buckets ahead of the consumer before blocking.
+const spillBucketAhead = 8
 
 // spillReaders returns the read-back producer's decode/sort budget: roughly
 // half the worker count, leaving the rest for the consumer's
@@ -130,7 +56,9 @@ type SpillOptions struct {
 // MSD-radix partitioned on its similarity bits into per-bucket spill files,
 // the in-memory list is released, and a producer pool streams the buckets
 // back from disk (each sorted on arrival, in descending-similarity bucket
-// order) into the windowed reservation engine of SweepParallel. The pair
+// order) into the windowed reservation engine of SweepParallel. Buckets
+// decoded after the engine closes (see closeIfSpanned) are published
+// unsorted: the closure pass that retires them is order-free. The pair
 // list therefore never needs to be resident twice, and during the merge
 // phase only the engine's window plus a bounded bucket read-ahead is in
 // memory; the merge stream stays bitwise identical to Sweep and
@@ -219,11 +147,13 @@ func SweepSpilledOpts(ctx context.Context, g *graph.Graph, pl *PairList, workers
 
 	// Phase C — stream the buckets back through the engine: an ordered
 	// producer pool decodes and sorts buckets while the consumer merges the
-	// ones already published. buf holds the pair headers only (the dominant commons payload stays on disk until its
-	// bucket is decoded, and is dropped again once the engine's window
-	// cursor passes it).
+	// ones already published. buf holds the pair headers only (the dominant
+	// commons payload stays on disk until its bucket is decoded, and is
+	// dropped again once the engine's window cursor passes it).
 	buf := make([]Pair, n)
 	e.pl = &PairList{Pairs: buf}
+	// The read-back places every bucket itself, sorted until closure.
+	e.cur = &SortCursor{shift: shift, offs: offs, ids: bucketIDs, pl: e.pl, placed: len(bucketIDs)}
 	e.init()
 
 	endMerge := rec.Phase("merge")
@@ -258,7 +188,9 @@ func SweepSpilledOpts(ctx context.Context, g *graph.Graph, pl *PairList, workers
 				slotErr[i] = err
 				return
 			}
-			slices.SortFunc(ps, cmpPairs)
+			if !e.spanned.Load() {
+				slices.SortFunc(ps, cmpPairs)
+			}
 			slotPairs[i] = ps
 		}, func(i int) {
 			if readErr != nil {
@@ -318,8 +250,8 @@ func SweepSpilledOpts(ctx context.Context, g *graph.Graph, pl *PairList, workers
 				stopProducer()
 				continue
 			}
-			// Everything below the window cursor is at its final position
-			// and will never be re-read: drop the commons references so each
+			// Everything below the retired cursor is processed and its
+			// commons are never re-read: drop the references so each
 			// bucket's decode arena frees as the sweep moves past it.
 			for ; released < e.retired(); released++ {
 				buf[released].Common = nil

@@ -259,7 +259,7 @@ func TestSimBucketOrder(t *testing.T) {
 		2.5, 1.0, 0.999999, 0.75, 0.5, 0.5, 0.25, 0.1, 1e-3, 1e-9, 5e-300,
 		0.0, math.Copysign(0, -1), -1e-9, -0.5, -1, -3,
 	}
-	const shift = 64 - spillBits
+	const shift = 64 - bucketBits
 	for i := 1; i < len(sims); i++ {
 		hi, lo := sims[i-1], sims[i]
 		bh, bl := simBucket(hi, shift), simBucket(lo, shift)

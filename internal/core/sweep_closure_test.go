@@ -143,6 +143,62 @@ func TestSweepForestClosure(t *testing.T) {
 	}
 }
 
+// TestSweepSortsOnlyClosingPrefix pins the partial sort of an unsorted
+// list: after an engine sweep, pl.Pairs must equal list L through the end
+// of the closing window's similarity bucket — exactly what
+// CtrSweepSortedPairs reports, the same at every worker count and in the
+// spilled sweep — and hold the other pairs, unsorted, after it. A list that
+// arrives sorted records no such counter.
+func TestSweepSortsOnlyClosingPrefix(t *testing.T) {
+	g := closureUnion(8)
+	want := Similarity(g)
+	want.Sort()
+	_, offs, _ := bucketLayout(want.Pairs, 1)
+	pos := closedAt(t, g)
+	closing := offs[simBucket(want.Pairs[pos-1].Sim, 64-bucketBits)+1]
+	if len(want.Pairs) < bucketSmallPairs || closing >= len(want.Pairs) {
+		t.Fatalf("closing bucket ends at %d of %d pairs: want a list with 16-bit buckets and an unsorted tail", closing, len(want.Pairs))
+	}
+	master := Similarity(g)
+	for _, workers := range []int{1, 2, 4, 8} {
+		rec := obs.New()
+		pl := &PairList{Pairs: slices.Clone(master.Pairs)}
+		if _, err := SweepParallelCtx(context.Background(), g, pl, workers, rec); err != nil {
+			t.Fatal(err)
+		}
+		if got := rec.Counter(CtrSweepSortedPairs); got != int64(closing) {
+			t.Fatalf("T=%d: %s = %d, want %d", workers, CtrSweepSortedPairs, got, closing)
+		}
+		if pl.Sorted() {
+			t.Fatalf("T=%d: list flagged sorted after a partial sort", workers)
+		}
+		for i := range want.Pairs[:closing] {
+			if cmpPairs(pl.Pairs[i], want.Pairs[i]) != 0 {
+				t.Fatalf("T=%d: pair %d is (%d,%d), list L has (%d,%d)", workers, i,
+					pl.Pairs[i].U, pl.Pairs[i].V, want.Pairs[i].U, want.Pairs[i].V)
+			}
+		}
+		pl.Sort()
+		if !slices.EqualFunc(pl.Pairs, want.Pairs, func(a, b Pair) bool { return cmpPairs(a, b) == 0 }) {
+			t.Fatalf("T=%d: the swept list is not a permutation of list L", workers)
+		}
+		rec = obs.New()
+		if _, err := SweepSpilledOpts(context.Background(), g, &PairList{Pairs: slices.Clone(master.Pairs)}, workers, SpillOptions{Dir: t.TempDir()}, rec); err != nil {
+			t.Fatal(err)
+		}
+		if got := rec.Counter(CtrSweepSortedPairs); got != int64(closing) {
+			t.Fatalf("spilled T=%d: %s = %d, want %d", workers, CtrSweepSortedPairs, got, closing)
+		}
+	}
+	rec := obs.New()
+	if _, err := SweepParallelCtx(context.Background(), g, want, 2, rec); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := rec.Report().Counters[CtrSweepSortedPairs]; ok {
+		t.Fatalf("a pre-sorted list recorded %s", CtrSweepSortedPairs)
+	}
+}
+
 // plantOp inserts k into the Common list of pair i, keeping it sorted, in a
 // fresh slice so the pair list's shared storage is untouched.
 func plantOp(pl *PairList, i int, k int32) {
@@ -159,7 +215,12 @@ func plantOp(pl *PairList, i int, k int32) {
 // may be found first. The other variants each plant one op whose only
 // missing edge is (U, k) or (V, k), with that endpoint dense (a bitset row,
 // on the union) or sparse (a gallop over its adjacency, on the union with
-// every vertex sparse); see buildRows.
+// every vertex sparse); see buildRows. "two-ops-one-bucket" plants two
+// adjacent pairs of one post-closure similarity bucket whose Phase I order
+// is the reverse of their sorted order; "last-bucket" plants every pair of
+// the last bucket, far past closure. Every variant also runs on the
+// unsorted Similarity order, which the engines sort only up to closure:
+// a tail failure must still report the first failing op in sorted order.
 func TestSweepForestClosureKeepsCheck(t *testing.T) {
 	type variant struct {
 		g     *graph.Graph
@@ -200,6 +261,18 @@ func TestSweepForestClosureKeepsCheck(t *testing.T) {
 				plantOp(pl, pos, iso)
 				plantOp(pl, len(pl.Pairs)-1, iso)
 			}}
+			a := reversedInBucket(t, g, base)
+			variants["two-ops-one-bucket"] = variant{g, func(pl *PairList) {
+				plantOp(pl, a, iso)
+				plantOp(pl, a+1, iso)
+			}}
+			_, offs, ids := bucketLayout(base.Pairs, 1)
+			last := ids[len(ids)-1]
+			variants["last-bucket"] = variant{g, func(pl *PairList) {
+				for i := offs[last]; i < offs[last+1]; i++ {
+					plantOp(pl, i, iso)
+				}
+			}}
 			variants["U-dense"] = missing(false, true)
 			variants["V-dense"] = missing(true, true)
 		} else {
@@ -211,12 +284,23 @@ func TestSweepForestClosureKeepsCheck(t *testing.T) {
 	for name, v := range variants {
 		t.Run(name, func(t *testing.T) {
 			g := v.g
-			planted := func() *PairList {
-				pl := Similarity(g)
-				pl.Sort()
-				v.plant(pl)
-				return pl
+			// Each run gets its own copy of the pair headers; the planted
+			// Common lists are shared, and no sweep writes them.
+			sorted := Similarity(g)
+			sorted.Sort()
+			v.plant(sorted)
+			planted := func() *PairList { return NewSortedPairList(slices.Clone(sorted.Pairs)) }
+			// unsorted carries the same planted ops in Phase I's unsorted
+			// order, which the engines sort only up to closure.
+			master := Similarity(g)
+			at := map[[2]int32]int{}
+			for i, p := range master.Pairs {
+				at[[2]int32{p.U, p.V}] = i
 			}
+			for _, p := range sorted.Pairs {
+				master.Pairs[at[[2]int32{p.U, p.V}]].Common = p.Common
+			}
+			unsorted := func() *PairList { return &PairList{Pairs: slices.Clone(master.Pairs)} }
 			_, want := Sweep(g, planted())
 			if want == nil {
 				t.Fatal("serial sweep accepted a planted op")
@@ -232,8 +316,50 @@ func TestSweepForestClosureKeepsCheck(t *testing.T) {
 			if _, _, err := sweepFrontierFed(g, planted(), 2); err == nil || err.Error() != want.Error() {
 				t.Fatalf("frontier-fed: error %v, want serial's %q", err, want)
 			}
+			for _, workers := range []int{1, 2, 4, 8} {
+				if _, err := SweepParallel(g, unsorted(), workers); err == nil || err.Error() != want.Error() {
+					t.Fatalf("unsorted T=%d: error %v, want serial's %q", workers, err, want)
+				}
+			}
+			if _, err := SweepSpilledOpts(context.Background(), g, unsorted(), 4, SpillOptions{Dir: t.TempDir()}, nil); err == nil || err.Error() != want.Error() {
+				t.Fatalf("unsorted spilled: error %v, want serial's %q", err, want)
+			}
+			if _, _, err := sweepFrontierFedLazy(g, unsorted(), 2); err == nil || err.Error() != want.Error() {
+				t.Fatalf("unsorted frontier-fed: error %v, want serial's %q", err, want)
+			}
 		})
 	}
+}
+
+// reversedInBucket returns a sorted index a such that pairs a and a+1 of the
+// sorted list lie in one similarity bucket that starts past the closing
+// window's bucket — a bucket no engine sorts — and appear in Phase I's
+// unsorted order the other way round.
+func reversedInBucket(t *testing.T, g *graph.Graph, sorted *PairList) int {
+	t.Helper()
+	rec := obs.New()
+	if _, err := SweepParallelCtx(context.Background(), g, Similarity(g), 2, rec); err != nil {
+		t.Fatal(err)
+	}
+	closing := int(rec.Counter(CtrSweepSortedPairs))
+	at := map[[2]int32]int{}
+	for i, p := range Similarity(g).Pairs {
+		at[[2]int32{p.U, p.V}] = i
+	}
+	_, offs, ids := bucketLayout(sorted.Pairs, 1)
+	for _, b := range ids {
+		if offs[b] < closing {
+			continue
+		}
+		for a := offs[b]; a+1 < offs[b+1]; a++ {
+			p, q := sorted.Pairs[a], sorted.Pairs[a+1]
+			if at[[2]int32{p.U, p.V}] > at[[2]int32{q.U, q.V}] {
+				return a
+			}
+		}
+	}
+	t.Fatal("no post-closure bucket holds two pairs out of sorted order")
+	return 0
 }
 
 // TestGallopHas checks the closure pass's sparse-side membership test

@@ -19,9 +19,21 @@ import (
 // finest frontier granularity. pl itself is left untouched; the engine's
 // pair buffer is returned alongside the result.
 func sweepFrontierFed(g *graph.Graph, pl *PairList, workers int) (*Result, []Pair, error) {
+	return frontierFed(g, pl, workers, false)
+}
+
+// sweepFrontierFedLazy is sweepFrontierFed with the spilled read-back's
+// closure rule: once the engine closes, the producer publishes buckets
+// unsorted. pl must not be marked sorted.
+func sweepFrontierFedLazy(g *graph.Graph, pl *PairList, workers int) (*Result, []Pair, error) {
+	return frontierFed(g, pl, workers, true)
+}
+
+func frontierFed(g *graph.Graph, pl *PairList, workers int, lazy bool) (*Result, []Pair, error) {
 	n := len(pl.Pairs)
 	buf := make([]Pair, n)
 	frontiers := make(chan int, spillBucketAhead)
+	e := &sweepEngine{g: g, pl: &PairList{Pairs: buf}, workers: workers, ctx: context.Background()}
 	if pl.Sorted() {
 		copy(buf, pl.Pairs)
 		go func() {
@@ -32,6 +44,9 @@ func sweepFrontierFed(g *graph.Graph, pl *PairList, workers int) (*Result, []Pai
 		}()
 	} else {
 		shift, offs, ids := bucketLayout(pl.Pairs, workers)
+		if lazy {
+			e.cur = &SortCursor{shift: shift, offs: offs, ids: ids, pl: e.pl, placed: len(ids)}
+		}
 		cur := slices.Clone(offs)
 		for _, p := range pl.Pairs {
 			b := simBucket(p.Sim, shift)
@@ -41,13 +56,14 @@ func sweepFrontierFed(g *graph.Graph, pl *PairList, workers int) (*Result, []Pai
 		go func() {
 			defer close(frontiers)
 			for _, b := range ids {
-				slices.SortFunc(buf[offs[b]:offs[b+1]], cmpPairs)
+				if !lazy || !e.spanned.Load() {
+					slices.SortFunc(buf[offs[b]:offs[b+1]], cmpPairs)
+				}
 				frontiers <- offs[b+1]
 			}
 		}()
 	}
 
-	e := &sweepEngine{g: g, pl: &PairList{Pairs: buf}, workers: workers, ctx: context.Background()}
 	e.init()
 	var err error
 	for f := range frontiers {

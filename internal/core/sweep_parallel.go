@@ -41,6 +41,13 @@ const (
 	// forest. They are no-ops by construction, so they are counted in
 	// CtrSweepNoopDrops as well.
 	CtrSweepTailOps = "sweep.tail_ops"
+	// CtrSweepSortedPairs is recorded by sweeps that sort their own input
+	// (an unsorted list, or the out-of-core read-back): the end of the
+	// similarity bucket that holds the closing window's last pair, or the
+	// list length for a run that never closes. Pairs past it were retired
+	// unsorted. It is a pure function of the pair list, so it reads the same
+	// in memory and spilled, at any worker count.
+	CtrSweepSortedPairs = "sweep.sorted_pairs"
 )
 
 // Engine tuning. Every threshold is a function of operation counts only —
@@ -77,7 +84,8 @@ const (
 // window is processed in conflict-free sub-batch rounds (deterministic
 // reservations in serial-index order), and the selected operations of a
 // round apply concurrently to one shared chain — their clusters are pairwise
-// disjoint, so their writes are too. The pair list is sorted in place.
+// disjoint, so their writes are too. An unsorted pair list is sorted in
+// place only as far as the sweep reads it (see SweepResumeCtx).
 //
 // The result is exact, not just dendrogram-equivalent: the merge stream
 // (Level, A, B, Into, Sim per event, in order) is bitwise identical to the
@@ -103,8 +111,8 @@ func SweepParallel(g *graph.Graph, pl *PairList, workers int) (*Result, error) {
 // serial sweep's counters and the engine's window/round/deferral counters
 // are recorded into rec. The context is checked at every op-count window
 // cut (8192 incident operations), every 8192 ops of each closure-pass
-// worker, and inside the parallel sort, so cancel latency is bounded by one
-// window of merge work (or one sort round) for any worker count; on
+// worker, and inside every bucket sort, so cancel latency is bounded by one
+// window of merge work (or one bucket sort) for any worker count; on
 // cancellation every pool drains before ctx.Err() is returned, so no
 // goroutine outlives the call. A panic inside a worker surfaces as a
 // *par.WorkerPanicError. The checks are pure reads — when ctx
@@ -132,6 +140,23 @@ func recordSweepEngine(rec *obs.Recorder, e *sweepEngine) {
 	rec.Add(CtrSweepFlattens, e.flattens)
 	rec.Add(CtrSweepCASRounds, e.casRounds)
 	rec.Add(CtrSweepTailOps, e.tailOps)
+	if e.cur != nil {
+		rec.Add(CtrSweepSortedPairs, int64(e.sortedPairs()))
+	}
+}
+
+// sortedPairs returns the end of the similarity bucket that holds the
+// closing window's last pair: how far a sweep that sorts as it reads had to
+// sort. It needs the bucket layout of e.cur.
+func (e *sweepEngine) sortedPairs() int {
+	switch {
+	case !e.closed:
+		return len(e.pl.Pairs)
+	case e.wp == 0:
+		return 0
+	}
+	_, hi := e.cur.extent(e.pl.Pairs[e.wp-1].Sim)
+	return hi
 }
 
 // sweepEngine holds the shared chain, the per-window operation buffers
@@ -202,14 +227,23 @@ type sweepEngine struct {
 	// boundary the engine is closed: wp stays at that boundary, and pairs
 	// from wp on are only checked for edge existence by retire, which
 	// advances tp. rowOf, bits and words are its neighbor bitsets (see
-	// buildRows), built when the engine closes.
+	// buildRows), built when the engine closes. spanned mirrors closed for
+	// the spilled read-back producer, which stops sorting buckets once it
+	// is set.
 	forest  int32
 	closed  bool
+	spanned atomic.Bool
 	tp      int
 	tailOps int64
 	rowOf   []int32
 	bits    []uint64
 	words   int
+
+	// cur sorts a list that did not arrive sorted (nil otherwise) as the
+	// sweep reads it. Past closure such a list is not sorted, so retire
+	// uses cur to find and sort the bucket of a failing op before reporting
+	// it (see tailError).
+	cur *SortCursor
 
 	windows, rounds, deferrals, drops, drains, flattens, casRounds int64
 
@@ -284,10 +318,11 @@ func forestSize(g *graph.Graph) int32 {
 // sequence of frontier increments produces exactly the windows (and thus
 // exactly the merge stream) of a single whole-list call.
 //
-// Pairs below the frontier must be in their final sorted positions and must
-// not change afterwards; the spilled read-back producer guarantees this by
-// emitting a frontier only after the bucket below it is sorted and copied in
-// place.
+// Pairs below the frontier must be in their final sorted positions, or the
+// engine is closed, and must not change afterwards; the spilled read-back
+// producer guarantees this by emitting a frontier only after the bucket
+// below it is copied in place, sorted unless the engine has closed. Past
+// closure every frontier in an unsorted region must be a bucket end.
 //
 // Closure is checked at every window boundary (and on entry, which covers a
 // forest of size zero and a restored checkpoint that had already closed).
@@ -347,6 +382,7 @@ func (e *sweepEngine) consume(frontier int, final bool) error {
 func (e *sweepEngine) closeIfSpanned() {
 	if !e.closed && e.res.Levels >= e.forest {
 		e.closed = true
+		e.spanned.Store(true)
 		e.tp = e.wp
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"linkclust/internal/fault"
 	"linkclust/internal/par"
 )
@@ -20,11 +22,13 @@ type tailCheck struct {
 // check: the first op in sorted order whose edge (U, k) or (V, k) is absent
 // yields exactly serial Sweep's error.
 //
-// The pairs are checked in sorted order, split into one contiguous range
-// per worker. Each worker polls the context and the fault.CancelWindow
-// point once per sweepWindowOps ops, the engine's cancellation granularity,
-// and stops at its first failing op; the earliest failure across workers is
-// the first in sorted order.
+// The pairs are checked in list order, split into one contiguous range per
+// worker. Each worker polls the context and the fault.CancelWindow point
+// once per sweepWindowOps ops, the engine's cancellation granularity, and
+// stops at its first failing op; the earliest failure across workers is the
+// first in list order. A list the sweep sorts as it reads is not sorted
+// past the closing bucket; the check and the counts are order-free, and
+// tailError makes a failure's report exact.
 func (e *sweepEngine) retire(frontier int) error {
 	lo, hi := e.tp, frontier
 	if lo >= hi {
@@ -45,7 +49,7 @@ func (e *sweepEngine) retire(frontier int) error {
 			return r.err
 		}
 		if r.fail >= 0 {
-			return missingEdgeError(&e.pl.Pairs[r.fail], r.k)
+			return e.tailError(r, hi)
 		}
 		ops += r.ops
 	}
@@ -54,6 +58,31 @@ func (e *sweepEngine) retire(frontier int) error {
 	e.drops += ops
 	e.tp = hi
 	return nil
+}
+
+// tailError returns serial Sweep's error for a tail whose first failing op
+// in list order is r's, found by a check of pairs [e.tp, frontier). A list
+// sorted as the sweep reads it (e.cur set) is past closure in bucket order
+// at best: its buckets are placed first, and a check again finds the first
+// failing op in bucket order. Every bucket before that op's bucket passed,
+// so sorting that one bucket (a no-op for a bucket already sorted) and
+// checking it again from the tail cursor finds the first failing op in
+// sorted order.
+func (e *sweepEngine) tailError(r tailCheck, frontier int) error {
+	if c := e.cur; c != nil {
+		if c.placed < len(c.ids) {
+			c.place(len(e.pl.Pairs))
+			if r = e.checkTail(e.tp, frontier); r.err != nil {
+				return r.err
+			}
+		}
+		lo, hi := c.extent(e.pl.Pairs[r.fail].Sim)
+		slices.SortFunc(e.pl.Pairs[lo:hi], cmpPairs)
+		if r = e.checkTail(max(lo, e.tp), hi); r.err != nil {
+			return r.err
+		}
+	}
+	return missingEdgeError(&e.pl.Pairs[r.fail], r.k)
 }
 
 // buildRows gives every dense vertex — degree at least |V|/64 — a bitset

@@ -82,16 +82,10 @@ func (r *Recorder) Phase(name string) (end func()) {
 	start := time.Now()
 	r.mu.Lock()
 	r.stack = append(r.stack, name)
-	path := strings.Join(r.stack, "/")
 	depth := len(r.stack) - 1
 	// Register at start so parents precede their children in the report
 	// (children necessarily end first).
-	agg, ok := r.byPath[path]
-	if !ok {
-		agg = len(r.phases)
-		r.byPath[path] = agg
-		r.phases = append(r.phases, phaseAgg{path: path, depth: depth})
-	}
+	agg := r.register()
 	r.mu.Unlock()
 	return func() {
 		wall := time.Since(start)
@@ -111,6 +105,35 @@ func (r *Recorder) Phase(name string) (end func()) {
 		r.phases[agg].wall += wall
 		r.phases[agg].count++
 	}
+}
+
+// AddPhase records d as one more occurrence of phase name, nested under the
+// phases open now, for work timed in pieces while a sibling phase was open
+// (the coarse sweep sorts its list lazily, inside its chunks).
+func (r *Recorder) AddPhase(name string, d time.Duration) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.stack = append(r.stack, name)
+	agg := r.register()
+	r.stack = r.stack[:len(r.stack)-1]
+	r.phases[agg].wall += d
+	r.phases[agg].count++
+}
+
+// register returns the aggregate of the phase path the stack names,
+// creating it on first use. r.mu must be held.
+func (r *Recorder) register() int {
+	path := strings.Join(r.stack, "/")
+	agg, ok := r.byPath[path]
+	if !ok {
+		agg = len(r.phases)
+		r.byPath[path] = agg
+		r.phases = append(r.phases, phaseAgg{path: path, depth: len(r.stack) - 1})
+	}
+	return agg
 }
 
 // Add increments a named counter. Safe from any goroutine.

@@ -61,6 +61,37 @@ func TestPhasesNestAndAggregate(t *testing.T) {
 	}
 }
 
+// TestAddPhase records time worked in pieces under a sibling of the open
+// phase: it aggregates with a timed phase of the same path and leaves the
+// stack as it was.
+func TestAddPhase(t *testing.T) {
+	r := New()
+	endOuter := r.Phase("outer")
+	endSort := r.Phase("sort")
+	endSort()
+	endRun := r.Phase("run")
+	endRun()
+	r.AddPhase("sort", 5*time.Millisecond)
+	endInner := r.Phase("inner")
+	endInner()
+	endOuter()
+	r.AddPhase("top", time.Millisecond)
+
+	rep := r.Report()
+	sort := findPhase(t, rep, "outer/sort")
+	if sort.Depth != 1 || sort.Count != 2 || sort.WallNS < (5*time.Millisecond).Nanoseconds() {
+		t.Fatalf("outer/sort = %+v, want depth 1, count 2, at least 5ms", sort)
+	}
+	if p := findPhase(t, rep, "outer/inner"); p.Depth != 1 {
+		t.Fatalf("outer/inner = %+v: AddPhase disturbed the stack", p)
+	}
+	if p := findPhase(t, rep, "top"); p.Depth != 0 || p.Count != 1 || p.WallNS != time.Millisecond.Nanoseconds() {
+		t.Fatalf("top = %+v, want depth 0, count 1, 1ms", p)
+	}
+	var nilRec *Recorder
+	nilRec.AddPhase("x", time.Second)
+}
+
 func TestOutOfOrderEndIsTolerated(t *testing.T) {
 	r := New()
 	endA := r.Phase("a")
