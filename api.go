@@ -17,9 +17,9 @@
 //     rollback-based chunk-size estimation.
 //   - Parallelization — ClusterOptions.Workers and CoarseParams.Workers run
 //     both phases multi-threaded (Section VI), including the corrected
-//     replica-merge scheme for array C and a deterministic reservation
-//     engine (SweepParallelCtx) for the fine-grained sweep whose merge
-//     stream is bitwise identical to serial at any worker count.
+//     replica-merge scheme for array C and a windowed engine
+//     (SweepParallelCtx) for the fine-grained sweep whose merge stream is
+//     bitwise identical to serial at any worker count.
 //
 // Every phase has one entry point. Each takes a context and an optional
 // *Recorder (directly, or as ClusterOptions.Recorder); nil records nothing.
@@ -192,12 +192,11 @@ type ClusterOptions struct {
 	// Recorder, when non-nil, collects phase timers and counters for the
 	// run; call Recorder.Report to obtain the RunReport.
 	Recorder *Recorder
-	// Engine selects the sweeping engine: EngineSerial, EngineParallel,
-	// EngineSpill, or EngineAuto, which picks serial below a measured
-	// op-count threshold (see core.SweepAutoMinOps and DESIGN.md) and the
-	// windowed parallel engine above it. Empty picks by Workers alone
-	// (Workers > 1 → parallel, else serial). Every engine is bitwise
-	// identical — Engine affects speed only. The resolved engine is recorded
+	// Engine selects the sweep: EngineSpill runs it out of core, and every
+	// other name — EngineParallel, the empty name, and the retired aliases
+	// EngineAuto and EngineSerial — runs the in-memory windowed engine
+	// (SweepParallelCtx). Both are bitwise identical to serial SweepCtx —
+	// Engine affects memory and speed only. The resolved engine is recorded
 	// on the Recorder's run report as meta key "sweep_engine".
 	Engine string
 	// MemBudgetBytes, when positive, sets a soft live-heap budget for
@@ -238,16 +237,19 @@ func SimilarityCtx(ctx context.Context, g *Graph, workers int, rec *Recorder) (*
 }
 
 // SweepCtx runs the sweeping phase (Algorithm 2) serially over a pair list
-// built from the same graph, sorting it in place. The context is checked
-// once per 8192 incident-edge operations (the same window size as the
-// parallel engines), bounding cancel latency by one window.
+// built from the same graph, sorting it in place. It is the paper's
+// reference and the oracle every engine is tested against; no engine name
+// selects it. The context is checked once per 8192 incident-edge operations
+// (the same window size as the windowed engine), bounding cancel latency by
+// one window.
 func SweepCtx(ctx context.Context, g *Graph, pl *PairList, rec *Recorder) (*Result, error) {
 	return core.SweepCtx(ctx, g, pl, rec)
 }
 
-// SweepParallelCtx runs the sweeping phase multi-threaded: list L is cut
-// into merge-batch windows, each resolved and applied in conflict-free
-// sub-batch rounds over one shared chain. An unsorted pair list is sorted in
+// SweepParallelCtx runs the sweeping phase with the windowed engine: list L
+// is cut into merge-batch windows; workers resolve each window's ops and drop
+// those already joined before it, and the survivors are replayed serially
+// in op order over one chain. An unsorted pair list is sorted in
 // place only as far as the sweep reads it: after the merges span the graph
 // the rest is retired unsorted, so pl.Pairs is left in list-L order only
 // through the closing similarity bucket (core.SweepResumeCtx has the
@@ -284,8 +286,11 @@ func ClusterCtx(ctx context.Context, g *Graph, opts ClusterOptions) (*Result, er
 }
 
 // Sweep engine names accepted by ClusterOptions.Engine, the linkclust
-// -engine flag, and the daemon's "engine" option. Every engine yields a
-// bitwise-identical merge stream; the choice affects speed only.
+// -engine flag, and the daemon's "engine" option. EngineSpill is the
+// out-of-core sweep; the other three name the in-memory windowed engine
+// (EngineAuto and EngineSerial are retired aliases kept so existing scripts,
+// options and journals stay valid). Both sweeps yield a bitwise-identical
+// merge stream.
 const (
 	EngineAuto     = core.SweepEngineAuto
 	EngineSerial   = core.SweepEngineSerial
@@ -306,26 +311,16 @@ func CheckEngine(name string) error {
 	return fmt.Errorf("unknown sweep engine %q (want %s)", name, strings.Join(engineNames, ", "))
 }
 
-// ResolveEngine maps an engine name to the engine that will run a sweep of
-// ops incident operations (K2, PairList.NumIncidentPairs) with the given
-// worker count. EngineAuto consults the measured op-count threshold
-// (core.ChooseSweepEngine); the empty name picks parallel when workers > 1
-// and serial otherwise; every other valid name resolves to itself. The
-// result is never EngineAuto.
-func ResolveEngine(name string, ops int64, workers int) (string, error) {
+// ResolveEngine maps an engine name to the engine that will run a sweep:
+// EngineSpill for EngineSpill, EngineParallel for every other valid name.
+func ResolveEngine(name string) (string, error) {
 	if err := CheckEngine(name); err != nil {
 		return "", err
 	}
-	switch {
-	case name == EngineAuto:
-		return core.ChooseSweepEngine(ops, workers, false), nil
-	case name != "":
-		return name, nil
-	case workers > 1:
-		return EngineParallel, nil
-	default:
-		return EngineSerial, nil
+	if name == EngineSpill {
+		return EngineSpill, nil
 	}
+	return EngineParallel, nil
 }
 
 // SweepRun reports which path RunSweep took to its result.
@@ -354,12 +349,12 @@ type SweepRun struct {
 // failures are terminal. The resolved engine is recorded on opts.Recorder
 // as meta key "sweep_engine"; opts.MemBudgetBytes is not consulted.
 //
-// Afterwards pl is fully sorted only by the serial engine. The parallel
-// engine and a coarse degrade sort an unsorted list only as far as they read
-// it (see SweepParallelCtx), and the out-of-core sweep consumes it; callers
-// that need list L afterwards must Sort it.
+// Afterwards pl is not necessarily sorted: the in-memory engine and a coarse
+// degrade sort an unsorted list only as far as they read it (see
+// SweepParallelCtx), and the out-of-core sweep consumes it; callers that
+// need list L afterwards must Sort it.
 func RunSweep(ctx context.Context, g *Graph, pl *PairList, opts ClusterOptions, overBudget bool) (*Result, SweepRun, error) {
-	engine, err := ResolveEngine(opts.Engine, pl.NumIncidentPairs(), opts.Workers)
+	engine, err := ResolveEngine(opts.Engine)
 	if err != nil {
 		return nil, SweepRun{}, err
 	}
@@ -370,12 +365,9 @@ func RunSweep(ctx context.Context, g *Graph, pl *PairList, opts ClusterOptions, 
 	opts.Recorder.SetMeta("sweep_engine", engine)
 	run := SweepRun{Engine: engine}
 	var res *Result
-	switch engine {
-	case EngineSerial:
-		res, err = core.SweepCtx(ctx, g, pl, opts.Recorder)
-	case EngineParallel:
+	if engine == EngineParallel {
 		res, err = core.SweepParallelCtx(ctx, g, pl, opts.Workers, opts.Recorder)
-	default:
+	} else {
 		res, err = core.SweepSpilledOpts(ctx, g, pl, opts.Workers,
 			core.SpillOptions{Dir: opts.SpillDir}, opts.Recorder)
 		run.Spilled = err == nil

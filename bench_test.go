@@ -287,11 +287,10 @@ func BenchmarkSimilarity(b *testing.B) {
 	})
 }
 
-// corpusGraph builds, once, a word graph the size of the end-to-end
-// benchmark's corpus-communities pass: 4,000 words, 6,000 synthetic tweets
-// over 16 topics, fed through AddDocument, the top tenth of the words
-// (about 11k edges and 0.9M incident ops).
-var corpusGraph = sync.OnceValues(func() (*graph.Graph, error) {
+// benchCorpus builds, once, a corpus the size of the end-to-end benchmark's:
+// 4,000 words, 6,000 synthetic tweets over 16 topics, fed through
+// AddDocument.
+var benchCorpus = sync.OnceValue(func() *corpus.Corpus {
 	cfg := corpus.DefaultSynthConfig()
 	cfg.Vocab, cfg.Docs, cfg.Topics = 4000, 6000, 16
 	synth := corpus.Synthesize(cfg)
@@ -299,38 +298,60 @@ var corpusGraph = sync.OnceValues(func() (*graph.Graph, error) {
 	for i := 0; i < synth.NumDocs(); i++ {
 		c.AddDocument(strings.Join(synth.Doc(i), " "))
 	}
-	return BuildWordGraph(c, 0.1, AssocOptions{})
+	return c
+})
+
+// corpusGraph builds, once, the word graph of the end-to-end benchmark's
+// corpus-communities pass: the top tenth of benchCorpus's words (about 11k
+// edges and 0.9M incident ops).
+var corpusGraph = sync.OnceValues(func() (*graph.Graph, error) {
+	return BuildWordGraph(benchCorpus(), 0.1, AssocOptions{})
+})
+
+// smallPoolGraph builds, once, the smallest graph of the end-to-end
+// benchmark's daemon-mixed pool: the top 2% of benchCorpus's words (tens of
+// thousands of incident ops), where a sweep's fixed costs weigh most.
+var smallPoolGraph = sync.OnceValues(func() (*graph.Graph, error) {
+	return BuildWordGraph(benchCorpus(), 0.02, AssocOptions{})
 })
 
 // BenchmarkSweepParallel is the acceptance benchmark of the fine-grained
 // sweep: the serial merge loop versus the windowed engine at 1 and 2
-// workers on a corpus-communities-sized word graph. Output is bitwise
-// identical in all three configurations; the lcbench `sweepkernel`
-// experiment records the full thread sweep to BENCH_sweep.json.
+// workers, on a corpus-communities-sized word graph and (under
+// "pool=0.02/") on the daemon pool's smallest graph. Output is bitwise
+// identical in every configuration.
 func BenchmarkSweepParallel(b *testing.B) {
-	g, err := corpusGraph()
-	if err != nil {
-		b.Fatal(err)
-	}
-	pl := core.Similarity(g)
-	pl.Sort()
-	b.Run("serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Sweep(g, pl); err != nil {
-				b.Fatal(err)
-			}
+	for _, c := range []struct {
+		prefix string
+		build  func() (*graph.Graph, error)
+	}{
+		{"", corpusGraph},
+		{"pool=0.02/", smallPoolGraph},
+	} {
+		g, err := c.build()
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
-	for _, workers := range []int{1, 2} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+		pl := core.Similarity(g)
+		pl.Sort()
+		b.Run(c.prefix+"serial", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.SweepParallel(g, pl, workers); err != nil {
+				if _, err := core.Sweep(g, pl); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%sworkers=%d", c.prefix, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := core.SweepParallel(g, pl, workers); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -433,7 +433,7 @@ func cmdCluster(ctx context.Context, args []string, stdin io.Reader, stdout io.W
 		in       = fs.String("in", "-", "input graph (- for stdin)")
 		algo     = fs.String("algo", "sweep", "algorithm: sweep, coarse, nbm, slink")
 		workers  = fs.Int("workers", 1, "worker threads for init and the sweep/coarse phases")
-		engine   = fs.String("engine", "auto", "sweep engine: auto, serial, parallel, spill (output identical; auto falls back to serial below a measured op-count threshold)")
+		engine   = fs.String("engine", "auto", "sweep engine: parallel (in memory) or spill (out of core); auto and serial are retired names for parallel (output identical)")
 		spillDir = fs.String("spill-dir", "", "sweep: spill similarity buckets to disk under this directory and sweep out of core (implies -engine spill; empty with -engine spill uses the system temp dir)")
 		stream   = fs.Bool("stream", false, "sweep: replay the input edges through the incremental stream engine (output unchanged)")
 		streamB  = fs.Int("stream-batch", 256, "stream: arrivals per ingest batch")
@@ -565,9 +565,9 @@ func cmdCluster(ctx context.Context, args []string, stdin io.Reader, stdout io.W
 		mergeStream = res.Merges
 		d = linkclust.NewDendrogram(res)
 	case *algo == "sweep":
-		// Every engine reproduces the serial merge stream bitwise, so
+		// Both sweeps reproduce the serial merge stream bitwise, so
 		// -workers and -engine only change how the sweep runs, never what
-		// it outputs; -engine auto picks by the measured op-count threshold.
+		// it outputs.
 		res, run, err := linkclust.RunSweep(ctx, g, pl, linkclust.ClusterOptions{
 			Workers: *workers, Recorder: rec, Engine: *engine, SpillDir: *spillDir,
 		}, false)

@@ -323,9 +323,10 @@ func TestGraphWorkersFlagMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestClusterEngineFlagMatchesPlain runs every explicit sweep engine at
+// TestClusterEngineFlagMatchesPlain runs every accepted engine name at
 // worker counts 1, 2, 4 and 8 and requires the saved merge stream to equal
-// the default run's byte for byte, with the engine named in the banner; an
+// the default run's byte for byte, with the engine that ran named in the
+// banner (the retired names auto and serial run the in-memory engine); an
 // unknown engine must fail naming the valid ones.
 func TestClusterEngineFlagMatchesPlain(t *testing.T) {
 	gtext := pipeline(t)
@@ -339,7 +340,11 @@ func TestClusterEngineFlagMatchesPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range []string{"serial", "parallel", "spill"} {
+	for _, engine := range []string{"auto", "serial", "parallel", "spill"} {
+		ran := "parallel"
+		if engine == "spill" {
+			ran = "spill"
+		}
 		for _, workers := range []string{"1", "2", "4", "8"} {
 			path := dir + "/" + engine + workers + ".bin"
 			out.Reset()
@@ -348,8 +353,8 @@ func TestClusterEngineFlagMatchesPlain(t *testing.T) {
 			if err != nil {
 				t.Fatalf("-engine %s -workers %s: %v", engine, workers, err)
 			}
-			if !strings.Contains(out.String(), "engine="+engine) {
-				t.Fatalf("-engine %s run not labeled:\n%s", engine, out.String())
+			if !strings.Contains(out.String(), "engine="+ran) {
+				t.Fatalf("-engine %s run not labeled engine=%s:\n%s", engine, ran, out.String())
 			}
 			got, err := os.ReadFile(path)
 			if err != nil {

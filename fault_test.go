@@ -27,7 +27,7 @@ func resetFaults(t *testing.T) {
 }
 
 // TestFaultDisarmedMatchesGolden is the harness's control arm: no fault
-// armed, every Ctx engine at several worker counts, golden output. Combined
+// armed, every accepted engine name at several worker counts, golden output. Combined
 // with the per-fault tests below it establishes that the injection points
 // themselves (pure atomic loads when disarmed) do not perturb the schedule.
 func TestFaultDisarmedMatchesGolden(t *testing.T) {
@@ -37,7 +37,7 @@ func TestFaultDisarmedMatchesGolden(t *testing.T) {
 	}
 	g := goldenGraph(t)
 	for _, workers := range []int{1, 4, 8} {
-		for _, engine := range []string{EngineSerial, EngineParallel, EngineSpill} {
+		for _, engine := range []string{EngineAuto, EngineSerial, EngineParallel, EngineSpill} {
 			res, err := ClusterCtx(context.Background(), g, ClusterOptions{Workers: workers, Engine: engine})
 			if err != nil {
 				t.Fatalf("T=%d engine=%s: %v", workers, engine, err)

@@ -267,3 +267,21 @@ func outOfCoreAlpha(wl Workload, cfg Config, t *Table) ([]outOfCoreResult, error
 	}
 	return out, nil
 }
+
+// sameMergeStream verifies that two sweep results carry bitwise-identical
+// merge streams and final summaries.
+func sameMergeStream(serial, par *core.Result) error {
+	if len(par.Merges) != len(serial.Merges) {
+		return fmt.Errorf("merge stream diverged: %d merges vs serial's %d", len(par.Merges), len(serial.Merges))
+	}
+	for i := range serial.Merges {
+		if par.Merges[i] != serial.Merges[i] {
+			return fmt.Errorf("merge stream diverged at %d: %+v vs serial's %+v", i, par.Merges[i], serial.Merges[i])
+		}
+	}
+	if par.NumClusters() != serial.NumClusters() || par.PairsProcessed != serial.PairsProcessed {
+		return fmt.Errorf("summary diverged: %d clusters / %d ops vs serial's %d / %d",
+			par.NumClusters(), par.PairsProcessed, serial.NumClusters(), serial.PairsProcessed)
+	}
+	return nil
+}

@@ -28,12 +28,10 @@ func Experiments() []Experiment {
 		{"fig6-2", "sweeping speedup vs threads", Fig6_2},
 		{"theory", "Theorem 2 scaling on k-regular and complete graphs", Theory},
 		{"simkernel", "extension: legacy hash-map vs wedge-major similarity kernels", SimKernel},
-		{"sweepkernel", "extension: serial vs parallel fine-grained sweep engine", SweepKernel},
 		{"quality", "extension: community recovery (ONMI) on planted ground truth", Quality},
 		{"ablation", "extension: chain-vs-union-find and algorithm-family comparisons", Ablation},
 		{"corpus", "validation: synthetic corpus vs tweet-corpus statistics", CorpusExp},
 		{"service", "extension: linkclustd load test (cold vs cached over HTTP, concurrent clients)", Service},
-		{"kernels", "extension: parallel similarity + CAS sweep bitwise-equivalence smoke", Kernels},
 		{"stream", "extension: incremental ingest+snapshot vs batch from scratch (bitwise self-validating)", Stream},
 		{"outofcore", "extension: disk-spilled sweep vs in-memory windowed (bitwise self-validating)", OutOfCore},
 	}

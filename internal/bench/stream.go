@@ -68,7 +68,7 @@ type streamReport struct {
 // measuring what incrementality buys.
 func Stream(w io.Writer, cfg Config) error {
 	// Both sides run T=8; par.Normalize clamps to GOMAXPROCS, so raise it for
-	// the duration as the kernels experiment does.
+	// the duration.
 	if old := runtime.GOMAXPROCS(0); old < streamWorkers {
 		runtime.GOMAXPROCS(streamWorkers)
 		defer runtime.GOMAXPROCS(old)

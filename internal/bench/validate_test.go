@@ -19,7 +19,7 @@ func writeDoc(t *testing.T, body string) string {
 func TestValidateBenchFileAccepts(t *testing.T) {
 	path := writeDoc(t, `{
 		"schema": "linkclust/bench/v1",
-		"name": "sweepkernel",
+		"name": "outofcore",
 		"created_at": "2026-08-06T00:00:00Z",
 		"meta": {"threads": "[1 2 4 8]"},
 		"results": [{"alpha": 0.001, "threads": [{"workers": 1}]}]

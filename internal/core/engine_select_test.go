@@ -1,37 +1,22 @@
 package core
 
-import (
-	"runtime"
-	"testing"
-)
+import "testing"
 
-// TestChooseSweepEngine pins the auto policy around its measured threshold:
-// serial below it or whenever workers normalize to one, parallel above it
-// whatever the ignored third argument says.
+// TestChooseSweepEngine pins the deprecated selector to the one in-memory
+// engine: no op count, worker count or flag picks anything else.
 func TestChooseSweepEngine(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("worker normalization clamps to 1 here; multi-worker selection untestable")
-	}
-	old := SweepAutoMinOps
-	defer func() { SweepAutoMinOps = old }()
-	SweepAutoMinOps = 1000
-
 	for _, c := range []struct {
-		ops      int64
-		workers  int
-		pipeline bool
-		want     string
+		ops     int64
+		workers int
+		flag    bool
 	}{
-		{999, 8, false, SweepEngineSerial}, // below threshold
-		{999, 8, true, SweepEngineSerial},
-		{1000, 8, false, SweepEngineParallel},
-		{1000, 8, true, SweepEngineParallel},   // the third argument selects nothing
-		{1 << 40, 1, false, SweepEngineSerial}, // one worker: parallel can only lose
-		{1 << 40, 1, true, SweepEngineSerial},
-		{1 << 40, 0, false, SweepEngineSerial}, // 0 normalizes to 1
+		{0, 0, false},
+		{999, 8, true},
+		{1 << 40, 1, false},
+		{1 << 40, 8, true},
 	} {
-		if got := ChooseSweepEngine(c.ops, c.workers, c.pipeline); got != c.want {
-			t.Errorf("ChooseSweepEngine(%d, %d, %v) = %q, want %q", c.ops, c.workers, c.pipeline, got, c.want)
+		if got := ChooseSweepEngine(c.ops, c.workers, c.flag); got != SweepEngineParallel {
+			t.Errorf("ChooseSweepEngine(%d, %d, %v) = %q, want %q", c.ops, c.workers, c.flag, got, SweepEngineParallel)
 		}
 	}
 }

@@ -75,10 +75,9 @@ func captureState(e *sweepEngine) SweepState {
 // list: the engine's window cutter is a greedy pure function of op counts
 // over the sorted order, so with an identical prefix every boundary below
 // Pos recurs, and the engine's state at a boundary is exactly (chain,
-// merges, counters, opsSinceFlatten) — all restored here. The reservation
-// table needs no restoration: a fresh table is all zeros, every live
-// reservation tag of round g exceeds g<<32 > 0, and both schedulers ignore
-// tags below the current round's base.
+// merges, counters, opsSinceFlatten) — all restored here. Nothing else
+// carries across a window boundary: the survivor buffers are refilled by
+// every window's resolution.
 //
 // When save is non-nil it receives a checkpoint at every window boundary
 // reached after at least saveEvery operations since the last one (saveEvery

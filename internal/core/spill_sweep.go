@@ -39,8 +39,8 @@ const spillScatterPollPairs = 2048
 const spillBucketAhead = 8
 
 // spillReaders returns the read-back producer's decode/sort budget: roughly
-// half the worker count, leaving the rest for the consumer's
-// resolve/find/apply fan-outs that run concurrently with bucket decoding.
+// half the worker count, leaving the rest for the consumer's resolution
+// fan-outs that run concurrently with bucket decoding.
 func spillReaders(workers int) int {
 	return max(workers/2, 1)
 }
@@ -56,7 +56,7 @@ type SpillOptions struct {
 // MSD-radix partitioned on its similarity bits into per-bucket spill files,
 // the in-memory list is released, and a producer pool streams the buckets
 // back from disk (each sorted on arrival, in descending-similarity bucket
-// order) into the windowed reservation engine of SweepParallel. Buckets
+// order) into the windowed engine of SweepParallel. Buckets
 // decoded after the engine closes (see closeIfSpanned) are published
 // unsorted: the closure pass that retires them is order-free. The pair
 // list therefore never needs to be resident twice, and during the merge

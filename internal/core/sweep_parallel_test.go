@@ -153,9 +153,6 @@ func TestSweepParallelCounters(t *testing.T) {
 	if rec.Counter(CtrSweepWindows) < 1 {
 		t.Fatal("no windows recorded")
 	}
-	if rec.Counter(CtrSweepRounds) < rec.Counter(CtrSweepWindows) {
-		t.Fatalf("rounds %d < windows %d", rec.Counter(CtrSweepRounds), rec.Counter(CtrSweepWindows))
-	}
 	retired := rec.Counter(CtrSweepMerges) + rec.Counter(CtrSweepNoopDrops)
 	if retired != res.PairsProcessed {
 		t.Fatalf("merges + drops = %d, want every op retired once (%d)", retired, res.PairsProcessed)

@@ -6,11 +6,11 @@
 // JSON shell over the Manager; cmd/linkclustd adds only flags, listening,
 // and signal handling.
 //
-// Determinism is what makes the cache sound: every engine in the facade
-// (serial, windowed-parallel, spill) produces a bitwise-identical merge
+// Determinism is what makes the cache sound: both sweeps in the facade (the
+// in-memory windowed engine and spill) produce a bitwise-identical merge
 // stream for a given (graph, algorithm) at any worker count, so worker
 // count and engine are deliberately excluded from cache keys — a result
-// computed at T=8 parallel serves a T=1 serial request verbatim.
+// computed at T=8 in memory serves a T=1 spill request verbatim.
 // See DESIGN.md §8.
 package jobs
 
@@ -28,9 +28,9 @@ import (
 type Algorithm string
 
 const (
-	// AlgoSweep is the fine-grained sweep (Algorithm 2); the engine —
-	// serial, windowed-parallel, or spill — follows Options.Engine and
-	// Options.Workers and never changes the output.
+	// AlgoSweep is the fine-grained sweep (Algorithm 2); the engine — in
+	// memory or spill — follows Options.Engine and never changes the
+	// output.
 	AlgoSweep Algorithm = "sweep"
 	// AlgoCoarse is the coarse-grained sweep of Section V with the default
 	// parameters (γ=2, φ=100, δ0=1000, η0=8).
@@ -38,18 +38,18 @@ const (
 )
 
 // Options configures one clustering job. The zero value is valid: AlgoSweep,
-// serial, the manager's default timeout and memory budget.
+// the in-memory engine, the manager's default timeout and memory budget.
 type Options struct {
 	// Algorithm selects the sweeping phase; empty means AlgoSweep.
 	Algorithm Algorithm `json:"algorithm,omitempty"`
 	// Workers is the per-job worker count, normalized like every facade
 	// entry point (see par.Normalize). Does not affect the output.
 	Workers int `json:"workers,omitempty"`
-	// Engine selects the sweep engine for AlgoSweep jobs: "auto" (the
-	// default — serial below the measured op-count threshold, parallel above
-	// it when Workers > 1), "serial", "parallel", or "spill" (the
-	// out-of-core sweep over the daemon's spill directory). Does not affect
-	// the output, so it is excluded from result cache keys like Workers —
+	// Engine selects the sweep engine for AlgoSweep jobs: "spill" runs the
+	// out-of-core sweep over the daemon's spill directory, and "parallel",
+	// "auto" (the default) and "serial" all run the in-memory windowed
+	// engine — the last two are retired names kept so existing clients and
+	// journals stay valid. Does not affect the output, so it is excluded from result cache keys like Workers —
 	// spilled results are cacheable under the same keys precisely because
 	// the spilled merge stream is bitwise identical.
 	Engine string `json:"engine,omitempty"`

@@ -689,11 +689,12 @@ func (m *Manager) execute(ctx context.Context, j *Job, rec *linkclust.Recorder) 
 	return res, buf.Bytes(), pairsHit, nil
 }
 
-// sweep runs a fine-grained job's sweeping phase. Checkpointed and resumed
-// jobs run core.SweepResumeCtx — the windowed parallel engine plus state
-// capture, so output stays bitwise identical — and everything else goes
-// through linkclust.RunSweep, the facade's one engine dispatch and budget
-// ladder. A budget breach always takes the ladder.
+// sweep runs a fine-grained job's sweeping phase. In-memory jobs run
+// core.SweepResumeCtx — the windowed engine plus state capture, so output
+// stays bitwise identical — whenever the manager checkpoints or the job
+// resumes; spilled jobs and every job of a manager that does not checkpoint
+// go through linkclust.RunSweep, the facade's one engine dispatch and
+// budget ladder. A budget breach always takes the ladder.
 func (m *Manager) sweep(ctx context.Context, j *Job, pl *linkclust.PairList, rec *linkclust.Recorder, overBudget bool) (*linkclust.Result, linkclust.SweepRun, error) {
 	opts := linkclust.ClusterOptions{
 		Workers:  j.Options.Workers,
@@ -701,12 +702,12 @@ func (m *Manager) sweep(ctx context.Context, j *Job, pl *linkclust.PairList, rec
 		Engine:   j.Options.Engine,
 		SpillDir: m.cfg.SpillDir,
 	}
-	engine, err := linkclust.ResolveEngine(opts.Engine, pl.NumIncidentPairs(), opts.Workers)
+	engine, err := linkclust.ResolveEngine(opts.Engine)
 	if err != nil {
 		return nil, linkclust.SweepRun{}, err
 	}
 	checkpointing := m.store.enabled() && m.cfg.CheckpointOps > 0
-	resumable := j.resume != nil || checkpointing && engine == linkclust.EngineParallel
+	resumable := j.resume != nil || checkpointing && engine != linkclust.EngineSpill
 	if overBudget || !resumable {
 		return linkclust.RunSweep(ctx, j.graph, pl, opts, overBudget)
 	}

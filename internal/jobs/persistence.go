@@ -381,7 +381,8 @@ func (m *Manager) replayJob(id string, submit persist.Record, terminal *persist.
 	if err == nil {
 		// An engine name this build does not know was accepted by an older
 		// one whose engine has since been removed. The engine never changes
-		// the output or the result key, so the job replays under auto.
+		// the output or the result key, so the job replays under auto, the
+		// in-memory engine.
 		if linkclust.CheckEngine(opts.Engine) != nil {
 			opts.Engine = linkclust.EngineAuto
 		}

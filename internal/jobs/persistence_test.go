@@ -210,6 +210,61 @@ func TestPersistentRecoveryRerunsInterrupted(t *testing.T) {
 	}
 }
 
+// TestPersistentResumeRetiredEngine journals a job under the retired engine
+// name "serial" on a checkpointing manager and drains it at the third
+// window cut of its sweep, after two windows were checkpointed. The restart
+// must replay it under the same name, resume it from the checkpoint, and
+// finish with the merges hash of an uninterrupted run: every in-memory job
+// checkpoints, whatever engine name it was submitted with.
+func TestPersistentResumeRetiredEngine(t *testing.T) {
+	resetJobFaults(t)
+	dir := t.TempDir()
+	text := graphText(t, 300, 202)
+
+	mc := NewManager(Config{Concurrency: 1})
+	cst, err := mc.Submit(text, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cst = waitState(t, mc, cst.ID)
+	mc.Close()
+	if cst.State != StateDone {
+		t.Fatalf("control job %s (%s)", cst.State, cst.Error)
+	}
+
+	m1 := openPersistent(t, Config{Concurrency: 1, StateDir: dir, CheckpointOps: 1})
+	drained := make(chan struct{})
+	fault.Arm(fault.CancelWindow, 3, func() {
+		go func() {
+			m1.Drain()
+			close(drained)
+		}()
+		<-m1.baseCtx.Done() // the sweep sees the drain at this cut
+	})
+	st, err := m1.Submit(text, Options{Engine: linkclust.EngineSerial, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-drained
+	fault.Reset()
+
+	m2 := openPersistent(t, Config{Concurrency: 1, StateDir: dir, CheckpointOps: 1})
+	defer m2.Close()
+	got := waitState(t, m2, st.ID)
+	if got.State != StateDone {
+		t.Fatalf("resumed job %s (%s)", got.State, got.Error)
+	}
+	if got.Options.Engine != linkclust.EngineSerial {
+		t.Fatalf("replayed engine %q, want %q", got.Options.Engine, linkclust.EngineSerial)
+	}
+	if got.Result.MergesSHA256 != cst.Result.MergesSHA256 {
+		t.Fatalf("resumed merges sha %s, uninterrupted %s", got.Result.MergesSHA256, cst.Result.MergesSHA256)
+	}
+	if mt := m2.Metrics(); mt.JobsResumed != 1 {
+		t.Fatalf("jobs_resumed_from_checkpoint = %d, want 1", mt.JobsResumed)
+	}
+}
+
 // TestPersistentDiskCacheTiers exercises both durable cache sides across a
 // restart: a result evicted from the memory LRU is promoted back from disk,
 // and a pair list computed in the previous process serves a new algorithm's

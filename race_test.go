@@ -114,9 +114,9 @@ func TestRaceCoarseSweepReplicaMerge(t *testing.T) {
 
 // TestRaceSweepParallel runs concurrent parallel fine-grained sweeps — each
 // on its own PairList, all recording into one shared Recorder — and checks
-// every merge stream bitwise against the serial sweep. This sweeps the
-// engine's resolve/find/apply fan-out and the reservation scan under the
-// race detector while the Recorder takes counter and phase writes from all
+// every merge stream bitwise against the serial sweep. This runs the
+// engine's resolution fan-out and its serial drain under the race detector
+// while the Recorder takes counter and phase writes from all
 // pipelines at once.
 func TestRaceSweepParallel(t *testing.T) {
 	g := raceGraph(5)
