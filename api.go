@@ -85,8 +85,9 @@ type (
 
 // Clustering types.
 type (
-	// Pair is one vertex pair of map M with its similarity and common
-	// neighbors (Algorithm 1 output).
+	// Pair is one vertex pair of map M with its similarity and its
+	// common-neighbor count N (Algorithm 1 output); the sweeps regenerate
+	// the common neighbors from the graph.
 	Pair = core.Pair
 	// PairList is the materialized map M; after Sort it is list L.
 	PairList = core.PairList

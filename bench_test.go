@@ -269,8 +269,10 @@ func BenchmarkFig1Example(b *testing.B) {
 // BenchmarkSimilarity compares the initialization-phase kernels serially on
 // the heaviest workload of the sweep: the legacy global hash-map
 // accumulator versus the wedge-major (Gustavson/SPA) row accumulation that
-// Similarity now uses. Same output after Sort; the wedge kernel trades
-// hash lookups and linked-list chains for dense per-row scratch.
+// Similarity now uses. The pairs, counts and similarities are the same
+// after Sort; the wedge kernel trades hash lookups and linked-list chains
+// for dense per-row scratch, and the legacy kernel also lists every pair's
+// common neighbors, which the wedge kernel does not store.
 func BenchmarkSimilarity(b *testing.B) {
 	g := benchGraph(b, 0.01)
 	b.Run("legacy", func(b *testing.B) {
@@ -359,9 +361,7 @@ func BenchmarkSweepParallel(b *testing.B) {
 // stream-trickle workload: a 16-edge IngestBatch plus a Snapshot on a warm
 // stream over the corpus-communities-sized word graph, whose last 1,600
 // edges arrive as the trickle. When the trickle runs out, a fresh engine is
-// warmed untimed. It reports the largest ratio over all steps of the Common
-// ints the maintained list can keep reachable to its live op count — the
-// storage the engine's re-pack bounds.
+// warmed untimed.
 func BenchmarkStreamStep(b *testing.B) {
 	g, err := corpusGraph()
 	if err != nil {
@@ -375,7 +375,6 @@ func BenchmarkStreamStep(b *testing.B) {
 	warm := len(arrivals) - trickle
 	var eng *Stream
 	next := len(arrivals)
-	worst := 0.0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -400,10 +399,7 @@ func BenchmarkStreamStep(b *testing.B) {
 			b.Fatal(err)
 		}
 		next += batch
-		held, live := eng.CommonInts()
-		worst = max(worst, float64(held)/float64(live))
 	}
-	b.ReportMetric(worst, "common-ints/live-op")
 }
 
 // BenchmarkPairListSort isolates the K1·log K1 sort that becomes the
@@ -435,12 +431,12 @@ func BenchmarkAblationChain(b *testing.B) {
 	pl := core.Similarity(g)
 	pl.Sort()
 	var ops [][2]int32
+	var pairOps []core.Op
 	for i := range pl.Pairs {
 		p := &pl.Pairs[i]
-		for _, k := range p.Common {
-			e1, _ := g.EdgeBetween(int(p.U), int(k))
-			e2, _ := g.EdgeBetween(int(p.V), int(k))
-			ops = append(ops, [2]int32{e1, e2})
+		pairOps = core.AppendOps(pairOps[:0], g, p.U, p.V)
+		for _, op := range pairOps {
+			ops = append(ops, [2]int32{op.E1, op.E2})
 		}
 	}
 	m := g.NumEdges()

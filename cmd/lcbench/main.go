@@ -37,7 +37,7 @@ func run(args []string, out io.Writer) error {
 		seed       = fs.Uint64("seed", 0, "corpus seed override (0 = preset default)")
 		list       = fs.Bool("list", false, "list available experiments and exit")
 		report     = fs.String("report", "", "write a JSON run report with per-experiment phase timings to this file (e.g. BENCH_small.json)")
-		benchjson  = fs.String("benchjson", "", "write machine-readable microbenchmark results (linkclust/bench/v1) to this file; used by -experiment simkernel (BENCH_similarity.json), stream (BENCH_stream.json) and outofcore (BENCH_outofcore.json)")
+		benchjson  = fs.String("benchjson", "", "write machine-readable microbenchmark results (linkclust/bench/v1) to this file; used by -experiment stream (BENCH_stream.json), outofcore (BENCH_outofcore.json) and service (BENCH_service.json)")
 		validate   = fs.Bool("validate", false, "validate the BENCH_*.json files given as arguments against the linkclust/bench/v1 schema and exit")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the experiment to this file (go tool pprof)")
 		memprofile = fs.String("memprofile", "", "write a post-run heap profile to this file (go tool pprof)")

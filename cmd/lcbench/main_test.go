@@ -47,26 +47,6 @@ func TestRunTheoryExperiment(t *testing.T) {
 	}
 }
 
-func TestSimKernelExperimentWritesValidBenchJSON(t *testing.T) {
-	path := t.TempDir() + "/BENCH_similarity.json"
-	var out bytes.Buffer
-	if err := run([]string{"-experiment", "simkernel", "-repeats", "1", "-benchjson", path}, &out); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"simkernel:", "bench report written"} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("output missing %q:\n%s", want, out.String())
-		}
-	}
-	out.Reset()
-	if err := run([]string{"-validate", path}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "valid linkclust/bench/v1 document") {
-		t.Fatalf("validate output:\n%s", out.String())
-	}
-}
-
 func TestValidateRejectsBadInput(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-validate"}, &out); err == nil {

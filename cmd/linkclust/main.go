@@ -445,7 +445,7 @@ func cmdCluster(ctx context.Context, args []string, stdin io.Reader, stdout io.W
 		comms    = fs.Int("communities", 0, "print the N largest communities at the best-density cut")
 		merges   = fs.Bool("merges", false, "print the merge stream")
 		newick   = fs.String("newick", "", "write the dendrogram to this file in Newick format")
-		pairs    = fs.String("pairs", "", "read the similarity pair list from this file (skips phase I)")
+		pairs    = fs.String("pairs", "", "read the similarity pair list (an LCPL v2 file written by 'linkclust simil') from this file, skipping phase I; it is checked against the graph before any sweep")
 		saveTo   = fs.String("save-merges", "", "write the merge stream to this file in binary format")
 		dot      = fs.String("dot", "", "write a Graphviz DOT file with edges colored by best-cut community")
 		report   = fs.String("report", "", "write a JSON run report (phase timers, counters, memory deltas) to this file")
@@ -528,10 +528,15 @@ func cmdCluster(ctx context.Context, args []string, stdin io.Reader, stdout io.W
 		}
 		endLoad := rec.Phase("load-pairs")
 		pl, err = core.ReadPairList(pf)
-		endLoad()
 		pf.Close()
+		if err == nil {
+			// The sweeps trust a pair's count N once their merges span the
+			// op graph, so a list from another graph is refused here.
+			err = core.CheckPairs(g, pl)
+		}
+		endLoad()
 		if err != nil {
-			return err
+			return fmt.Errorf("%s: %w", *pairs, err)
 		}
 	default:
 		pl, err = core.SimilarityCtx(ctx, g, *workers, rec)

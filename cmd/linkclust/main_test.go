@@ -174,6 +174,76 @@ func TestSimilCacheAndReuse(t *testing.T) {
 	}
 }
 
+// TestClusterPairsChecked feeds -pairs files that must be refused before any
+// sweep runs: a pair list computed from another graph, which CheckPairs
+// rejects, and a file in the retired version-1 format.
+func TestClusterPairsChecked(t *testing.T) {
+	dir := t.TempDir()
+	gpath := dir + "/graph.txt"
+	if err := os.WriteFile(gpath, []byte(pipeline(t)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var other bytes.Buffer
+	if err := run(context.Background(), []string{"synth", "-vocab", "300", "-docs", "800", "-topics", "6", "-seed", "4"}, nil, &other); err != nil {
+		t.Fatal(err)
+	}
+	opath := dir + "/other.txt"
+	f, err := os.Create(opath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = run(context.Background(), []string{"graph", "-alpha", "0.3"}, &other, f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := dir + "/foreign.bin"
+	var out bytes.Buffer
+	if err := run(context.Background(), []string{"simil", "-in", opath, "-out", foreign}, nil, &out); err != nil {
+		t.Fatal(err)
+	}
+	// Version 1: magic, version, unsorted, one pair (0,1) with similarity
+	// 0.5 and its one common neighbor, 2.
+	v1 := []byte("LCPL\x01\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00" +
+		"\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\xe0\x3f" +
+		"\x01\x00\x00\x00\x02\x00\x00\x00")
+	old := dir + "/v1.bin"
+	if err := os.WriteFile(old, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ pairs, want string }{
+		{foreign, "common neighbors"},
+		{old, "unsupported pair list version 1"},
+	} {
+		for _, algo := range []string{"sweep", "coarse"} {
+			rpath := dir + "/run.json"
+			out.Reset()
+			err := run(context.Background(), []string{"cluster", "-in", gpath, "-pairs", tc.pairs, "-algo", algo, "-report", rpath}, nil, &out)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%s -algo %s: err = %v, want one containing %q", tc.pairs, algo, err, tc.want)
+			}
+			data, rerr := os.ReadFile(rpath)
+			if rerr != nil {
+				t.Fatalf("partial report not written: %v", rerr)
+			}
+			var rep linkclust.RunReport
+			if err := json.Unmarshal(data, &rep); err != nil {
+				t.Fatal(err)
+			}
+			loaded := false
+			for _, p := range rep.Phases {
+				if p.Path != "read-graph" && p.Path != "load-pairs" {
+					t.Fatalf("%s -algo %s: phase %q ran before the pair list was refused", tc.pairs, algo, p.Path)
+				}
+				loaded = loaded || p.Path == "load-pairs"
+			}
+			if !loaded {
+				t.Fatalf("%s -algo %s: report has no load-pairs phase: %+v", tc.pairs, algo, rep.Phases)
+			}
+		}
+	}
+}
+
 func TestSaveMerges(t *testing.T) {
 	gtext := pipeline(t)
 	path := t.TempDir() + "/merges.bin"

@@ -100,7 +100,7 @@ func ExampleSimilarityCtx() {
 	pl.Sort()
 	top := pl.Pairs[0]
 	fmt.Printf("most similar vertex pair: %s,%s (%.2f) via %d common neighbors\n",
-		g.Label(int(top.U)), g.Label(int(top.V)), top.Sim, len(top.Common))
+		g.Label(int(top.U)), g.Label(int(top.V)), top.Sim, top.N)
 	// Output:
 	// most similar vertex pair: a,b (1.00) via 1 common neighbors
 }

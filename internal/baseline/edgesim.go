@@ -27,19 +27,16 @@ type EdgeSim struct {
 }
 
 // NewEdgeSim indexes the incident-pair similarities of pl against the edge
-// ids of g. pl may be sorted or unsorted.
+// ids of g, regenerating each pair's incident edge pairs from g (see
+// core.AppendOps). pl may be sorted or unsorted.
 func NewEdgeSim(g *graph.Graph, pl *core.PairList) *EdgeSim {
 	s := &EdgeSim{n: g.NumEdges(), sim: make(map[uint64]float64, pl.NumIncidentPairs())}
+	var ops []core.Op
 	for i := range pl.Pairs {
 		p := &pl.Pairs[i]
-		for _, k := range p.Common {
-			e1, ok1 := g.EdgeBetween(int(p.U), int(k))
-			e2, ok2 := g.EdgeBetween(int(p.V), int(k))
-			if !ok1 || !ok2 {
-				// A foreign pair list; skip rather than corrupt.
-				continue
-			}
-			s.sim[edgePairKey(e1, e2)] = p.Sim
+		ops = core.AppendOps(ops[:0], g, p.U, p.V)
+		for _, op := range ops {
+			s.sim[edgePairKey(op.E1, op.E2)] = p.Sim
 		}
 	}
 	return s

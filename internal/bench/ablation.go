@@ -38,14 +38,12 @@ func Ablation(w io.Writer, cfg Config) error {
 
 	// Resolve the sweep's merge-op stream once.
 	var ops [][2]int32
+	var pairOps []core.Op
 	for i := range pl.Pairs {
 		p := &pl.Pairs[i]
-		for _, k := range p.Common {
-			e1, ok1 := g.EdgeBetween(int(p.U), int(k))
-			e2, ok2 := g.EdgeBetween(int(p.V), int(k))
-			if ok1 && ok2 {
-				ops = append(ops, [2]int32{e1, e2})
-			}
+		pairOps = core.AppendOps(pairOps[:0], g, p.U, p.V)
+		for _, op := range pairOps {
+			ops = append(ops, [2]int32{op.E1, op.E2})
 		}
 	}
 	m := g.NumEdges()

@@ -50,8 +50,8 @@ type Config struct {
 	// disables instrumentation.
 	Obs *obs.Recorder
 	// BenchJSON, when non-empty, is the path where machine-readable
-	// microbenchmark experiments (currently simkernel) write their results
-	// in the linkclust/bench/v1 schema (e.g. BENCH_similarity.json).
+	// microbenchmark experiments (stream, outofcore, service) write their
+	// results in the linkclust/bench/v1 schema (e.g. BENCH_stream.json).
 	BenchJSON string
 }
 

@@ -34,9 +34,8 @@ func Fig4_1(w io.Writer, cfg Config) error {
 	return nil
 }
 
-// copyPairs clones the pair-list header so repeated sweeps can re-sort
-// without mutating the caller's list (Common arenas are shared; Sort only
-// permutes the headers).
+// copyPairs clones the pair list so repeated sweeps can re-sort without
+// mutating the caller's list.
 func copyPairs(pl *core.PairList) *core.PairList {
 	return &core.PairList{Pairs: append([]core.Pair(nil), pl.Pairs...)}
 }

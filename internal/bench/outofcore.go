@@ -131,10 +131,9 @@ func OutOfCore(w io.Writer, cfg Config) error {
 	return nil
 }
 
-// clonePairList shallow-copies the pair slice: the sweep engines permute
-// Pair values and drop Common references within their own copy but only ever
-// read the shared neighbor arrays, so one master list safely feeds every
-// consuming run.
+// clonePairList copies the pair slice: the sweep engines permute (and the
+// spilled sweep releases) the list they are given, so every consuming run
+// gets its own copy of one master list.
 func clonePairList(pl *core.PairList) *core.PairList {
 	return &core.PairList{Pairs: append([]core.Pair(nil), pl.Pairs...)}
 }

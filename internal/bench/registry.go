@@ -27,7 +27,6 @@ func Experiments() []Experiment {
 		{"fig6-1", "initialization speedup vs threads", Fig6_1},
 		{"fig6-2", "sweeping speedup vs threads", Fig6_2},
 		{"theory", "Theorem 2 scaling on k-regular and complete graphs", Theory},
-		{"simkernel", "extension: legacy hash-map vs wedge-major similarity kernels", SimKernel},
 		{"quality", "extension: community recovery (ONMI) on planted ground truth", Quality},
 		{"ablation", "extension: chain-vs-union-find and algorithm-family comparisons", Ablation},
 		{"corpus", "validation: synthetic corpus vs tweet-corpus statistics", CorpusExp},

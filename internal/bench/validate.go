@@ -8,6 +8,28 @@ import (
 	"time"
 )
 
+// BenchSchemaV1 identifies the machine-readable microbenchmark format the
+// harness emits (BENCH_*.json files). It is distinct from the run-report
+// schema (linkclust/run-report/v1): a run report captures one pipeline's
+// phases, a bench file captures a head-to-head comparison.
+const BenchSchemaV1 = "linkclust/bench/v1"
+
+// writeBenchJSON writes one linkclust/bench/v1 document (any experiment's
+// report struct) as indented JSON.
+func writeBenchJSON(path string, report any) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(report); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
 // benchDoc is the schema-bearing envelope every BENCH_*.json document shares;
 // experiment-specific result fields stay opaque here.
 type benchDoc struct {

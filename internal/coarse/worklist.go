@@ -39,6 +39,7 @@ type workList struct {
 	err   error         // first bucket-sort failure (cancellation or a panic)
 	took  time.Duration // time spent in bucket sorts
 	total int64
+	ops   []core.Op  // scratch reused across opsOf calls
 	buf   [][2]int32 // scratch reused across opsOf calls
 }
 
@@ -83,30 +84,31 @@ func (w *workList) sim(p int) float64 {
 }
 
 // opsOf resolves the merge operations of vertex pair p: for each common
-// neighbor k of (U, V), the edge pair ((U,k), (V,k)). The returned slice is
+// neighbor k of (U, V), regenerated from the graph in ascending order (see
+// core.AppendOps), the edge pair ((U,k), (V,k)). The returned slice is
 // valid until the next opsOf call. An error indicates the pair list was
-// built from a different graph, or that sorting the list failed.
+// built from a different graph (the pair's count N disagrees with the
+// graph), or that sorting the list failed.
 func (w *workList) opsOf(p int) ([][2]int32, error) {
 	w.ensure(p)
 	if w.err != nil {
 		return nil, w.err
 	}
 	pr := &w.pairs[p]
+	w.ops = core.AppendOps(w.ops[:0], w.g, pr.U, pr.V)
+	if len(w.ops) != int(pr.N) {
+		return nil, fmt.Errorf("coarse: pair (%d,%d) lists %d common neighbors, the graph has %d", pr.U, pr.V, pr.N, len(w.ops))
+	}
 	w.buf = w.buf[:0]
-	for _, k := range pr.Common {
-		e1, ok1 := w.g.EdgeBetween(int(pr.U), int(k))
-		e2, ok2 := w.g.EdgeBetween(int(pr.V), int(k))
-		if !ok1 || !ok2 {
-			return nil, fmt.Errorf("coarse: pair (%d,%d) common neighbor %d has no incident edges in graph", pr.U, pr.V, k)
-		}
-		w.buf = append(w.buf, [2]int32{e1, e2})
+	for _, op := range w.ops {
+		w.buf = append(w.buf, [2]int32{op.E1, op.E2})
 	}
 	return w.buf, nil
 }
 
 // opCount returns |l| for vertex pair p — the number of incident edge pairs
-// it contributes.
+// it contributes, its count N.
 func (w *workList) opCount(p int) int64 {
 	w.ensure(p)
-	return int64(len(w.pairs[p].Common))
+	return int64(w.pairs[p].N)
 }

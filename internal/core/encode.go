@@ -17,15 +17,22 @@ import (
 const (
 	pairListMagic = "LCPL"
 	mergesMagic   = "LCMG"
-	formatVersion = 1
+	// pairListVersion 2 stores each pair as its fixed 20-byte record;
+	// version 1 also stored every pair's common-neighbor list, and is
+	// refused.
+	pairListVersion = 2
+	mergesVersion   = 1
 )
 
 // maxDecodeCount bounds per-collection element counts during decoding so a
 // corrupted header cannot trigger an enormous allocation.
 const maxDecodeCount = 1 << 31
 
-// WritePairList serializes pl (including sort state and common-neighbor
-// lists) to w.
+// WritePairList serializes pl — its sort state and every pair as a fixed
+// 20-byte record {U, V, SimBits, N} (see appendPairRecord) — to w. The
+// common neighbors are not written: a sweep regenerates them from the
+// graph. A list read back from a file should be checked against its graph
+// with CheckPairs before it is swept.
 func WritePairList(w io.Writer, pl *PairList) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(pairListMagic); err != nil {
@@ -35,33 +42,27 @@ func WritePairList(w io.Writer, pl *PairList) error {
 	if pl.sorted {
 		sorted = 1
 	}
-	for _, v := range []uint32{formatVersion, sorted, uint32(len(pl.Pairs))} {
+	for _, v := range []uint32{pairListVersion, sorted, uint32(len(pl.Pairs))} {
 		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
 			return err
 		}
 	}
+	var rec []byte
 	for i := range pl.Pairs {
-		p := &pl.Pairs[i]
-		if err := binary.Write(bw, binary.LittleEndian, p.U); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, p.V); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, math.Float64bits(p.Sim)); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, uint32(len(p.Common))); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, p.Common); err != nil {
+		rec = appendPairRecord(rec[:0], &pl.Pairs[i])
+		if _, err := bw.Write(rec); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
 
-// ReadPairList deserializes a pair list written by WritePairList.
+// ReadPairList deserializes a pair list written by WritePairList. It
+// validates the envelope only — magic, version (a version-1 file, which
+// carried common-neighbor lists, is refused as unsupported), and that every
+// record the header counts is present — so the caller must still check the
+// pairs against their graph with CheckPairs. Storage grows with the records
+// actually read, so a hostile count cannot force a large allocation.
 func ReadPairList(r io.Reader) (*PairList, error) {
 	br := bufio.NewReader(r)
 	if err := expectMagic(br, pairListMagic); err != nil {
@@ -73,37 +74,19 @@ func ReadPairList(r io.Reader) (*PairList, error) {
 			return nil, fmt.Errorf("core: pair list header: %w", err)
 		}
 	}
-	if version != formatVersion {
+	if version != pairListVersion {
 		return nil, fmt.Errorf("core: unsupported pair list version %d", version)
 	}
 	if count > maxDecodeCount {
 		return nil, fmt.Errorf("core: implausible pair count %d", count)
 	}
-	pl := &PairList{Pairs: make([]Pair, count), sorted: sorted == 1}
-	for i := range pl.Pairs {
-		p := &pl.Pairs[i]
-		var bits uint64
-		var n uint32
-		if err := binary.Read(br, binary.LittleEndian, &p.U); err != nil {
+	pl := &PairList{Pairs: make([]Pair, 0, min(count, 1<<16)), sorted: sorted == 1}
+	var rec [pairRecordFixed]byte
+	for i := 0; i < int(count); i++ {
+		if _, err := io.ReadFull(br, rec[:]); err != nil {
 			return nil, fmt.Errorf("core: pair %d: %w", i, err)
 		}
-		if err := binary.Read(br, binary.LittleEndian, &p.V); err != nil {
-			return nil, fmt.Errorf("core: pair %d: %w", i, err)
-		}
-		if err := binary.Read(br, binary.LittleEndian, &bits); err != nil {
-			return nil, fmt.Errorf("core: pair %d: %w", i, err)
-		}
-		p.Sim = math.Float64frombits(bits)
-		if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-			return nil, fmt.Errorf("core: pair %d: %w", i, err)
-		}
-		if n > maxDecodeCount {
-			return nil, fmt.Errorf("core: pair %d: implausible common count %d", i, n)
-		}
-		p.Common = make([]int32, n)
-		if err := binary.Read(br, binary.LittleEndian, p.Common); err != nil {
-			return nil, fmt.Errorf("core: pair %d commons: %w", i, err)
-		}
+		pl.Pairs = append(pl.Pairs, decodePairRecord(rec[:]))
 	}
 	return pl, nil
 }
@@ -114,7 +97,7 @@ func WriteMerges(w io.Writer, n int, merges []Merge) error {
 	if _, err := bw.WriteString(mergesMagic); err != nil {
 		return err
 	}
-	for _, v := range []uint32{formatVersion, uint32(n), uint32(len(merges))} {
+	for _, v := range []uint32{mergesVersion, uint32(n), uint32(len(merges))} {
 		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
 			return err
 		}
@@ -146,7 +129,7 @@ func ReadMerges(r io.Reader) (int, []Merge, error) {
 			return 0, nil, fmt.Errorf("core: merges header: %w", err)
 		}
 	}
-	if version != formatVersion {
+	if version != mergesVersion {
 		return 0, nil, fmt.Errorf("core: unsupported merges version %d", version)
 	}
 	if count > maxDecodeCount || n > maxDecodeCount {
@@ -172,80 +155,48 @@ func ReadMerges(r io.Reader) (int, []Merge, error) {
 	return int(n), merges, nil
 }
 
-// Compact per-pair records for the out-of-core spill path. Each record is
-// the fixed 20-byte prefix U(4) V(4) SimBits(8) CommonLen(4), little-endian
-// like everything above, followed by CommonLen int32 common-edge ids — the
-// same fields WritePairList persists, minus the file envelope (the spill
-// store adds its own checksummed header per bucket). Sim travels as raw
-// float64 bits, so a decoded pair is bitwise identical to its source.
+// Fixed per-pair records, shared by the pair-list file body and the
+// out-of-core spill path. Each record is the 20-byte U(4) V(4) SimBits(8)
+// N(4), little-endian like everything above; the spill store adds its own
+// checksummed header per bucket. Sim travels as raw float64 bits, so a
+// decoded pair is bitwise identical to its source.
 
-// pairRecordFixed is the byte length of a record's fixed prefix.
+// pairRecordFixed is the byte length of a record.
 const pairRecordFixed = 20
 
-// appendPairRecord appends p's spill record to dst and returns the extended
+// appendPairRecord appends p's record to dst and returns the extended
 // slice.
 func appendPairRecord(dst []byte, p *Pair) []byte {
-	var fixed [pairRecordFixed]byte
-	binary.LittleEndian.PutUint32(fixed[0:], uint32(p.U))
-	binary.LittleEndian.PutUint32(fixed[4:], uint32(p.V))
-	binary.LittleEndian.PutUint64(fixed[8:], math.Float64bits(p.Sim))
-	binary.LittleEndian.PutUint32(fixed[16:], uint32(len(p.Common)))
-	dst = append(dst, fixed[:]...)
-	for _, c := range p.Common {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], uint32(c))
-		dst = append(dst, b[:]...)
-	}
-	return dst
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(p.U))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(p.V))
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.Sim))
+	return binary.LittleEndian.AppendUint32(dst, uint32(p.N))
 }
 
-// decodePairRecords decodes exactly count records from payload, with every
-// Common slice carved from one shared arena (mirroring the similarity
-// kernel's layout, so a bucket's commons release together). The payload is
-// hostile input — it crossed a disk — so every length is validated against
-// the remaining bytes and maxDecodeCount before any allocation it sizes.
+// decodePairRecord decodes one record from the first pairRecordFixed bytes
+// of b.
+func decodePairRecord(b []byte) Pair {
+	return Pair{
+		U:   int32(binary.LittleEndian.Uint32(b[0:])),
+		V:   int32(binary.LittleEndian.Uint32(b[4:])),
+		Sim: math.Float64frombits(binary.LittleEndian.Uint64(b[8:])),
+		N:   int32(binary.LittleEndian.Uint32(b[16:])),
+	}
+}
+
+// decodePairRecords decodes exactly count records from payload. The payload
+// is hostile input — it crossed a disk — so its length must be exactly
+// count records before anything is allocated.
 func decodePairRecords(payload []byte, count int) ([]Pair, error) {
 	if count < 0 || count > maxDecodeCount {
 		return nil, fmt.Errorf("core: implausible spill pair count %d", count)
 	}
-	fixed := count * pairRecordFixed
-	if len(payload) < fixed {
-		return nil, fmt.Errorf("core: spill payload truncated: %d bytes for %d pairs", len(payload), count)
-	}
-	rem := len(payload) - fixed
-	if rem%4 != 0 {
-		return nil, fmt.Errorf("core: spill payload has %d trailing bytes", rem%4)
-	}
-	commons := rem / 4
-	if commons > maxDecodeCount {
-		return nil, fmt.Errorf("core: implausible spill commons count %d", commons)
+	if len(payload) != count*pairRecordFixed {
+		return nil, fmt.Errorf("core: spill payload of %d bytes does not hold %d pairs of %d bytes", len(payload), count, pairRecordFixed)
 	}
 	pairs := make([]Pair, count)
-	arena := make([]int32, commons)
-	off, coff := 0, 0
 	for i := range pairs {
-		if len(payload)-off < pairRecordFixed {
-			return nil, fmt.Errorf("core: spill record %d truncated", i)
-		}
-		p := &pairs[i]
-		p.U = int32(binary.LittleEndian.Uint32(payload[off:]))
-		p.V = int32(binary.LittleEndian.Uint32(payload[off+4:]))
-		p.Sim = math.Float64frombits(binary.LittleEndian.Uint64(payload[off+8:]))
-		k := int(binary.LittleEndian.Uint32(payload[off+16:]))
-		off += pairRecordFixed
-		if k > commons-coff || k > (len(payload)-off)/4 {
-			return nil, fmt.Errorf("core: spill record %d claims %d commons, %d bytes left", i, k, len(payload)-off)
-		}
-		dst := arena[coff : coff+k : coff+k]
-		for j := 0; j < k; j++ {
-			dst[j] = int32(binary.LittleEndian.Uint32(payload[off+4*j:]))
-		}
-		p.Common = dst
-		off += 4 * k
-		coff += k
-	}
-	if off != len(payload) {
-		return nil, fmt.Errorf("core: spill payload has %d undecoded bytes", len(payload)-off)
+		pairs[i] = decodePairRecord(payload[i*pairRecordFixed:])
 	}
 	return pairs, nil
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -17,6 +19,9 @@ func TestPairListRoundTrip(t *testing.T) {
 	if err := WritePairList(&buf, pl); err != nil {
 		t.Fatal(err)
 	}
+	if want := 16 + pairRecordFixed*len(pl.Pairs); buf.Len() != want {
+		t.Fatalf("encoded %d bytes, want a 16-byte header and %d-byte records: %d", buf.Len(), pairRecordFixed, want)
+	}
 	got, err := ReadPairList(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -28,17 +33,8 @@ func TestPairListRoundTrip(t *testing.T) {
 		t.Fatalf("%d pairs, want %d", len(got.Pairs), len(pl.Pairs))
 	}
 	for i := range pl.Pairs {
-		a, b := &pl.Pairs[i], &got.Pairs[i]
-		if a.U != b.U || a.V != b.V || a.Sim != b.Sim {
+		if a, b := pl.Pairs[i], got.Pairs[i]; a != b {
 			t.Fatalf("pair %d differs: %+v vs %+v", i, a, b)
-		}
-		if len(a.Common) != len(b.Common) {
-			t.Fatalf("pair %d commons differ", i)
-		}
-		for j := range a.Common {
-			if a.Common[j] != b.Common[j] {
-				t.Fatalf("pair %d common %d differs", i, j)
-			}
 		}
 	}
 }
@@ -165,5 +161,38 @@ func TestEmptyCollectionsRoundTrip(t *testing.T) {
 	n, merges, err := ReadMerges(&buf)
 	if err != nil || n != 0 || len(merges) != 0 {
 		t.Fatalf("empty merges: %v n=%d len=%d", err, n, len(merges))
+	}
+}
+
+// TestCheckPairsNamesFirstFailure plants one bad pair of each kind CheckPairs
+// rejects, alone and behind a count mismatch, and requires the error to
+// name the first failing pair in list order.
+func TestCheckPairsNamesFirstFailure(t *testing.T) {
+	g := graph.ErdosRenyi(40, 0.2, rng.New(1))
+	for name, plant := range map[string]func(p *Pair){
+		"count":     func(p *Pair) { p.N++ },
+		"swapped":   func(p *Pair) { p.U, p.V = p.V, p.U },
+		"range":     func(p *Pair) { p.V = int32(g.NumVertices()) },
+		"nan":       func(p *Pair) { p.Sim = math.NaN() },
+		"order":     func(p *Pair) { p.Sim = 2 },
+		"no-common": func(p *Pair) { p.N = 0 },
+	} {
+		for _, at := range []int{3, 7} {
+			pl := Similarity(g)
+			pl.Sort()
+			plant(&pl.Pairs[at])
+			if at == 7 {
+				pl.Pairs[3].N--
+			}
+			want := fmt.Sprintf("pair 3 (%d,%d)", pl.Pairs[3].U, pl.Pairs[3].V)
+			if err := CheckPairs(g, pl); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s at %d: error %v, want one naming %s", name, at, err, want)
+			}
+		}
+	}
+	pl := Similarity(g)
+	pl.Sort()
+	if err := CheckPairs(g, pl); err != nil {
+		t.Fatalf("Phase I's sorted list: %v", err)
 	}
 }

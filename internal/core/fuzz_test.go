@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"linkclust/internal/graph"
@@ -120,9 +122,11 @@ func FuzzSweep(f *testing.F) {
 // arbitrary small graphs and checks the wedge-major kernel against the
 // legacy hash-map reference: after Sort, the pair lists must be element-wise
 // identical — same keys, bitwise-equal similarities, identical
-// common-neighbor lists — serially and at several worker counts. It also
-// checks the structural invariants of map M: canonical key order U < V, no
-// duplicate keys after sorting, and similarities within (0, 1].
+// common-neighbor counts — serially and at several worker counts, and the
+// ops AppendOps regenerates must be exactly the legacy kernel's
+// common-neighbor lists. It also checks the structural invariants of map M:
+// canonical key order U < V, no duplicate keys after sorting, and
+// similarities within (0, 1].
 func FuzzSimilarity(f *testing.F) {
 	f.Add([]byte{4, 0, 1, 1, 1, 2, 1, 2, 3, 1, 0, 2, 1})
 	f.Add([]byte{16, 0, 1, 0, 1, 2, 0, 2, 0, 0})
@@ -133,7 +137,7 @@ func FuzzSimilarity(f *testing.F) {
 		if g == nil {
 			return
 		}
-		legacy := SimilarityLegacy(g)
+		legacy := legacyPairList(g)
 		legacy.Sort()
 		for i, p := range legacy.Pairs {
 			if p.U >= p.V {
@@ -150,6 +154,7 @@ func FuzzSimilarity(f *testing.F) {
 		for _, workers := range []int{2, 5, 8} {
 			requireIdenticalSorted(t, "fuzz parallel wedge vs legacy", SimilarityParallel(g, workers), legacy)
 		}
+		requireOpsMatchLegacy(t, "fuzz ops vs legacy", g)
 	})
 }
 
@@ -250,7 +255,8 @@ func FuzzSpillRoundTrip(f *testing.F) {
 // FuzzSimilarityKernels drives the parallel wedge kernel (count-then-fill
 // into a CSR layout) over arbitrary small graphs at several worker counts:
 // it must reproduce the serial kernel's pair list bitwise in its pre-Sort
-// master order, not just as a set.
+// master order, not just as a set, and the serial kernel's counts N must be
+// the lengths of the legacy kernel's common-neighbor lists.
 func FuzzSimilarityKernels(f *testing.F) {
 	f.Add([]byte{4, 0, 1, 1, 1, 2, 1, 2, 3, 1, 0, 2, 1})
 	f.Add([]byte{16, 0, 1, 0, 1, 2, 0, 2, 0, 0})
@@ -264,6 +270,57 @@ func FuzzSimilarityKernels(f *testing.F) {
 		serial := Similarity(g)
 		for _, workers := range []int{3, 8} {
 			requireIdenticalPreSort(t, fmt.Sprintf("fuzz parallel T=%d vs serial", workers), SimilarityParallel(g, workers), serial)
+		}
+		requireIdenticalSorted(t, "fuzz serial vs legacy", serial, legacyPairList(g))
+	})
+}
+
+// FuzzReadPairList feeds hostile pair-list files to the boundary a file
+// crosses before a sweep: ReadPairList and then CheckPairs against a fixed
+// small graph. Neither may panic, and every list both accept must sweep at
+// T=1 and T=2 to exactly the serial oracle's merge stream — the engine
+// trusts the counts N past closure, so a list CheckPairs lets through must
+// be one whose counts are right.
+func FuzzReadPairList(f *testing.F) {
+	g := fuzzGraph([]byte{9, 0, 1, 2, 1, 2, 3, 2, 0, 1, 2, 3, 5, 3, 4, 7, 4, 5, 1, 5, 3, 2, 3, 6, 6, 6, 7, 1, 7, 8, 4, 8, 6, 2, 1, 4, 3})
+	encode := func(pl *PairList) []byte {
+		var buf bytes.Buffer
+		if err := WritePairList(&buf, pl); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	unsorted := Similarity(g)
+	f.Add(encode(unsorted))
+	sorted := Similarity(g)
+	sorted.Sort()
+	f.Add(encode(sorted))
+	bad := Similarity(g)
+	bad.Pairs[len(bad.Pairs)/2].N++
+	f.Add(encode(bad))
+	v1 := encode(unsorted)
+	v1[4] = 1
+	f.Add(v1)
+	f.Add(encode(unsorted)[:30])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pl, err := ReadPairList(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := CheckPairs(g, pl); err != nil {
+			return
+		}
+		clone := func() *PairList { return &PairList{Pairs: slices.Clone(pl.Pairs), sorted: pl.sorted} }
+		serial, err := Sweep(g, clone())
+		if err != nil {
+			t.Fatalf("serial sweep of a checked list: %v", err)
+		}
+		for _, workers := range []int{1, 2} {
+			res, err := SweepParallel(g, clone(), workers)
+			if err != nil {
+				t.Fatalf("T=%d sweep of a checked list: %v", workers, err)
+			}
+			requireIdenticalSweep(t, fmt.Sprintf("fuzz checked list T=%d vs serial", workers), res, serial)
 		}
 	})
 }

@@ -98,8 +98,7 @@ func captureState(e *sweepEngine) SweepState {
 // whose rest is in no particular order; pl.Sorted() is false unless the
 // sweep sorted the last bucket. Window cuts, merges, Levels and checkpoint
 // positions are those of a full sort. The unsorted rest is retired by the
-// order-free closure pass; if one of its ops fails, only that op's bucket
-// is sorted, so the error is exactly serial Sweep's. Before a resume the
+// order-free closure pass, which sums its counts N. Before a resume the
 // list is sorted through from.Pos.
 //
 // Cancellation and panic isolation match SweepParallelCtx: the context is
@@ -175,7 +174,7 @@ func SweepResumeCtx(ctx context.Context, g *graph.Graph, pl *PairList, from *Swe
 			next = lim
 		}
 		for next < lim && ops < saveEvery {
-			ops += len(pl.Pairs[next].Common)
+			ops += int(pl.Pairs[next].N)
 			next++
 		}
 		if err := e.consume(next, next == n); err != nil {
@@ -233,7 +232,7 @@ func VertexNorms(g *graph.Graph, h1, h2 []float64, lo, hi int) {
 // RowKernel is a reusable single-row entry point to the wedge-major
 // similarity kernel: Row(u) computes exactly the pairs the batch kernel
 // emits for row u — same order (V ascending), bitwise-equal similarities,
-// identical Common lists — because it runs the very same enumerate/emit
+// identical common-neighbor counts — because it runs the very same enumerate/emit
 // sequence on the same per-row accumulator. A row's output depends only on
 // the graph and the norm arrays, never on other rows, which is what makes
 // affected-row recomputation equivalent to a full batch pass.
@@ -260,21 +259,18 @@ func (rk *RowKernel) Grow(n int) {
 }
 
 // Row computes row u of map M: every pair (u, v) with v > u sharing a common
-// neighbor with u, in V-ascending order, with freshly allocated Pair and
-// Common storage (safe to retain and splice). h1/h2 must hold the pass-1
-// norms of the current graph (see VertexNorms). A row with no pairs returns
-// nil.
+// neighbor with u, in V-ascending order, in freshly allocated storage (safe
+// to retain and splice). h1/h2 must hold the pass-1 norms of the current
+// graph (see VertexNorms). A row with no pairs returns nil.
 func (rk *RowKernel) Row(g *graph.Graph, u int, h1, h2 []float64) []Pair {
 	if g.NumVertices() > rk.n {
 		panic(fmt.Sprintf("core: RowKernel sized for %d vertices got graph with %d (call Grow)", rk.n, g.NumVertices()))
 	}
 	ra := rk.ra
-	w := ra.enumerateRow(g, u)
 	var pairs []Pair
-	if w > 0 {
-		commons := make([]int32, w)
-		pairs = make([]Pair, len(ra.touched))
-		ra.emitRow(u, h1, h2, pairs, commons)
+	if np := ra.enumerateRow(g, u); np > 0 {
+		pairs = make([]Pair, np)
+		ra.emitRow(u, h1, h2, pairs)
 	}
 	ra.resetMarks(g, u)
 	return pairs
@@ -295,12 +291,10 @@ func (rk *RowKernel) PairsTouching(g *graph.Graph, d int, h1, h2 []float64) []Pa
 		panic(fmt.Sprintf("core: RowKernel sized for %d vertices got graph with %d (call Grow)", rk.n, g.NumVertices()))
 	}
 	ra := rk.ra
-	w := ra.enumerateRowAll(g, d)
 	var pairs []Pair
-	if w > 0 {
-		commons := make([]int32, w)
-		pairs = make([]Pair, len(ra.touched))
-		ra.emitRow(d, h1, h2, pairs, commons)
+	if np := ra.enumerateRowAll(g, d); np > 0 {
+		pairs = make([]Pair, np)
+		ra.emitRow(d, h1, h2, pairs)
 		for i := range pairs {
 			if pairs[i].U > pairs[i].V {
 				pairs[i].U, pairs[i].V = pairs[i].V, pairs[i].U
@@ -311,12 +305,11 @@ func (rk *RowKernel) PairsTouching(g *graph.Graph, d int, h1, h2 []float64) []Pa
 	return pairs
 }
 
-// enumerateRowAll is enumerateRow without the v > u restriction: it logs the
-// wedges of every partner of u, in the same ascending-k order per partner.
+// enumerateRowAll is enumerateRow without the v > u restriction: it
+// accumulates the wedges of every partner of u, in the same ascending-k
+// order per partner, and returns the partner count.
 func (ra *rowAccum) enumerateRowAll(g *graph.Graph, u int) int {
 	ra.touched = ra.touched[:0]
-	ra.ks = ra.ks[:0]
-	ra.vs = ra.vs[:0]
 	uu := int32(u)
 	for _, hk := range g.Neighbors(u) {
 		k, wk := hk.To, hk.Weight
@@ -333,9 +326,7 @@ func (ra *rowAccum) enumerateRowAll(g *graph.Graph, u int) int {
 			// Two statements — see the FMA note in enumerateRow.
 			prod := wk * hv.Weight
 			ra.dot[v] += prod
-			ra.ks = append(ra.ks, k)
-			ra.vs = append(ra.vs, v)
 		}
 	}
-	return len(ra.ks)
+	return len(ra.touched)
 }

@@ -36,8 +36,8 @@ func TestSimilarityPaperExample(t *testing.T) {
 	if want := 4.0 / (5 + 5 - 4); math.Abs(hub.Sim-want) > 1e-15 {
 		t.Errorf("hub pair sim = %v, want %v", hub.Sim, want)
 	}
-	if len(hub.Common) != 4 {
-		t.Errorf("hub pair commons = %v, want the 4 leaves", hub.Common)
+	if ops := AppendOps(nil, g, 0, 1); hub.N != 4 || len(ops) != 4 || ops[0].K != 2 || ops[3].K != 5 {
+		t.Errorf("hub pair N = %d, ops %v, want the 4 leaves", hub.N, ops)
 	}
 	// Leaf pairs: dot = 2, not adjacent.
 	for u := int32(2); u <= 5; u++ {
@@ -46,8 +46,8 @@ func TestSimilarityPaperExample(t *testing.T) {
 			if want := 2.0 / (3 + 3 - 2); math.Abs(p.Sim-want) > 1e-15 {
 				t.Errorf("leaf pair (%d,%d) sim = %v, want %v", u, v, p.Sim, want)
 			}
-			if len(p.Common) != 2 || p.Common[0] != 0 || p.Common[1] != 1 {
-				t.Errorf("leaf pair (%d,%d) commons = %v, want [0 1]", u, v, p.Common)
+			if ops := AppendOps(nil, g, u, v); p.N != 2 || len(ops) != 2 || ops[0].K != 0 || ops[1].K != 1 {
+				t.Errorf("leaf pair (%d,%d) N = %d, ops %v, want the hubs 0 and 1", u, v, p.N, ops)
 			}
 		}
 	}
@@ -187,13 +187,18 @@ func TestSimilarityEmptyAndEdgeless(t *testing.T) {
 	}
 }
 
+// TestSimilarityCommonSorted checks that every pair's regenerated common
+// neighbors come out strictly ascending, as many as its count N.
 func TestSimilarityCommonSorted(t *testing.T) {
 	g := graph.ErdosRenyi(30, 0.3, rng.New(8))
 	pl := Similarity(g)
-	for i := range pl.Pairs {
-		c := pl.Pairs[i].Common
+	for i, p := range pl.Pairs {
+		c := AppendOps(nil, g, p.U, p.V)
+		if len(c) != int(p.N) {
+			t.Fatalf("pair %d: %d ops regenerated, N = %d", i, len(c), p.N)
+		}
 		for j := 1; j < len(c); j++ {
-			if c[j-1] >= c[j] {
+			if c[j-1].K >= c[j].K {
 				t.Fatalf("pair %d commons not ascending: %v", i, c)
 			}
 		}
@@ -272,13 +277,8 @@ func TestSimilarityParallelMatchesSerial(t *testing.T) {
 				if math.Abs(s.Sim-p.Sim) > 1e-12 {
 					t.Fatalf("workers=%d pair %d: sim %v vs %v", workers, i, s.Sim, p.Sim)
 				}
-				if len(s.Common) != len(p.Common) {
-					t.Fatalf("workers=%d pair %d: commons %v vs %v", workers, i, s.Common, p.Common)
-				}
-				for j := range s.Common {
-					if s.Common[j] != p.Common[j] {
-						t.Fatalf("workers=%d pair %d: commons %v vs %v", workers, i, s.Common, p.Common)
-					}
+				if s.N != p.N {
+					t.Fatalf("workers=%d pair %d: N = %d vs %d", workers, i, s.N, p.N)
 				}
 			}
 		}

@@ -22,15 +22,18 @@ import (
 //
 // The wedge-major kernel instead groups work by the *smaller endpoint* u of
 // each map key: for every neighbor k of u and every neighbor v > u of k,
-// the wedge (u, k, v) contributes w_uk·w_kv and common neighbor k to pair
+// the wedge (u, k, v) contributes w_uk·w_kv and one common neighbor to pair
 // (u, v). All contributions to row u therefore land in a per-row sparse
 // accumulator — dense scratch arrays of size |V| with a touched-list reset
 // in O(row) — exactly Gustavson's sparse-matrix row accumulation. Rows
 // partition disjointly across workers, so the parallel path needs no hash
-// map, no link arena, and no merge phase at all: a count pass sizes a
-// CSR-style layout (per-row pair and wedge offsets), and a fill pass writes
-// every row into its precomputed slots. The diagonal (H1) term of pass 3 is
-// applied inline by each row's owner, so no pass rescans the edge list.
+// map and no merge phase at all: a count pass sizes a CSR-style layout
+// (per-row pair offsets), and a fill pass writes every row into its
+// precomputed slots. A pair keeps only its common-neighbor count N, never
+// the neighbors themselves (the sweeps regenerate them from the adjacency,
+// see AppendOps), so the kernel writes 24 bytes per pair and nothing per
+// wedge. The diagonal (H1) term of pass 3 is applied inline by each row's
+// owner, so no pass rescans the edge list.
 //
 // For a fixed pair (u, v) both implementations accumulate contributions in
 // ascending order of the common neighbor and apply the diagonal term last,
@@ -43,18 +46,14 @@ import (
 type rowAccum struct {
 	dot     []float64 // accumulated inner product per candidate v
 	cnt     []int32   // common-neighbor count per candidate v
-	pos     []int64   // scatter cursor into the row's common region
 	wTo     []float64 // weight of edge (u, v) for v adjacent to the row owner
 	touched []int32   // candidate v's touched this row, first-touch order
-	ks      []int32   // wedge centers k, in enumeration (ascending-k) order
-	vs      []int32   // wedge far endpoints v, parallel to ks
 }
 
 func newRowAccum(n int) *rowAccum {
 	return &rowAccum{
 		dot: make([]float64, n),
 		cnt: make([]int32, n),
-		pos: make([]int64, n),
 		wTo: make([]float64, n),
 	}
 }
@@ -75,41 +74,42 @@ func firstAfter(nb []graph.Half, u int32) int {
 	return lo
 }
 
-// countRow enumerates row u's wedges counting distinct pairs and total
-// wedges, leaving the scratch clean. It is the cheap sizing pass of the
-// parallel kernel: no dot accumulation, no wedge recording.
-func (ra *rowAccum) countRow(g *graph.Graph, u int) (pairs int32, wedges int64) {
+// countRow enumerates row u's wedges counting distinct pairs, leaving the
+// scratch clean. It is the cheap sizing pass of the parallel kernel: no dot
+// accumulation.
+func (ra *rowAccum) countRow(g *graph.Graph, u int) int32 {
+	ra.countCommon(g, u)
+	for _, v := range ra.touched {
+		ra.cnt[v] = 0
+	}
+	return int32(len(ra.touched))
+}
+
+// countCommon enumerates row u's wedges into cnt and the touched list only:
+// afterwards cnt[v] = |N(u) ∩ N(v)| for every v > u on the touched list.
+// The caller resets cnt over the touched list.
+func (ra *rowAccum) countCommon(g *graph.Graph, u int) {
 	ra.touched = ra.touched[:0]
 	uu := int32(u)
 	for _, hk := range g.Neighbors(u) {
 		nb := g.Neighbors(int(hk.To))
-		suffix := nb[firstAfter(nb, uu):]
-		wedges += int64(len(suffix))
-		for i := range suffix {
-			v := suffix[i].To
+		for _, hv := range nb[firstAfter(nb, uu):] {
+			v := hv.To
 			if ra.cnt[v] == 0 {
 				ra.touched = append(ra.touched, v)
-				ra.cnt[v] = 1
 			}
+			ra.cnt[v]++
 		}
 	}
-	pairs = int32(len(ra.touched))
-	for _, v := range ra.touched {
-		ra.cnt[v] = 0
-	}
-	return pairs, wedges
 }
 
 // enumerateRow enumerates the wedges of row u into the scratch — dot
-// accumulation, common-neighbor counts, the touched list, the (k, v) wedge
-// log — and marks wTo for u's neighbors (the inline diagonal term). The
-// caller must follow with emitRow, which consumes and resets the scratch.
-// It returns the row's wedge count (the length of the common arena region
-// the row needs).
+// accumulation, common-neighbor counts, the touched list — and marks wTo for
+// u's neighbors (the inline diagonal term). The caller must follow with
+// emitRow, which consumes and resets the scratch. It returns the row's
+// distinct-pair count.
 func (ra *rowAccum) enumerateRow(g *graph.Graph, u int) int {
 	ra.touched = ra.touched[:0]
-	ra.ks = ra.ks[:0]
-	ra.vs = ra.vs[:0]
 	uu := int32(u)
 	for _, hk := range g.Neighbors(u) {
 		k, wk := hk.To, hk.Weight
@@ -126,34 +126,20 @@ func (ra *rowAccum) enumerateRow(g *graph.Graph, u int) int {
 			// targets and break bitwise equality.
 			prod := wk * hv.Weight
 			ra.dot[v] += prod
-			ra.ks = append(ra.ks, k)
-			ra.vs = append(ra.vs, v)
 		}
 	}
-	return len(ra.ks)
+	return len(ra.touched)
 }
 
 // emitRow finishes row u after enumerateRow: it orders the row's pairs by v
-// ascending, scatters the common-neighbor lists into commons (len = the
-// row's wedge count; lists come out ascending because wedges were logged
-// with ascending k), applies the diagonal term for candidates adjacent to
-// u, computes the Tanimoto similarity, writes the row's pairs into pairs
-// (len = the row's distinct-pair count), and resets the scratch. The
-// emitted Common slices alias commons.
-func (ra *rowAccum) emitRow(u int, h1, h2 []float64, pairs []Pair, commons []int32) {
+// ascending, applies the diagonal term for candidates adjacent to u,
+// computes the Tanimoto similarity, writes the row's pairs with their
+// common-neighbor counts into pairs (len = the row's distinct-pair count),
+// and resets the scratch.
+func (ra *rowAccum) emitRow(u int, h1, h2 []float64, pairs []Pair) {
 	slices.Sort(ra.touched)
-	var off int64
-	for _, v := range ra.touched {
-		ra.pos[v] = off
-		off += int64(ra.cnt[v])
-	}
-	for i, v := range ra.vs {
-		commons[ra.pos[v]] = ra.ks[i]
-		ra.pos[v]++
-	}
 	uu := int32(u)
 	h1u, h2u := h1[u], h2[u]
-	var start int64
 	for i, v := range ra.touched {
 		d := ra.dot[v]
 		if w := ra.wTo[v]; w != 0 {
@@ -161,15 +147,12 @@ func (ra *rowAccum) emitRow(u int, h1, h2 []float64, pairs []Pair, commons []int
 			diag := (h1u + h1[v]) * w
 			d += diag
 		}
-		n := int64(ra.cnt[v])
-		end := start + n
 		pairs[i] = Pair{
-			U:      uu,
-			V:      v,
-			Sim:    d / (h2u + h2[v] - d),
-			Common: commons[start:end:end],
+			U:   uu,
+			V:   v,
+			Sim: d / (h2u + h2[v] - d),
+			N:   ra.cnt[v],
 		}
-		start = end
 		ra.dot[v] = 0
 		ra.cnt[v] = 0
 	}
@@ -180,28 +163,6 @@ func (ra *rowAccum) resetMarks(g *graph.Graph, u int) {
 	for _, hk := range g.Neighbors(u) {
 		ra.wTo[hk.To] = 0
 	}
-}
-
-// arenaChunks is a grow-only arena for the serial kernel's common-neighbor
-// lists. Allocations never move once handed out — growth appends a fresh
-// chunk instead of reallocating — so Pair.Common slices stay valid while
-// the arena keeps growing, without a sizing pre-pass.
-type arenaChunks struct {
-	cur       []int32
-	chunkSize int
-}
-
-func (a *arenaChunks) alloc(n int) []int32 {
-	if cap(a.cur)-len(a.cur) < n {
-		size := a.chunkSize
-		if n > size {
-			size = n
-		}
-		a.cur = make([]int32, 0, size)
-	}
-	lo := len(a.cur)
-	a.cur = a.cur[:lo+n]
-	return a.cur[lo : lo+n : lo+n]
 }
 
 // similarityWedgeCtx is the serial wedge-major kernel with cooperative
@@ -220,11 +181,6 @@ func similarityWedgeCtx(ctx context.Context, g *graph.Graph, rec *obs.Recorder) 
 	endPass = rec.Phase("pass2-wedge-rows")
 	defer endPass()
 	ra := newRowAccum(n)
-	chunk := 4 * g.NumEdges()
-	if chunk < 1024 {
-		chunk = 1024
-	}
-	arena := &arenaChunks{chunkSize: chunk}
 	pairs := make([]Pair, 0, g.NumEdges())
 	var rows int64
 	for u := 0; u < n; u++ {
@@ -233,14 +189,11 @@ func similarityWedgeCtx(ctx context.Context, g *graph.Graph, rec *obs.Recorder) 
 				return nil, err
 			}
 		}
-		w := ra.enumerateRow(g, u)
-		if w > 0 {
+		if need := ra.enumerateRow(g, u); need > 0 {
 			rows++
-			commons := arena.alloc(w)
 			base := len(pairs)
-			need := len(ra.touched)
 			pairs = slices.Grow(pairs, need)[:base+need]
-			ra.emitRow(u, h1, h2, pairs[base:], commons)
+			ra.emitRow(u, h1, h2, pairs[base:])
 		}
 		ra.resetMarks(g, u)
 	}
@@ -303,10 +256,9 @@ func similarityWedgeParallelCtx(ctx context.Context, g *graph.Graph, workers int
 		accs[t] = newRowAccum(n)
 	}
 
-	// Pass 2 (count): per-row distinct-pair and wedge counts.
+	// Pass 2 (count): per-row distinct-pair counts.
 	endPass = rec.Phase("pass2-wedge-count")
 	rowPairs := make([]int32, n)
-	rowWedges := make([]int64, n)
 	var cursor atomic.Int64
 	par.Run(workers, func(t int, aborted func() bool) {
 		ra := accs[t]
@@ -323,7 +275,7 @@ func similarityWedgeParallelCtx(ctx context.Context, g *graph.Graph, workers int
 				hi = n
 			}
 			for u := lo; u < hi; u++ {
-				rowPairs[u], rowWedges[u] = ra.countRow(g, u)
+				rowPairs[u] = ra.countRow(g, u)
 			}
 		}
 	})
@@ -334,11 +286,9 @@ func similarityWedgeParallelCtx(ctx context.Context, g *graph.Graph, workers int
 
 	// CSR offsets (serial O(|V|) prefix sums).
 	pairOff := make([]int64, n+1)
-	wedgeOff := make([]int64, n+1)
 	var rows int64
 	for u := 0; u < n; u++ {
 		pairOff[u+1] = pairOff[u] + int64(rowPairs[u])
-		wedgeOff[u+1] = wedgeOff[u] + rowWedges[u]
 		if rowPairs[u] > 0 {
 			rows++
 		}
@@ -349,7 +299,6 @@ func similarityWedgeParallelCtx(ctx context.Context, g *graph.Graph, workers int
 	// term is applied inline by the row owner, so no edge rescan exists.
 	endPass = rec.Phase("pass3-wedge-fill")
 	pairs := make([]Pair, pairOff[n])
-	arena := make([]int32, wedgeOff[n])
 	cursor.Store(0)
 	par.Run(workers, func(t int, aborted func() bool) {
 		ra := accs[t]
@@ -366,13 +315,11 @@ func similarityWedgeParallelCtx(ctx context.Context, g *graph.Graph, workers int
 				hi = n
 			}
 			for u := lo; u < hi; u++ {
-				w := ra.enumerateRow(g, u)
-				if int64(w) != rowWedges[u] || len(ra.touched) != int(rowPairs[u]) {
-					panic(fmt.Sprintf("core: wedge fill pass disagrees with count pass at row %d (%d/%d wedges, %d/%d pairs)",
-						u, w, rowWedges[u], len(ra.touched), rowPairs[u]))
-				}
-				if w > 0 {
-					ra.emitRow(u, h1, h2, pairs[pairOff[u]:pairOff[u+1]], arena[wedgeOff[u]:wedgeOff[u+1]])
+				if np := ra.enumerateRow(g, u); np != int(rowPairs[u]) {
+					panic(fmt.Sprintf("core: wedge fill pass disagrees with count pass at row %d (%d/%d pairs)",
+						u, np, rowPairs[u]))
+				} else if np > 0 {
+					ra.emitRow(u, h1, h2, pairs[pairOff[u]:pairOff[u+1]])
 				}
 				ra.resetMarks(g, u)
 			}

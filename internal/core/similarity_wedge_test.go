@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"linkclust/internal/assoc"
@@ -55,28 +56,42 @@ func wedgeTestGraphs(t testing.TB) map[string]*graph.Graph {
 
 // requireIdenticalSorted asserts two pair lists are element-wise identical
 // after Sort — including bitwise-equal similarities and identical
-// common-neighbor lists.
+// common-neighbor counts.
 func requireIdenticalSorted(t *testing.T, label string, got, want *PairList) {
 	t.Helper()
 	got.Sort()
 	want.Sort()
-	if len(got.Pairs) != len(want.Pairs) {
-		t.Fatalf("%s: %d pairs, want %d", label, len(got.Pairs), len(want.Pairs))
+	requireIdenticalPreSort(t, label, got, want)
+}
+
+// legacyPairList returns the legacy kernel's map M as a pair list, in its
+// first-encounter order, without the common-neighbor lists.
+func legacyPairList(g *graph.Graph) *PairList {
+	legacy := SimilarityLegacy(g)
+	pl := &PairList{Pairs: make([]Pair, len(legacy))}
+	for i := range legacy {
+		pl.Pairs[i] = legacy[i].Pair
 	}
-	for i := range want.Pairs {
-		g, w := &got.Pairs[i], &want.Pairs[i]
-		if g.U != w.U || g.V != w.V {
-			t.Fatalf("%s pair %d: (%d,%d), want (%d,%d)", label, i, g.U, g.V, w.U, w.V)
+	return pl
+}
+
+// requireOpsMatchLegacy asserts that the ops AppendOps regenerates for every
+// pair of the legacy kernel's map M are exactly its common-neighbor list, in
+// ascending order, that their number is the pair's N, and that each op
+// carries the ids of edges (U, k) and (V, k).
+func requireOpsMatchLegacy(t *testing.T, label string, g *graph.Graph) {
+	t.Helper()
+	var ops []Op
+	for _, lp := range SimilarityLegacy(g) {
+		ops = AppendOps(ops[:0], g, lp.U, lp.V)
+		if len(ops) != len(lp.Common) || int(lp.N) != len(lp.Common) {
+			t.Fatalf("%s pair (%d,%d): %d ops and N = %d, legacy lists %v", label, lp.U, lp.V, len(ops), lp.N, lp.Common)
 		}
-		if g.Sim != w.Sim {
-			t.Fatalf("%s pair (%d,%d): sim %v, want bitwise-equal %v", label, g.U, g.V, g.Sim, w.Sim)
-		}
-		if len(g.Common) != len(w.Common) {
-			t.Fatalf("%s pair (%d,%d): commons %v, want %v", label, g.U, g.V, g.Common, w.Common)
-		}
-		for j := range w.Common {
-			if g.Common[j] != w.Common[j] {
-				t.Fatalf("%s pair (%d,%d): commons %v, want %v", label, g.U, g.V, g.Common, w.Common)
+		for j, op := range ops {
+			e1, _ := g.EdgeBetween(int(lp.U), int(op.K))
+			e2, _ := g.EdgeBetween(int(lp.V), int(op.K))
+			if op.K != lp.Common[j] || op.E1 != e1 || op.E2 != e2 {
+				t.Fatalf("%s pair (%d,%d) op %d: %+v, want k=%d edges (%d,%d)", label, lp.U, lp.V, j, op, lp.Common[j], e1, e2)
 			}
 		}
 	}
@@ -89,12 +104,35 @@ func requireIdenticalSorted(t *testing.T, label string, got, want *PairList) {
 func TestWedgeDifferential(t *testing.T) {
 	for name, g := range wedgeTestGraphs(t) {
 		t.Run(name, func(t *testing.T) {
-			legacy := SimilarityLegacy(g)
+			legacy := legacyPairList(g)
 			wedge := Similarity(g)
 			requireIdenticalSorted(t, "wedge-serial vs legacy", wedge, legacy)
 			for workers := 1; workers <= 8; workers++ {
 				pw := SimilarityParallel(g, workers)
 				requireIdenticalSorted(t, fmt.Sprintf("wedge-parallel-%d vs legacy", workers), pw, legacy)
+			}
+		})
+	}
+}
+
+// TestAppendOpsMatchesLegacy is the differential test of op regeneration:
+// on every graph family, the ops AppendOps regenerates for each pair — the
+// helper serial Sweep, the coarse work list and the baselines replay, and
+// the op sequence the engine's packed intersection must reproduce — are
+// exactly the legacy kernel's common-neighbor list, and their number is
+// the pair's N in both kernels' output.
+func TestAppendOpsMatchesLegacy(t *testing.T) {
+	for name, g := range wedgeTestGraphs(t) {
+		t.Run(name, func(t *testing.T) {
+			requireOpsMatchLegacy(t, name, g)
+			var ops []Op
+			for _, p := range Similarity(g).Pairs {
+				if n := len(AppendOps(ops[:0], g, p.U, p.V)); n != int(p.N) {
+					t.Fatalf("pair (%d,%d): %d ops regenerated, wedge kernel counted %d", p.U, p.V, n, p.N)
+				}
+			}
+			if err := CheckPairs(g, Similarity(g)); err != nil {
+				t.Fatalf("CheckPairs rejected Phase I's own list: %v", err)
 			}
 		})
 	}
@@ -136,11 +174,10 @@ func TestWedgeRowAccumScratchClean(t *testing.T) {
 	ra := newRowAccum(n)
 	dense := graph.ErdosRenyi(n, 0.4, rng.New(3))
 	for u := 0; u < n; u++ {
-		if w := ra.enumerateRow(dense, u); w > 0 {
-			pairs := make([]Pair, len(ra.touched))
-			commons := make([]int32, w)
+		if np := ra.enumerateRow(dense, u); np > 0 {
+			pairs := make([]Pair, np)
 			h := make([]float64, n)
-			ra.emitRow(u, h, h, pairs, commons)
+			ra.emitRow(u, h, h, pairs)
 		}
 		ra.resetMarks(dense, u)
 	}
@@ -159,17 +196,15 @@ func TestWedgeCountMatchesFill(t *testing.T) {
 	count := newRowAccum(n)
 	fill := newRowAccum(n)
 	for u := 0; u < n; u++ {
-		pairs, wedges := count.countRow(g, u)
-		w := fill.enumerateRow(g, u)
-		if int64(w) != wedges || len(fill.touched) != int(pairs) {
-			t.Fatalf("row %d: count pass (%d pairs, %d wedges) vs fill pass (%d pairs, %d wedges)",
-				u, pairs, wedges, len(fill.touched), w)
+		pairs := count.countRow(g, u)
+		np := fill.enumerateRow(g, u)
+		if np != int(pairs) || len(fill.touched) != np {
+			t.Fatalf("row %d: count pass %d pairs vs fill pass %d pairs", u, pairs, np)
 		}
-		if w > 0 {
-			ps := make([]Pair, len(fill.touched))
-			cs := make([]int32, w)
+		if np > 0 {
+			ps := make([]Pair, np)
 			h := make([]float64, n)
-			fill.emitRow(u, h, h, ps, cs)
+			fill.emitRow(u, h, h, ps)
 		}
 		fill.resetMarks(g, u)
 	}
@@ -188,16 +223,11 @@ func requireIdenticalPreSort(t *testing.T, label string, got, want *PairList) {
 		if g.U != w.U || g.V != w.V {
 			t.Fatalf("%s pair %d: (%d,%d), want (%d,%d)", label, i, g.U, g.V, w.U, w.V)
 		}
-		if g.Sim != w.Sim {
+		if math.Float64bits(g.Sim) != math.Float64bits(w.Sim) {
 			t.Fatalf("%s pair (%d,%d): sim %v, want bitwise-equal %v", label, g.U, g.V, g.Sim, w.Sim)
 		}
-		if len(g.Common) != len(w.Common) {
-			t.Fatalf("%s pair (%d,%d): commons %v, want %v", label, g.U, g.V, g.Common, w.Common)
-		}
-		for j := range w.Common {
-			if g.Common[j] != w.Common[j] {
-				t.Fatalf("%s pair (%d,%d): commons %v, want %v", label, g.U, g.V, g.Common, w.Common)
-			}
+		if g.N != w.N {
+			t.Fatalf("%s pair (%d,%d): N = %d, want %d", label, g.U, g.V, g.N, w.N)
 		}
 	}
 }

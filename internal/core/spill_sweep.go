@@ -59,10 +59,8 @@ type SpillOptions struct {
 // order) into the windowed engine of SweepParallel. Buckets
 // decoded after the engine closes (see closeIfSpanned) are published
 // unsorted: the closure pass that retires them is order-free. The pair
-// list therefore never needs to be resident twice, and during the merge
-// phase only the engine's window plus a bounded bucket read-ahead is in
-// memory; the merge stream stays bitwise identical to Sweep and
-// SweepParallel at any worker count.
+// list therefore never needs to be resident twice; the merge stream stays
+// bitwise identical to Sweep and SweepParallel at any worker count.
 //
 // SweepSpilledOpts CONSUMES the pair list: on success and on any read-phase
 // failure pl.Pairs is nil (the memory was released to disk). Only a
@@ -147,9 +145,7 @@ func SweepSpilledOpts(ctx context.Context, g *graph.Graph, pl *PairList, workers
 
 	// Phase C — stream the buckets back through the engine: an ordered
 	// producer pool decodes and sorts buckets while the consumer merges the
-	// ones already published. buf holds the pair headers only (the dominant
-	// commons payload stays on disk until its bucket is decoded, and is
-	// dropped again once the engine's window cursor passes it).
+	// ones already published.
 	buf := make([]Pair, n)
 	e.pl = &PairList{Pairs: buf}
 	// The read-back places every bucket itself, sorted until closure.
@@ -228,7 +224,6 @@ func SweepSpilledOpts(ctx context.Context, g *graph.Graph, pl *PairList, workers
 	}()
 
 	var stalls int64
-	released := 0
 	var cerr error
 	for {
 		var f int
@@ -245,16 +240,8 @@ func SweepSpilledOpts(ctx context.Context, g *graph.Graph, pl *PairList, workers
 			break
 		}
 		if cerr == nil {
-			cerr = e.consume(f, false)
-			if cerr != nil {
+			if cerr = e.consume(f, false); cerr != nil {
 				stopProducer()
-				continue
-			}
-			// Everything below the retired cursor is processed and its
-			// commons are never re-read: drop the references so each
-			// bucket's decode arena frees as the sweep moves past it.
-			for ; released < e.retired(); released++ {
-				buf[released].Common = nil
 			}
 		}
 	}
@@ -279,16 +266,11 @@ func SweepSpilledOpts(ctx context.Context, g *graph.Graph, pl *PairList, workers
 }
 
 // SpillPayloadBytes returns the exact on-disk payload footprint SweepSpilledOpts
-// would write for pl: the fixed record prefix plus the common-neighbor
-// words of every pair. Callers size memory budgets against it — the bench
-// harness derives its "pair list at least 4× the budget" out-of-core
-// criterion from this value.
+// would write for pl: one fixed 20-byte record per pair. Callers size
+// memory budgets against it — the bench harness derives its "pair list at
+// least 4× the budget" out-of-core criterion from this value.
 func SpillPayloadBytes(pl *PairList) int64 {
-	total := int64(0)
-	for i := range pl.Pairs {
-		total += pairRecordFixed + 4*int64(len(pl.Pairs[i].Common))
-	}
-	return total
+	return pairRecordFixed * int64(len(pl.Pairs))
 }
 
 func recordSpill(rec *obs.Recorder, buckets, bytes, stalls int64) {

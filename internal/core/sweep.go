@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"linkclust/internal/fault"
 	"linkclust/internal/graph"
@@ -39,10 +38,13 @@ func (r *Result) NumClusters() int { return r.Chain.NumClusters() }
 
 // Sweep runs Algorithm 2: sorts the pair list by non-increasing similarity
 // and replays it, merging, for each vertex pair (U, V) and each common
-// neighbor k, the clusters of edges (U, k) and (V, k). The pair list is
-// sorted in place. An error is returned only if the pair list references an
-// edge absent from g, which indicates the list was built from a different
-// graph. SweepCtx is the instrumented, cancellable form.
+// neighbor k, the clusters of edges (U, k) and (V, k). A pair's common
+// neighbors are regenerated from g (see AppendOps). The pair list is sorted
+// in place. An error is returned only if a pair's count N differs from the
+// number of common neighbors its endpoints have in g, which indicates the
+// list was built from a different graph. It is the reference the windowed
+// engine is tested against: it checks every pair, where the engine trusts
+// the counts past closure. SweepCtx is the instrumented, cancellable form.
 func Sweep(g *graph.Graph, pl *PairList) (*Result, error) {
 	return SweepCtx(context.Background(), g, pl, nil)
 }
@@ -69,6 +71,7 @@ func SweepCtx(ctx context.Context, g *graph.Graph, pl *PairList, rec *obs.Record
 	defer endMerge()
 	res = &Result{Chain: NewChain(g.NumEdges())}
 	sinceCheck := 0
+	var ops []Op
 	for i := range pl.Pairs {
 		if sinceCheck >= sweepWindowOps {
 			sinceCheck = 0
@@ -78,15 +81,14 @@ func SweepCtx(ctx context.Context, g *graph.Graph, pl *PairList, rec *obs.Record
 			}
 		}
 		p := &pl.Pairs[i]
-		sinceCheck += len(p.Common)
-		for _, k := range p.Common {
-			e1, ok1 := g.EdgeBetween(int(p.U), int(k))
-			e2, ok2 := g.EdgeBetween(int(p.V), int(k))
-			if !ok1 || !ok2 {
-				return nil, fmt.Errorf("core: pair (%d,%d) common neighbor %d has no incident edges in graph", p.U, p.V, k)
-			}
+		ops = AppendOps(ops[:0], g, p.U, p.V)
+		if n := int32(len(ops)); n != p.N {
+			return nil, countMismatchError(p, n)
+		}
+		sinceCheck += len(ops)
+		for _, op := range ops {
 			res.PairsProcessed++
-			if c1, c2, merged := res.Chain.Merge(e1, e2); merged {
+			if c1, c2, merged := res.Chain.Merge(op.E1, op.E2); merged {
 				res.Levels++
 				into := c1
 				if c2 < into {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"linkclust/internal/graph"
@@ -14,10 +15,10 @@ import (
 // closureUnion builds one graph out of components that each complete their
 // part of the spanning forest at a different point of the sorted list: a
 // random graph dense enough to cut several windows, a wheel (a dense hub
-// over a sparse rim, so the closure pass uses both of its membership tests)
-// with a pendant on its rim, a clique, a lone edge (a component with no op
-// and no forest edge), and the given number of trailing isolated vertices.
-// Enough isolated vertices make every vertex sparse (see buildRows).
+// over a sparse rim) with a pendant on its rim, a clique, a lone edge (a
+// component with no op and no forest edge), and the given number of
+// trailing isolated vertices. Enough isolated vertices make every vertex
+// sparse: its degree falls below |V|/64.
 func closureUnion(isolated int) *graph.Graph {
 	dense := graph.ErdosRenyi(300, 0.06, rng.New(3))
 	const rim = 40
@@ -61,7 +62,7 @@ func closedAt(t *testing.T, g *graph.Graph) int {
 }
 
 // TestSweepForestClosure pins the engine's early close: once its merges
-// span the op graph it retires the rest of the list with a check-only pass.
+// span the op graph it retires the rest of the list by counting its ops.
 // Every engine path — T ∈ {1, 2, 4, 8}, spilled, frontier-fed one pair at a
 // time, and resumed from every checkpoint — must still equal serial Sweep
 // bitwise, with worker-invariant closure counters, on graphs whose forest
@@ -199,34 +200,86 @@ func TestSweepSortsOnlyClosingPrefix(t *testing.T) {
 	}
 }
 
-// plantOp inserts k into the Common list of pair i, keeping it sorted, in a
-// fresh slice so the pair list's shared storage is untouched.
-func plantOp(pl *PairList, i int, k int32) {
-	c := pl.Pairs[i].Common
-	j, _ := slices.BinarySearch(c, k)
-	pl.Pairs[i].Common = slices.Insert(slices.Clone(c), j, k)
+// plantCount adds d to the count N of pair i: the pair then claims a
+// common neighbor it does not have (d > 0) or misses one it has (d < 0).
+func plantCount(pl *PairList, i int, d int32) {
+	pl.Pairs[i].N += d
 }
 
-// TestSweepForestClosureKeepsCheck plants foreign ops after the closure
-// point — ops whose edge (U, k) or (V, k) is not in the graph — and requires
-// every engine path to report serial Sweep's exact error, which names the
-// first failing op in sorted order. "two-ops" plants the first and the last
-// tail pair, which land in different workers' ranges, so the later failure
-// may be found first. The other variants each plant one op whose only
-// missing edge is (U, k) or (V, k), with that endpoint dense (a bitset row,
-// on the union) or sparse (a gallop over its adjacency, on the union with
-// every vertex sparse); see buildRows. "two-ops-one-bucket" plants two
-// adjacent pairs of one post-closure similarity bucket whose Phase I order
-// is the reverse of their sorted order; "last-bucket" plants every pair of
-// the last bucket, far past closure. Every variant also runs on the
-// unsorted Similarity order, which the engines sort only up to closure:
-// a tail failure must still report the first failing op in sorted order.
-func TestSweepForestClosureKeepsCheck(t *testing.T) {
-	type variant struct {
-		g     *graph.Graph
-		plant func(pl *PairList)
+// plantDisjoint moves one endpoint of pair i — V when onV, else U — to a
+// vertex of the given density class (degree at least |V|/64) that shares
+// no neighbor with the other endpoint, keeping U < V: the pair keeps its N
+// but its endpoints now have no common neighbor. It reports whether such a
+// vertex exists.
+func plantDisjoint(g *graph.Graph, pl *PairList, i int, onV, dense bool) bool {
+	p := &pl.Pairs[i]
+	keep := p.U
+	if !onV {
+		keep = p.V
 	}
-	variants := map[string]variant{}
+	for x := int32(0); x < int32(g.NumVertices()); x++ {
+		if (onV && x <= p.U) || (!onV && x >= p.V) || g.Degree(int(x)) == 0 ||
+			(64*g.Degree(int(x)) >= g.NumVertices()) != dense ||
+			len(AppendOps(nil, g, min(x, keep), max(x, keep))) != 0 {
+			continue
+		}
+		if onV {
+			p.V = x
+		} else {
+			p.U = x
+		}
+		return true
+	}
+	return false
+}
+
+// plantedList is one bad-count variant of the sorted list of a graph: plant
+// edits a sorted copy, and want is the index, in sorted order, of the
+// first pair it breaks.
+type plantedList struct {
+	g     *graph.Graph
+	plant func(pl *PairList)
+	want  int
+}
+
+// plantedLists applies v to a sorted list and to Phase I's unsorted list
+// (the same edit on the same pairs), and returns both with the sorted
+// list's first broken pair.
+func plantedLists(t *testing.T, v plantedList) (sorted, unsorted *PairList, first Pair) {
+	t.Helper()
+	sorted = Similarity(v.g)
+	sorted.Sort()
+	clean := slices.Clone(sorted.Pairs)
+	v.plant(sorted)
+	unsorted = Similarity(v.g)
+	at := map[[2]int32]int{}
+	for i, p := range unsorted.Pairs {
+		at[[2]int32{p.U, p.V}] = i
+	}
+	for i, p := range clean {
+		unsorted.Pairs[at[[2]int32{p.U, p.V}]] = sorted.Pairs[i]
+	}
+	return sorted, unsorted, sorted.Pairs[v.want]
+}
+
+// TestSweepForestClosureKeepsCheck plants bad pairs after the closure point
+// and requires the boundary check to reject them. Past closure the engine
+// counts a pair's ops from its N without regenerating them, so a wrong N
+// there is caught by CheckPairs, which every list from outside Phase I
+// crosses (and by serial Sweep, which regenerates every pair). "two-ops"
+// claims one extra common neighbor on the first and the last tail pair;
+// "two-ops-one-bucket" does so on two adjacent pairs of one post-closure
+// similarity bucket whose Phase I order is the reverse of their sorted
+// order; "last-bucket" on every pair of the last bucket, far past closure.
+// The endpoint variants move U or V of a tail pair to a dense (on the
+// union) or sparse (on the union with every vertex sparse) vertex that
+// shares no neighbor with the other endpoint. CheckPairs must name the first
+// planted pair of the list it is given, in sorted and in Phase I order;
+// serial Sweep must report it as the first failing pair in sorted order;
+// and every engine path — T ∈ {1, 2, 4, 8}, spilled, frontier-fed, sorted
+// and unsorted — must still close before it and emit the clean merge stream.
+func TestSweepForestClosureKeepsCheck(t *testing.T) {
+	variants := map[string]plantedList{}
 	for _, g := range []*graph.Graph{closureUnion(8), closureUnion(3000)} {
 		pos := closedAt(t, g)
 		base := Similarity(g)
@@ -234,98 +287,174 @@ func TestSweepForestClosureKeepsCheck(t *testing.T) {
 		if pos >= len(base.Pairs)-1 {
 			t.Fatal("the union closed without a tail")
 		}
-		// missing finds a tail pair one of whose endpoints x has density
-		// class dense and a neighbor k of the other endpoint that is not a
-		// neighbor of x, and plants (U, V, k): only the edge (x, k) is absent.
-		missing := func(onV, dense bool) variant {
+		// disjoint finds the first tail pair whose endpoint can move to a
+		// vertex of the density class.
+		disjoint := func(onV, dense bool) plantedList {
 			for i := pos; i < len(base.Pairs); i++ {
-				x, y := base.Pairs[i].U, base.Pairs[i].V
-				if onV {
-					x, y = y, x
-				}
-				if (64*g.Degree(int(x)) >= g.NumVertices()) != dense {
-					continue
-				}
-				for _, h := range g.Neighbors(int(y)) {
-					if _, ok := g.EdgeBetween(int(x), int(h.To)); !ok && h.To != x {
-						return variant{g, func(pl *PairList) { plantOp(pl, i, h.To) }}
-					}
+				if plantDisjoint(g, &PairList{Pairs: slices.Clone(base.Pairs)}, i, onV, dense) {
+					return plantedList{g, func(pl *PairList) { plantDisjoint(g, pl, i, onV, dense) }, i}
 				}
 			}
 			t.Fatalf("no tail pair to plant on (V side %v, dense %v)", onV, dense)
-			return variant{}
+			return plantedList{}
 		}
 		if g.NumVertices() < 1000 {
-			iso := int32(g.NumVertices() - 1)
-			variants["two-ops"] = variant{g, func(pl *PairList) {
-				plantOp(pl, pos, iso)
-				plantOp(pl, len(pl.Pairs)-1, iso)
-			}}
+			variants["two-ops"] = plantedList{g, func(pl *PairList) {
+				plantCount(pl, pos, 1)
+				plantCount(pl, len(pl.Pairs)-1, 1)
+			}, pos}
 			a := reversedInBucket(t, g, base)
-			variants["two-ops-one-bucket"] = variant{g, func(pl *PairList) {
-				plantOp(pl, a, iso)
-				plantOp(pl, a+1, iso)
-			}}
+			variants["two-ops-one-bucket"] = plantedList{g, func(pl *PairList) {
+				plantCount(pl, a, 1)
+				plantCount(pl, a+1, 1)
+			}, a}
 			_, offs, ids := bucketLayout(base.Pairs, 1)
 			last := ids[len(ids)-1]
-			variants["last-bucket"] = variant{g, func(pl *PairList) {
+			variants["last-bucket"] = plantedList{g, func(pl *PairList) {
 				for i := offs[last]; i < offs[last+1]; i++ {
-					plantOp(pl, i, iso)
+					plantCount(pl, i, 1)
 				}
-			}}
-			variants["U-dense"] = missing(false, true)
-			variants["V-dense"] = missing(true, true)
+			}, offs[last]}
+			variants["U-dense"] = disjoint(false, true)
+			variants["V-dense"] = disjoint(true, true)
 		} else {
-			variants["U-sparse"] = missing(false, false)
-			variants["V-sparse"] = missing(true, false)
+			variants["U-sparse"] = disjoint(false, false)
+			variants["V-sparse"] = disjoint(true, false)
 		}
 	}
 
 	for name, v := range variants {
 		t.Run(name, func(t *testing.T) {
 			g := v.g
-			// Each run gets its own copy of the pair headers; the planted
-			// Common lists are shared, and no sweep writes them.
-			sorted := Similarity(g)
-			sorted.Sort()
-			v.plant(sorted)
-			planted := func() *PairList { return NewSortedPairList(slices.Clone(sorted.Pairs)) }
-			// unsorted carries the same planted ops in Phase I's unsorted
-			// order, which the engines sort only up to closure.
-			master := Similarity(g)
-			at := map[[2]int32]int{}
-			for i, p := range master.Pairs {
-				at[[2]int32{p.U, p.V}] = i
+			sorted, unsorted, first := plantedLists(t, v)
+			clean, err := Sweep(g, Similarity(g))
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, p := range sorted.Pairs {
-				master.Pairs[at[[2]int32{p.U, p.V}]].Common = p.Common
+			wantPair := fmt.Sprintf("(%d,%d)", first.U, first.V)
+			if _, err := Sweep(g, NewSortedPairList(slices.Clone(sorted.Pairs))); err == nil || !strings.Contains(err.Error(), wantPair) {
+				t.Fatalf("serial sweep: error %v, want one naming pair %s", err, wantPair)
 			}
-			unsorted := func() *PairList { return &PairList{Pairs: slices.Clone(master.Pairs)} }
-			_, want := Sweep(g, planted())
-			if want == nil {
-				t.Fatal("serial sweep accepted a planted op")
+			if err := CheckPairs(g, sorted); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("pair %d %s", v.want, wantPair)) {
+				t.Fatalf("CheckPairs on the sorted list: error %v, want one naming pair %d %s", err, v.want, wantPair)
 			}
-			for _, workers := range []int{1, 2, 4, 8} {
-				if _, err := SweepParallel(g, planted(), workers); err == nil || err.Error() != want.Error() {
-					t.Fatalf("T=%d: error %v, want serial's %q", workers, err, want)
+			firstUnsorted := slices.IndexFunc(unsorted.Pairs, func(p Pair) bool {
+				return len(AppendOps(nil, g, p.U, p.V)) != int(p.N)
+			})
+			fu := unsorted.Pairs[firstUnsorted]
+			if err := CheckPairs(g, unsorted); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("pair %d (%d,%d)", firstUnsorted, fu.U, fu.V)) {
+				t.Fatalf("CheckPairs on Phase I's order: error %v, want one naming pair %d (%d,%d)", err, firstUnsorted, fu.U, fu.V)
+			}
+			// The engine closes before every planted pair, so none of
+			// their ops is regenerated.
+			requireCleanMerges := func(label string, res *Result, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if !slices.Equal(res.Merges, clean.Merges) {
+					t.Fatalf("%s: merge stream differs from the clean run's", label)
 				}
 			}
-			if _, err := SweepSpilledOpts(context.Background(), g, planted(), 4, SpillOptions{Dir: t.TempDir()}, nil); err == nil || err.Error() != want.Error() {
-				t.Fatalf("spilled: error %v, want serial's %q", err, want)
-			}
-			if _, _, err := sweepFrontierFed(g, planted(), 2); err == nil || err.Error() != want.Error() {
-				t.Fatalf("frontier-fed: error %v, want serial's %q", err, want)
-			}
 			for _, workers := range []int{1, 2, 4, 8} {
-				if _, err := SweepParallel(g, unsorted(), workers); err == nil || err.Error() != want.Error() {
-					t.Fatalf("unsorted T=%d: error %v, want serial's %q", workers, err, want)
+				res, err := SweepParallel(g, NewSortedPairList(slices.Clone(sorted.Pairs)), workers)
+				requireCleanMerges(fmt.Sprintf("T=%d", workers), res, err)
+				res, err = SweepParallel(g, &PairList{Pairs: slices.Clone(unsorted.Pairs)}, workers)
+				requireCleanMerges(fmt.Sprintf("unsorted T=%d", workers), res, err)
+			}
+			res, err := SweepSpilledOpts(context.Background(), g, &PairList{Pairs: slices.Clone(unsorted.Pairs)}, 4, SpillOptions{Dir: t.TempDir()}, nil)
+			requireCleanMerges("spilled", res, err)
+			res, _, err = sweepFrontierFed(g, NewSortedPairList(slices.Clone(sorted.Pairs)), 2)
+			requireCleanMerges("frontier-fed", res, err)
+			res, _, err = sweepFrontierFedLazy(g, &PairList{Pairs: slices.Clone(unsorted.Pairs)}, 2)
+			requireCleanMerges("unsorted frontier-fed", res, err)
+		})
+	}
+}
+
+// TestSweepRejectsPrefixCountMismatch plants wrong counts N before the
+// closure point, where the engine regenerates every pair's ops and compares
+// their number with N. Every engine path — T ∈ {1, 2, 4, 8}, spilled,
+// frontier-fed, from the sorted list and from Phase I's unsorted order —
+// must report serial Sweep's exact error, which names the first planted
+// pair in sorted order. "first" overcounts the list's first pair; "mid"
+// undercounts a pair in a later window; "two-in-window" overcounts the last
+// and then the first pair of one window, so the later pair lands in an
+// earlier worker's range only if the plants are read out of order; and
+// "closing" overcounts the closing window's last pair.
+func TestSweepRejectsPrefixCountMismatch(t *testing.T) {
+	variants := map[string]plantedList{}
+	for _, tc := range []struct {
+		suffix string
+		g      *graph.Graph
+	}{{"", closureUnion(8)}, {"-sparse", closureUnion(3000)}} {
+		g := tc.g
+		pos := closedAt(t, g)
+		base := Similarity(g)
+		base.Sort()
+		// cuts are the window boundaries below closure: greedy op-count
+		// cuts over the sorted list, as the engine makes them.
+		var cuts []int
+		ops := 0
+		for i := 0; i < pos; i++ {
+			if ops += int(base.Pairs[i].N); ops >= sweepWindowOps {
+				cuts = append(cuts, i+1)
+				ops = 0
+			}
+		}
+		if len(cuts) < 2 {
+			t.Fatalf("closed after %d windows: want at least 3 before closure", len(cuts))
+		}
+		mid := -1
+		for i := cuts[0]; i < cuts[1]; i++ {
+			if base.Pairs[i].N > 1 {
+				mid = i
+				break
+			}
+		}
+		if mid < 0 {
+			t.Fatal("the second window has no pair with N > 1")
+		}
+		lo, hi := cuts[0], cuts[1]-1
+		variants["first"+tc.suffix] = plantedList{g, func(pl *PairList) { plantCount(pl, 0, 1) }, 0}
+		variants["mid"+tc.suffix] = plantedList{g, func(pl *PairList) { plantCount(pl, mid, -1) }, mid}
+		variants["two-in-window"+tc.suffix] = plantedList{g, func(pl *PairList) {
+			plantCount(pl, hi, 1)
+			plantCount(pl, lo, 1)
+		}, lo}
+		variants["closing"+tc.suffix] = plantedList{g, func(pl *PairList) { plantCount(pl, pos-1, 1) }, pos - 1}
+	}
+
+	for name, v := range variants {
+		t.Run(name, func(t *testing.T) {
+			g := v.g
+			sorted, unsorted, first := plantedLists(t, v)
+			_, want := Sweep(g, NewSortedPairList(slices.Clone(sorted.Pairs)))
+			if want == nil || !strings.Contains(want.Error(), fmt.Sprintf("(%d,%d)", first.U, first.V)) {
+				t.Fatalf("serial sweep: error %v, want one naming pair (%d,%d)", want, first.U, first.V)
+			}
+			check := func(label string, err error) {
+				t.Helper()
+				if err == nil || err.Error() != want.Error() {
+					t.Fatalf("%s: error %v, want serial's %q", label, err, want)
 				}
 			}
-			if _, err := SweepSpilledOpts(context.Background(), g, unsorted(), 4, SpillOptions{Dir: t.TempDir()}, nil); err == nil || err.Error() != want.Error() {
-				t.Fatalf("unsorted spilled: error %v, want serial's %q", err, want)
+			for _, workers := range []int{1, 2, 4, 8} {
+				_, err := SweepParallel(g, NewSortedPairList(slices.Clone(sorted.Pairs)), workers)
+				check(fmt.Sprintf("T=%d", workers), err)
+				_, err = SweepParallel(g, &PairList{Pairs: slices.Clone(unsorted.Pairs)}, workers)
+				check(fmt.Sprintf("unsorted T=%d", workers), err)
 			}
-			if _, _, err := sweepFrontierFedLazy(g, unsorted(), 2); err == nil || err.Error() != want.Error() {
-				t.Fatalf("unsorted frontier-fed: error %v, want serial's %q", err, want)
+			_, err := SweepSpilledOpts(context.Background(), g, NewSortedPairList(slices.Clone(sorted.Pairs)), 4, SpillOptions{Dir: t.TempDir()}, nil)
+			check("spilled", err)
+			_, err = SweepSpilledOpts(context.Background(), g, &PairList{Pairs: slices.Clone(unsorted.Pairs)}, 4, SpillOptions{Dir: t.TempDir()}, nil)
+			check("unsorted spilled", err)
+			_, _, err = sweepFrontierFed(g, NewSortedPairList(slices.Clone(sorted.Pairs)), 2)
+			check("frontier-fed", err)
+			_, _, err = sweepFrontierFedLazy(g, &PairList{Pairs: slices.Clone(unsorted.Pairs)}, 2)
+			check("unsorted frontier-fed", err)
+			if err := CheckPairs(g, sorted); err == nil {
+				t.Fatal("CheckPairs accepted the planted list")
 			}
 		})
 	}
@@ -362,26 +491,43 @@ func reversedInBucket(t *testing.T, g *graph.Graph, sorted *PairList) int {
 	return 0
 }
 
-// TestGallopHas checks the closure pass's sparse-side membership test
-// against a linear scan, for ascending query sequences over random sorted
-// rows.
-func TestGallopHas(t *testing.T) {
+// TestAppendOpsGallop checks op regeneration's walk-and-gallop
+// intersection against a linear scan, on random sorted adjacency rows of
+// very different lengths, from both sides.
+func TestAppendOpsGallop(t *testing.T) {
 	src := rng.New(2)
 	for trial := 0; trial < 200; trial++ {
-		var row []uint64
-		for v := 0; v < 300; v++ {
-			if src.Float64() < 0.2 {
-				row = append(row, uint64(v)<<32|uint64(len(row)))
+		const n = 300
+		b := graph.NewBuilder(n + 2)
+		// Vertex n is dense, vertex n+1 sparse; their densities vary per
+		// trial.
+		pu, pv := src.Float64(), 0.02+0.1*src.Float64()
+		for k := 0; k < n; k++ {
+			if src.Float64() < pu {
+				b.MustAddEdge(n, k, 1)
+			}
+			if src.Float64() < pv {
+				b.MustAddEdge(n+1, k, 1)
 			}
 		}
-		i := 0
-		for k := int32(0); k < 300; k++ {
-			if src.Float64() < 0.5 {
-				continue
+		g := b.Build(nil)
+		var want []int32
+		for _, h := range g.Neighbors(n) {
+			if _, ok := g.EdgeBetween(n+1, int(h.To)); ok {
+				want = append(want, h.To)
 			}
-			want := slices.ContainsFunc(row, func(h uint64) bool { return int32(h>>32) == k })
-			if got := gallopHas(row, &i, k); got != want {
-				t.Fatalf("trial %d: gallopHas(%d) = %v, want %v", trial, k, got, want)
+		}
+		for _, uv := range [][2]int32{{n, n + 1}, {n + 1, n}} {
+			ops := AppendOps(nil, g, uv[0], uv[1])
+			if len(ops) != len(want) {
+				t.Fatalf("trial %d %v: %d ops, want %d", trial, uv, len(ops), len(want))
+			}
+			for i, op := range ops {
+				e1, _ := g.EdgeBetween(int(uv[0]), int(want[i]))
+				e2, _ := g.EdgeBetween(int(uv[1]), int(want[i]))
+				if op != (Op{K: want[i], E1: e1, E2: e2}) {
+					t.Fatalf("trial %d %v op %d: %+v, want k=%d edges (%d,%d)", trial, uv, i, op, want[i], e1, e2)
+				}
 			}
 		}
 	}

@@ -23,8 +23,9 @@ const (
 	CtrSweepFlattens = "sweep.flattens"
 	// CtrSweepTailOps counts operations retired by the closure pass: ops
 	// after the window whose merges completed the op graph's spanning
-	// forest. They are no-ops by construction, so they are counted in
-	// CtrSweepNoopDrops as well.
+	// forest, counted from their pairs' N without being regenerated. They
+	// are no-ops by construction, so they are counted in CtrSweepNoopDrops
+	// as well.
 	CtrSweepTailOps = "sweep.tail_ops"
 	// CtrSweepSortedPairs is recorded by sweeps that sort their own input
 	// (an unsorted list, or the out-of-core read-back): the end of the
@@ -77,11 +78,18 @@ const (
 // periodic count-triggered flatten passes, so the two take different rewrite
 // sequences to the same partition.
 //
+// A pair stores only its common-neighbor count N; resolution regenerates
+// its ops by intersecting the packed adjacency rows of U and V, and a pair
+// whose regenerated count differs from N fails the run with an error that
+// names the first such pair in sorted order, exactly as serial Sweep does.
+//
 // The engine stops merging once the merge stream spans the op graph: after
 // the window in which Levels reaches |E| minus the number of non-isolated
 // components of g, every later op joins two edges already in one cluster,
-// so the rest of the list is retired by one read-only edge-existence pass
-// (see retire) instead of being resolved and replayed.
+// so the rest of the list is retired by summing its counts N (see retire)
+// instead of being resolved and replayed. Those pairs are not checked
+// against the graph; a list from outside Phase I is checked once at the
+// boundary with CheckPairs.
 func SweepParallel(g *graph.Graph, pl *PairList, workers int) (*Result, error) {
 	return SweepParallelCtx(context.Background(), g, pl, workers, nil)
 }
@@ -90,11 +98,10 @@ func SweepParallel(g *graph.Graph, pl *PairList, workers int) (*Result, error) {
 // isolation, and optional instrumentation: sort/merge phase timers plus the
 // serial sweep's counters and the engine's window, drop, flatten and tail
 // counters are recorded into rec. The context is checked at every op-count
-// window cut (8192 incident operations), every 8192 ops of each closure-pass
-// worker, and inside every bucket sort, so cancel latency is bounded by one
-// window of merge work (or one bucket sort) for any worker count; on
-// cancellation every pool drains before ctx.Err() is returned, so no
-// goroutine outlives the call. A panic inside a worker surfaces as a
+// window cut (8192 incident operations) and inside every bucket sort, so
+// cancel latency is bounded by one window of merge work (or one bucket
+// sort) for any worker count; on cancellation every pool drains before
+// ctx.Err() is returned, so no goroutine outlives the call. A panic inside a worker surfaces as a
 // *par.WorkerPanicError. The checks are pure reads — when ctx
 // never cancels, the merge stream is bitwise identical to the serial Sweep.
 // It is SweepResumeCtx without a checkpoint to start from or to save.
@@ -176,31 +183,24 @@ type sweepEngine struct {
 	// forest is the op graph's spanning-forest size (see forestSize): no
 	// sweep over g can emit more merges. Once Levels reaches it at a window
 	// boundary the engine is closed: wp stays at that boundary, and pairs
-	// from wp on are only checked for edge existence by retire, which
-	// advances tp. rowOf, bits and words are its neighbor bitsets (see
-	// buildRows), built when the engine closes. spanned mirrors closed for
-	// the spilled read-back producer, which stops sorting buckets once it
-	// is set.
+	// from wp on are only counted by retire, which advances tp. spanned
+	// mirrors closed for the spilled read-back producer, which stops
+	// sorting buckets once it is set.
 	forest  int32
 	closed  bool
 	spanned atomic.Bool
 	tp      int
 	tailOps int64
-	rowOf   []int32
-	bits    []uint64
-	words   int
 
 	// cur sorts a list that did not arrive sorted (nil otherwise) as the
-	// sweep reads it. Past closure such a list is not sorted, so retire
-	// uses cur to find and sort the bucket of a failing op before reporting
-	// it (see tailError).
+	// sweep reads it; sortedPairs reads its bucket layout.
 	cur *SortCursor
 
 	windows, drops, flattens int64
 
-	errMu sync.Mutex
-	errOp int
-	err   error
+	errMu   sync.Mutex
+	errPair int
+	err     error
 }
 
 // survivorBuf holds one resolution worker's survivors: the ops of its range
@@ -212,7 +212,7 @@ type sweepEngine struct {
 // ascending op ranges, so the buffers in worker order are in serial op
 // order.
 type survivorBuf struct {
-	pair   []int32 // survivor -> pair index within the window
+	pair   []int32 // survivor -> pair index
 	e1, e2 []int32 // resolved incident edge ids, per survivor
 	drops  int64
 }
@@ -278,7 +278,7 @@ func (e *sweepEngine) consume(frontier int, final bool) error {
 		// per-pair op offsets for the parallel fill.
 		for e.wq < frontier && e.wops < sweepWindowOps {
 			e.offs = append(e.offs, int32(e.wops))
-			e.wops += len(pairs[e.wq].Common)
+			e.wops += int(pairs[e.wq].N)
 			e.wq++
 		}
 		if e.wops < sweepWindowOps && !(final && e.wq >= frontier) {
@@ -315,7 +315,8 @@ func (e *sweepEngine) consume(frontier int, final bool) error {
 		e.offs = e.offs[:0]
 		e.closeIfSpanned()
 	}
-	return e.retire(frontier)
+	e.retire(frontier)
+	return nil
 }
 
 // closeIfSpanned closes the engine once the merge stream spans the op
@@ -328,12 +329,20 @@ func (e *sweepEngine) closeIfSpanned() {
 	}
 }
 
-// retired returns the pair index below which every pair is fully processed.
-func (e *sweepEngine) retired() int {
-	if e.closed {
-		return e.tp
+// retire finishes a closed engine's pairs below the frontier. None of their
+// ops can merge (see closeIfSpanned), so they are counted as no-op drops
+// from their counts N alone, without regenerating an op or touching the
+// chain. The count is order-free, so a list sorted as the sweep reads it
+// needs no sorting past closure.
+func (e *sweepEngine) retire(frontier int) {
+	var ops int64
+	for i := e.tp; i < frontier; i++ {
+		ops += int64(e.pl.Pairs[i].N)
 	}
-	return e.wp
+	e.res.PairsProcessed += ops
+	e.tailOps += ops
+	e.drops += ops
+	e.tp = max(e.tp, frontier)
 }
 
 // flatten rewrites every chain entry to point directly at its cluster
@@ -364,7 +373,7 @@ func (e *sweepEngine) window(p0, p1, w int) error {
 	}
 	for i := range bufs {
 		e.drops += bufs[i].drops
-		e.drain(p0, &bufs[i])
+		e.drain(&bufs[i])
 	}
 	return nil
 }
@@ -372,14 +381,12 @@ func (e *sweepEngine) window(p0, p1, w int) error {
 // resolve computes the window's operations — for every pair and every common
 // neighbor k, the ids of edges (U, k) and (V, k) — and keeps only the
 // survivors: ops whose edges are in different clusters of the pre-window
-// chain. Pairs partition contiguously across workers by op offsets; within a
-// pair the sorted Common list is merged against the sorted packed adjacency
-// with a galloping scan, replacing the serial sweep's two binary searches
-// per operation. It returns the worker buffers in op order.
+// chain. Pairs partition contiguously across workers by op offsets. It
+// returns the worker buffers in op order.
 func (e *sweepEngine) resolve(p0, p1, w int) []survivorBuf {
 	if w < sweepParMinOps || e.workers < 2 {
 		e.wbuf[0].reset()
-		e.resolveRange(p0, p0, p1, &e.wbuf[0])
+		e.resolveRange(p0, p1, &e.wbuf[0])
 		return e.wbuf[:1]
 	}
 	// Precompute the balanced pair ranges, then fan out through par.Run
@@ -405,7 +412,7 @@ func (e *sweepEngine) resolve(p0, p1, w int) []survivorBuf {
 		prev = end
 	}
 	par.Run(len(ranges), func(t int, _ func() bool) {
-		e.resolveRange(p0, ranges[t].lo, ranges[t].hi, &e.wbuf[t])
+		e.resolveRange(ranges[t].lo, ranges[t].hi, &e.wbuf[t])
 	})
 	return e.wbuf[:len(ranges)]
 }
@@ -426,74 +433,71 @@ func (e *sweepEngine) buildCSR() {
 	e.adjOff[n] = pos
 }
 
-func (e *sweepEngine) resolveRange(p0, lo, hi int, b *survivorBuf) {
+// resolveRange regenerates the ops of pairs [lo, hi) and keeps their
+// survivors in b. A pair's ops are the common neighbors k of U and V in
+// ascending order: the shorter of the two packed adjacency rows is walked
+// and the longer galloped, so a pair costs O(min(deg U, deg V)) steps, and
+// both edge ids come from the packed entries that matched. A pair whose
+// regenerated count differs from its N stops the range (see fail).
+func (e *sweepEngine) resolveRange(lo, hi int, b *survivorBuf) {
 	pairs := e.pl.Pairs
 	adjOff, adjTE := e.adjOff, e.adjTE
+	nv := uint32(len(adjOff) - 1)
 	c := e.ch.c
 	drops := int64(0)
-	off := int(e.offs[lo-p0])
 	for pi := lo; pi < hi; pi++ {
 		pr := &pairs[pi]
-		tu := adjTE[adjOff[pr.U]:adjOff[pr.U+1]]
-		tv := adjTE[adjOff[pr.V]:adjOff[pr.V+1]]
-		iu, iv := 0, 0
-		for _, k := range pr.Common {
-			// The gallop is inlined by hand on both sides: at two calls
-			// per incident pair this is the innermost kernel of the whole
-			// sweep, and the call overhead alone is measurable.
-			key := uint64(uint32(k)) << 32
-			for iu < len(tu) && tu[iu]>>32 < uint64(uint32(k)) {
+		if uint32(pr.U) >= nv || uint32(pr.V) >= nv {
+			if pr.N != 0 {
+				e.fail(pi, 0)
+				return
+			}
+			continue
+		}
+		// ts is the shorter row, tl the longer; the ops' edge order is
+		// (U, k) then (V, k) either way.
+		ts := adjTE[adjOff[pr.U]:adjOff[pr.U+1]]
+		tl := adjTE[adjOff[pr.V]:adjOff[pr.V+1]]
+		swap := len(ts) > len(tl)
+		if swap {
+			ts, tl = tl, ts
+		}
+		var n int32
+		j := 0
+		for _, hs := range ts {
+			k := hs >> 32
+			// The gallop is inlined by hand: this is the innermost kernel
+			// of the whole sweep, and the call overhead alone is
+			// measurable.
+			if j < len(tl) && tl[j]>>32 < k {
 				step := 1
-				for iu+step < len(tu) && tu[iu+step]>>32 < uint64(uint32(k)) {
-					iu += step
+				for j+step < len(tl) && tl[j+step]>>32 < k {
+					j += step
 					step <<= 1
 				}
-				glo, ghi := iu+1, iu+step
-				if ghi > len(tu) {
-					ghi = len(tu)
-				}
+				glo, ghi := j+1, min(j+step, len(tl))
 				for glo < ghi {
 					mid := int(uint(glo+ghi) >> 1)
-					if tu[mid]>>32 < uint64(uint32(k)) {
+					if tl[mid]>>32 < k {
 						glo = mid + 1
 					} else {
 						ghi = mid
 					}
 				}
-				iu = glo
+				j = glo
+			}
+			if j == len(tl) {
 				break
 			}
-			if iu >= len(tu) || tu[iu]&^uint64(1<<32-1) != key {
-				e.fail(pi, off, k)
-				return
+			if tl[j]>>32 != k {
+				continue
 			}
-			e1 := int32(uint32(tu[iu]))
-			for iv < len(tv) && tv[iv]>>32 < uint64(uint32(k)) {
-				step := 1
-				for iv+step < len(tv) && tv[iv+step]>>32 < uint64(uint32(k)) {
-					iv += step
-					step <<= 1
-				}
-				glo, ghi := iv+1, iv+step
-				if ghi > len(tv) {
-					ghi = len(tv)
-				}
-				for glo < ghi {
-					mid := int(uint(glo+ghi) >> 1)
-					if tv[mid]>>32 < uint64(uint32(k)) {
-						glo = mid + 1
-					} else {
-						ghi = mid
-					}
-				}
-				iv = glo
-				break
+			e1, e2 := int32(uint32(hs)), int32(uint32(tl[j]))
+			if swap {
+				e1, e2 = e2, e1
 			}
-			if iv >= len(tv) || tv[iv]&^uint64(1<<32-1) != key {
-				e.fail(pi, off, k)
-				return
-			}
-			e2 := int32(uint32(tv[iv]))
+			j++
+			n++
 			// Pre-window find, while e1/e2 are still in registers. Equal
 			// terminals against the pre-window state mean the op is a no-op
 			// at its serial position too (merging is monotone), so it is
@@ -509,42 +513,44 @@ func (e *sweepEngine) resolveRange(p0, lo, hi int, b *survivorBuf) {
 			if x == y {
 				drops++
 			} else {
-				b.pair = append(b.pair, int32(pi-p0))
+				b.pair = append(b.pair, int32(pi))
 				b.e1 = append(b.e1, e1)
 				b.e2 = append(b.e2, e2)
 			}
-			off++
-			iu++
-			iv++
+		}
+		if n != pr.N {
+			e.fail(pi, n)
+			return
 		}
 	}
 	b.drops = drops
 }
 
-// fail records a resolution failure, keeping the first in serial op order so
-// the reported error matches the serial sweep's.
-func (e *sweepEngine) fail(pi, op int, k int32) {
+// fail records a pair whose regenerated op count n differs from its N,
+// keeping the first in list order so the reported error matches the
+// serial sweep's.
+func (e *sweepEngine) fail(pi int, n int32) {
 	e.errMu.Lock()
-	if e.err == nil || op < e.errOp {
-		e.errOp = op
-		e.err = missingEdgeError(&e.pl.Pairs[pi], k)
+	if e.err == nil || pi < e.errPair {
+		e.errPair = pi
+		e.err = countMismatchError(&e.pl.Pairs[pi], n)
 	}
 	e.errMu.Unlock()
 }
 
-// missingEdgeError is the serial sweep's error for an op whose edge (U, k)
-// or (V, k) is not in the graph.
-func missingEdgeError(pr *Pair, k int32) error {
-	return fmt.Errorf("core: pair (%d,%d) common neighbor %d has no incident edges in graph", pr.U, pr.V, k)
+// countMismatchError is the sweeps' error for a pair whose stored
+// common-neighbor count N differs from the n common neighbors its
+// endpoints have in the graph: the list was not built from this graph.
+func countMismatchError(pr *Pair, n int32) error {
+	return fmt.Errorf("core: pair (%d,%d) lists %d common neighbors, the graph has %d", pr.U, pr.V, pr.N, n)
 }
 
-// drain replays one resolution buffer's survivors of the window starting at
-// pair p0 with serial Sweep's exact semantics — find, merge, record, one op
-// at a time in serial op order — and emits each merge event with its pair's
-// similarity as it happens, so the window's stream is serial Sweep's by
-// construction. Drain is the chain's only writer besides flatten, and both
+// drain replays one resolution buffer's survivors with serial Sweep's exact
+// semantics — find, merge, record, one op at a time in serial op order — and
+// emits each merge event with its pair's similarity as it happens, so the
+// window's stream is serial Sweep's by construction. Drain is the chain's only writer besides flatten, and both
 // run on the calling goroutine.
-func (e *sweepEngine) drain(p0 int, b *survivorBuf) {
+func (e *sweepEngine) drain(b *survivorBuf) {
 	c := e.ch.c
 	res := e.res
 	pairs := e.pl.Pairs
@@ -568,7 +574,7 @@ func (e *sweepEngine) drain(p0 int, b *survivorBuf) {
 			A:     c1,
 			B:     c2,
 			Into:  into,
-			Sim:   pairs[p0+int(pi)].Sim,
+			Sim:   pairs[pi].Sim,
 		})
 	}
 	e.ch.changes += changes

@@ -1,9 +1,11 @@
 package jobs
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -326,6 +328,84 @@ func TestPersistentDiskCacheTiers(t *testing.T) {
 	}
 	if mt := m2.Metrics(); mt.DiskHitPairs < 1 {
 		t.Fatalf("disk_cache_hits_pairs = %d, want >= 1", mt.DiskHitPairs)
+	}
+}
+
+// TestPersistentPairListV1IsMiss overwrites the durable pair list a previous
+// process persisted with a well-formed, checksummed entry in the retired
+// version-1 pair-list format, which also carried every pair's
+// common-neighbor list. The codec refuses it, so the next run over the same
+// graph must count it corrupt, drop it, recompute Phase I, and produce the
+// merges of a run that never saw the entry.
+func TestPersistentPairListV1IsMiss(t *testing.T) {
+	resetJobFaults(t)
+	dir := t.TempDir()
+	text := graphText(t, 60, 208)
+
+	m1 := openPersistent(t, Config{Concurrency: 1, StateDir: dir})
+	st, err := m1.Submit(text, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st = waitState(t, m1, st.ID); st.State != StateDone {
+		t.Fatalf("job %s (%s)", st.State, st.Error)
+	}
+	m1.Close()
+
+	// A version-1 document: magic, version 1, unsorted, one pair (0,1) with
+	// similarity 0.5 and one common neighbor, 2.
+	v1 := []byte("LCPL")
+	for _, v := range []uint32{1, 0, 1, 0, 1} {
+		v1 = binary.LittleEndian.AppendUint32(v1, v)
+	}
+	v1 = binary.LittleEndian.AppendUint64(v1, 0x3fe0000000000000)
+	v1 = binary.LittleEndian.AppendUint32(v1, 1)
+	v1 = binary.LittleEndian.AppendUint32(v1, 2)
+	pd, err := persist.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replaced := 0
+	for name := range pd.LoadManifest().Entries {
+		if strings.HasPrefix(name, "p-") {
+			if err := pd.WriteEntry(persist.EntryPairs, name, v1); err != nil {
+				t.Fatal(err)
+			}
+			replaced++
+		}
+	}
+	pd.Close()
+	if replaced != 1 {
+		t.Fatalf("replaced %d durable pair lists, want 1", replaced)
+	}
+
+	control := NewManager(Config{Concurrency: 1})
+	defer control.Close()
+	want, err := control.Submit(text, Options{Algorithm: AlgoCoarse})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want = waitState(t, control, want.ID); want.State != StateDone {
+		t.Fatalf("control job %s (%s)", want.State, want.Error)
+	}
+
+	m2 := openPersistent(t, Config{Concurrency: 1, StateDir: dir})
+	defer m2.Close()
+	got, err := m2.Submit(text, Options{Algorithm: AlgoCoarse})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got = waitState(t, m2, got.ID); got.State != StateDone {
+		t.Fatalf("job over a v1 pair list %s (%s)", got.State, got.Error)
+	}
+	if got.PairsHit {
+		t.Fatal("a version-1 durable pair list was served as a hit")
+	}
+	if mt := m2.Metrics(); mt.CorruptEntries != 1 || mt.DiskHitPairs != 0 {
+		t.Fatalf("persist_corrupt_entries = %d, disk_cache_hits_pairs = %d; want 1 and 0", mt.CorruptEntries, mt.DiskHitPairs)
+	}
+	if got.Result.MergesSHA256 != want.Result.MergesSHA256 {
+		t.Fatalf("merges sha %s after dropping the v1 entry, control %s", got.Result.MergesSHA256, want.Result.MergesSHA256)
 	}
 }
 

@@ -100,18 +100,10 @@ type Engine struct {
 	// scratch, so recomputed rows stay pure functions of (graph, h1, h2).
 	rks []*core.RowKernel
 	// pl is the maintained pair list in list-L order and live its op count
-	// (Σ len(Common), K2).
+	// (Σ N, K2). Pairs are values with no pointers, so splicing copies them
+	// and pins nothing of the kernel rows they came from.
 	pl   []core.Pair
 	live int64
-	// A spliced pair's Common aliases the kernel row PairsTouching allocated,
-	// so one surviving pair pins its whole row, duplicates dropped at dedup
-	// included. loose counts the Common ints spliced in since the last
-	// re-pack; once it passes live/2, repackLocked copies every Common into
-	// one exact-size arena. held bounds the Common ints the list keeps
-	// reachable: the last re-pack's arena plus every kernel row since.
-	// repacks counts re-packs, for tests.
-	loose, held int64
-	repacks     int
 	// pending holds endpoints of applied-but-unrefreshed arrivals. Non-empty
 	// only after a cancelled ingest; the next ingest or snapshot retries the
 	// refresh (idempotent — rows recompute from the graph).
@@ -303,15 +295,14 @@ func (e *Engine) refreshLocked(ctx context.Context) error {
 		nfresh += len(r)
 	}
 	fresh := make([]core.Pair, 0, nfresh)
-	var rowInts, kept int64
+	var kept int64
 	for i, r := range perD {
 		d := int32(dset[i])
 		for _, p := range r {
-			rowInts += int64(len(p.Common))
 			if o := p.U + p.V - d; inD[o] && o < d {
 				continue
 			}
-			kept += int64(len(p.Common))
+			kept += int64(p.N)
 			fresh = append(fresh, p)
 		}
 	}
@@ -328,18 +319,17 @@ func (e *Engine) refreshLocked(ctx context.Context) error {
 	j := 0
 	for _, p := range pl {
 		if inD[p.U] || inD[p.V] {
-			live -= int64(len(p.Common))
+			live -= int64(p.N)
 			continue
 		}
 		pl[j] = p
 		j++
 	}
-	old := len(pl)
 	n := j + len(fresh)
 	if n > cap(pl) {
 		grown := make([]core.Pair, n, n+n/16)
 		copy(grown, pl[:j])
-		pl, old = grown, 0
+		pl = grown
 	}
 	pl = pl[:n]
 	// Old pairs sit in pl[:i+1], the unmerged fresh ones in fresh[:f+1],
@@ -356,50 +346,13 @@ func (e *Engine) refreshLocked(ctx context.Context) error {
 			f--
 		}
 	}
-	// Slots past a shrunk end held old pairs; clearing them drops their
-	// Common rows.
-	if old > n {
-		clear(pl[n:old])
-	}
 
 	// Commit.
 	e.pl, e.live = pl, live
-	e.loose += kept
-	e.held += rowInts
-	if 2*e.loose > e.live {
-		e.repackLocked()
-	}
 	clear(e.pending)
 	e.res = nil
 	e.opt.Recorder.Add(CtrAffectedRows, int64(len(dset)))
 	return nil
-}
-
-// repackLocked copies every Common list of the maintained list into one
-// exact-size arena, in list order, releasing the kernel rows the spliced
-// pairs pinned. Its O(K2) copy is amortized over the more than K2/2 ints
-// spliced in since the previous re-pack, and the trigger reads op counts
-// only, so re-packs land at the same ingests at every worker count.
-func (e *Engine) repackLocked() {
-	arena := make([]int32, e.live)
-	off := 0
-	for i := range e.pl {
-		n := copy(arena[off:], e.pl[i].Common)
-		e.pl[i].Common = arena[off : off+n : off+n]
-		off += n
-	}
-	e.loose, e.held = 0, e.live
-	e.repacks++
-}
-
-// CommonInts reports the maintained list's op count (live, one op per
-// Common entry: K2) and an upper bound on the Common ints the list keeps
-// reachable (held): the last re-pack's arena plus every kernel row
-// allocated since.
-func (e *Engine) CommonInts() (held, live int64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.held, e.live
 }
 
 // Snapshot clusters the accumulated graph. See SnapshotCtx.
