@@ -174,14 +174,9 @@ const CtrMemBudgetDegrades = "cluster.mem_budget_degrades"
 // invisible to the result.
 const CtrMemBudgetSpills = "cluster.mem_budget_spills"
 
-// Spill counter names recorded by the out-of-core sweep. Buckets and bytes
-// are worker-invariant (pure functions of the pair list); read stalls are a
-// timing artifact.
-const (
-	CtrSpillBuckets      = core.CtrSpillBuckets
-	CtrSpillBytesWritten = core.CtrSpillBytesWritten
-	CtrSpillReadStalls   = core.CtrSpillReadStalls
-)
+// CtrSpillBytesWritten is the bytes the out-of-core sweep wrote to its
+// spill file; worker-invariant (a pure function of the pair list).
+const CtrSpillBytesWritten = core.CtrSpillBytesWritten
 
 // ClusterOptions configures an instrumented pipeline run.
 type ClusterOptions struct {
@@ -206,7 +201,7 @@ type ClusterOptions struct {
 	// two rungs. First it admits the pair list to disk and runs the
 	// out-of-core sweep (EngineSpill, recorded under CtrMemBudgetSpills),
 	// whose output is bitwise identical to the in-memory engines. Only if
-	// spilling itself fails at the disk — store creation or a write error,
+	// spilling itself fails at the disk — file creation or a write error,
 	// which leaves the pair list intact — does the run degrade to
 	// coarse-grained clustering (DefaultCoarseParams) over that list,
 	// recorded under CtrMemBudgetDegrades. "Soft" means overshoot within a
@@ -214,9 +209,9 @@ type ClusterOptions struct {
 	// budget.
 	MemBudgetBytes int64
 	// SpillDir is the parent directory for the out-of-core sweep's private
-	// spill directory (EngineSpill or the budget admission path); empty
-	// means os.TempDir(). Each run spills into its own subdirectory and
-	// removes it on every exit path.
+	// spill file (EngineSpill or the budget admission path); empty means
+	// os.TempDir(). Each run spills into its own file and removes it on
+	// every exit path.
 	SpillDir string
 }
 

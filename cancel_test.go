@@ -207,10 +207,11 @@ func TestCancelMidSweepEngines(t *testing.T) {
 	waitGoroutinesBack(t, base)
 }
 
-// TestCancelSpilledCleanup cancels the out-of-core sweep in both phases —
-// countdown contexts land inside the spill-write scatter, the armed
-// CancelWindow point lands inside the read-back merge — and verifies every
-// exit removes its spill directory and brings every goroutine back.
+// TestCancelSpilledCleanup cancels the out-of-core sweep on both sides of
+// its disk round trip — countdown contexts land inside the spill write, the
+// armed CancelWindow point lands inside the sweep of the read-back list —
+// and verifies every exit removes its spill file and brings every
+// goroutine back.
 func TestCancelSpilledCleanup(t *testing.T) {
 	resetFaults(t)
 	g := goldenGraph(t)
@@ -229,8 +230,8 @@ func TestCancelSpilledCleanup(t *testing.T) {
 		}
 	}
 
-	// Write phase: the scatter polls the countdown at fixed pair strides, so
-	// small k values cancel before the read-back begins.
+	// Write phase: the writer polls the countdown once per 2,048-pair block,
+	// so small k values cancel before the read-back begins.
 	for _, k := range []int64{1, 3, 10} {
 		for _, workers := range []int{1, 4, 8} {
 			res, err := sweepSpilled(newCountdownCtx(k), g, core.Similarity(g), workers, dir, nil)
@@ -244,9 +245,9 @@ func TestCancelSpilledCleanup(t *testing.T) {
 		}
 	}
 
-	// Read phase: the merge consumer hits the CancelWindow point once per
-	// window, so arming it with a cancel lands deterministically after the
-	// spill files exist and the read-back has begun.
+	// Merge phase: the engine hits the CancelWindow point once per window,
+	// so arming it with a cancel lands deterministically after the spill
+	// file was written and read back.
 	for _, workers := range []int{1, 4, 8} {
 		resetFaults(t)
 		ctx, cancel := context.WithCancel(context.Background())

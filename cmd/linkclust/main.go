@@ -434,7 +434,7 @@ func cmdCluster(ctx context.Context, args []string, stdin io.Reader, stdout io.W
 		algo     = fs.String("algo", "sweep", "algorithm: sweep, coarse, nbm, slink")
 		workers  = fs.Int("workers", 1, "worker threads for init and the sweep/coarse phases")
 		engine   = fs.String("engine", "auto", "sweep engine: parallel (in memory) or spill (out of core); auto and serial are retired names for parallel (output identical)")
-		spillDir = fs.String("spill-dir", "", "sweep: spill similarity buckets to disk under this directory and sweep out of core (implies -engine spill; empty with -engine spill uses the system temp dir)")
+		spillDir = fs.String("spill-dir", "", "sweep: spill the pair list to disk under this directory and sweep out of core (implies -engine spill; empty with -engine spill uses the system temp dir)")
 		stream   = fs.Bool("stream", false, "sweep: replay the input edges through the incremental stream engine (output unchanged)")
 		streamB  = fs.Int("stream-batch", 256, "stream: arrivals per ingest batch")
 		timeout  = fs.Duration("timeout", 0, "abort the run after this duration (0 = none)")

@@ -13,8 +13,22 @@ import (
 )
 
 // outOfCoreWorkers is the thread sweep of the spilled-vs-windowed
-// comparison.
-var outOfCoreWorkers = []int{1, 4, 8}
+// comparison, run only at counts the machine has CPUs for (see
+// outOfCoreWorkerCounts).
+var outOfCoreWorkers = []int{1, 2, 4, 8}
+
+// outOfCoreWorkerCounts returns the outOfCoreWorkers at or below
+// runtime.NumCPU(): a row at more workers than CPUs measures the
+// scheduler, not the sweep.
+func outOfCoreWorkerCounts() []int {
+	var ws []int
+	for _, w := range outOfCoreWorkers {
+		if w <= runtime.NumCPU() {
+			ws = append(ws, w)
+		}
+	}
+	return ws
+}
 
 // ladderNoiseFloor is the smallest ladder budget worth arming: the
 // runtime/metrics live-heap sample the facade's MemBudget reads lags real
@@ -31,9 +45,7 @@ type outOfCoreResult struct {
 	PairKB  int64   `json:"pair_kb"` // encoded spill payload of the list
 	Workers int     `json:"workers"`
 
-	SpillBuckets int64 `json:"spill_buckets"`
-	SpillKB      int64 `json:"spill_kb"`
-	ReadStalls   int64 `json:"read_stalls"`
+	SpillKB int64 `json:"spill_kb"`
 
 	SpilledNs  int64   `json:"spilled_ns"`
 	WindowedNs int64   `json:"windowed_ns"`
@@ -65,8 +77,8 @@ type outOfCoreReport struct {
 }
 
 // OutOfCore is the self-validating disk-spill benchmark: per fraction α and
-// worker count it times the spilled sweep (radix-partitioned pair list
-// written to per-bucket spill files, streamed back through the engine)
+// worker count it times the spilled sweep (the pair list written to one
+// checksummed spill file, read back, then swept by the windowed engine)
 // against the in-memory windowed sweep (barrier sort, then SweepParallel's
 // engine over the whole list), each run consuming a fresh clone of
 // the same pair list. Every timed run is first compared bitwise to the
@@ -79,17 +91,13 @@ type outOfCoreReport struct {
 // degrade) and land on the serial merge stream exactly; rows below the
 // floor say so in the table instead of arming an unobservable budget.
 func OutOfCore(w io.Writer, cfg Config) error {
-	if old := runtime.GOMAXPROCS(0); old < 8 {
-		runtime.GOMAXPROCS(8)
-		defer runtime.GOMAXPROCS(old)
-	}
 	wls, err := BuildWorkloads(cfg)
 	if err != nil {
 		return err
 	}
 	t := &Table{
 		Title:   "outofcore: disk-spilled sweep vs in-memory windowed (bitwise self-validating)",
-		Columns: []string{"alpha", "edges", "pairs", "pair-KB", "T", "buckets", "spill-KB", "stalls", "spilled", "windowed", "overhead", "ladder"},
+		Columns: []string{"alpha", "edges", "pairs", "pair-KB", "T", "spill-KB", "spilled", "windowed", "overhead", "ladder"},
 		Notes: []string{
 			"every timed run, spilled and windowed, is compared bitwise to the serial sweep before its time counts",
 			"each run consumes a fresh pair-list clone built outside the timed region",
@@ -104,7 +112,7 @@ func OutOfCore(w io.Writer, cfg Config) error {
 		Name:      "outofcore",
 		CreatedAt: time.Now().UTC(),
 		Meta: map[string]string{
-			"workers": fmt.Sprintf("%v", outOfCoreWorkers),
+			"workers": fmt.Sprintf("%v", outOfCoreWorkerCounts()),
 			"repeats": fmt.Sprintf("%d", cfg.Repeats),
 			"cpus":    fmt.Sprintf("%d", runtime.NumCPU()),
 		},
@@ -168,13 +176,12 @@ func outOfCoreAlpha(wl Workload, cfg Config, t *Table) ([]outOfCoreResult, error
 	}
 
 	var out []outOfCoreResult
-	for _, workers := range outOfCoreWorkers {
+	for _, workers := range outOfCoreWorkerCounts() {
 		rec := obs.New()
 		var spilledNs, windowedNs time.Duration
 		for r := 0; r < repeats; r++ {
 			// Counters are taken from the first repeat only, keeping them
-			// single-run values (buckets and bytes are worker- and
-			// repeat-invariant anyway; stalls are a per-run timing artifact).
+			// single-run values.
 			var rrec *obs.Recorder
 			if r == 0 {
 				rrec = rec
@@ -244,9 +251,7 @@ func outOfCoreAlpha(wl Workload, cfg Config, t *Table) ([]outOfCoreResult, error
 			Pairs:          len(master.Pairs),
 			PairKB:         kb(payload),
 			Workers:        workers,
-			SpillBuckets:   rec.Counter(core.CtrSpillBuckets),
 			SpillKB:        kb(rec.Counter(core.CtrSpillBytesWritten)),
-			ReadStalls:     rec.Counter(core.CtrSpillReadStalls),
 			SpilledNs:      spilledNs.Nanoseconds(),
 			WindowedNs:     windowedNs.Nanoseconds(),
 			Overhead:       float64(spilledNs) / float64(windowedNs),
@@ -260,7 +265,7 @@ func outOfCoreAlpha(wl Workload, cfg Config, t *Table) ([]outOfCoreResult, error
 		}
 		out = append(out, row)
 		t.AddRow(wl.Alpha, row.Edges, row.Pairs, row.PairKB, workers,
-			row.SpillBuckets, row.SpillKB, row.ReadStalls,
+			row.SpillKB,
 			formatSeconds(spilledNs), formatSeconds(windowedNs),
 			fmt.Sprintf("%.2fx", row.Overhead), ladderCell)
 	}

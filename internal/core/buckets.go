@@ -7,13 +7,12 @@ import (
 	"linkclust/internal/par"
 )
 
-// Bucket policy of the similarity partition shared by the out-of-core sweep
-// and the sort cursor.
+// Bucket policy of the similarity partition the sort cursor sorts by.
 const (
 	// bucketSmallPairs selects the reduced bucket-bit width: lists below
 	// this size use bucketSmallBits so the histogram never dwarfs the input.
 	// The threshold depends only on list length, keeping bucket boundaries
-	// (and CtrSpillBuckets) worker-invariant.
+	// (and CtrSweepSortedPairs) worker-invariant.
 	bucketSmallPairs = 1 << 13
 	// bucketBits is the MSD radix width of the similarity partition — sign,
 	// the full 11-bit exponent, and 4 mantissa bits, so each binade of

@@ -35,17 +35,8 @@ const maxDecodeCount = 1 << 31
 // with CheckPairs before it is swept.
 func WritePairList(w io.Writer, pl *PairList) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(pairListMagic); err != nil {
+	if _, err := bw.Write(appendPairListHeader(nil, pl)); err != nil {
 		return err
-	}
-	sorted := uint32(0)
-	if pl.sorted {
-		sorted = 1
-	}
-	for _, v := range []uint32{pairListVersion, sorted, uint32(len(pl.Pairs))} {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
 	}
 	var rec []byte
 	for i := range pl.Pairs {
@@ -65,30 +56,56 @@ func WritePairList(w io.Writer, pl *PairList) error {
 // actually read, so a hostile count cannot force a large allocation.
 func ReadPairList(r io.Reader) (*PairList, error) {
 	br := bufio.NewReader(r)
-	if err := expectMagic(br, pairListMagic); err != nil {
+	var hdr [pairListHeaderSize]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		return nil, fmt.Errorf("core: pair list header: %w", err)
+	}
+	sorted, count, err := decodePairListHeader(hdr[:])
+	if err != nil {
 		return nil, err
 	}
-	var version, sorted, count uint32
-	for _, v := range []*uint32{&version, &sorted, &count} {
-		if err := binary.Read(br, binary.LittleEndian, v); err != nil {
-			return nil, fmt.Errorf("core: pair list header: %w", err)
-		}
-	}
-	if version != pairListVersion {
-		return nil, fmt.Errorf("core: unsupported pair list version %d", version)
-	}
-	if count > maxDecodeCount {
-		return nil, fmt.Errorf("core: implausible pair count %d", count)
-	}
-	pl := &PairList{Pairs: make([]Pair, 0, min(count, 1<<16)), sorted: sorted == 1}
+	pl := &PairList{Pairs: make([]Pair, 0, min(count, 1<<16)), sorted: sorted}
 	var rec [pairRecordFixed]byte
-	for i := 0; i < int(count); i++ {
+	for i := 0; i < count; i++ {
 		if _, err := io.ReadFull(br, rec[:]); err != nil {
 			return nil, fmt.Errorf("core: pair %d: %w", i, err)
 		}
 		pl.Pairs = append(pl.Pairs, decodePairRecord(rec[:]))
 	}
 	return pl, nil
+}
+
+// pairListHeaderSize is the byte length of the pair-list header: magic,
+// version, sorted flag and pair count.
+const pairListHeaderSize = 16
+
+// appendPairListHeader appends pl's pair-list header to dst.
+func appendPairListHeader(dst []byte, pl *PairList) []byte {
+	sorted := uint32(0)
+	if pl.sorted {
+		sorted = 1
+	}
+	dst = append(dst, pairListMagic...)
+	dst = binary.LittleEndian.AppendUint32(dst, pairListVersion)
+	dst = binary.LittleEndian.AppendUint32(dst, sorted)
+	return binary.LittleEndian.AppendUint32(dst, uint32(len(pl.Pairs)))
+}
+
+// decodePairListHeader validates a pair-list header — magic, version (a
+// version-1 file is refused as unsupported) and a plausible count — and
+// returns its sorted flag and pair count.
+func decodePairListHeader(h []byte) (sorted bool, count int, err error) {
+	if string(h[:4]) != pairListMagic {
+		return false, 0, fmt.Errorf("core: bad magic %q, want %q", h[:4], pairListMagic)
+	}
+	if v := binary.LittleEndian.Uint32(h[4:]); v != pairListVersion {
+		return false, 0, fmt.Errorf("core: unsupported pair list version %d", v)
+	}
+	n := binary.LittleEndian.Uint32(h[12:])
+	if n > maxDecodeCount {
+		return false, 0, fmt.Errorf("core: implausible pair count %d", n)
+	}
+	return binary.LittleEndian.Uint32(h[8:]) == 1, int(n), nil
 }
 
 // WriteMerges serializes a merge stream over n edges to w.
@@ -157,8 +174,8 @@ func ReadMerges(r io.Reader) (int, []Merge, error) {
 
 // Fixed per-pair records, shared by the pair-list file body and the
 // out-of-core spill path. Each record is the 20-byte U(4) V(4) SimBits(8)
-// N(4), little-endian like everything above; the spill store adds its own
-// checksummed header per bucket. Sim travels as raw float64 bits, so a
+// N(4), little-endian like everything above; the spill file adds a CRC32
+// trailer to the whole envelope. Sim travels as raw float64 bits, so a
 // decoded pair is bitwise identical to its source.
 
 // pairRecordFixed is the byte length of a record.
@@ -182,23 +199,6 @@ func decodePairRecord(b []byte) Pair {
 		Sim: math.Float64frombits(binary.LittleEndian.Uint64(b[8:])),
 		N:   int32(binary.LittleEndian.Uint32(b[16:])),
 	}
-}
-
-// decodePairRecords decodes exactly count records from payload. The payload
-// is hostile input — it crossed a disk — so its length must be exactly
-// count records before anything is allocated.
-func decodePairRecords(payload []byte, count int) ([]Pair, error) {
-	if count < 0 || count > maxDecodeCount {
-		return nil, fmt.Errorf("core: implausible spill pair count %d", count)
-	}
-	if len(payload) != count*pairRecordFixed {
-		return nil, fmt.Errorf("core: spill payload of %d bytes does not hold %d pairs of %d bytes", len(payload), count, pairRecordFixed)
-	}
-	pairs := make([]Pair, count)
-	for i := range pairs {
-		pairs[i] = decodePairRecord(payload[i*pairRecordFixed:])
-	}
-	return pairs, nil
 }
 
 func expectMagic(br *bufio.Reader, magic string) error {

@@ -15,11 +15,10 @@ const (
 	SweepEngineSerial = "serial"
 	// SweepEngineParallel is the in-memory windowed engine (SweepParallel).
 	SweepEngineParallel = "parallel"
-	// SweepEngineSpill is the out-of-core sweep (SweepSpilledOpts):
-	// similarity buckets spill to disk and stream back into the windowed
-	// engine, so the pair list never has to be memory-resident. The facade
-	// reaches it through the explicit engine option or the memory-budget
-	// admission path.
+	// SweepEngineSpill is the out-of-core sweep (SweepSpilledOpts): the
+	// pair list makes one round trip through a checksummed spill file and
+	// is then swept by the windowed engine. The facade reaches it through
+	// the explicit engine option or the memory-budget admission path.
 	SweepEngineSpill = "spill"
 )
 

@@ -2,10 +2,10 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"hash/fnv"
 	"os"
-	"path/filepath"
 	"slices"
 	"testing"
 
@@ -158,96 +158,88 @@ func FuzzSimilarity(f *testing.F) {
 	})
 }
 
-// FuzzSpillRoundTrip drives the out-of-core pair encoding through a real
-// spill store: every pair of an arbitrary graph's similarity output is
-// encoded, written through the write-behind pool, read back under the
-// checksummed header, and decoded — the multiset must survive bitwise.
-// Then one byte flip or truncation (position fuzzer-chosen) is applied to
-// a bucket file, and the open/decode path must reject it with an error —
-// never a panic, never a silently different pair list. Hostile bytes are
-// also fed straight to the record decoder.
+// FuzzSpillRoundTrip drives the out-of-core spill file. Hostile bytes come
+// first: written as a spill file's whole contents under a valid CRC trailer,
+// they must read back as a typed spill error or as exactly the list they
+// encode — never a panic. Then an arbitrary graph's pair list, in Phase I
+// order or sorted, is written by the spilled sweep's writer and read back:
+// the list and its sorted flag must survive bitwise. Finally one byte flip
+// or truncation (position fuzzer-chosen) is applied to that file, and the
+// read-back must fail with a typed spill error, never return a list.
 func FuzzSpillRoundTrip(f *testing.F) {
 	f.Add([]byte{4, 0, 1, 1, 1, 2, 1, 2, 3, 1, 0, 2, 1}, uint32(7), false)
 	f.Add([]byte{16, 0, 1, 0, 1, 2, 0, 2, 0, 0}, uint32(33), true)
 	f.Add([]byte{24, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}, uint32(0), false)
 	f.Fuzz(func(t *testing.T, data []byte, mutOff uint32, truncate bool) {
-		// Hostile decode first: arbitrary payload bytes with an arbitrary
-		// claimed count must error or succeed, never panic.
-		_, _ = decodePairRecords(data, int(mutOff)%1024)
+		ctx := context.Background()
+		dir := t.TempDir()
+		hostile, err := spill.Create(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer hostile.Remove()
+		if hostile.Write(data) != nil || hostile.Finish() != nil {
+			t.Fatal("writing hostile bytes failed")
+		}
+		if back, err := readSpill(ctx, hostile); err != nil {
+			requireSpillError(t, "hostile contents", err)
+		} else {
+			if len(data) != pairListHeaderSize+pairRecordFixed*len(back.Pairs) {
+				t.Fatalf("%d hostile bytes read back as %d pairs", len(data), len(back.Pairs))
+			}
+			for i := range back.Pairs {
+				rec := data[pairListHeaderSize+i*pairRecordFixed:][:pairRecordFixed]
+				if !bytes.Equal(appendPairRecord(nil, &back.Pairs[i]), rec) {
+					t.Fatalf("hostile pair %d read back as %+v, not its record", i, back.Pairs[i])
+				}
+			}
+		}
 
 		g := fuzzGraph(data)
 		if g == nil {
 			return
 		}
 		pl := Similarity(g)
-		if len(pl.Pairs) == 0 {
-			return
+		if mutOff&1 == 1 {
+			pl.Sort()
 		}
-		st, err := spill.NewStore([]int{0, 1}, spill.Options{Dir: t.TempDir(), BlockBytes: 64})
+		sf, err := spill.Create(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer st.Remove()
-		var buf []byte
-		counts := [2]int{}
+		defer sf.Remove()
+		if err := writeSpill(ctx, sf, pl); err != nil {
+			t.Fatal(err)
+		}
+		back, err := readSpill(ctx, sf)
+		if err != nil {
+			t.Fatalf("round trip: %v", err)
+		}
+		if back.Sorted() != pl.Sorted() || len(back.Pairs) != len(pl.Pairs) {
+			t.Fatalf("round trip: %d pairs sorted=%v, wrote %d sorted=%v", len(back.Pairs), back.Sorted(), len(pl.Pairs), pl.Sorted())
+		}
 		for i := range pl.Pairs {
-			b := i & 1
-			buf = appendPairRecord(buf[:0], &pl.Pairs[i])
-			if err := st.Append(b, buf); err != nil {
-				t.Fatalf("append: %v", err)
+			if !bytes.Equal(appendPairRecord(nil, &back.Pairs[i]), appendPairRecord(nil, &pl.Pairs[i])) {
+				t.Fatalf("round trip: pair %d is %+v, wrote %+v", i, back.Pairs[i], pl.Pairs[i])
 			}
-			counts[b]++
 		}
-		if err := st.FinishWrites(); err != nil {
-			t.Fatalf("finish: %v", err)
-		}
-		var got []Pair
-		for b := 0; b < 2; b++ {
-			bk, err := st.OpenBucket(b)
-			if err != nil {
-				t.Fatalf("bucket %d: %v", b, err)
-			}
-			recs, err := decodePairRecords(bk.Payload, bk.Pairs)
-			if err != nil {
-				t.Fatalf("decode bucket %d: %v", b, err)
-			}
-			if len(recs) != counts[b] {
-				t.Fatalf("bucket %d: %d records back, wrote %d", b, len(recs), counts[b])
-			}
-			got = append(got, recs...)
-			bk.Close()
-		}
-		want := &PairList{Pairs: append([]Pair(nil), pl.Pairs...)}
-		requireIdenticalSorted(t, "fuzz spill round trip", &PairList{Pairs: got}, want)
 
-		// Corrupt bucket 0's file (ids 0,1 sort with bucket 0 first). Any
-		// byte flip must break the CRC or a validated header field; any
-		// truncation must break the size contract.
-		entries, err := os.ReadDir(st.Dir())
-		if err != nil || len(entries) == 0 {
-			t.Fatalf("listing spill dir: %v (%d entries)", err, len(entries))
-		}
-		path := filepath.Join(st.Dir(), entries[0].Name())
-		raw, err := os.ReadFile(path)
+		raw, err := os.ReadFile(sf.Path())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if truncate {
 			raw = raw[:int(mutOff)%len(raw)]
 		} else {
-			raw = append([]byte(nil), raw...)
 			raw[int(mutOff)%len(raw)] ^= 0x01 | byte(mutOff>>8)
 		}
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
+		if err := os.WriteFile(sf.Path(), raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		bk, err := st.OpenBucket(0)
-		if err == nil {
-			_, derr := decodePairRecords(bk.Payload, bk.Pairs)
-			bk.Close()
-			if derr == nil {
-				t.Fatal("mutated spill file opened and decoded cleanly")
-			}
+		if _, err := readSpill(ctx, sf); err == nil {
+			t.Fatal("mutated spill file read back cleanly")
+		} else {
+			requireSpillError(t, "mutated file", err)
 		}
 	})
 }

@@ -1,12 +1,18 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"os"
+	"runtime"
+	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
+	"unsafe"
 
 	"linkclust/internal/fault"
 	"linkclust/internal/graph"
@@ -74,7 +80,7 @@ func TestSweepSpilledDifferential(t *testing.T) {
 }
 
 // TestSweepSpilledLargeRandom crosses the wide-bucket (16-bit) regime and
-// many windows, where the read-back pipeline actually streams.
+// many windows, over a list many spill blocks long.
 func TestSweepSpilledLargeRandom(t *testing.T) {
 	for seed := uint64(0); seed < 2; seed++ {
 		g := graph.ErdosRenyi(300, 0.06, rng.New(seed))
@@ -92,8 +98,8 @@ func TestSweepSpilledLargeRandom(t *testing.T) {
 	}
 }
 
-// TestSweepSpilledEmpty covers the degenerate entry: no pairs, no spill
-// directory created, a valid empty result.
+// TestSweepSpilledEmpty covers the degenerate entry: no pairs, a valid
+// empty result, and nothing left in the spill parent.
 func TestSweepSpilledEmpty(t *testing.T) {
 	g := graph.DisjointEdges(5)
 	dir := t.TempDir()
@@ -134,13 +140,13 @@ func TestSweepSpilledErrorParity(t *testing.T) {
 }
 
 // TestSweepSpilledCounters checks the spilled path's instrumentation: the
-// bucket and bytes counters must be positive and worker-invariant, and the
-// bucket count must equal the partition's non-empty bucket count.
+// bytes counter is exactly the file (header, one record per pair, trailer)
+// and so worker-invariant, and the sweep's own counters — the sorted prefix
+// included — read what the in-memory engine reads on the same list.
 func TestSweepSpilledCounters(t *testing.T) {
 	g := graph.ErdosRenyi(200, 0.08, rng.New(4))
-	_, _, ids := bucketLayout(Similarity(g).Pairs, 1)
-	wantBuckets := int64(len(ids))
-	var buckets, bytes int64 = -1, -1
+	k1 := int64(len(Similarity(g).Pairs))
+	wantBytes := pairListHeaderSize + pairRecordFixed*k1 + 4
 	for _, workers := range []int{1, 4, 8} {
 		rec := obs.New()
 		res, err := SweepSpilledOpts(context.Background(), g, Similarity(g), workers, SpillOptions{}, rec)
@@ -150,17 +156,207 @@ func TestSweepSpilledCounters(t *testing.T) {
 		if got := rec.Counter(CtrSweepPairsProcessed); got != res.PairsProcessed {
 			t.Fatalf("T=%d: pairs counter %d, want %d", workers, got, res.PairsProcessed)
 		}
-		b, by := rec.Counter(CtrSpillBuckets), rec.Counter(CtrSpillBytesWritten)
-		if b < 1 || by < 1 {
-			t.Fatalf("T=%d: buckets=%d bytes=%d, want both positive", workers, b, by)
+		if got := rec.Counter(CtrSpillBytesWritten); got != wantBytes {
+			t.Fatalf("T=%d: %d spill bytes, want %d for %d pairs", workers, got, wantBytes, k1)
 		}
-		if b != wantBuckets {
-			t.Fatalf("T=%d: %d spill buckets, partition has %d", workers, b, wantBuckets)
+		mem := obs.New()
+		if _, err := SweepParallelCtx(context.Background(), g, Similarity(g), workers, mem); err != nil {
+			t.Fatal(err)
 		}
-		if buckets >= 0 && (b != buckets || by != bytes) {
-			t.Fatalf("T=%d: buckets/bytes %d/%d, want worker-invariant %d/%d", workers, b, by, buckets, bytes)
+		for _, c := range []string{CtrSweepSortedPairs, CtrSweepWindows, CtrSweepTailOps, CtrSweepChainRewrites} {
+			if got, want := rec.Counter(c), mem.Counter(c); got != want {
+				t.Fatalf("T=%d: %s = %d spilled, %d in memory", workers, c, got, want)
+			}
 		}
-		buckets, bytes = b, by
+	}
+}
+
+// countdownCtx reports context.Canceled from its k-th Err call on: a
+// cancellation that lands at an exact poll.
+type countdownCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func newCountdownCtx(k int64) *countdownCtx {
+	c := &countdownCtx{Context: context.Background()}
+	c.left.Store(k)
+	return c
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// waitNoLeaks polls until the goroutine count falls back to base.
+func waitNoLeaks(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d running, baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestSweepSpilledWriteCancelNoLeak cancels the spilled sweep at its entry
+// and at successive block polls of the write phase: every run returns
+// context.Canceled with the pair list intact, the spill parent is empty,
+// and no goroutine outlives the calls.
+func TestSweepSpilledWriteCancelNoLeak(t *testing.T) {
+	g := graph.ErdosRenyi(300, 0.06, rng.New(0))
+	n := len(Similarity(g).Pairs)
+	if n < 10*spillBlockPairs {
+		t.Fatalf("%d pairs: want at least 10 spill blocks", n)
+	}
+	base := runtime.NumGoroutine()
+	dir := t.TempDir()
+	for _, k := range []int64{0, 1, 2, 5, 9} {
+		for _, workers := range []int{1, 4} {
+			pl := Similarity(g)
+			res, err := SweepSpilledOpts(newCountdownCtx(k), g, pl, workers, SpillOptions{Dir: dir}, nil)
+			if !errors.Is(err, context.Canceled) || res != nil {
+				t.Fatalf("k=%d T=%d: got (%v, %v), want (nil, context.Canceled)", k, workers, res, err)
+			}
+			if len(pl.Pairs) != n {
+				t.Fatalf("k=%d T=%d: a write-phase cancel consumed the pair list", k, workers)
+			}
+			requireEmptySpillParent(t, dir)
+		}
+	}
+	waitNoLeaks(t, base)
+}
+
+// TestSweepSpilledReadCancelNoLeak cancels the spilled sweep between two
+// blocks of its read-back: the run returns context.Canceled, the pair list
+// is gone (it was released to disk), the spill parent is empty, and no
+// goroutine outlives the call.
+func TestSweepSpilledReadCancelNoLeak(t *testing.T) {
+	defer faultReset(t)
+	g := graph.ErdosRenyi(300, 0.06, rng.New(0))
+	base := runtime.NumGoroutine()
+	dir := t.TempDir()
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		fault.Reset()
+		fault.Arm(fault.SlowProducer, 2, cancel)
+		pl := Similarity(g)
+		res, err := SweepSpilledOpts(ctx, g, pl, workers, SpillOptions{Dir: dir}, nil)
+		cancel()
+		if !errors.Is(err, context.Canceled) || res != nil {
+			t.Fatalf("T=%d: got (%v, %v), want (nil, context.Canceled)", workers, res, err)
+		}
+		if pl.Pairs != nil {
+			t.Fatalf("T=%d: read-phase cancel left the pair list claiming to be valid", workers)
+		}
+		requireEmptySpillParent(t, dir)
+	}
+	waitNoLeaks(t, base)
+}
+
+// TestSweepSpilledAllocs bounds what the disk round trip allocates: on a
+// word graph of over 100k pairs, the spilled sweep may allocate at most the
+// read-back list (24 bytes per pair) plus 1 MiB more than the in-memory
+// engine sweeping a clone of the same list. TotalAlloc is cumulative, so
+// the comparison does not depend on when the collector runs.
+func TestSweepSpilledAllocs(t *testing.T) {
+	g, err := smallPresetGraph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	master := Similarity(g)
+	k1 := uint64(len(master.Pairs))
+	if k1 < 100_000 {
+		t.Fatalf("%d pairs: want at least 100k", k1)
+	}
+	dir := t.TempDir()
+	alloc := func(run func(pl *PairList) error) uint64 {
+		pl := &PairList{Pairs: slices.Clone(master.Pairs)}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := run(pl); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	inMemory := alloc(func(pl *PairList) error {
+		_, err := SweepParallelCtx(context.Background(), g, pl, 2, nil)
+		return err
+	})
+	spilled := alloc(func(pl *PairList) error {
+		_, err := SweepSpilledOpts(context.Background(), g, pl, 2, SpillOptions{Dir: dir}, nil)
+		return err
+	})
+	limit := inMemory + k1*uint64(unsafe.Sizeof(Pair{})) + 1<<20
+	t.Logf("%d pairs: spilled sweep allocated %d bytes, in-memory %d", k1, spilled, inMemory)
+	if spilled > limit {
+		t.Fatalf("spilled sweep allocated %d bytes, in-memory %d: over the limit %d (24 B x %d pairs + 1 MiB)",
+			spilled, inMemory, limit, k1)
+	}
+}
+
+// requireSpillError asserts err is one of the typed spill read errors.
+func requireSpillError(t *testing.T, label string, err error) {
+	t.Helper()
+	if !errors.Is(err, spill.ErrChecksum) && !errors.Is(err, spill.ErrTruncated) && !errors.Is(err, spill.ErrFormat) {
+		t.Fatalf("%s: error %v, want a typed spill error", label, err)
+	}
+}
+
+// TestSpilledFileCorruption corrupts a spill file written by the spilled
+// sweep's writer in every way one byte can: every single-byte flip — header,
+// records or trailer — and every truncation must fail the read-back with a
+// typed spill error, so no wrong list ever reaches the sweep.
+func TestSpilledFileCorruption(t *testing.T) {
+	g := graph.ErdosRenyi(12, 0.4, rng.New(5))
+	pl := Similarity(g)
+	if len(pl.Pairs) < 3 {
+		t.Fatalf("only %d pairs", len(pl.Pairs))
+	}
+	f, err := spill.Create(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Remove()
+	if err := writeSpill(context.Background(), f, pl); err != nil {
+		t.Fatal(err)
+	}
+	orig, err := os.ReadFile(f.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := func(b []byte) {
+		t.Helper()
+		if err := os.WriteFile(f.Path(), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range orig {
+		for _, mask := range []byte{0x01, 0x80, 0xff} {
+			b := bytes.Clone(orig)
+			b[i] ^= mask
+			put(b)
+			_, err := readSpill(context.Background(), f)
+			requireSpillError(t, fmt.Sprintf("flip %#x at byte %d of %d", mask, i, len(orig)), err)
+		}
+	}
+	for n := 0; n < len(orig); n++ {
+		put(orig[:n])
+		_, err := readSpill(context.Background(), f)
+		requireSpillError(t, fmt.Sprintf("truncated to %d of %d bytes", n, len(orig)), err)
+	}
+	put(orig)
+	back, err := readSpill(context.Background(), f)
+	if err != nil {
+		t.Fatalf("restored file rejected: %v", err)
+	}
+	if !slices.Equal(back.Pairs, pl.Pairs) || back.Sorted() != pl.Sorted() {
+		t.Fatal("restored file read back a different list")
 	}
 }
 
@@ -278,8 +474,8 @@ func TestSimBucketOrder(t *testing.T) {
 	}
 }
 
-// TestPartitionPairsIsSortPrefix checks the spill partition against the sort
-// it replaces: placing every pair at its bucket's offset and sorting each
+// TestPartitionPairsIsSortPrefix checks the sort cursor's bucket partition
+// against the full sort: placing every pair at its bucket's offset and sorting each
 // bucket must reproduce PairList.Sort exactly, for any histogram worker
 // count — so the bucket offsets are the buckets' positions in list L.
 func TestPartitionPairsIsSortPrefix(t *testing.T) {

@@ -10,21 +10,20 @@ import (
 	"linkclust/internal/rng"
 )
 
-// sweepFrontierFed drives the windowed engine the way the spilled sweep's
-// read-back pipeline does, minus the disk: a producer goroutine places the
-// pairs of pl in their similarity buckets, sorts each bucket in turn, and
-// publishes the bucket's end as the new frontier while the consumer merges
-// everything below the frontiers already published. A pl already marked
-// sorted skips the partition and is published one pair at a time, the
-// finest frontier granularity. pl itself is left untouched; the engine's
-// pair buffer is returned alongside the result.
+// sweepFrontierFed drives the windowed engine through consume in frontier
+// increments, the way SweepResumeCtx feeds it: the pairs of pl are placed in
+// their similarity buckets, each bucket is sorted in turn, and its end is
+// handed to the engine as the new frontier. A pl already marked sorted
+// skips the partition and is fed one pair at a time, the finest frontier
+// granularity. pl itself is left untouched; the engine's pair buffer is
+// returned alongside the result.
 func sweepFrontierFed(g *graph.Graph, pl *PairList, workers int) (*Result, []Pair, error) {
 	return frontierFed(g, pl, workers, false)
 }
 
-// sweepFrontierFedLazy is sweepFrontierFed with the spilled read-back's
-// closure rule: once the engine closes, the producer publishes buckets
-// unsorted. pl must not be marked sorted.
+// sweepFrontierFedLazy is sweepFrontierFed with the closure rule of
+// SweepResumeCtx: once the engine closes, buckets are fed unsorted. pl must
+// not be marked sorted.
 func sweepFrontierFedLazy(g *graph.Graph, pl *PairList, workers int) (*Result, []Pair, error) {
 	return frontierFed(g, pl, workers, true)
 }
@@ -32,16 +31,13 @@ func sweepFrontierFedLazy(g *graph.Graph, pl *PairList, workers int) (*Result, [
 func frontierFed(g *graph.Graph, pl *PairList, workers int, lazy bool) (*Result, []Pair, error) {
 	n := len(pl.Pairs)
 	buf := make([]Pair, n)
-	frontiers := make(chan int, spillBucketAhead)
 	e := &sweepEngine{g: g, pl: &PairList{Pairs: buf}, workers: workers, ctx: context.Background()}
+	var frontiers []int
 	if pl.Sorted() {
 		copy(buf, pl.Pairs)
-		go func() {
-			defer close(frontiers)
-			for f := 1; f <= n; f++ {
-				frontiers <- f
-			}
-		}()
+		for f := 1; f <= n; f++ {
+			frontiers = append(frontiers, f)
+		}
 	} else {
 		shift, offs, ids := bucketLayout(pl.Pairs, workers)
 		if lazy {
@@ -53,36 +49,31 @@ func frontierFed(g *graph.Graph, pl *PairList, workers int, lazy bool) (*Result,
 			buf[cur[b]] = p
 			cur[b]++
 		}
-		go func() {
-			defer close(frontiers)
-			for _, b := range ids {
-				if !lazy || !e.spanned.Load() {
-					slices.SortFunc(buf[offs[b]:offs[b+1]], cmpPairs)
-				}
-				frontiers <- offs[b+1]
-			}
-		}()
+		for _, b := range ids {
+			frontiers = append(frontiers, offs[b+1])
+		}
 	}
 
 	e.init()
-	var err error
-	for f := range frontiers {
-		if err == nil {
-			err = e.consume(f, false)
+	lo := 0
+	for _, f := range frontiers {
+		if !pl.Sorted() && (!lazy || !e.closed) {
+			slices.SortFunc(buf[lo:f], cmpPairs)
 		}
+		if err := e.consume(f, false); err != nil {
+			return e.res, buf, err
+		}
+		lo = f
 	}
-	if err == nil {
-		err = e.consume(n, true)
-	}
+	err := e.consume(n, true)
 	return e.res, buf, err
 }
 
-// TestSweepPipelinedDifferential is the in-memory differential of the
-// engine's pipelined (frontier-fed) consumption, the contract the spilled
-// sweep's read-back relies on: on every graph family and every worker count
-// 1..8, feeding the list bucket by bucket while later buckets are still
-// being sorted must reproduce the serial sweep exactly, and the engine's
-// buffer must end in list-L order.
+// TestSweepPipelinedDifferential is the differential of the engine's
+// pipelined (frontier-fed) consumption, the contract SweepResumeCtx relies
+// on: on every graph family and every worker count 1..8, feeding the list
+// bucket by bucket, each sorted only when it is reached, must reproduce the
+// serial sweep exactly, and the engine's buffer must end in list-L order.
 func TestSweepPipelinedDifferential(t *testing.T) {
 	for name, g := range wedgeTestGraphs(t) {
 		t.Run(name, func(t *testing.T) {
@@ -149,7 +140,7 @@ func TestSweepPipelinedPresorted(t *testing.T) {
 // TestSweepPipelinedErrorParity feeds a pair list from a foreign graph
 // through the frontier: the engine must surface exactly the serial sweep's
 // error (first failing operation in serial order) at every worker count,
-// even though later buckets are still arriving when it fails.
+// even though later buckets have not been fed when it fails.
 func TestSweepPipelinedErrorParity(t *testing.T) {
 	g, err := graph.Circulant(48, 6)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"linkclust/internal/fault"
 	"linkclust/internal/graph"
@@ -28,7 +27,7 @@ const (
 	// as well.
 	CtrSweepTailOps = "sweep.tail_ops"
 	// CtrSweepSortedPairs is recorded by sweeps that sort their own input
-	// (an unsorted list, or the out-of-core read-back): the end of the
+	// (an unsorted list, in memory or read back from a spill): the end of the
 	// similarity bucket that holds the closing window's last pair, or the
 	// list length for a run that never closes. Pairs past it were retired
 	// unsorted. It is a pure function of the pair list, so it reads the same
@@ -170,11 +169,10 @@ type sweepEngine struct {
 	wbuf []survivorBuf // per-worker survivor buffers, in op order
 
 	// Streaming window cursor: pairs [wp, wq) are accumulated into the
-	// window under construction, carrying wops incident operations. The
-	// monolithic run and the spilled read-back consumer share this state, so
-	// window boundaries — a greedy, purely op-count-based function of the
-	// sorted pair order — are identical whether the list arrives whole or in
-	// sorted-bucket increments.
+	// window under construction, carrying wops incident operations. Window
+	// boundaries are a greedy, purely op-count-based function of the sorted
+	// pair order, so they are identical whether the list is consumed whole
+	// or in sorted-bucket increments.
 	wp, wq int
 	wops   int
 
@@ -183,12 +181,9 @@ type sweepEngine struct {
 	// forest is the op graph's spanning-forest size (see forestSize): no
 	// sweep over g can emit more merges. Once Levels reaches it at a window
 	// boundary the engine is closed: wp stays at that boundary, and pairs
-	// from wp on are only counted by retire, which advances tp. spanned
-	// mirrors closed for the spilled read-back producer, which stops
-	// sorting buckets once it is set.
+	// from wp on are only counted by retire, which advances tp.
 	forest  int32
 	closed  bool
-	spanned atomic.Bool
 	tp      int
 	tailOps int64
 
@@ -260,10 +255,9 @@ func forestSize(g *graph.Graph) int32 {
 // exactly the merge stream) of a single whole-list call.
 //
 // Pairs below the frontier must be in their final sorted positions, or the
-// engine is closed, and must not change afterwards; the spilled read-back
-// producer guarantees this by emitting a frontier only after the bucket
-// below it is copied in place, sorted unless the engine has closed. Past
-// closure every frontier in an unsorted region must be a bucket end.
+// engine is closed, and must not change afterwards; SweepResumeCtx
+// guarantees this by never advancing the frontier past the sort cursor's
+// sorted prefix before closure.
 //
 // Closure is checked at every window boundary (and on entry, which covers a
 // forest of size zero and a restored checkpoint that had already closed).
@@ -324,7 +318,6 @@ func (e *sweepEngine) consume(frontier int, final bool) error {
 func (e *sweepEngine) closeIfSpanned() {
 	if !e.closed && e.res.Levels >= e.forest {
 		e.closed = true
-		e.spanned.Store(true)
 		e.tp = e.wp
 	}
 }

@@ -9,7 +9,7 @@
 //
 //   - Deterministic addressing. A point fires at its N-th hit, counted by a
 //     global atomic per point. At serial sites (window cuts, budget checks,
-//     ordered bucket emissions) the N-th hit is the same program state on
+//     spill blocks) the N-th hit is the same program state on
 //     every run, so a fault is a reproducible coordinate, not a probability.
 //     At concurrent sites (worker spawns) the N-th hit may land on any
 //     worker, but the *observable* outcome — a typed error from the entry
@@ -46,10 +46,11 @@ const (
 	// action simulates a crash inside a fan-out; the pool must recover it,
 	// cancel its siblings, and surface a typed *par.WorkerPanicError.
 	WorkerPanic Point = iota
-	// SlowProducer fires in the spilled sweep's read-back producer, once
-	// per bucket read from disk. Arming it with a sleep simulates a stalled
-	// read-and-sort stage; the merge stream must stay bitwise identical
-	// (slow is not wrong).
+	// SlowProducer fires in the spilled sweep's read-back, once per block
+	// read from the spill file, before the block's cancellation poll.
+	// Arming it with a sleep simulates a stalled disk read, and with a
+	// context cancel a cancellation mid-read; the merge stream must stay
+	// bitwise identical (slow is not wrong).
 	SlowProducer
 	// CancelWindow fires at every op-count window cut of the sweep engine —
 	// the engine's cancellation points. Arming it with a context-cancel
@@ -71,18 +72,16 @@ const (
 	// Arming it with a context-cancel action exercises the snapshot-abort
 	// path; disarmed runs stay golden.
 	StreamSnapshot
-	// SpillWrite fires in the spill store's write-behind pool, once per
-	// block write (the flush of a full or final per-bucket buffer). A firing
-	// hit is the fault: the block is not written and the store fails with an
-	// ENOSPC-shaped typed error. Block flush order is worker-dependent, so
-	// like WorkerPanic the N-th hit may land on any bucket, but the
-	// observable outcome — a typed write error from the entry point, the
-	// pair list intact, no spill files left behind — is identical.
+	// SpillWrite fires in the spill file's writer, once per block write.
+	// A firing hit is the fault: the block is not written and the file
+	// fails with an ENOSPC-shaped typed error. The entry point must return
+	// that typed error with the pair list intact and no spill file left
+	// behind.
 	SpillWrite
-	// SpillRead fires in the spill store's bucket open path, once per
-	// bucket, after the real checksum verified. A firing hit reports the
-	// bucket as corrupted (the checksum-mismatch typed error), exercising
-	// the read-back failure path without crafting a corrupt file on disk.
+	// SpillRead fires in the spill file's read-back, once per file, after
+	// the real checksum verified. A firing hit reports the file as
+	// corrupted (the checksum-mismatch typed error), exercising the
+	// read-back failure path without crafting a corrupt file on disk.
 	SpillRead
 	// JournalAppend fires in the persistence layer's job journal, once per
 	// record append, before any byte reaches the file. A firing hit is the

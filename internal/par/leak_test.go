@@ -4,12 +4,9 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"linkclust/internal/spill"
 )
 
 // waitNoLeaks polls until the process goroutine count falls back to the
@@ -70,164 +67,6 @@ func TestDoPanicNoLeak(t *testing.T) {
 	var wpe *WorkerPanicError
 	if !errors.As(err, &wpe) {
 		t.Fatalf("err = %v, want *WorkerPanicError", err)
-	}
-	waitNoLeaks(t, base)
-}
-
-func TestOrderedCtxCancelNoLeak(t *testing.T) {
-	base := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	emitted := 0
-	err := OrderedCtx(ctx, 10_000, 4,
-		func(i int) {
-			if i == 50 {
-				cancel()
-			}
-		},
-		func(i int) { emitted++ })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if emitted >= 10_000 {
-		t.Fatalf("cancellation did not stop emission (emitted %d)", emitted)
-	}
-	waitNoLeaks(t, base)
-}
-
-func TestOrderedCtxProcessPanicNoLeak(t *testing.T) {
-	base := runtime.NumGoroutine()
-	err := OrderedCtx(context.Background(), 10_000, 4,
-		func(i int) {
-			if i == 123 {
-				panic("process exploded")
-			}
-		},
-		func(i int) {})
-	var wpe *WorkerPanicError
-	if !errors.As(err, &wpe) {
-		t.Fatalf("err = %v, want *WorkerPanicError", err)
-	}
-	waitNoLeaks(t, base)
-}
-
-// TestOrderedEmitPanicNoLeak covers the abandoned-consumer class: the emitter
-// dies while producers are still publishing, so workers must observe the stop
-// signal at their publish points instead of blocking forever on the
-// completion buffers.
-func TestOrderedEmitPanicNoLeak(t *testing.T) {
-	base := runtime.NumGoroutine()
-	func() {
-		defer func() {
-			if v := recover(); v == nil {
-				t.Fatal("emit panic did not propagate")
-			}
-		}()
-		Ordered(10_000, 4,
-			func(i int) {},
-			func(i int) {
-				if i == 3 {
-					panic("emit exploded")
-				}
-			})
-	}()
-	waitNoLeaks(t, base)
-}
-
-func TestOrderedSerialPanicTyped(t *testing.T) {
-	base := runtime.NumGoroutine()
-	err := OrderedCtx(context.Background(), 8, 1,
-		func(i int) {
-			if i == 2 {
-				panic("serial process exploded")
-			}
-		},
-		func(i int) {})
-	var wpe *WorkerPanicError
-	if !errors.As(err, &wpe) {
-		t.Fatalf("serial path err = %v, want *WorkerPanicError (parity with parallel)", err)
-	}
-	waitNoLeaks(t, base)
-}
-
-// TestSpilledReadbackCancelNoLeak is the spill-shaped abandoned-consumer
-// case, mirroring the out-of-core sweep's read-back: an OrderedCtx producer
-// opens bucket files from a spill store while the emitter cancels
-// mid-stream. Pool workers must observe the stop signal at their publish
-// points, and the store's write-behind pool must already be drained — no
-// goroutine may outlive the scenario.
-func TestSpilledReadbackCancelNoLeak(t *testing.T) {
-	base := runtime.NumGoroutine()
-	ids := make([]int, 64)
-	for i := range ids {
-		ids[i] = i
-	}
-	st, err := spill.NewStore(ids, spill.Options{Dir: t.TempDir(), BlockBytes: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Remove()
-	for _, id := range ids {
-		for j := 0; j < 100; j++ {
-			if err := st.Append(id, []byte("0123456789abcdef")); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := st.FinishWrites(); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	emitted := 0
-	err = OrderedCtx(ctx, len(ids), 4,
-		func(i int) {
-			bk, err := st.OpenBucket(ids[i])
-			if err != nil {
-				panic(err)
-			}
-			bk.Close()
-		},
-		func(i int) {
-			if emitted++; emitted == 8 {
-				cancel()
-			}
-		})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if emitted >= len(ids) {
-		t.Fatalf("cancellation did not stop emission (emitted %d)", emitted)
-	}
-	waitNoLeaks(t, base)
-}
-
-// TestSpillWriteAbortNoLeak aborts a spill store while concurrent appenders
-// are still feeding its write-behind pool — the cancelled-spill write path.
-// FinishWrites must fast-fail with the typed error, the appenders must all
-// unwind, and the pool workers must exit.
-func TestSpillWriteAbortNoLeak(t *testing.T) {
-	base := runtime.NumGoroutine()
-	st, err := spill.NewStore([]int{0, 1, 2, 3}, spill.Options{Dir: t.TempDir(), BlockBytes: 64, Writers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Remove()
-	var wg sync.WaitGroup
-	for a := 0; a < 6; a++ {
-		wg.Add(1)
-		go func(a int) {
-			defer wg.Done()
-			for j := 0; j < 500; j++ {
-				if err := st.Append(j%4, []byte("0123456789abcdef")); err != nil {
-					return // sticky abort error reached this appender
-				}
-			}
-		}(a)
-	}
-	st.Abort()
-	wg.Wait()
-	if err := st.FinishWrites(); !errors.Is(err, spill.ErrAborted) {
-		t.Fatalf("finish err = %v, want spill.ErrAborted", err)
 	}
 	waitNoLeaks(t, base)
 }

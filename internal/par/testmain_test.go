@@ -1,6 +1,7 @@
 package par
 
 import (
+	"flag"
 	"os"
 	"runtime"
 	"testing"
@@ -12,9 +13,11 @@ import (
 // serial and the pool fan-out, panic-isolation, and leak paths under test
 // would never engage. Raising GOMAXPROCS is the supported
 // deliberate-oversubscription knob (see DefaultCap), used here exactly the
-// way an operator would use it.
+// way an operator would use it. A benchmark run (-test.bench set) keeps
+// the machine's GOMAXPROCS, so its figures describe the machine.
 func TestMain(m *testing.M) {
-	if runtime.GOMAXPROCS(0) < 8 {
+	flag.Parse()
+	if runtime.GOMAXPROCS(0) < 8 && flag.Lookup("test.bench").Value.String() == "" {
 		runtime.GOMAXPROCS(8)
 	}
 	os.Exit(m.Run())

@@ -1,27 +1,14 @@
-// Package spill is the disk-backed bucket store of the out-of-core sweep:
-// one file per non-empty similarity bucket, filled through a bounded
-// write-behind writer pool during the partition scatter and read back —
-// mmap'd where the platform allows, buffered otherwise — by the sorting
-// producer that feeds the streaming sweep engine.
+// Package spill is the disk round trip of the out-of-core sweep: one private
+// file per run, written once, sequentially, in caller-sized blocks, then
+// read back once, with a CRC32 (IEEE) trailer over every byte before it.
 //
-// The store is deliberately ignorant of pair semantics: callers append
-// opaque, self-delimiting records (internal/core owns the encoding) and get
-// the concatenated payload back verbatim. What the store does own is
-// integrity and lifecycle: every bucket file carries a checksummed header
-// written at finalization, readers validate magic, version, bucket id,
-// length, and CRC before handing out a byte, and Remove deletes the store's
-// private directory on every exit path of its caller.
-//
-// Concurrency model: Append may be called from any number of goroutines.
-// Each bucket accumulates records in a small buffer under a per-bucket
-// lock; full buffers are handed to a bounded task channel consumed by the
-// writer pool, so scatter workers never block on disk unless the pool is
-// more than a block behind. Within one bucket, file appends are serialized
-// by a second per-bucket lock and the CRC is computed in file-write order —
-// record order inside a bucket is arbitrary (the consumer re-sorts every
-// bucket with a total-order comparator), so the interleaving is harmless.
-// The first error sticks: subsequent writes become no-ops and FinishWrites
-// reports it.
+// The file is deliberately ignorant of what it holds: internal/core writes
+// the pair list's LCPL envelope through it and decodes it on the way back.
+// What the package does own is integrity and lifecycle: the writer's sticky
+// first error and the fault.SpillWrite point (once per block), the reader's
+// length and CRC checks and the fault.SpillRead point, the typed errors
+// below, and Remove, which closes and deletes the file on every exit path of
+// its caller. A File is not safe for concurrent use.
 package spill
 
 import (
@@ -29,390 +16,182 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
-	"path/filepath"
-	"sync"
-	"sync/atomic"
 
 	"linkclust/internal/fault"
 )
 
 // Typed failure classes, matchable with errors.Is through whatever context
-// wrapping the store adds.
+// wrapping the callers add.
 var (
-	// ErrWriteFault is the write-side failure surfaced when a block or
-	// header write fails (or the fault.SpillWrite point fires, simulating
-	// ENOSPC). The caller's pair list is still intact when it sees this —
-	// nothing was consumed yet — so it may fall back to an in-memory path.
+	// ErrWriteFault is the write-side failure surfaced when a block or the
+	// trailer fails to write (or the fault.SpillWrite point fires,
+	// simulating ENOSPC). The caller's data is still intact when it sees
+	// this — nothing was consumed yet — so it may fall back to an in-memory
+	// path.
 	ErrWriteFault = errors.New("spill: write failed")
-	// ErrChecksum marks a bucket whose payload does not match its header's
+	// ErrChecksum marks a file whose contents do not match its trailer's
 	// CRC (or whose read was failed by the fault.SpillRead point).
-	ErrChecksum = errors.New("spill: bucket checksum mismatch")
-	// ErrTruncated marks a bucket file shorter than its header claims.
-	ErrTruncated = errors.New("spill: bucket file truncated")
-	// ErrFormat marks a bucket file with a bad magic, version, or bucket id.
-	ErrFormat = errors.New("spill: bad bucket header")
+	ErrChecksum = errors.New("spill: checksum mismatch")
+	// ErrTruncated marks a file shorter than its contents claim.
+	ErrTruncated = errors.New("spill: file truncated")
+	// ErrFormat marks a file whose contents are malformed: a bad envelope,
+	// or bytes left over after everything its header counts.
+	ErrFormat = errors.New("spill: bad file format")
 	// ErrAborted is the sticky error installed by Abort.
-	ErrAborted = errors.New("spill: store aborted")
+	ErrAborted = errors.New("spill: write aborted")
 )
 
-// Bucket file header: magic, version, bucket id, pair count, payload byte
-// length, and the payload's CRC32 (IEEE), all little-endian. Written once
-// at FinishWrites over the zero placeholder laid down at creation.
-const (
-	bucketMagic   = "LCSB"
-	formatVersion = 1
-	headerSize    = 32
-)
+// trailerSize is the byte length of the CRC32 trailer.
+const trailerSize = 4
 
 var crcTable = crc32.IEEETable
 
-// Options configures a Store. The zero value is usable.
-type Options struct {
-	// Dir is the parent directory for the store's private spill directory;
-	// empty means os.TempDir().
-	Dir string
-	// Writers is the write-behind pool size; values below 1 default to 2 —
-	// spill throughput is disk-bound, not CPU-bound, so the pool stays
-	// small regardless of the sweep's worker count.
-	Writers int
-	// BlockBytes is the per-bucket buffer size that triggers a handoff to
-	// the writer pool; values below 1 default to 256 KiB.
-	BlockBytes int
-}
-
-// Store is one out-of-core run's bucket file set. Create with NewStore,
-// fill with Append, seal with FinishWrites, read with OpenBucket, and
-// always Remove when done.
-type Store struct {
-	dir     string
-	block   int
-	buckets map[int]*bucketFile
-
-	tasks chan writeTask
-	wg    sync.WaitGroup
-
-	errMu sync.Mutex
+// File is one run's spill file. Create it, Write blocks, seal it with
+// Finish, read it back through Reader, and always Remove it when done.
+type File struct {
+	f     *os.File
+	crc   uint32
+	bytes int64
 	err   error
-
-	bytes atomic.Int64
 }
 
-type bucketFile struct {
-	id int
-	f  *os.File
-
-	// mu guards the accumulation buffer and pair count (Append side).
-	mu    sync.Mutex
-	buf   []byte
-	pairs int64
-
-	// wmu serializes file appends and the running CRC (writer-pool side).
-	wmu     sync.Mutex
-	crc     uint32
-	payload int64
-}
-
-// NewStore creates a fresh private directory under opt.Dir and one file per
-// id in bucketIDs (the caller's histogram already knows the non-empty
-// buckets). On any creation error the partial directory is removed before
-// returning.
-func NewStore(bucketIDs []int, opt Options) (*Store, error) {
-	parent := opt.Dir
-	if parent == "" {
-		parent = os.TempDir()
+// Create creates a new private file under dir; empty means os.TempDir().
+func Create(dir string) (*File, error) {
+	if dir == "" {
+		dir = os.TempDir()
 	}
-	dir, err := os.MkdirTemp(parent, "linkclust-spill-")
+	f, err := os.CreateTemp(dir, "linkclust-spill-*")
 	if err != nil {
-		return nil, fmt.Errorf("spill: creating spill directory: %w", err)
+		return nil, fmt.Errorf("spill: creating spill file: %w", err)
 	}
-	writers := opt.Writers
-	if writers < 1 {
-		writers = 2
-	}
-	block := opt.BlockBytes
-	if block < 1 {
-		block = 256 << 10
-	}
-	s := &Store{
-		dir:     dir,
-		block:   block,
-		buckets: make(map[int]*bucketFile, len(bucketIDs)),
-		tasks:   make(chan writeTask, 2*writers),
-	}
-	var zero [headerSize]byte
-	for _, id := range bucketIDs {
-		f, err := os.Create(s.path(id))
-		if err == nil {
-			_, err = f.Write(zero[:]) // header placeholder, finalized later
-		}
-		if err != nil {
-			for _, b := range s.buckets {
-				b.f.Close()
-			}
-			os.RemoveAll(dir)
-			return nil, fmt.Errorf("spill: creating bucket %d: %w", id, err)
-		}
-		s.buckets[id] = &bucketFile{id: id, f: f}
-	}
-	for t := 0; t < writers; t++ {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			for task := range s.tasks {
-				s.writeBlock(task.b, task.block)
-			}
-		}()
-	}
-	return s, nil
+	return &File{f: f}, nil
 }
 
-type writeTask struct {
-	b     *bucketFile
-	block []byte
+// Path returns the file's path (for tests and diagnostics).
+func (s *File) Path() string { return s.f.Name() }
+
+// BytesWritten returns the bytes written so far, trailer included. After a
+// successful Finish it is a pure function of the blocks written.
+func (s *File) BytesWritten() int64 { return s.bytes }
+
+// Abort installs ErrAborted, so later writes and Finish fail fast. Used on
+// cancellation, where the data will be discarded anyway.
+func (s *File) Abort() {
+	if s.err == nil {
+		s.err = ErrAborted
+	}
 }
 
-func (s *Store) path(id int) string {
-	return filepath.Join(s.dir, fmt.Sprintf("bucket-%05x.lcsb", id))
-}
-
-// Dir returns the store's private directory (for tests and diagnostics).
-func (s *Store) Dir() string { return s.dir }
-
-// BytesWritten returns the bytes written to disk so far (payload blocks
-// plus finalized headers). After a successful FinishWrites the value is a
-// pure function of the appended records, hence worker-invariant.
-func (s *Store) BytesWritten() int64 { return s.bytes.Load() }
-
-// Err returns the store's sticky first error, if any.
-func (s *Store) Err() error {
-	s.errMu.Lock()
-	defer s.errMu.Unlock()
+// Write appends one block, maintaining the running CRC. The
+// fault.SpillWrite point fires once per block; a firing hit drops the
+// block and fails the file with ErrWriteFault, the deterministic stand-in
+// for ENOSPC. The first error sticks: later writes are no-ops that return
+// it.
+func (s *File) Write(blk []byte) error {
+	if s.err != nil {
+		return s.err
+	}
+	if fault.Hit(fault.SpillWrite) {
+		s.err = fmt.Errorf("spill: block write: %w", ErrWriteFault)
+		return s.err
+	}
+	n, err := s.f.Write(blk)
+	s.crc = crc32.Update(s.crc, crcTable, blk[:n])
+	s.bytes += int64(n)
+	if err != nil {
+		s.err = fmt.Errorf("spill: block write: %v: %w", err, ErrWriteFault)
+	}
 	return s.err
 }
 
-func (s *Store) fail(err error) {
-	s.errMu.Lock()
-	if s.err == nil {
-		s.err = err
+// Finish appends the CRC trailer. It returns the file's first error, if
+// any; a file whose Finish failed must not be read.
+func (s *File) Finish() error {
+	if s.err != nil {
+		return s.err
 	}
-	s.errMu.Unlock()
+	var tr [trailerSize]byte
+	binary.LittleEndian.PutUint32(tr[:], s.crc)
+	if _, err := s.f.Write(tr[:]); err != nil {
+		s.err = fmt.Errorf("spill: trailer write: %v: %w", err, ErrWriteFault)
+		return s.err
+	}
+	s.bytes += trailerSize
+	return nil
 }
 
-// Abort installs ErrAborted so in-flight and future writes become no-ops;
-// the caller still runs FinishWrites (to join the pool) and Remove. Used on
-// cancellation, where the data will be discarded anyway.
-func (s *Store) Abort() { s.fail(ErrAborted) }
-
-// Append adds one encoded record to bucket id. Safe for concurrent use; may
-// block while the writer pool is a full task queue behind. Returns the
-// sticky store error, under which appends are discarded.
-func (s *Store) Append(id int, rec []byte) error {
-	if err := s.Err(); err != nil {
+// Remove closes and deletes the file. Idempotent.
+func (s *File) Remove() error {
+	s.f.Close()
+	if err := os.Remove(s.f.Name()); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return err
-	}
-	b := s.buckets[id]
-	if b == nil {
-		err := fmt.Errorf("spill: append to undeclared bucket %d", id)
-		s.fail(err)
-		return err
-	}
-	b.mu.Lock()
-	if b.buf == nil {
-		b.buf = make([]byte, 0, s.block+len(rec))
-	}
-	b.buf = append(b.buf, rec...)
-	b.pairs++
-	var blk []byte
-	if len(b.buf) >= s.block {
-		blk = b.buf
-		b.buf = nil
-	}
-	b.mu.Unlock()
-	if blk != nil {
-		s.tasks <- writeTask{b: b, block: blk}
 	}
 	return nil
 }
 
-// writeBlock appends one block to its bucket file, maintaining the running
-// CRC in file-write order. The fault.SpillWrite point fires once per block;
-// a firing hit drops the block and fails the store with ErrWriteFault, the
-// deterministic stand-in for ENOSPC.
-func (s *Store) writeBlock(b *bucketFile, blk []byte) {
-	if s.Err() != nil {
-		return // draining after a failure; discard
-	}
-	b.wmu.Lock()
-	defer b.wmu.Unlock()
-	if fault.Hit(fault.SpillWrite) {
-		s.fail(fmt.Errorf("bucket %d block write: %w", b.id, ErrWriteFault))
-		return
-	}
-	n, err := b.f.Write(blk)
-	if n > 0 {
-		b.crc = crc32.Update(b.crc, crcTable, blk[:n])
-		b.payload += int64(n)
-		s.bytes.Add(int64(n))
-	}
-	switch {
-	case err != nil:
-		s.fail(fmt.Errorf("bucket %d block write: %v: %w", b.id, err, ErrWriteFault))
-	case n != len(blk):
-		s.fail(fmt.Errorf("bucket %d short block write (%d of %d): %w", b.id, n, len(blk), ErrWriteFault))
-	}
+// Reader reads back a finished file's contents — every byte before the
+// trailer — in order, and checks them against the trailer at Verify. Bytes
+// it returns must not be trusted before Verify succeeds.
+type Reader struct {
+	r    *io.SectionReader
+	left int64
+	crc  uint32
+	want uint32
 }
 
-// FinishWrites flushes every residual buffer, joins the writer pool,
-// finalizes each bucket's checksummed header, and closes the write handles.
-// It must be called exactly once, even after an error or Abort — it is what
-// guarantees the pool is gone. It returns the store's first error.
-func (s *Store) FinishWrites() error {
-	if s.Err() == nil {
-		for _, b := range s.buckets {
-			b.mu.Lock()
-			blk := b.buf
-			b.buf = nil
-			b.mu.Unlock()
-			if len(blk) > 0 {
-				s.tasks <- writeTask{b: b, block: blk}
-			}
-		}
-	}
-	close(s.tasks)
-	s.wg.Wait()
-	for _, b := range s.buckets {
-		if s.Err() == nil {
-			var hdr [headerSize]byte
-			copy(hdr[0:], bucketMagic)
-			binary.LittleEndian.PutUint32(hdr[4:], formatVersion)
-			binary.LittleEndian.PutUint32(hdr[8:], uint32(b.id))
-			binary.LittleEndian.PutUint64(hdr[12:], uint64(b.pairs))
-			binary.LittleEndian.PutUint64(hdr[20:], uint64(b.payload))
-			binary.LittleEndian.PutUint32(hdr[28:], b.crc)
-			if _, err := b.f.WriteAt(hdr[:], 0); err != nil {
-				s.fail(fmt.Errorf("bucket %d header write: %v: %w", b.id, err, ErrWriteFault))
-			} else {
-				s.bytes.Add(headerSize)
-			}
-		}
-		b.f.Close()
-	}
-	return s.Err()
-}
-
-// Bucket is one opened bucket's validated payload. Close releases the
-// mapping (when mmap'd); the payload must not be used after Close.
-type Bucket struct {
-	// Payload is the concatenated record bytes, CRC-verified.
-	Payload []byte
-	// Pairs is the record count the writer declared in the header.
-	Pairs int
-
-	mapped []byte
-	f      *os.File
-}
-
-// OpenBucket opens, validates, and returns bucket id. The file is mmap'd
-// read-only where the platform supports it and read sequentially otherwise;
-// either way the header's magic, version, bucket id, payload length, and
-// CRC are verified before any byte is returned. Callers own Close.
-func (s *Store) OpenBucket(id int) (bk *Bucket, err error) {
-	path := s.path(id)
-	f, err := os.Open(path)
+// Reader opens the finished file for reading from its first byte. The
+// length of the contents is fixed here, from the file's size on disk.
+func (s *File) Reader() (*Reader, error) {
+	st, err := s.f.Stat()
 	if err != nil {
-		return nil, fmt.Errorf("spill: opening bucket %d: %w", id, err)
+		return nil, fmt.Errorf("spill: %w", err)
 	}
-	defer func() {
-		if err != nil {
-			f.Close()
-		}
-	}()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("spill: bucket %d: %w", id, err)
+	size := st.Size() - trailerSize
+	if size < 0 {
+		return nil, fmt.Errorf("spill: %d-byte file: %w", st.Size(), ErrTruncated)
 	}
-	if st.Size() < headerSize {
-		return nil, fmt.Errorf("bucket %d: %d-byte file: %w", id, st.Size(), ErrTruncated)
+	var tr [trailerSize]byte
+	if _, err := s.f.ReadAt(tr[:], size); err != nil {
+		return nil, fmt.Errorf("spill: reading trailer: %w", err)
 	}
-	var hdr [headerSize]byte
-	if _, err := f.ReadAt(hdr[:], 0); err != nil {
-		return nil, fmt.Errorf("spill: bucket %d header: %w", id, err)
-	}
-	if string(hdr[0:4]) != bucketMagic {
-		return nil, fmt.Errorf("bucket %d: magic %q: %w", id, hdr[0:4], ErrFormat)
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:]); v != formatVersion {
-		return nil, fmt.Errorf("bucket %d: version %d: %w", id, v, ErrFormat)
-	}
-	if got := binary.LittleEndian.Uint32(hdr[8:]); got != uint32(id) {
-		return nil, fmt.Errorf("bucket %d: header claims bucket %d: %w", id, got, ErrFormat)
-	}
-	pairs := binary.LittleEndian.Uint64(hdr[12:])
-	payloadLen := binary.LittleEndian.Uint64(hdr[20:])
-	if pairs > 1<<31 || payloadLen > 1<<40 {
-		return nil, fmt.Errorf("bucket %d: implausible header (pairs=%d payload=%d): %w", id, pairs, payloadLen, ErrFormat)
-	}
-	if st.Size() != headerSize+int64(payloadLen) {
-		return nil, fmt.Errorf("bucket %d: %d bytes on disk, header claims %d: %w",
-			id, st.Size(), headerSize+int64(payloadLen), ErrTruncated)
-	}
+	return &Reader{
+		r:    io.NewSectionReader(s.f, 0, size),
+		left: size,
+		want: binary.LittleEndian.Uint32(tr[:]),
+	}, nil
+}
 
-	data, mapped, mmapErr := mapFile(f, int(st.Size()))
-	if mmapErr != nil || data == nil {
-		// No mapping on this platform (or it failed): fall back to one
-		// sequential read.
-		data = make([]byte, st.Size())
-		if _, err := f.ReadAt(data, 0); err != nil {
-			return nil, fmt.Errorf("spill: bucket %d read: %w", id, err)
-		}
-		mapped = false
+// Len returns the number of content bytes not yet read.
+func (r *Reader) Len() int64 { return r.left }
+
+// ReadFull reads exactly len(p) content bytes; fewer left is ErrTruncated.
+func (r *Reader) ReadFull(p []byte) error {
+	if int64(len(p)) > r.left {
+		return fmt.Errorf("spill: %d bytes wanted, %d left: %w", len(p), r.left, ErrTruncated)
 	}
-	payload := data[headerSize:]
-	release := func() {
-		if mapped {
-			unmap(data)
-		}
+	if _, err := io.ReadFull(r.r, p); err != nil {
+		return fmt.Errorf("spill: read: %w", err)
 	}
-	if crc := crc32.Checksum(payload, crcTable); crc != binary.LittleEndian.Uint32(hdr[28:]) {
-		release()
-		return nil, fmt.Errorf("bucket %d: crc %08x, header %08x: %w",
-			id, crc, binary.LittleEndian.Uint32(hdr[28:]), ErrChecksum)
+	r.left -= int64(len(p))
+	r.crc = crc32.Update(r.crc, crcTable, p)
+	return nil
+}
+
+// Verify checks, once the caller has read everything it expects, that no
+// content is left over (ErrFormat) and that the contents match the trailer
+// (ErrChecksum). The fault.SpillRead point fires here, after the real
+// check passed; a firing hit reports ErrChecksum on sound bytes.
+func (r *Reader) Verify() error {
+	if r.left != 0 {
+		return fmt.Errorf("spill: %d bytes past the end of the contents: %w", r.left, ErrFormat)
+	}
+	if r.crc != r.want {
+		return fmt.Errorf("spill: crc %08x, trailer %08x: %w", r.crc, r.want, ErrChecksum)
 	}
 	if fault.Hit(fault.SpillRead) {
-		release()
-		return nil, fmt.Errorf("bucket %d: injected corruption: %w", id, ErrChecksum)
+		return fmt.Errorf("spill: injected corruption: %w", ErrChecksum)
 	}
-	bk = &Bucket{Payload: payload, Pairs: int(pairs), f: f}
-	if mapped {
-		bk.mapped = data
-	} else {
-		f.Close()
-		bk.f = nil
-	}
-	return bk, nil
-}
-
-// Close releases the bucket's mapping and file handle. Idempotent.
-func (b *Bucket) Close() error {
-	var err error
-	if b.mapped != nil {
-		err = unmap(b.mapped)
-		b.mapped = nil
-	}
-	if b.f != nil {
-		if cerr := b.f.Close(); err == nil {
-			err = cerr
-		}
-		b.f = nil
-	}
-	b.Payload = nil
-	return err
-}
-
-// Remove deletes the store's private directory and everything in it.
-// Idempotent; safe after FinishWrites on any path (mmap'd readers keep
-// their pages alive through the unlink on unixes).
-func (s *Store) Remove() error {
-	return os.RemoveAll(s.dir)
+	return nil
 }

@@ -1,253 +1,212 @@
 package spill
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
-	"strings"
-	"sync"
 	"testing"
 
 	"linkclust/internal/fault"
 )
 
-// roundTrip writes the given records through a store and reads every bucket
-// back, returning the concatenated payload per bucket.
-func roundTrip(t *testing.T, recs map[int][][]byte, opt Options) map[int][]byte {
+// writeFile writes blocks to a new spill file under dir and finishes it.
+func writeFile(t *testing.T, dir string, blocks ...[]byte) *File {
 	t.Helper()
-	var ids []int
-	for id := range recs {
-		ids = append(ids, id)
-	}
-	s, err := NewStore(ids, opt)
+	f, err := Create(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Remove()
-	for id, rs := range recs {
-		for _, r := range rs {
-			if err := s.Append(id, r); err != nil {
-				t.Fatalf("append bucket %d: %v", id, err)
-			}
+	t.Cleanup(func() { f.Remove() })
+	for _, b := range blocks {
+		if err := f.Write(b); err != nil {
+			t.Fatalf("write: %v", err)
 		}
 	}
-	if err := s.FinishWrites(); err != nil {
+	if err := f.Finish(); err != nil {
 		t.Fatalf("finish: %v", err)
 	}
-	out := make(map[int][]byte)
-	for id, rs := range recs {
-		bk, err := s.OpenBucket(id)
-		if err != nil {
-			t.Fatalf("open bucket %d: %v", id, err)
-		}
-		if bk.Pairs != len(rs) {
-			t.Fatalf("bucket %d header claims %d records, wrote %d", id, bk.Pairs, len(rs))
-		}
-		out[id] = append([]byte(nil), bk.Payload...)
-		bk.Close()
-	}
-	return out
+	return f
 }
 
-// TestStoreRoundTrip: multi-bucket write/read with block handoffs (tiny
-// BlockBytes forces many write-behind tasks) must return every record of
-// every bucket exactly once. Block order within a bucket is unspecified —
-// pool workers race on distinct blocks of one bucket — which is the
-// documented contract: consumers re-sort buckets with a total order.
+// readFile reads a finished file's whole contents back and verifies them.
+func readFile(f *File) ([]byte, error) {
+	r, err := f.Reader()
+	if err != nil {
+		return nil, err
+	}
+	got := make([]byte, r.Len())
+	if err := r.ReadFull(got); err != nil {
+		return nil, err
+	}
+	return got, r.Verify()
+}
+
+// testBlocks returns a few blocks of distinct bytes and their concatenation.
+func testBlocks() ([][]byte, []byte) {
+	var blocks [][]byte
+	var all []byte
+	for j := 0; j < 7; j++ {
+		b := []byte(fmt.Sprintf("block-%d-%s|", j, bytes.Repeat([]byte{byte('a' + j)}, 10*j)))
+		blocks = append(blocks, b)
+		all = append(all, b...)
+	}
+	return blocks, all
+}
+
+// TestStoreRoundTrip: blocks written in order come back as their exact
+// concatenation, read in pieces of any size, and verify.
 func TestStoreRoundTrip(t *testing.T) {
-	recs := map[int][][]byte{}
-	for id := 0; id < 7; id++ {
-		for j := 0; j < 50+id; j++ {
-			recs[id] = append(recs[id], []byte(fmt.Sprintf("rec-%d-%04d|", id, j)))
-		}
-	}
-	got := roundTrip(t, recs, Options{Dir: t.TempDir(), BlockBytes: 64})
-	for id, rs := range recs {
-		gotSet := strings.Split(strings.TrimSuffix(string(got[id]), "|"), "|")
-		wantSet := make([]string, len(rs))
-		for i, r := range rs {
-			wantSet[i] = strings.TrimSuffix(string(r), "|")
-		}
-		sort.Strings(gotSet)
-		sort.Strings(wantSet)
-		if len(gotSet) != len(wantSet) {
-			t.Fatalf("bucket %d: %d records back, wrote %d", id, len(gotSet), len(wantSet))
-		}
-		for i := range wantSet {
-			if gotSet[i] != wantSet[i] {
-				t.Fatalf("bucket %d record %d: %q vs %q", id, i, gotSet[i], wantSet[i])
-			}
-		}
-	}
-}
-
-// TestStoreConcurrentAppends: concurrent appenders to shared buckets must
-// lose no record (order within a bucket is unspecified by contract).
-func TestStoreConcurrentAppends(t *testing.T) {
-	ids := []int{1, 2, 3}
-	s, err := NewStore(ids, Options{Dir: t.TempDir(), BlockBytes: 128})
+	blocks, want := testBlocks()
+	f := writeFile(t, t.TempDir(), blocks...)
+	got, err := readFile(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Remove()
-	const appenders, per = 8, 200
-	var wg sync.WaitGroup
-	for a := 0; a < appenders; a++ {
-		wg.Add(1)
-		go func(a int) {
-			defer wg.Done()
-			for j := 0; j < per; j++ {
-				rec := []byte(fmt.Sprintf("%02d-%04d;", a, j))
-				if err := s.Append(ids[j%len(ids)], rec); err != nil {
-					t.Errorf("append: %v", err)
-					return
-				}
-			}
-		}(a)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("read back %q, wrote %q", got, want)
 	}
-	wg.Wait()
-	if err := s.FinishWrites(); err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, id := range ids {
-		bk, err := s.OpenBucket(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += bk.Pairs
-		if len(bk.Payload) != bk.Pairs*8 {
-			t.Fatalf("bucket %d: %d bytes for %d fixed-width records", id, len(bk.Payload), bk.Pairs)
-		}
-		bk.Close()
-	}
-	if total != appenders*per {
-		t.Fatalf("read back %d records, wrote %d", total, appenders*per)
-	}
-}
-
-// corruptStore writes one bucket and returns the store plus the bucket
-// file's path for corruption tests.
-func corruptStore(t *testing.T) (*Store, string) {
-	t.Helper()
-	s, err := NewStore([]int{5}, Options{Dir: t.TempDir()})
+	// Piecewise reads see the same bytes and the same verdict.
+	r, err := f.Reader()
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { s.Remove() })
-	for j := 0; j < 32; j++ {
-		if err := s.Append(5, []byte(fmt.Sprintf("payload-%08d", j))); err != nil {
+	var pieces []byte
+	for r.Len() > 0 {
+		p := make([]byte, min(13, r.Len()))
+		if err := r.ReadFull(p); err != nil {
 			t.Fatal(err)
 		}
+		pieces = append(pieces, p...)
 	}
-	if err := s.FinishWrites(); err != nil {
-		t.Fatal(err)
+	if err := r.Verify(); err != nil || !bytes.Equal(pieces, want) {
+		t.Fatalf("piecewise read: %v, equal=%v", err, bytes.Equal(pieces, want))
 	}
-	return s, s.path(5)
 }
 
-// TestOpenBucketDetectsCorruption: a flipped payload byte must fail with
-// ErrChecksum; a truncated file with ErrTruncated; a bad magic with
-// ErrFormat.
+// TestOpenBucketDetectsCorruption: the file's contents are checked whole.
+// Every single-byte flip — contents or trailer — fails with ErrChecksum;
+// every truncation fails with a typed error (ErrTruncated when not even the
+// trailer is left, otherwise the trailer no longer matches); a reader that
+// stops short of the contents fails with ErrFormat; and reading past them
+// with ErrTruncated.
 func TestOpenBucketDetectsCorruption(t *testing.T) {
-	s, path := corruptStore(t)
-	orig, err := os.ReadFile(path)
+	blocks, _ := testBlocks()
+	f := writeFile(t, t.TempDir(), blocks...)
+	orig, err := os.ReadFile(f.Path())
 	if err != nil {
 		t.Fatal(err)
 	}
-	restore := func() {
-		if err := os.WriteFile(path, orig, 0o644); err != nil {
+	put := func(b []byte) {
+		t.Helper()
+		if err := os.WriteFile(f.Path(), b, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-
-	flipped := append([]byte(nil), orig...)
-	flipped[headerSize+10] ^= 0xff
-	os.WriteFile(path, flipped, 0o644)
-	if _, err := s.OpenBucket(5); !errors.Is(err, ErrChecksum) {
-		t.Fatalf("flipped byte: error %v, want ErrChecksum", err)
+	for i := range orig {
+		flipped := bytes.Clone(orig)
+		flipped[i] ^= 0x01
+		put(flipped)
+		if _, err := readFile(f); !errors.Is(err, ErrChecksum) {
+			t.Fatalf("flip at byte %d of %d: error %v, want ErrChecksum", i, len(orig), err)
+		}
+	}
+	for n := 0; n < len(orig); n++ {
+		put(orig[:n])
+		_, err := readFile(f)
+		if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrChecksum) {
+			t.Fatalf("truncated to %d of %d bytes: error %v, want ErrTruncated or ErrChecksum", n, len(orig), err)
+		}
+		if n < trailerSize && !errors.Is(err, ErrTruncated) {
+			t.Fatalf("truncated to %d bytes: error %v, want ErrTruncated", n, err)
+		}
 	}
 
-	restore()
-	os.WriteFile(path, orig[:len(orig)-7], 0o644)
-	if _, err := s.OpenBucket(5); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("truncated: error %v, want ErrTruncated", err)
+	put(orig)
+	r, err := f.Reader()
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	restore()
-	bad := append([]byte(nil), orig...)
-	copy(bad, "XXXX")
-	os.WriteFile(path, bad, 0o644)
-	if _, err := s.OpenBucket(5); !errors.Is(err, ErrFormat) {
-		t.Fatalf("bad magic: error %v, want ErrFormat", err)
+	if err := r.ReadFull(make([]byte, r.Len()-1)); err != nil {
+		t.Fatal(err)
 	}
-
-	restore()
-	if bk, err := s.OpenBucket(5); err != nil {
+	if err := r.Verify(); !errors.Is(err, ErrFormat) {
+		t.Fatalf("verify with a byte unread: error %v, want ErrFormat", err)
+	}
+	if err := r.ReadFull(make([]byte, 2)); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("read past the contents: error %v, want ErrTruncated", err)
+	}
+	if _, err := readFile(f); err != nil {
 		t.Fatalf("restored file still rejected: %v", err)
-	} else {
-		bk.Close()
 	}
 }
 
-// TestWriteFaultFailsStore: an armed SpillWrite must surface ErrWriteFault
-// from FinishWrites and poison subsequent appends.
+// TestWriteFaultFailsStore: an armed SpillWrite fails the block it fires on
+// with ErrWriteFault; the error sticks through later writes and Finish.
 func TestWriteFaultFailsStore(t *testing.T) {
 	defer fault.Reset()
-	fault.Arm(fault.SpillWrite, 1, nil)
-	s, err := NewStore([]int{0, 1}, Options{Dir: t.TempDir(), BlockBytes: 16})
+	fault.Arm(fault.SpillWrite, 2, nil)
+	f, err := Create(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Remove()
-	for j := 0; j < 64; j++ {
-		if err := s.Append(j%2, []byte("0123456789abcdef")); err != nil {
-			break // sticky error propagated to the appender, as designed
-		}
+	defer f.Remove()
+	if err := f.Write([]byte("first")); err != nil {
+		t.Fatalf("first block: %v", err)
 	}
-	if err := s.FinishWrites(); !errors.Is(err, ErrWriteFault) {
+	if err := f.Write([]byte("second")); !errors.Is(err, ErrWriteFault) {
+		t.Fatalf("second block: error %v, want ErrWriteFault", err)
+	}
+	if err := f.Write([]byte("third")); !errors.Is(err, ErrWriteFault) {
+		t.Fatalf("write after a fault: error %v, want the sticky ErrWriteFault", err)
+	}
+	if err := f.Finish(); !errors.Is(err, ErrWriteFault) {
 		t.Fatalf("finish error %v, want ErrWriteFault", err)
+	}
+	if got := f.BytesWritten(); got != int64(len("first")) {
+		t.Fatalf("BytesWritten = %d after a failed block, want %d", got, len("first"))
 	}
 }
 
-// TestReadFaultReportsChecksum: an armed SpillRead fails OpenBucket with
+// TestReadFaultReportsChecksum: an armed SpillRead fails Verify with
 // ErrChecksum even though the bytes on disk are sound.
 func TestReadFaultReportsChecksum(t *testing.T) {
 	defer fault.Reset()
-	s, _ := corruptStore(t)
+	blocks, want := testBlocks()
+	f := writeFile(t, t.TempDir(), blocks...)
 	fault.Arm(fault.SpillRead, 1, nil)
-	if _, err := s.OpenBucket(5); !errors.Is(err, ErrChecksum) {
+	if _, err := readFile(f); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("error %v, want injected ErrChecksum", err)
 	}
 	fault.Reset()
-	bk, err := s.OpenBucket(5)
-	if err != nil {
-		t.Fatalf("disarmed open failed: %v", err)
+	got, err := readFile(f)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("disarmed read: %v, equal=%v", err, bytes.Equal(got, want))
 	}
-	bk.Close()
 }
 
-// TestAbortAndRemove: Abort makes FinishWrites fast-fail with ErrAborted,
-// Remove deletes the directory and is idempotent.
+// TestAbortAndRemove: Abort makes later writes and Finish fail fast with
+// ErrAborted; Remove deletes the file and is idempotent.
 func TestAbortAndRemove(t *testing.T) {
 	parent := t.TempDir()
-	s, err := NewStore([]int{3}, Options{Dir: parent})
+	f, err := Create(parent)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append(3, []byte("abc")); err != nil {
+	if err := f.Write([]byte("abc")); err != nil {
 		t.Fatal(err)
 	}
-	s.Abort()
-	if err := s.FinishWrites(); !errors.Is(err, ErrAborted) {
+	f.Abort()
+	if err := f.Write([]byte("def")); !errors.Is(err, ErrAborted) {
+		t.Fatalf("write error %v, want ErrAborted", err)
+	}
+	if err := f.Finish(); !errors.Is(err, ErrAborted) {
 		t.Fatalf("finish error %v, want ErrAborted", err)
 	}
-	if err := s.Remove(); err != nil {
+	if err := f.Remove(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Remove(); err != nil {
+	if err := f.Remove(); err != nil {
 		t.Fatalf("second Remove: %v", err)
 	}
 	entries, err := os.ReadDir(parent)
@@ -257,42 +216,21 @@ func TestAbortAndRemove(t *testing.T) {
 	if len(entries) != 0 {
 		t.Fatalf("%d entries left after Remove", len(entries))
 	}
-	if _, err := os.Stat(filepath.Join(parent, "nope")); !os.IsNotExist(err) {
-		t.Fatal("sanity: stat of missing path should fail")
-	}
 }
 
-// TestBytesWrittenAccounting: payload bytes plus one header per bucket.
+// TestBytesWrittenAccounting: every block's bytes plus the trailer.
 func TestBytesWrittenAccounting(t *testing.T) {
-	recs := map[int][][]byte{
-		0: {[]byte("aaaa"), []byte("bbbbbb")},
-		9: {[]byte("cc")},
+	blocks, all := testBlocks()
+	f := writeFile(t, t.TempDir(), blocks...)
+	want := int64(len(all)) + trailerSize
+	if got := f.BytesWritten(); got != want {
+		t.Fatalf("BytesWritten = %d, want %d", got, want)
 	}
-	var ids []int
-	var payload int64
-	for id, rs := range recs {
-		ids = append(ids, id)
-		for _, r := range rs {
-			payload += int64(len(r))
-		}
-	}
-	s, err := NewStore(ids, Options{Dir: t.TempDir()})
+	st, err := os.Stat(f.Path())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Remove()
-	for id, rs := range recs {
-		for _, r := range rs {
-			if err := s.Append(id, r); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := s.FinishWrites(); err != nil {
-		t.Fatal(err)
-	}
-	want := payload + int64(len(recs))*headerSize
-	if got := s.BytesWritten(); got != want {
-		t.Fatalf("BytesWritten = %d, want %d", got, want)
+	if st.Size() != want {
+		t.Fatalf("file holds %d bytes, BytesWritten says %d", st.Size(), want)
 	}
 }

@@ -1,6 +1,7 @@
 package linkclust
 
 import (
+	"flag"
 	"os"
 	"runtime"
 	"testing"
@@ -11,9 +12,11 @@ import (
 // multi-worker interleavings: par.DefaultCap tracks max(GOMAXPROCS, NumCPU)
 // with no unconditional floor, and without this bump a 1-core runner would
 // clamp every T=2..8 scenario to serial — the suites would pass trivially
-// without testing the parallel engines at all.
+// without testing the parallel engines at all. A benchmark run (-test.bench
+// set) keeps the machine's GOMAXPROCS, so its figures describe the machine.
 func TestMain(m *testing.M) {
-	if runtime.GOMAXPROCS(0) < 8 {
+	flag.Parse()
+	if runtime.GOMAXPROCS(0) < 8 && flag.Lookup("test.bench").Value.String() == "" {
 		runtime.GOMAXPROCS(8)
 	}
 	os.Exit(m.Run())

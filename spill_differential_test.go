@@ -19,10 +19,9 @@ import (
 // injected fault.
 
 // spillDiffGraphs returns the matrix families paired with the bucket-width
-// regime their pair list lands in. The partitioner narrows to 8-bit buckets
-// below 1<<13 pairs and uses 16-bit buckets above (see
-// core/spill_sweep.go); covering both proves the spilled reader reproduces
-// list-L order in each regime.
+// regime their pair list lands in. The sort cursor narrows to 8-bit buckets
+// below 1<<13 pairs and uses 16-bit buckets above (see core/buckets.go);
+// covering both proves the read-back list sorts to list L in each regime.
 func spillDiffGraphs(t *testing.T) map[string]struct {
 	g    *Graph
 	wide bool
@@ -48,8 +47,8 @@ func spillDiffGraphs(t *testing.T) map[string]struct {
 
 // TestSpilledDifferentialMatrix: on every family and T ∈ {1,4,8}, the
 // spilled sweep must reproduce the serial sweep bit for bit and agree with
-// the windowed parallel engine, while its bucket/byte counters stay
-// worker-invariant.
+// the windowed parallel engine, including how far each sorted the list,
+// while its bytes counter stays worker-invariant.
 func TestSpilledDifferentialMatrix(t *testing.T) {
 	for name, tc := range spillDiffGraphs(t) {
 		t.Run(name, func(t *testing.T) {
@@ -62,9 +61,10 @@ func TestSpilledDifferentialMatrix(t *testing.T) {
 				t.Fatalf("serial: %v", err)
 			}
 			want := sha(canonMerges(serial))
-			var buckets, bytes int64 = -1, -1
+			var bytes int64 = -1
 			for _, workers := range []int{1, 4, 8} {
-				par, err := SweepParallelCtx(context.Background(), g, core.Similarity(g), workers, nil)
+				prec := NewRecorder()
+				par, err := SweepParallelCtx(context.Background(), g, core.Similarity(g), workers, prec)
 				if err != nil {
 					t.Fatalf("parallel T=%d: %v", workers, err)
 				}
@@ -79,15 +79,18 @@ func TestSpilledDifferentialMatrix(t *testing.T) {
 				if got := sha(canonMerges(sp)); got != want {
 					t.Fatalf("spilled T=%d hash %s, serial %s", workers, got, want)
 				}
-				b, by := rec.Counter(CtrSpillBuckets), rec.Counter(CtrSpillBytesWritten)
-				if b < 1 || by < 1 {
-					t.Fatalf("T=%d: buckets=%d bytes=%d, want both positive", workers, b, by)
+				by := rec.Counter(CtrSpillBytesWritten)
+				if by < 1 {
+					t.Fatalf("T=%d: bytes=%d, want positive", workers, by)
 				}
-				if buckets >= 0 && (b != buckets || by != bytes) {
-					t.Fatalf("T=%d: buckets/bytes %d/%d, want worker-invariant %d/%d",
-						workers, b, by, buckets, bytes)
+				if bytes >= 0 && by != bytes {
+					t.Fatalf("T=%d: bytes %d, want worker-invariant %d", workers, by, bytes)
 				}
-				buckets, bytes = b, by
+				bytes = by
+				sorted := rec.Counter(core.CtrSweepSortedPairs)
+				if want := prec.Counter(core.CtrSweepSortedPairs); sorted != want || sorted < 1 {
+					t.Fatalf("T=%d: spilled sweep sorted %d pairs, in-memory %d", workers, sorted, want)
+				}
 			}
 		})
 	}
