@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"linkclust/internal/testkit"
 )
 
 // syncBuffer lets the test read the daemon's stdout while run() writes it.
@@ -149,11 +151,5 @@ func TestDaemonSmoke(t *testing.T) {
 	// client parks keep-alive goroutines; close them so only daemon leaks
 	// would show.)
 	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
-	leakDeadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(leakDeadline) {
-			t.Fatalf("goroutines leaked: %d running, baseline %d", runtime.NumGoroutine(), base)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	testkit.WaitGoroutines(t, base)
 }

@@ -313,6 +313,7 @@ type sweeper struct {
 	consecutive int          // consecutive rollbacks from the same safe state
 	err         error        // first work-list resolution failure
 	batch       [][2]int32   // chunk operation buffer for parallel runs
+	roots       []int32      // emitDiffMerges' scratch: each edge's cluster id
 }
 
 func (s *sweeper) run() {
@@ -334,7 +335,6 @@ func (s *sweeper) run() {
 				return
 			}
 		}
-		oldSnap := s.chain.Snapshot()
 		changesBefore := s.chain.Changes()
 		opsBefore := s.xi
 
@@ -372,7 +372,7 @@ func (s *sweeper) run() {
 
 		// Commit the level.
 		s.res.Levels++
-		s.emitDiffMerges(oldSnap, chunkSim)
+		s.emitDiffMerges(chunkSim)
 		kind := EpochHeadFresh
 		if s.mode == ModeTail || c1 {
 			kind = EpochTailFresh
@@ -631,7 +631,6 @@ func (s *sweeper) reuseSavedState() bool {
 		return false
 	}
 	st := s.rollbacks[best]
-	oldSnap := s.chain.Snapshot()
 	opsSkipped := st.xi - s.xi
 	s.chain.Restore(st.snap)
 	s.Delta = st.delta
@@ -640,7 +639,7 @@ func (s *sweeper) reuseSavedState() bool {
 	s.beta = st.beta
 
 	s.res.Levels++
-	s.emitDiffMerges(oldSnap, st.sim)
+	s.emitDiffMerges(st.sim)
 	s.res.Epochs = append(s.res.Epochs, Epoch{
 		Kind:     EpochReused,
 		Level:    s.res.Levels,
@@ -670,49 +669,31 @@ func (s *sweeper) pruneRollbacks() {
 	s.rollbacks = kept
 }
 
-// emitDiffMerges appends one merge event per cluster fusion between the old
-// chain snapshot and the current chain, all at the current level. Events
-// are derived from the partition difference, so rolled-back work never
-// reaches the dendrogram and reused states emit exactly their net effect.
-func (s *sweeper) emitDiffMerges(oldSnap []int32, sim float64) {
+// emitDiffMerges appends one merge event per cluster fusion between the
+// last committed state, s.safe.snap (the chain equals it at every chunk
+// start and at every reuse), and the current chain, all at the current
+// level: for each old root e whose new root nr differs, the event (nr, e)
+// into nr. nr is an old root too — a root is its cluster's minimum, and the
+// new cluster's minimum is the minimum of one of the old clusters it joins.
+// Events are derived from the partition difference, so rolled-back work
+// never reaches the dendrogram and reused states emit exactly their net
+// effect.
+func (s *sweeper) emitDiffMerges(sim float64) {
 	end := s.rec.Phase("commit-merges")
 	defer end()
-	old := core.NewChain(len(oldSnap))
-	old.Restore(oldSnap)
-	groups := make(map[int32][]int32) // new root -> old roots merged into it
-	for e := 0; e < s.chain.Len(); e++ {
-		or := old.Find(int32(e))
-		if int32(e) != or {
+	s.roots = s.chain.Roots(s.roots)
+	level := s.res.Levels
+	lvlStart := len(s.res.Merges)
+	for e, c := range s.safe.snap {
+		if c != int32(e) {
 			continue // enumerate each old cluster once, via its root
 		}
-		nr := s.chain.Find(int32(e))
-		groups[nr] = append(groups[nr], or)
-	}
-	level := s.res.Levels
-	for nr, olds := range groups {
-		if len(olds) < 2 {
-			continue
-		}
-		slices.Sort(olds)
-		// olds[0] == nr because roots are minima.
-		base := olds[0]
-		for _, o := range olds[1:] {
-			s.res.Merges = append(s.res.Merges, core.Merge{
-				Level: level,
-				A:     base,
-				B:     o,
-				Into:  nr,
-				Sim:   sim,
-			})
+		if nr := s.roots[e]; nr != int32(e) {
+			s.res.Merges = append(s.res.Merges, core.Merge{Level: level, A: nr, B: int32(e), Into: nr, Sim: sim})
 		}
 	}
 	// Deterministic event order within the level.
-	ms := s.res.Merges
-	lvlStart := len(ms)
-	for lvlStart > 0 && ms[lvlStart-1].Level == level {
-		lvlStart--
-	}
-	slices.SortFunc(ms[lvlStart:], func(a, b core.Merge) int {
+	slices.SortFunc(s.res.Merges[lvlStart:], func(a, b core.Merge) int {
 		if a.A != b.A {
 			return int(a.A) - int(b.A)
 		}

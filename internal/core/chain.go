@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // Chain is the paper's array C over edge indices (Algorithm 2, Lines 10-13):
 // C[i] points from edge i toward the representative of its cluster, chains
 // terminate at a self-loop, and a merge rewrites every visited entry to the
@@ -104,6 +106,22 @@ func (ch *Chain) Assignments() []int32 {
 		out[i] = ch.Find(int32(i))
 	}
 	return out
+}
+
+// Roots writes the cluster id of every edge into dst, grown as needed, and
+// returns it. Every entry of C points at an index no larger than its own
+// (merges write cluster minima), so one ascending pass resolves each edge
+// from its already resolved parent, without walking a chain.
+func (ch *Chain) Roots(dst []int32) []int32 {
+	dst = slices.Grow(dst[:0], len(ch.c))[:len(ch.c)]
+	for i, p := range ch.c {
+		if p == int32(i) {
+			dst[i] = p
+		} else {
+			dst[i] = dst[p]
+		}
+	}
+	return dst
 }
 
 // Snapshot returns a copy of the raw array C, usable with Restore. The

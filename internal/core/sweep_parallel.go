@@ -35,6 +35,28 @@ const (
 	CtrSweepSortedPairs = "sweep.sorted_pairs"
 )
 
+// InvariantCounters names the counters that are pure functions of the input
+// graph and pair list, never of the worker count, the engine path (in
+// memory, spilled, resumed, streamed) or timing: Phase I's pair, incident
+// pair and wedge-row counts, and the sweep's op, rewrite, merge, window,
+// drop, flatten and tail counts. Window cuts, drops and flattens are
+// triggered by op counts only, so they belong here; CtrSweepSortedPairs does
+// not, because a list that arrives sorted records none. The differential
+// tests compare exactly this set across paths, and the golden tests pin its
+// hash.
+var InvariantCounters = []string{
+	CtrSimilarityPairs,
+	CtrSimilarityIncidentPairs,
+	CtrSimilarityWedgeRows,
+	CtrSweepPairsProcessed,
+	CtrSweepChainRewrites,
+	CtrSweepMerges,
+	CtrSweepWindows,
+	CtrSweepNoopDrops,
+	CtrSweepFlattens,
+	CtrSweepTailOps,
+}
+
 // Engine tuning. Window cuts and flatten points are functions of operation
 // counts only — never of the worker count — and every chain write happens
 // in drain or flatten on the calling goroutine, in serial op order. The

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -60,6 +61,17 @@ func NewHandler(m *Manager) http.Handler {
 			httpError(w, http.StatusBadRequest, err)
 			return
 		}
+		// A body submitted before without an idempotency key is answered
+		// from its hash, before any decoding: a cached resubmit then costs
+		// one SHA-256 of the body instead of a JSON decode of the graph.
+		// A header key keeps the decoded path and its idempotency lookup.
+		bodyKey := sha256.Sum256(body)
+		if r.Header.Get("Idempotency-Key") == "" {
+			if st, ok, err := m.submitRepeat(bodyKey); ok {
+				writeSubmit(w, st, err)
+				return
+			}
+		}
 		var req SubmitRequest
 		if err := json.Unmarshal(body, &req); err != nil {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("jobs: malformed submit body: %w", err))
@@ -73,16 +85,12 @@ func NewHandler(m *Manager) http.Handler {
 		if idemKey == "" {
 			idemKey = req.IdempotencyKey
 		}
-		st, err := m.SubmitIdem([]byte(req.Graph), req.Options, idemKey)
-		if err != nil {
-			httpError(w, submitStatusCode(err), err)
-			return
+		var key *[sha256.Size]byte
+		if req.IdempotencyKey == "" {
+			key = &bodyKey
 		}
-		code := http.StatusAccepted
-		if st.State == StateDone {
-			code = http.StatusOK
-		}
-		writeJSON(w, code, st)
+		st, err := m.submit([]byte(req.Graph), req.Options, idemKey, key)
+		writeSubmit(w, st, err)
 	})
 
 	mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
@@ -166,6 +174,20 @@ func NewHandler(m *Manager) http.Handler {
 	})
 
 	return mux
+}
+
+// writeSubmit answers a submission: 200 with the final status on a
+// result-cache hit, 202 with the queued status otherwise, or the error.
+func writeSubmit(w http.ResponseWriter, st Status, err error) {
+	if err != nil {
+		httpError(w, submitStatusCode(err), err)
+		return
+	}
+	code := http.StatusAccepted
+	if st.State == StateDone {
+		code = http.StatusOK
+	}
+	writeJSON(w, code, st)
 }
 
 // submitStatusCode maps Submit errors to HTTP codes: backpressure (queue

@@ -143,6 +143,30 @@ func TestHTTPLifecycle(t *testing.T) {
 	if mt.Submitted != 2 || mt.CacheHitResult != 1 {
 		t.Fatalf("metrics submitted=%d hits=%d, want 2/1", mt.Submitted, mt.CacheHitResult)
 	}
+
+	// A byte-identical resubmit of the first body is answered from the
+	// body's hash: a new cached job, exactly like a decoded cached submit.
+	code, st3 := submit(t, srv, SubmitRequest{Graph: text, Options: Options{Workers: 2}})
+	if code != http.StatusOK || !st3.Cached || st3.ID == st.ID || st3.Options.Workers != 2 {
+		t.Fatalf("identical resubmit = %d %+v, want 200, a new cached job with workers 2", code, st3)
+	}
+	var rep3 linkclust.RunReport
+	if code := getJSON(t, srv.URL+"/runreport/"+st3.ID, &rep3); code != http.StatusOK || len(rep3.Phases) != 0 {
+		t.Fatalf("identical resubmit report = %d with phases %v", code, rep3.Phases)
+	}
+	// A body that carries an idempotency key keeps the key's meaning: its
+	// identical resubmit answers with the original job, not a new one.
+	keyed := SubmitRequest{Graph: text, IdempotencyKey: "k1"}
+	_, k1 := submit(t, srv, keyed)
+	if code, k2 := submit(t, srv, keyed); code != http.StatusOK || k2.ID != k1.ID {
+		t.Fatalf("keyed resubmit = %d job %s, want job %s", code, k2.ID, k1.ID)
+	}
+	if code := getJSON(t, srv.URL+"/metrics", &mt); code != http.StatusOK {
+		t.Fatalf("GET metrics = %d", code)
+	}
+	if mt.Submitted != 4 || mt.CacheHitResult != 3 {
+		t.Fatalf("metrics submitted=%d hits=%d, want 4/3", mt.Submitted, mt.CacheHitResult)
+	}
 }
 
 func TestHTTPErrors(t *testing.T) {
@@ -211,7 +235,12 @@ func TestHTTPHealthz(t *testing.T) {
 	}
 }
 
+// TestHTTPQueueBackpressure fills the depth-1 queue behind a running job
+// and requires a 429. The first coarse job blocks at its first chunk
+// boundary (fault.CancelWindow) until the 429 has been seen, so the queue
+// cannot drain first and turn the later submits into result-cache hits.
 func TestHTTPQueueBackpressure(t *testing.T) {
+	release := holdFirstWindow(t)
 	_, srv := startServer(t, Config{Concurrency: 1, QueueDepth: 1})
 	text := string(graphText(t, 150, 34))
 	saw429 := false
@@ -225,12 +254,13 @@ func TestHTTPQueueBackpressure(t *testing.T) {
 			// Result-cache hit once the first run finishes — also fine.
 		case http.StatusTooManyRequests:
 			saw429 = true
+			release()
 		default:
 			t.Fatalf("submit %d = %d", i, code)
 		}
 	}
 	if !saw429 {
-		t.Skip("queue never filled on this machine")
+		t.Fatal("queue never filled behind the blocked job")
 	}
 	for _, id := range ids {
 		pollDone(t, srv, id)

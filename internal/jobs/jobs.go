@@ -149,6 +149,7 @@ type Job struct {
 	graphKey  [sha256.Size]byte
 	resultKey [sha256.Size]byte
 	graph     *linkclust.Graph // shared immutable; interned by the manager
+	idemKey   string           // the client idempotency key, dropped with the record
 	report    *linkclust.RunReport
 	merges    []byte // serialized LCMG document
 	// resume is the durable sweep checkpoint an interrupted job restarts

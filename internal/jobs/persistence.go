@@ -405,6 +405,7 @@ func (m *Manager) replayJob(id string, submit persist.Record, terminal *persist.
 		EnqueuedAt: time.UnixMilli(submit.AtUnixMS),
 		graphKey:   graphKey,
 		resultKey:  opts.resultKey(graphKey),
+		idemKey:    submit.IdemKey,
 	}
 	if submit.IdemKey != "" {
 		m.mu.Lock()

@@ -6,24 +6,9 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
-	"time"
-)
 
-// waitNoLeaks polls until the process goroutine count falls back to the
-// baseline captured before the scenario ran. Every pool in this package
-// promises that no goroutine outlives the call, including on the
-// cancellation and panic paths; a worker blocked forever on a channel shows
-// up here as a count that never recovers.
-func waitNoLeaks(t *testing.T, base int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d running, baseline %d", runtime.NumGoroutine(), base)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
+	"linkclust/internal/testkit"
+)
 
 func TestRunPanicNoLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
@@ -47,7 +32,7 @@ func TestRunPanicNoLeak(t *testing.T) {
 	if wpe.Worker != 3 {
 		t.Fatalf("panic attributed to worker %d, want 3", wpe.Worker)
 	}
-	waitNoLeaks(t, base)
+	testkit.WaitGoroutines(t, base)
 }
 
 func TestDoPanicNoLeak(t *testing.T) {
@@ -68,7 +53,7 @@ func TestDoPanicNoLeak(t *testing.T) {
 	if !errors.As(err, &wpe) {
 		t.Fatalf("err = %v, want *WorkerPanicError", err)
 	}
-	waitNoLeaks(t, base)
+	testkit.WaitGoroutines(t, base)
 }
 
 func TestSortFuncCtxCancelNoLeak(t *testing.T) {
@@ -83,7 +68,7 @@ func TestSortFuncCtxCancelNoLeak(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	waitNoLeaks(t, base)
+	testkit.WaitGoroutines(t, base)
 }
 
 func TestSortFuncCtxPanicNoLeak(t *testing.T) {
@@ -103,5 +88,5 @@ func TestSortFuncCtxPanicNoLeak(t *testing.T) {
 	if !errors.As(err, &wpe) {
 		t.Fatalf("err = %v, want *WorkerPanicError", err)
 	}
-	waitNoLeaks(t, base)
+	testkit.WaitGoroutines(t, base)
 }

@@ -53,8 +53,9 @@ const (
 	cacheDir  = "cache"  // durable pair-list / result entries + manifest
 	ckptDir   = "ckpt"   // latest sweep checkpoint per interrupted job
 	// SpillSubdir is the parent handed to the out-of-core sweep when a
-	// state dir is configured, so orphaned per-run spill directories from a
-	// crashed process are inside janitor reach.
+	// state dir is configured, so the spill file a crashed process left
+	// behind (one linkclust-spill-* file per spilled run) is inside janitor
+	// reach.
 	SpillSubdir = "spill"
 
 	lockFile    = "LOCK"
@@ -119,8 +120,8 @@ func (d *Dir) Close() error {
 }
 
 // Janitor removes what a crashed predecessor can leave behind — temp entry
-// files that never reached their rename, and per-run spill directories whose
-// owning process died mid-sweep — and reports the bytes reclaimed. It never
+// files that never reached their rename, and spill files whose owning
+// process died mid-sweep — and reports the bytes reclaimed. It never
 // touches finalized entries, the journal, or the manifest: those are replay
 // and cache state, not garbage. Call it after Open (the lock guarantees no
 // sibling process is mid-write) and before journal replay.
@@ -147,9 +148,10 @@ func (d *Dir) Janitor() (reclaimed int64, err error) {
 			}
 		}
 	}
-	// Orphaned spill runs: every directory under spill/ belongs to a dead
-	// run — a live run in this process cannot exist yet (Janitor runs before
-	// the job layer starts), and the lockfile rules out a live sibling.
+	// Orphaned spill runs: every entry under spill/ (a run's spill file) belongs
+	// to a dead run — a live run in this process cannot exist yet (Janitor
+	// runs before the job layer starts), and the lockfile rules out a live
+	// sibling.
 	spillRoot := d.SpillDir()
 	if entries, rerr := os.ReadDir(spillRoot); rerr == nil {
 		for _, e := range entries {
@@ -165,7 +167,8 @@ func (d *Dir) Janitor() (reclaimed int64, err error) {
 	return reclaimed, firstErr
 }
 
-// treeSize sums the file sizes under path (best-effort; errors count as 0).
+// treeSize sums the file sizes under path, a file or a directory
+// (best-effort; errors count as 0).
 func treeSize(path string) int64 {
 	var total int64
 	filepath.WalkDir(path, func(_ string, e os.DirEntry, err error) error {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"linkclust/internal/fault"
+	"linkclust/internal/testkit"
 )
 
 // writeFile writes blocks to a new spill file under dir and finishes it.
@@ -209,13 +210,7 @@ func TestAbortAndRemove(t *testing.T) {
 	if err := f.Remove(); err != nil {
 		t.Fatalf("second Remove: %v", err)
 	}
-	entries, err := os.ReadDir(parent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 0 {
-		t.Fatalf("%d entries left after Remove", len(entries))
-	}
+	testkit.RequireEmptyDir(t, parent)
 }
 
 // TestBytesWrittenAccounting: every block's bytes plus the trailer.
