@@ -62,14 +62,7 @@ func TestPairListRoundTripUnsorted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Merges) != len(b.Merges) {
-		t.Fatalf("sweeps differ: %d vs %d merges", len(a.Merges), len(b.Merges))
-	}
-	for i := range a.Merges {
-		if a.Merges[i] != b.Merges[i] {
-			t.Fatalf("merge %d differs", i)
-		}
-	}
+	requireIdenticalSweep(t, "decoded list", b, a)
 }
 
 func TestMergesRoundTrip(t *testing.T) {

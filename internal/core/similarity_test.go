@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -262,25 +263,8 @@ func TestSimilarityParallelMatchesSerial(t *testing.T) {
 	for _, seed := range []uint64{1, 2} {
 		g := graph.ErdosRenyi(60, 0.15, rng.New(seed))
 		serial := Similarity(g)
-		serial.Sort()
 		for _, workers := range []int{2, 3, 4, 7} {
-			par := SimilarityParallel(g, workers)
-			par.Sort()
-			if len(par.Pairs) != len(serial.Pairs) {
-				t.Fatalf("workers=%d: %d pairs, want %d", workers, len(par.Pairs), len(serial.Pairs))
-			}
-			for i := range serial.Pairs {
-				s, p := &serial.Pairs[i], &par.Pairs[i]
-				if s.U != p.U || s.V != p.V {
-					t.Fatalf("workers=%d pair %d: (%d,%d) vs (%d,%d)", workers, i, s.U, s.V, p.U, p.V)
-				}
-				if math.Abs(s.Sim-p.Sim) > 1e-12 {
-					t.Fatalf("workers=%d pair %d: sim %v vs %v", workers, i, s.Sim, p.Sim)
-				}
-				if s.N != p.N {
-					t.Fatalf("workers=%d pair %d: N = %d vs %d", workers, i, s.N, p.N)
-				}
-			}
+			requireIdenticalSorted(t, fmt.Sprintf("workers=%d", workers), SimilarityParallel(g, workers), serial)
 		}
 	}
 }

@@ -151,17 +151,7 @@ func TestWedgeUnsortedOrder(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{2, 5, 8} {
-		par := SimilarityParallel(g, workers)
-		if len(par.Pairs) != len(serial.Pairs) {
-			t.Fatalf("workers=%d: %d pairs, want %d", workers, len(par.Pairs), len(serial.Pairs))
-		}
-		for i := range serial.Pairs {
-			s, p := &serial.Pairs[i], &par.Pairs[i]
-			if s.U != p.U || s.V != p.V || s.Sim != p.Sim {
-				t.Fatalf("workers=%d pair %d differs pre-Sort: (%d,%d,%v) vs (%d,%d,%v)",
-					workers, i, p.U, p.V, p.Sim, s.U, s.V, s.Sim)
-			}
-		}
+		requireIdenticalPreSort(t, fmt.Sprintf("workers=%d pre-Sort", workers), SimilarityParallel(g, workers), serial)
 	}
 }
 

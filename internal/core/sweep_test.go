@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"linkclust/internal/graph"
@@ -125,14 +126,7 @@ func TestSweepDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Merges) != len(b.Merges) {
-		t.Fatalf("merge counts differ: %d vs %d", len(a.Merges), len(b.Merges))
-	}
-	for i := range a.Merges {
-		if a.Merges[i] != b.Merges[i] {
-			t.Fatalf("merge %d differs: %+v vs %+v", i, a.Merges[i], b.Merges[i])
-		}
-	}
+	requireIdenticalSweep(t, "second run", b, a)
 }
 
 func TestSweepWithParallelInit(t *testing.T) {
@@ -148,15 +142,7 @@ func TestSweepWithParallelInit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(par.Merges) != len(serial.Merges) {
-			t.Fatalf("workers=%d: %d merges, want %d", workers, len(par.Merges), len(serial.Merges))
-		}
-		sa, pa := serial.Chain.Assignments(), par.Chain.Assignments()
-		for i := range sa {
-			if sa[i] != pa[i] {
-				t.Fatalf("workers=%d: edge %d cluster %d, want %d", workers, i, pa[i], sa[i])
-			}
-		}
+		requireIdenticalSweep(t, fmt.Sprintf("workers=%d", workers), par, serial)
 	}
 }
 
