@@ -160,17 +160,16 @@ func NewRecorder() *Recorder { return obs.New() }
 // process. Match it with errors.As.
 type WorkerPanicError = par.WorkerPanicError
 
-// CtrMemBudgetDegrades counts runs that breached the soft memory budget at
-// the initialization/sweep boundary and degraded from fine-grained to
-// coarse-grained clustering — since the out-of-core path landed, only
+// CtrMemBudgetDegrades counts runs whose pair list was over the memory
+// budget and that degraded from fine-grained to coarse-grained clustering
 // because the spill attempt itself failed at the disk
 // (see ClusterOptions.MemBudgetBytes).
 const CtrMemBudgetDegrades = "cluster.mem_budget_degrades"
 
-// CtrMemBudgetSpills counts runs that breached the soft memory budget and
-// were admitted to the out-of-core spilled sweep instead — the first rung
-// of the budget escalation ladder. A spilled run's output is bitwise
-// identical to the in-memory engines', so unlike a degrade this is
+// CtrMemBudgetSpills counts runs whose pair list was over the memory budget
+// and that were admitted to the out-of-core spilled sweep instead — the
+// first rung of the budget escalation ladder. A spilled run's output is
+// bitwise identical to the in-memory engines', so unlike a degrade this is
 // invisible to the result.
 const CtrMemBudgetSpills = "cluster.mem_budget_spills"
 
@@ -195,24 +194,30 @@ type ClusterOptions struct {
 	// Engine affects memory and speed only. The resolved engine is recorded
 	// on the Recorder's run report as meta key "sweep_engine".
 	Engine string
-	// MemBudgetBytes, when positive, sets a soft live-heap budget for
-	// ClusterCtx: heap growth is measured from entry and checked at the
-	// initialization/sweep phase boundary. On breach the run escalates in
-	// two rungs. First it admits the pair list to disk and runs the
-	// out-of-core sweep (EngineSpill, recorded under CtrMemBudgetSpills),
-	// whose output is bitwise identical to the in-memory engines. Only if
-	// spilling itself fails at the disk — file creation or a write error,
-	// which leaves the pair list intact — does the run degrade to
-	// coarse-grained clustering (DefaultCoarseParams) over that list,
-	// recorded under CtrMemBudgetDegrades. "Soft" means overshoot within a
-	// phase is only observed at the phase boundary; zero disables the
-	// budget.
+	// MemBudgetBytes, when positive, bounds the pair list a sweep may hold
+	// in memory: pair-list bytes above the budget choose the spill rung.
+	// When the list's PairList.Bytes exceeds it (see OverBudget), the run
+	// admits the list to disk and runs the out-of-core sweep (EngineSpill,
+	// recorded under CtrMemBudgetSpills), whose output is bitwise identical
+	// to the in-memory engines. Only if spilling itself fails at the disk —
+	// file creation or a write error, which leaves the pair list intact —
+	// does the run degrade to coarse-grained clustering
+	// (DefaultCoarseParams) over that list, recorded under
+	// CtrMemBudgetDegrades. The rung is decided from the list's size before
+	// the sweep allocates, so it is the same on every host and run; zero
+	// disables the budget.
 	MemBudgetBytes int64
 	// SpillDir is the parent directory for the out-of-core sweep's private
 	// spill file (EngineSpill or the budget admission path); empty means
 	// os.TempDir(). Each run spills into its own file and removes it on
 	// every exit path.
 	SpillDir string
+}
+
+// OverBudget reports whether pl's bytes exceed a positive MemBudgetBytes:
+// the one rule that sends a sweep to the spill rung.
+func (o ClusterOptions) OverBudget(pl *PairList) bool {
+	return o.MemBudgetBytes > 0 && pl.Bytes() > o.MemBudgetBytes
 }
 
 // SimilarityCtx runs the initialization phase (Algorithm 1) with the
@@ -262,22 +267,21 @@ func SweepParallelCtx(ctx context.Context, g *Graph, pl *PairList, workers int, 
 }
 
 // ClusterCtx is the cancellable, fault-tolerant end-to-end pipeline:
-// SimilarityCtx followed by RunSweep with the sweep engine opts selects, and
-// opts.MemBudgetBytes optionally escalating the run to the out-of-core sweep
-// (or, if spilling fails at the disk, to coarse-grained clustering) at the
-// phase boundary (see ClusterOptions). Cancellation is honored within one
+// SimilarityCtx followed by RunSweep, which runs the sweep engine opts
+// selects or, when the pair list is over opts.MemBudgetBytes, the
+// out-of-core sweep (or, if spilling fails at the disk, coarse-grained
+// clustering; see ClusterOptions). Cancellation is honored within one
 // scheduling window at every stage; worker panics surface as
-// *WorkerPanicError; and when ctx never cancels, no budget breaches, and no
-// fault is injected, the result is bitwise identical to a serial SweepCtx
-// over SimilarityCtx's output, for every engine and worker count. The pair
-// list is internal; the in-memory engine sorts only its closing prefix.
+// *WorkerPanicError; and unless ctx cancels or a spill fails, the result is
+// bitwise identical to a serial SweepCtx over SimilarityCtx's output, for
+// every engine, budget and worker count. The pair list is internal; the
+// in-memory engine sorts only its closing prefix.
 func ClusterCtx(ctx context.Context, g *Graph, opts ClusterOptions) (*Result, error) {
-	budget := obs.NewMemBudget(opts.MemBudgetBytes)
 	pl, err := core.SimilarityCtx(ctx, g, opts.Workers, opts.Recorder)
 	if err != nil {
 		return nil, err
 	}
-	res, _, err := RunSweep(ctx, g, pl, opts, budget.Exceeded())
+	res, _, err := RunSweep(ctx, g, pl, opts)
 	return res, err
 }
 
@@ -321,39 +325,39 @@ func ResolveEngine(name string) (string, error) {
 
 // SweepRun reports which path RunSweep took to its result.
 type SweepRun struct {
-	// Engine is the resolved engine that ran; EngineSpill after a budget
-	// breach, whichever rung produced the result.
+	// Engine is the resolved engine that ran; EngineSpill for a run over
+	// its memory budget, whichever rung produced the result.
 	Engine string
 	// Spilled is set when the out-of-core sweep produced the result, by
 	// explicit EngineSpill or by budget admission. A spilled merge stream is
 	// bitwise identical to an in-memory one.
 	Spilled bool
-	// Degraded is set when the result is coarse-grained: the budget was
-	// breached and spilling then failed at the disk.
+	// Degraded is set when the result is coarse-grained: the run was over
+	// its memory budget and spilling then failed at the disk.
 	Degraded bool
 }
 
 // RunSweep is the sweeping phase of ClusterCtx over a pair list the caller
-// already holds (from SimilarityCtx, a cache, or a file). When overBudget
-// is false it runs the engine ResolveEngine picks from opts.Engine. When
-// overBudget is true — the caller's memory budget breached at the phase
-// boundary — it climbs the escalation ladder instead: the out-of-core sweep
-// first (recorded under CtrMemBudgetSpills), then, only if that fails
-// during its write phase with the pair list intact, coarse-grained
-// clustering with DefaultCoarseParams (recorded under
+// already holds (from SimilarityCtx, a cache, or a file). It runs the engine
+// ResolveEngine picks from opts.Engine unless opts.OverBudget(pl): pair-list
+// bytes above opts.MemBudgetBytes choose the spill rung, the out-of-core
+// sweep (recorded under CtrMemBudgetSpills), and only if that fails during
+// its write phase with the pair list intact does the run degrade to
+// coarse-grained clustering with DefaultCoarseParams (recorded under
 // CtrMemBudgetDegrades). Cancellation, worker panics, and read-phase spill
 // failures are terminal. The resolved engine is recorded on opts.Recorder
-// as meta key "sweep_engine"; opts.MemBudgetBytes is not consulted.
+// as meta key "sweep_engine".
 //
 // Afterwards pl is not necessarily sorted: the in-memory engine and a coarse
 // degrade sort an unsorted list only as far as they read it (see
 // SweepParallelCtx), and the out-of-core sweep consumes it; callers that
 // need list L afterwards must Sort it.
-func RunSweep(ctx context.Context, g *Graph, pl *PairList, opts ClusterOptions, overBudget bool) (*Result, SweepRun, error) {
+func RunSweep(ctx context.Context, g *Graph, pl *PairList, opts ClusterOptions) (*Result, SweepRun, error) {
 	engine, err := ResolveEngine(opts.Engine)
 	if err != nil {
 		return nil, SweepRun{}, err
 	}
+	overBudget := opts.OverBudget(pl)
 	if overBudget {
 		opts.Recorder.Add(CtrMemBudgetSpills, 1)
 		engine = EngineSpill

@@ -15,7 +15,7 @@ import (
 // sweepSpilled runs the out-of-core engine over pl through the facade's
 // engine dispatch.
 func sweepSpilled(ctx context.Context, g *Graph, pl *PairList, workers int, dir string, rec *Recorder) (*Result, error) {
-	res, _, err := RunSweep(ctx, g, pl, ClusterOptions{Workers: workers, Recorder: rec, Engine: EngineSpill, SpillDir: dir}, false)
+	res, _, err := RunSweep(ctx, g, pl, ClusterOptions{Workers: workers, Recorder: rec, Engine: EngineSpill, SpillDir: dir})
 	return res, err
 }
 

@@ -575,7 +575,7 @@ func cmdCluster(ctx context.Context, args []string, stdin io.Reader, stdout io.W
 		// it outputs.
 		res, run, err := linkclust.RunSweep(ctx, g, pl, linkclust.ClusterOptions{
 			Workers: *workers, Recorder: rec, Engine: *engine, SpillDir: *spillDir,
-		}, false)
+		})
 		if err != nil {
 			return err
 		}

@@ -70,7 +70,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		queueDepth   = fs.Int("queue", 16, "max queued jobs (beyond it submissions get 429)")
 		jobTimeout   = fs.Duration("job-timeout", 5*time.Minute, "default per-job deadline (0 = none)")
 		memBudget    = fs.Int64("mem-budget", 0, "reject submissions while live heap exceeds this many bytes (0 = off)")
-		jobMemBudget = fs.Int64("job-mem-budget", 0, "default per-job heap-growth budget in bytes; breach spills the sweep to disk, degrading fine→coarse only if the spill fails (0 = off)")
+		jobMemBudget = fs.Int64("job-mem-budget", 0, "default per-job memory budget in bytes: pair-list bytes above it choose the spill rung, degrading fine→coarse only if the spill fails; coarse jobs ignore it (0 = off)")
 		spillDir     = fs.String("spill-dir", "", "parent directory for out-of-core spill files (default: system temp dir)")
 		cacheEntries = fs.Int("cache", 64, "entries per cache side (pair lists, results; <0 disables)")
 		drainWait    = fs.Duration("drain-timeout", 30*time.Second, "max time to wait for the listener to drain on shutdown")

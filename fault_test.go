@@ -161,26 +161,22 @@ func TestFaultCancelWindow(t *testing.T) {
 	testkit.WaitGoroutines(t, base)
 }
 
-// TestFaultMemBreach arms the budget point and walks the full escalation
-// ladder. First rung: a breach alone makes ClusterCtx spill the pair list
-// to disk and sweep out of core — the result stays bitwise golden and the
-// spill counter records the reroute. Second rung: a breach whose spill
-// write also fails degrades fine→coarse, recording both counters. A
-// read-phase spill failure cannot degrade (the pair list is already gone)
-// and surfaces its typed error instead.
+// TestFaultMemBreach walks the full escalation ladder with budgets at the
+// pair list's size. First rung: a list one byte over its budget makes
+// ClusterCtx spill it to disk and sweep out of core — the result stays
+// bitwise golden and the spill counter records the reroute. Second rung:
+// an over-budget run whose spill write also fails degrades fine→coarse,
+// recording both counters. A read-phase spill failure cannot degrade (the
+// pair list is already gone) and surfaces its typed error instead.
 func TestFaultMemBreach(t *testing.T) {
 	resetFaults(t)
 	g := goldenGraph(t)
+	size := core.Similarity(g).Bytes()
+	budgeted := func(budget int64, rec *Recorder) ClusterOptions {
+		return ClusterOptions{Workers: 4, Recorder: rec, MemBudgetBytes: budget}
+	}
 	rec := NewRecorder()
-	// A budget far above anything this run allocates: only the injected
-	// breach can trigger the ladder, so the test is deterministic on any
-	// host.
-	fault.Arm(fault.MemBreach, 1, nil)
-	res, err := ClusterCtx(context.Background(), g, ClusterOptions{
-		Workers:        4,
-		Recorder:       rec,
-		MemBudgetBytes: 1 << 50,
-	})
+	res, err := ClusterCtx(context.Background(), g, budgeted(size-1, rec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,15 +193,9 @@ func TestFaultMemBreach(t *testing.T) {
 
 	// Second rung: the spill's block write fails (deterministic ENOSPC), so
 	// the run degrades to the coarse algorithm.
-	fault.Reset()
-	fault.Arm(fault.MemBreach, 1, nil)
 	fault.Arm(fault.SpillWrite, 1, nil)
 	recD := NewRecorder()
-	resD, err := ClusterCtx(context.Background(), g, ClusterOptions{
-		Workers:        4,
-		Recorder:       recD,
-		MemBudgetBytes: 1 << 50,
-	})
+	resD, err := ClusterCtx(context.Background(), g, budgeted(size-1, recD))
 	fault.Reset()
 	if err != nil {
 		t.Fatal(err)
@@ -232,32 +222,24 @@ func TestFaultMemBreach(t *testing.T) {
 
 	// Read-phase failure: the pair list was released to disk, so there is
 	// nothing left to degrade onto — the typed error surfaces.
-	fault.Arm(fault.MemBreach, 1, nil)
 	fault.Arm(fault.SpillRead, 1, nil)
-	_, err = ClusterCtx(context.Background(), g, ClusterOptions{
-		Workers:        4,
-		MemBudgetBytes: 1 << 50,
-	})
+	_, err = ClusterCtx(context.Background(), g, budgeted(size-1, nil))
 	fault.Reset()
 	if !errors.Is(err, spill.ErrChecksum) {
 		t.Fatalf("read-phase failure err = %v, want spill.ErrChecksum", err)
 	}
 
-	// Without the injected breach the same options take the fine-grained
-	// path and stay golden.
+	// A budget equal to the list's size is not exceeded: the run takes the
+	// fine-grained path and stays golden.
 	rec2 := NewRecorder()
-	res2, err := ClusterCtx(context.Background(), g, ClusterOptions{
-		Workers:        4,
-		Recorder:       rec2,
-		MemBudgetBytes: 1 << 50,
-	})
+	res2, err := ClusterCtx(context.Background(), g, budgeted(size, rec2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := rec2.Counter(CtrMemBudgetDegrades) + rec2.Counter(CtrMemBudgetSpills); got != 0 {
-		t.Fatalf("ladder counters = %d without a breach, want 0", got)
+		t.Fatalf("ladder counters = %d within the budget, want 0", got)
 	}
-	requireGolden(t, "with an unbreached budget", res2)
+	requireGolden(t, "within the budget", res2)
 }
 
 // streamArrivals converts a graph's edges, in id order, into stream
@@ -282,8 +264,7 @@ func streamArrivals(g *Graph) []Arrival {
 // be golden.
 func TestFaultMatrix(t *testing.T) {
 	g := goldenGraph(t)
-	// MemBreach fires only when a budget is set; CancelWindow/WorkerPanic
-	// fire on the windowed parallel path and SlowProducer on the spilled
+	// CancelWindow/WorkerPanic fire on the windowed parallel path and SlowProducer on the spilled
 	// sweep's read-back; the stream points
 	// fire on the incremental path (a whole-graph ingest hits the ingest
 	// point at the batch head, and the first snapshot hits the snapshot
@@ -336,10 +317,7 @@ func TestFaultMatrix(t *testing.T) {
 				res, err = eng.Snapshot()
 			default:
 				opts := ClusterOptions{Workers: 4, Engine: EngineParallel}
-				switch p {
-				case fault.MemBreach:
-					opts.MemBudgetBytes = 1 << 50
-				case fault.SlowProducer:
+				if p == fault.SlowProducer {
 					opts.Engine, opts.SpillDir = EngineSpill, t.TempDir()
 				}
 				res, err = ClusterCtx(context.Background(), g, opts)
@@ -350,9 +328,7 @@ func TestFaultMatrix(t *testing.T) {
 			if !fired {
 				t.Fatalf("point %s never fired on its pipeline", p)
 			}
-			if p != fault.MemBreach { // the benign scenarios stay golden
-				requireGolden(t, fmt.Sprintf("with benign %s armed", p), res)
-			}
+			requireGolden(t, fmt.Sprintf("with benign %s armed", p), res)
 		})
 	}
 }

@@ -30,13 +30,6 @@ func outOfCoreWorkerCounts() []int {
 	return ws
 }
 
-// ladderNoiseFloor is the smallest ladder budget worth arming: the
-// runtime/metrics live-heap sample the facade's MemBudget reads lags real
-// allocation by up to one partially-filled span per size class per P, so a
-// budget in the tens of kilobytes may never observe a breach on a tiny
-// workload. 256 KiB clears that lag by an order of magnitude.
-const ladderNoiseFloor = 256 << 10
-
 // outOfCoreResult is one (alpha, workers) row of BENCH_outofcore.json.
 type outOfCoreResult struct {
 	Alpha   float64 `json:"alpha"`
@@ -57,14 +50,11 @@ type outOfCoreResult struct {
 	// The facade-ladder acceptance leg: ClusterCtx under a budget the pair
 	// list's spill payload exceeds at least 4× rerouted through the spill
 	// (spill counter 1, degrade counter 0) and matched the serial merge
-	// stream bitwise. LadderGolden false means the leg was skipped because
-	// the budget sat under the heap-metric noise floor (see
-	// ladderNoiseFloor), never that a check failed — a failed check fails
-	// the experiment.
+	// stream bitwise. Every row runs it; a failed check fails the
+	// experiment.
 	LadderBudgetKB int64 `json:"ladder_budget_kb"`
 	LadderSpills   int64 `json:"ladder_spills"`
 	LadderDegrades int64 `json:"ladder_degrades"`
-	LadderGolden   bool  `json:"ladder_golden"`
 }
 
 // outOfCoreReport is the BENCH_outofcore.json document.
@@ -83,13 +73,13 @@ type outOfCoreReport struct {
 // engine over the whole list), each run consuming a fresh clone of
 // the same pair list. Every timed run is first compared bitwise to the
 // serial sweep — a divergence fails the whole experiment, so a reported time
-// is also a proof of correctness. Each row whose budget clears the
-// heap-metric noise floor additionally drives the facade's memory-budget
-// ladder for real, with no fault injection: a ClusterCtx run under a budget
-// of a quarter of the pair list's encoded footprint — the list exceeds the
-// budget at least 4× — must reroute through the spill (never the coarse
-// degrade) and land on the serial merge stream exactly; rows below the
-// floor say so in the table instead of arming an unobservable budget.
+// is also a proof of correctness. Each row additionally drives the facade's
+// memory-budget ladder, with no fault injection: pair-list bytes above the
+// budget choose the spill rung, so a ClusterCtx run under a budget of a
+// quarter of the pair list's encoded footprint — the list exceeds the
+// budget at least 4× — must reroute through the spill (spill first; the
+// coarse degrade is only for a write-phase disk failure) and land on the
+// serial merge stream exactly.
 func OutOfCore(w io.Writer, cfg Config) error {
 	wls, err := BuildWorkloads(cfg)
 	if err != nil {
@@ -97,13 +87,12 @@ func OutOfCore(w io.Writer, cfg Config) error {
 	}
 	t := &Table{
 		Title:   "outofcore: disk-spilled sweep vs in-memory windowed (bitwise self-validating)",
-		Columns: []string{"alpha", "edges", "pairs", "pair-KB", "T", "spill-KB", "spilled", "windowed", "overhead", "ladder"},
+		Columns: []string{"alpha", "edges", "pairs", "pair-KB", "T", "spill-KB", "spilled", "windowed", "overhead"},
 		Notes: []string{
 			"every timed run, spilled and windowed, is compared bitwise to the serial sweep before its time counts",
 			"each run consumes a fresh pair-list clone built outside the timed region",
-			"ladder ok: ClusterCtx under budget pair-KB/4 -- a budget the spill payload exceeds >=4x -- rerouted",
-			"  through the spilled sweep (mem_budget_spills 1, mem_budget_degrades 0) and stayed bitwise identical;",
-			"  ladder skip: budget under the 256 KiB heap-metric noise floor, leg not armed on this row",
+			"on every row, ClusterCtx under budget pair-KB/4 -- a budget the spill payload exceeds >=4x -- rerouted",
+			"  through the spilled sweep (mem_budget_spills 1, mem_budget_degrades 0) and stayed bitwise identical",
 			"timings are the minimum over -repeats runs; spill files live in the OS temp directory",
 		},
 	}
@@ -160,16 +149,9 @@ func outOfCoreAlpha(wl Workload, cfg Config, t *Table) ([]outOfCoreResult, error
 		return nil, fmt.Errorf("bench: serial sweep at alpha %v: %w", wl.Alpha, err)
 	}
 	// The ladder budget: a quarter of the encoded pair list, so the spilled
-	// payload exceeds the budget by at least the acceptance factor of 4. The
-	// in-memory list the facade's budget actually observes growing is larger
-	// still (struct headers on top of the encoded payload) — but the
-	// runtime/metrics live-heap sample lags allocations by up to a
-	// partially-filled span per size class per P, which on tiny workloads can
-	// hide the whole list. The ladder leg therefore only runs on rows whose
-	// budget clears that noise floor; skipped rows are marked in the table
-	// so the coverage gap is never silent.
+	// payload exceeds the budget by at least the acceptance factor of 4 (the
+	// in-memory list the facade checks, PairList.Bytes, is larger still).
 	budget := payload / 4
-	ladder := budget >= ladderNoiseFloor
 	repeats := cfg.Repeats
 	if repeats < 1 {
 		repeats = 1
@@ -216,33 +198,25 @@ func outOfCoreAlpha(wl Workload, cfg Config, t *Table) ([]outOfCoreResult, error
 			}
 		}
 
-		// The ladder acceptance leg: a genuine budget breach through the
-		// public facade — no fault injection. Collect the heap first so the
-		// budget's baseline is clean and the similarity phase's growth (at
-		// least the encoded payload, four budgets' worth) must trip it.
-		var spills, degrades int64
-		ladderCell := "skip"
-		if ladder {
-			runtime.GC()
-			lrec := obs.New()
-			lres, err := linkclust.ClusterCtx(context.Background(), g, linkclust.ClusterOptions{
-				Workers:        workers,
-				Recorder:       lrec,
-				MemBudgetBytes: budget,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("bench: ladder run alpha %v T=%d: %w", wl.Alpha, workers, err)
-			}
-			spills = lrec.Counter(linkclust.CtrMemBudgetSpills)
-			degrades = lrec.Counter(linkclust.CtrMemBudgetDegrades)
-			if err := sameMergeStream(serial, lres); err != nil {
-				return nil, fmt.Errorf("bench: alpha %v T=%d: ladder run diverged: %w", wl.Alpha, workers, err)
-			}
-			if spills != 1 || degrades != 0 {
-				return nil, fmt.Errorf("bench: alpha %v T=%d: budget %d should spill exactly once (spills=%d degrades=%d)",
-					wl.Alpha, workers, budget, spills, degrades)
-			}
-			ladderCell = "ok"
+		// The ladder acceptance leg: the pair list over its budget through
+		// the public facade — no fault injection.
+		lrec := obs.New()
+		lres, err := linkclust.ClusterCtx(context.Background(), g, linkclust.ClusterOptions{
+			Workers:        workers,
+			Recorder:       lrec,
+			MemBudgetBytes: budget,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("bench: ladder run alpha %v T=%d: %w", wl.Alpha, workers, err)
+		}
+		spills := lrec.Counter(linkclust.CtrMemBudgetSpills)
+		degrades := lrec.Counter(linkclust.CtrMemBudgetDegrades)
+		if err := sameMergeStream(serial, lres); err != nil {
+			return nil, fmt.Errorf("bench: alpha %v T=%d: ladder run diverged: %w", wl.Alpha, workers, err)
+		}
+		if spills != 1 || degrades != 0 {
+			return nil, fmt.Errorf("bench: alpha %v T=%d: budget %d should spill exactly once (spills=%d degrades=%d)",
+				wl.Alpha, workers, budget, spills, degrades)
 		}
 
 		row := outOfCoreResult{
@@ -256,18 +230,15 @@ func outOfCoreAlpha(wl Workload, cfg Config, t *Table) ([]outOfCoreResult, error
 			WindowedNs:     windowedNs.Nanoseconds(),
 			Overhead:       float64(spilledNs) / float64(windowedNs),
 			Identical:      true,
+			LadderBudgetKB: kb(budget),
 			LadderSpills:   spills,
 			LadderDegrades: degrades,
-			LadderGolden:   ladder,
-		}
-		if ladder {
-			row.LadderBudgetKB = kb(budget)
 		}
 		out = append(out, row)
 		t.AddRow(wl.Alpha, row.Edges, row.Pairs, row.PairKB, workers,
 			row.SpillKB,
 			formatSeconds(spilledNs), formatSeconds(windowedNs),
-			fmt.Sprintf("%.2fx", row.Overhead), ladderCell)
+			fmt.Sprintf("%.2fx", row.Overhead))
 	}
 	return out, nil
 }

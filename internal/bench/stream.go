@@ -12,9 +12,10 @@ import (
 	"linkclust/internal/stream"
 )
 
-// streamWorkers is the worker count of both sides of the comparison — the
-// acceptance configuration of the incremental engine.
-const streamWorkers = 8
+// streamWorkers is the worker count of both sides of the comparison: the
+// incremental engine's acceptance configuration of 8, capped at
+// runtime.NumCPU() so no row times more workers than the machine has CPUs.
+func streamWorkers() int { return min(8, runtime.NumCPU()) }
 
 // The timed protocol: everything but the last streamTimedSteps batches of
 // streamTimedBatch arrivals is ingested (and snapshotted once) untimed, so
@@ -67,18 +68,12 @@ type streamReport struct {
 // a green run certifies the differential contract on real workloads while
 // measuring what incrementality buys.
 func Stream(w io.Writer, cfg Config) error {
-	// Both sides run T=8; par.Normalize clamps to GOMAXPROCS, so raise it for
-	// the duration.
-	if old := runtime.GOMAXPROCS(0); old < streamWorkers {
-		runtime.GOMAXPROCS(streamWorkers)
-		defer runtime.GOMAXPROCS(old)
-	}
 	wls, err := BuildWorkloads(cfg)
 	if err != nil {
 		return err
 	}
 	t := &Table{
-		Title:   "stream: incremental ingest+snapshot vs batch clustering from scratch (bitwise, T=8)",
+		Title:   fmt.Sprintf("stream: incremental ingest+snapshot vs batch clustering from scratch (bitwise, T=%d)", streamWorkers()),
 		Columns: []string{"alpha", "edges", "+batch", "rows", "replay-ops", "K2", "incremental", "batch", "speedup"},
 		Notes: []string{
 			"every incremental snapshot is compared bitwise to a parallel batch run on the identical prefix graph before its time counts",
@@ -91,7 +86,7 @@ func Stream(w io.Writer, cfg Config) error {
 		Name:      "stream",
 		CreatedAt: time.Now().UTC(),
 		Meta: map[string]string{
-			"workers":     fmt.Sprintf("%d", streamWorkers),
+			"workers":     fmt.Sprintf("%d", streamWorkers()),
 			"repeats":     fmt.Sprintf("%d", cfg.Repeats),
 			"timed_batch": fmt.Sprintf("%d", streamTimedBatch),
 			"timed_steps": fmt.Sprintf("%d", streamTimedSteps),
@@ -138,7 +133,7 @@ func streamAlpha(wl Workload, cfg Config, t *Table) ([]streamResult, error) {
 	}
 	rec := obs.New()
 	eng, err := stream.New(stream.Options{
-		Workers:     streamWorkers,
+		Workers:     streamWorkers(),
 		Recorder:    rec,
 		MaxVertices: n,
 	})
@@ -190,7 +185,7 @@ func streamAlpha(wl Workload, cfg Config, t *Table) ([]streamResult, error) {
 		gp := b.Build(nil)
 		var batchRes *core.Result
 		batchNs := timeIt(cfg.Repeats, func() {
-			r, err2 := core.SweepParallel(gp, core.SimilarityParallel(gp, streamWorkers), streamWorkers)
+			r, err2 := core.SweepParallel(gp, core.SimilarityParallel(gp, streamWorkers()), streamWorkers())
 			if err2 != nil {
 				err = err2
 				return

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strconv"
+	"strings"
 	"time"
 )
 
@@ -43,8 +45,11 @@ type benchDoc struct {
 // ValidateBenchFile checks that path holds a well-formed linkclust/bench/v1
 // document: the schema marker, a non-empty experiment name, a parseable
 // creation timestamp, string-valued metadata, and at least one result row,
-// each row a JSON object. It validates the envelope, not experiment-specific
-// row fields — those differ per experiment by design.
+// each row a JSON object. When the metadata records the machine's cpus, no
+// worker count — meta.workers (one count or a list) or any row's workers —
+// may exceed it: such a row measures the scheduler, not the code. Other
+// experiment-specific row fields are not checked; they differ per experiment
+// by design.
 func ValidateBenchFile(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -68,6 +73,10 @@ func ValidateBenchFile(path string) error {
 	if len(doc.Results) == 0 {
 		return fmt.Errorf("%s: no results", path)
 	}
+	cpus, err := metaCPUs(doc.Meta)
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
 	for i, raw := range doc.Results {
 		var row map[string]json.RawMessage
 		if err := json.Unmarshal(raw, &row); err != nil {
@@ -76,6 +85,39 @@ func ValidateBenchFile(path string) error {
 		if len(row) == 0 {
 			return fmt.Errorf("%s: results[%d] is empty", path, i)
 		}
+		if w, ok := row["workers"]; ok && cpus > 0 {
+			var n int
+			if err := json.Unmarshal(w, &n); err != nil {
+				return fmt.Errorf("%s: results[%d].workers %s is not an integer", path, i, w)
+			}
+			if n > cpus {
+				return fmt.Errorf("%s: results[%d].workers %d exceeds meta.cpus %d", path, i, n, cpus)
+			}
+		}
 	}
 	return nil
+}
+
+// metaCPUs returns meta.cpus, or 0 when the document does not record it,
+// after checking every count in meta.workers ("8" or "[1 2 4]") against it.
+func metaCPUs(meta map[string]string) (int, error) {
+	s, ok := meta["cpus"]
+	if !ok {
+		return 0, nil
+	}
+	cpus, err := strconv.Atoi(s)
+	if err != nil || cpus < 1 {
+		return 0, fmt.Errorf("meta.cpus %q is not a positive integer", s)
+	}
+	ws := strings.Fields(strings.Trim(meta["workers"], "[]"))
+	for _, f := range ws {
+		n, err := strconv.Atoi(f)
+		if err != nil {
+			return 0, fmt.Errorf("meta.workers %q is not a worker count or list", meta["workers"])
+		}
+		if n > cpus {
+			return 0, fmt.Errorf("meta.workers %d exceeds meta.cpus %d", n, cpus)
+		}
+	}
+	return cpus, nil
 }

@@ -27,6 +27,17 @@ func TestValidateBenchFileAccepts(t *testing.T) {
 	if err := ValidateBenchFile(path); err != nil {
 		t.Fatal(err)
 	}
+	// Worker counts at or under the recorded cpus, in meta and in rows.
+	path = writeDoc(t, `{
+		"schema": "linkclust/bench/v1",
+		"name": "outofcore",
+		"created_at": "2026-08-06T00:00:00Z",
+		"meta": {"cpus": "2", "workers": "[1 2]"},
+		"results": [{"workers": 1}, {"workers": 2}]
+	}`)
+	if err := ValidateBenchFile(path); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestValidateBenchFileRejects(t *testing.T) {
@@ -52,6 +63,18 @@ func TestValidateBenchFileRejects(t *testing.T) {
 			`{"schema":"linkclust/bench/v1","name":"x","created_at":"2026-08-06T00:00:00Z","results":[{"a":1}],"extra":true}`,
 			"unknown field"},
 		{"not JSON", `schema: bench`, ""},
+		{"meta workers above cpus",
+			`{"schema":"linkclust/bench/v1","name":"x","created_at":"2026-08-06T00:00:00Z","meta":{"cpus":"2","workers":"8"},"results":[{"a":1}]}`,
+			"meta.workers 8 exceeds meta.cpus 2"},
+		{"meta worker list above cpus",
+			`{"schema":"linkclust/bench/v1","name":"x","created_at":"2026-08-06T00:00:00Z","meta":{"cpus":"2","workers":"[1 2 4]"},"results":[{"a":1}]}`,
+			"meta.workers 4 exceeds meta.cpus 2"},
+		{"row workers above cpus",
+			`{"schema":"linkclust/bench/v1","name":"x","created_at":"2026-08-06T00:00:00Z","meta":{"cpus":"2"},"results":[{"workers":2},{"workers":4}]}`,
+			"results[1].workers 4 exceeds meta.cpus 2"},
+		{"bad cpus",
+			`{"schema":"linkclust/bench/v1","name":"x","created_at":"2026-08-06T00:00:00Z","meta":{"cpus":"many"},"results":[{"a":1}]}`,
+			"meta.cpus"},
 	}
 	for _, tc := range cases {
 		err := ValidateBenchFile(writeDoc(t, tc.body))

@@ -13,6 +13,7 @@ package core
 import (
 	"context"
 	"slices"
+	"unsafe"
 
 	"linkclust/internal/graph"
 	"linkclust/internal/obs"
@@ -77,6 +78,13 @@ func (pl *PairList) NumIncidentPairs() int64 {
 		n += int64(pl.Pairs[i].N)
 	}
 	return n
+}
+
+// Bytes is the list's in-memory size, len(Pairs) times the size of one Pair
+// (24 bytes): the 24·K1 that dominates the space of a sweep over it. A
+// memory budget is checked against this figure, before the sweep allocates.
+func (pl *PairList) Bytes() int64 {
+	return int64(len(pl.Pairs)) * int64(unsafe.Sizeof(Pair{}))
 }
 
 // cmpPairs is the list-L order: non-increasing similarity, ties broken by

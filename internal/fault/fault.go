@@ -3,13 +3,13 @@
 // calls Hit at a small set of named sites (the registry below); a test arms
 // a point with the ordinal of the hit that should fire and an action to run
 // at that hit — panic, cancel a context, sleep, or nothing (the caller can
-// branch on Hit's return value instead, as the memory-budget check does).
+// branch on Hit's return value instead, as the spill writer does).
 //
 // The design constraints mirror the differential harness the points feed:
 //
 //   - Deterministic addressing. A point fires at its N-th hit, counted by a
-//     global atomic per point. At serial sites (window cuts, budget checks,
-//     spill blocks) the N-th hit is the same program state on
+//     global atomic per point. At serial sites (window cuts, spill blocks,
+//     journal appends) the N-th hit is the same program state on
 //     every run, so a fault is a reproducible coordinate, not a probability.
 //     At concurrent sites (worker spawns) the N-th hit may land on any
 //     worker, but the *observable* outcome — a typed error from the entry
@@ -19,7 +19,7 @@
 //     compiled into release builds (no build tags), so the tested binary is
 //     the shipped binary.
 //   - No dependencies. The package imports only the standard library and is
-//     imported by internal/par and internal/obs; it must never import
+//     imported by every package that hosts a point; it must never import
 //     anything from this module.
 //
 // Tests must call Reset (typically via defer) after arming points; armed
@@ -57,10 +57,6 @@ const (
 	// action at hit K cancels the run at window K exactly, which is how the
 	// harness pins the one-window cancel-latency bound.
 	CancelWindow
-	// MemBreach fires at every memory-budget phase-boundary check. The
-	// budget check treats a firing hit as a breach, forcing the degrade
-	// path without having to actually exhaust the heap.
-	MemBreach
 	// StreamIngest fires once per arrival batch at the head of the stream
 	// engine's ingest, before any state is touched. Arming it with a
 	// context-cancel action proves a cancelled ingest is atomic: the engine
@@ -113,8 +109,6 @@ func (p Point) String() string {
 		return "slow-producer"
 	case CancelWindow:
 		return "cancel-window"
-	case MemBreach:
-		return "mem-breach"
 	case StreamIngest:
 		return "stream-ingest"
 	case StreamSnapshot:
@@ -137,7 +131,7 @@ func (p Point) String() string {
 // Points returns every registered injection point, for docs and the
 // fault-matrix test that arms each one in turn.
 func Points() []Point {
-	return []Point{WorkerPanic, SlowProducer, CancelWindow, MemBreach, StreamIngest, StreamSnapshot, SpillWrite, SpillRead, JournalAppend, CacheStoreWrite, CacheStoreLoad}
+	return []Point{WorkerPanic, SlowProducer, CancelWindow, StreamIngest, StreamSnapshot, SpillWrite, SpillRead, JournalAppend, CacheStoreWrite, CacheStoreLoad}
 }
 
 type arming struct {

@@ -37,11 +37,11 @@ func TestArmFiresAtExactHit(t *testing.T) {
 func TestArmNilActionReportsOnly(t *testing.T) {
 	defer Reset()
 	Reset()
-	Arm(MemBreach, 1, nil)
-	if !Hit(MemBreach) {
+	Arm(SpillWrite, 1, nil)
+	if !Hit(SpillWrite) {
 		t.Fatal("first hit of armed point did not report")
 	}
-	if Hit(MemBreach) {
+	if Hit(SpillWrite) {
 		t.Fatal("second hit reported after one-shot fired")
 	}
 }

@@ -55,12 +55,13 @@ type Options struct {
 	Engine string `json:"engine,omitempty"`
 	// TimeoutMS bounds the job's run time; 0 inherits the manager default.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// MemBudgetBytes is the per-job soft live-heap growth budget; on breach
-	// at the init/sweep boundary the job first spills the pair list to disk
-	// and sweeps out of core (bitwise-identical output, still cacheable),
-	// degrading fine→coarse only if the spill itself fails (see
-	// linkclust.ClusterOptions.MemBudgetBytes). 0 inherits the manager
-	// default; negative disables the budget for this job.
+	// MemBudgetBytes is the per-job memory budget: pair-list bytes above
+	// the budget choose the spill rung, so a sweep job whose list exceeds
+	// it spills the list to disk and sweeps out of core (bitwise-identical
+	// output, still cacheable), degrading fine→coarse only if the spill
+	// itself fails (see linkclust.ClusterOptions.MemBudgetBytes). Coarse
+	// jobs ignore it. 0 inherits the manager default; negative disables the
+	// budget for this job.
 	MemBudgetBytes int64 `json:"mem_budget_bytes,omitempty"`
 }
 
@@ -89,7 +90,7 @@ func (o Options) normalize() (Options, error) {
 // count and engine are excluded — the engines are bitwise identical at any
 // worker count — and so are the timeout and memory budget, because a
 // run that degrades or is cancelled never populates the cache (only clean,
-// budget-respecting results are stored; see Manager.runJob).
+// non-degraded results are stored; see Manager.execute).
 func (o Options) resultKey(graphKey [sha256.Size]byte) [sha256.Size]byte {
 	h := sha256.New()
 	h.Write(graphKey[:])

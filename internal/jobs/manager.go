@@ -59,10 +59,11 @@ type Config struct {
 	// disables). Checked with a stop-the-world-free runtime/metrics read
 	// (obs.LiveHeapBytes) at every enqueue.
 	MemBudgetBytes int64
-	// JobMemBudgetBytes is the default per-job soft growth budget handed
-	// to the pipeline; on breach at the init/sweep boundary a sweep job
-	// first spills its pair list to disk (SpillDir) and sweeps out of
-	// core, degrading fine→coarse only if the spill fails (0 disables).
+	// JobMemBudgetBytes is the default per-job memory budget handed to the
+	// pipeline: pair-list bytes above the budget choose the spill rung, so
+	// a sweep job whose list exceeds it spills the list to disk (SpillDir)
+	// and sweeps out of core, degrading fine→coarse only if the spill fails
+	// (0 disables). Coarse jobs ignore it.
 	JobMemBudgetBytes int64
 	// SpillDir is the parent directory for out-of-core spill files: each
 	// spilled run creates one private file under it and removes it on every
@@ -384,10 +385,13 @@ func (m *Manager) checkOpen() error {
 // checkMemory is the memory-ceiling admission check, a cheap
 // runtime/metrics read.
 func (m *Manager) checkMemory() error {
-	if m.cfg.MemBudgetBytes > 0 && int64(obs.LiveHeapBytes()) > m.cfg.MemBudgetBytes {
+	if m.cfg.MemBudgetBytes <= 0 {
+		return nil
+	}
+	if live := int64(obs.LiveHeapBytes()); live > m.cfg.MemBudgetBytes {
 		m.mRejOverload.Add(1)
 		return fmt.Errorf("%w: live heap %d > budget %d bytes",
-			ErrOverloaded, obs.LiveHeapBytes(), m.cfg.MemBudgetBytes)
+			ErrOverloaded, live, m.cfg.MemBudgetBytes)
 	}
 	return nil
 }
@@ -666,22 +670,12 @@ func (m *Manager) runJob(j *Job) {
 }
 
 // execute runs the cache-aware pipeline: Phase I from the pair-list cache
-// when possible, the memory-budget spill→degrade ladder at the phase
-// boundary, then the engine selected by the job's options. Only
-// non-degraded, non-error results populate the result cache — spilled
-// results qualify because the out-of-core sweep is bitwise identical to
-// what any in-memory engine would recompute.
+// when possible, then the sweep the job's options select (see sweep for
+// the memory-budget ladder). Only non-degraded, non-error results populate
+// the result cache — spilled results qualify because the out-of-core sweep
+// is bitwise identical to what any in-memory engine would recompute.
 func (m *Manager) execute(ctx context.Context, j *Job, rec *linkclust.Recorder) (*Result, []byte, bool, error) {
 	g := j.graph
-	budgetBytes := j.Options.MemBudgetBytes
-	if budgetBytes == 0 {
-		budgetBytes = m.cfg.JobMemBudgetBytes
-	}
-	if budgetBytes < 0 {
-		budgetBytes = 0
-	}
-	budget := obs.NewMemBudget(budgetBytes)
-
 	pairsHit := false
 	var pl *linkclust.PairList
 	if cached := m.cache.getPairs(j.graphKey); cached != nil {
@@ -709,21 +703,12 @@ func (m *Manager) execute(ctx context.Context, j *Job, rec *linkclust.Recorder) 
 		m.store.savePairs(j.graphKey, pl)
 	}
 
-	// Budget breach at the phase boundary. A sweep job climbs the facade's
-	// escalation ladder (linkclust.RunSweep): the out-of-core sweep first —
-	// bitwise identical, so the result stays cacheable — and the coarse
-	// degrade only if spilling fails at the disk. Coarse jobs have nothing
-	// to spill for: a breach simply marks them degraded.
-	overBudget := budget.Exceeded()
 	var (
 		merges []core.Merge
 		res    = &Result{}
 	)
 	if j.Options.Algorithm == AlgoCoarse {
-		if overBudget {
-			rec.Add(linkclust.CtrMemBudgetDegrades, 1)
-			res.Degraded = true
-		}
+		// A coarse job has no spill rung to take, so it ignores the budget.
 		params := linkclust.DefaultCoarseParams()
 		params.Workers = j.Options.Workers
 		cres, err := linkclust.CoarseSweepCtx(ctx, g, pl, params, rec)
@@ -735,7 +720,7 @@ func (m *Manager) execute(ctx context.Context, j *Job, rec *linkclust.Recorder) 
 		res.FinalClusters = cres.FinalClusters
 		res.PairsProcessed = cres.OpsProcessed
 	} else {
-		sres, run, err := m.sweep(ctx, j, pl, rec, overBudget)
+		sres, run, err := m.sweep(ctx, j, pl, rec)
 		if err != nil {
 			return nil, nil, pairsHit, err
 		}
@@ -770,15 +755,20 @@ func (m *Manager) execute(ctx context.Context, j *Job, rec *linkclust.Recorder) 
 // sweep runs a fine-grained job's sweeping phase. In-memory jobs run
 // core.SweepResumeCtx — the windowed engine plus state capture, so output
 // stays bitwise identical — whenever the manager checkpoints or the job
-// resumes; spilled jobs and every job of a manager that does not checkpoint
-// go through linkclust.RunSweep, the facade's one engine dispatch and
-// budget ladder. A budget breach always takes the ladder.
-func (m *Manager) sweep(ctx context.Context, j *Job, pl *linkclust.PairList, rec *linkclust.Recorder, overBudget bool) (*linkclust.Result, linkclust.SweepRun, error) {
+// resumes; spilled jobs, jobs whose pair list is over the memory budget
+// (the job's own, else Config.JobMemBudgetBytes), and every job of a
+// manager that does not checkpoint go through linkclust.RunSweep, the
+// facade's one engine dispatch and budget ladder.
+func (m *Manager) sweep(ctx context.Context, j *Job, pl *linkclust.PairList, rec *linkclust.Recorder) (*linkclust.Result, linkclust.SweepRun, error) {
 	opts := linkclust.ClusterOptions{
-		Workers:  j.Options.Workers,
-		Recorder: rec,
-		Engine:   j.Options.Engine,
-		SpillDir: m.cfg.SpillDir,
+		Workers:        j.Options.Workers,
+		Recorder:       rec,
+		Engine:         j.Options.Engine,
+		MemBudgetBytes: j.Options.MemBudgetBytes,
+		SpillDir:       m.cfg.SpillDir,
+	}
+	if opts.MemBudgetBytes == 0 {
+		opts.MemBudgetBytes = m.cfg.JobMemBudgetBytes
 	}
 	engine, err := linkclust.ResolveEngine(opts.Engine)
 	if err != nil {
@@ -786,8 +776,8 @@ func (m *Manager) sweep(ctx context.Context, j *Job, pl *linkclust.PairList, rec
 	}
 	checkpointing := m.store.enabled() && m.cfg.CheckpointOps > 0
 	resumable := j.resume != nil || checkpointing && engine != linkclust.EngineSpill
-	if overBudget || !resumable {
-		return linkclust.RunSweep(ctx, j.graph, pl, opts, overBudget)
+	if opts.OverBudget(pl) || !resumable {
+		return linkclust.RunSweep(ctx, j.graph, pl, opts)
 	}
 	if j.resume != nil {
 		rec.SetMeta("resumed_from_pos", strconv.Itoa(j.resume.Pos))

@@ -329,29 +329,38 @@ func TestBadOptions(t *testing.T) {
 	}
 }
 
-// TestSpilledRunCached: the first rung of the budget ladder. A forced
-// breach on a sweep job spills the pair list to disk and completes out of
-// core; because the spilled merge stream is bitwise identical, the result
-// IS cached and serves a later in-memory resubmission verbatim.
+// pairBytes is the size of text's pair list (PairList.Bytes), the figure a
+// job's memory budget is checked against.
+func pairBytes(t *testing.T, text []byte) int64 {
+	t.Helper()
+	g, err := linkclust.ReadGraph(bytes.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return core.Similarity(g).Bytes()
+}
+
+// TestSpilledRunCached: the first rung of the budget ladder. A sweep job
+// whose pair list is one byte over its budget spills the list to disk and
+// completes out of core; because the spilled merge stream is bitwise
+// identical, the result IS cached and serves a later in-memory
+// resubmission verbatim.
 func TestSpilledRunCached(t *testing.T) {
-	defer fault.Reset()
 	m := NewManager(Config{Concurrency: 1, SpillDir: t.TempDir()})
 	defer m.Close()
 
 	text := graphText(t, 40, 7)
-	fault.Reset()
-	fault.Arm(fault.MemBreach, 1, nil) // force the budget check to report a breach
-	st, err := m.Submit(text, Options{MemBudgetBytes: 1 << 30})
+	size := pairBytes(t, text)
+	st, err := m.Submit(text, Options{MemBudgetBytes: size - 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st = waitState(t, m, st.ID)
-	fault.Reset()
 	if st.State != StateDone {
 		t.Fatalf("spilled job %s (%s)", st.State, st.Error)
 	}
 	if !st.Result.Spilled || st.Result.Degraded {
-		t.Fatalf("forced breach: spilled=%v degraded=%v, want spilled and not degraded",
+		t.Fatalf("over budget: spilled=%v degraded=%v, want spilled and not degraded",
 			st.Result.Spilled, st.Result.Degraded)
 	}
 	mt := m.Metrics()
@@ -359,9 +368,9 @@ func TestSpilledRunCached(t *testing.T) {
 		t.Fatalf("metrics spilled=%d degraded=%d, want 1/0", mt.Spilled, mt.Degraded)
 	}
 
-	// Spilled output is bitwise identical, so the resubmission without any
-	// fault must be served straight from the result cache.
-	st2, err := m.Submit(text, Options{})
+	// Spilled output is bitwise identical, so the resubmission within its
+	// budget must be served straight from the result cache.
+	st2, err := m.Submit(text, Options{MemBudgetBytes: size})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,20 +386,21 @@ func TestSpilledRunCached(t *testing.T) {
 	}
 }
 
-// TestDegradedRunNotCached: the second rung. When the breach's spill
-// attempt itself fails (injected block-write fault, the deterministic
-// ENOSPC), the job degrades fine→coarse and that result must NOT be
-// cached under the fine-sweep key: a resubmission without faults runs cold.
+// TestDegradedRunNotCached: the second rung. When an over-budget job's
+// spill attempt itself fails (injected block-write fault, the
+// deterministic ENOSPC), the job degrades fine→coarse and that result must
+// NOT be cached under the fine-sweep key: a resubmission within its budget
+// runs cold, in memory.
 func TestDegradedRunNotCached(t *testing.T) {
 	defer fault.Reset()
 	m := NewManager(Config{Concurrency: 1, SpillDir: t.TempDir()})
 	defer m.Close()
 
 	text := graphText(t, 40, 7)
+	size := pairBytes(t, text)
 	fault.Reset()
-	fault.Arm(fault.MemBreach, 1, nil)
 	fault.Arm(fault.SpillWrite, 1, nil) // first rung fails: spill write errors
-	st, err := m.Submit(text, Options{MemBudgetBytes: 1 << 30})
+	st, err := m.Submit(text, Options{MemBudgetBytes: size - 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +420,7 @@ func TestDegradedRunNotCached(t *testing.T) {
 
 	// The degraded (coarse) result must not have been cached under the
 	// fine-sweep key: a resubmission without the fault runs cold.
-	st2, err := m.Submit(text, Options{})
+	st2, err := m.Submit(text, Options{MemBudgetBytes: size})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,8 +430,46 @@ func TestDegradedRunNotCached(t *testing.T) {
 	if st2 = waitState(t, m, st2.ID); st2.State != StateDone {
 		t.Fatalf("follow-up job %s (%s)", st2.State, st2.Error)
 	}
-	if st2.Result.Degraded {
-		t.Fatal("follow-up run degraded without a fault armed")
+	if st2.Result.Degraded || st2.Result.Spilled {
+		t.Fatalf("follow-up run within its budget: degraded=%v spilled=%v, want neither",
+			st2.Result.Degraded, st2.Result.Spilled)
+	}
+}
+
+// TestCoarseJobIgnoresBudget: a coarse job has no spill rung to take, and
+// its merge stream does not depend on the budget, so a budget below its
+// pair list's size changes nothing: the job finishes, is not degraded, and
+// is cached, so a resubmit is a cache hit.
+func TestCoarseJobIgnoresBudget(t *testing.T) {
+	m := NewManager(Config{Concurrency: 1, SpillDir: t.TempDir()})
+	defer m.Close()
+
+	text := graphText(t, 400, 3)
+	opts := Options{Algorithm: AlgoCoarse, Workers: 2, MemBudgetBytes: 1}
+	st, err := m.Submit(text, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st = waitState(t, m, st.ID); st.State != StateDone {
+		t.Fatalf("coarse job %s (%s)", st.State, st.Error)
+	}
+	if st.Result.Degraded || st.Result.Spilled {
+		t.Fatalf("budgeted coarse job: degraded=%v spilled=%v, want neither",
+			st.Result.Degraded, st.Result.Spilled)
+	}
+	if mt := m.Metrics(); mt.Degraded != 0 {
+		t.Fatalf("metrics degraded=%d, want 0", mt.Degraded)
+	}
+	st2, err := m.Submit(text, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st2.Cached {
+		t.Fatal("budgeted coarse result was not cached")
+	}
+	if st2 = waitState(t, m, st2.ID); st2.Result.MergesSHA256 != st.Result.MergesSHA256 {
+		t.Fatalf("cached merge stream %s differs from the first run's %s",
+			st2.Result.MergesSHA256, st.Result.MergesSHA256)
 	}
 }
 

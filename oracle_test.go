@@ -3,7 +3,6 @@ package linkclust
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -77,24 +76,27 @@ var (
 			return res, err
 		}}
 
-	// pathBudgetReroute drives the facade ladder with a real 1-byte budget —
-	// any allocation breaches it, no fault injection involved. The run must
-	// reroute through the spilled sweep (spill counter up, degrade counter
-	// untouched) and leave the caller's spill directory empty. The budget
-	// sees Phase I's growth only once it takes fresh heap spans, which the
-	// small families' pair lists do not reliably do, so the path runs on the
-	// golden graph only.
+	// pathBudgetReroute drives the facade ladder with budgets at the pair
+	// list's size, no fault injection involved. A budget of PairList.Bytes
+	// must keep the run in memory; one byte less must reroute it through
+	// the spilled sweep (spill counter up, degrade counter untouched) to
+	// the same merge stream, leaving the caller's spill directory empty.
 	pathBudgetReroute = facadePath{name: "budget-reroute",
 		run: func(t *testing.T, g *Graph, workers int, rec *Recorder) (*Result, error) {
+			size := core.Similarity(g).Bytes()
 			dir := t.TempDir()
-			// The budget measures live-heap growth from a baseline that
-			// still counts unswept garbage; a collection during Phase I
-			// could then free more than the pair list adds. Collect first
-			// so the baseline is live data only and the retained pair list
-			// is real growth.
-			runtime.GC()
+			fitRec := NewRecorder()
+			fit, err := ClusterCtx(context.Background(), g, ClusterOptions{
+				Workers: workers, Recorder: fitRec, MemBudgetBytes: size, SpillDir: dir,
+			})
+			if err != nil {
+				return nil, err
+			}
+			if got := fitRec.Counter(CtrMemBudgetSpills) + fitRec.Counter(CtrSpillBytesWritten); got != 0 {
+				t.Fatalf("budget = list bytes T=%d: spilled (counters %d), want in memory", workers, got)
+			}
 			res, err := ClusterCtx(context.Background(), g, ClusterOptions{
-				Workers: workers, Recorder: rec, MemBudgetBytes: 1, SpillDir: dir,
+				Workers: workers, Recorder: rec, MemBudgetBytes: size - 1, SpillDir: dir,
 			})
 			if err != nil {
 				return nil, err
@@ -107,6 +109,9 @@ var (
 			}
 			if rec.Counter(CtrSpillBytesWritten) < 1 {
 				t.Fatalf("reroute T=%d: no spill bytes recorded", workers)
+			}
+			if sha(canonMerges(fit)) != sha(canonMerges(res)) {
+				t.Fatalf("reroute T=%d: spilled stream differs from the in-memory one", workers)
 			}
 			testkit.RequireEmptyDir(t, dir)
 			return res, nil
@@ -284,8 +289,8 @@ func canonNamed(rep *RunReport, names []string) string {
 // runs, so that over the suite every path clusters every family: the golden
 // selections cover every path on the golden graph and
 // TestSpilledDifferentialMatrix the two sweeps everywhere, which leaves
-// every engine name and the stream replay on the synthetic families. A new
-// path registers here.
+// every engine name, the budget reroute and the stream replay on the
+// synthetic families. A new path registers here.
 func TestClusterOracle(t *testing.T) {
-	runFacadeOracle(t, syntheticFamilies(t), cells([]int{1, 4}, append(enginePaths(), pathStream)...))
+	runFacadeOracle(t, syntheticFamilies(t), cells([]int{1, 4}, append(enginePaths(), pathBudgetReroute, pathStream)...))
 }

@@ -14,10 +14,10 @@ func TestSpilledDifferentialMatrix(t *testing.T) {
 	runFacadeOracle(t, facadeFamilies(t), cells([]int{1, 4, 8}, pathSweepInMemory, pathSweepSpilled))
 }
 
-// TestSpilledBudgetReroute drives the facade ladder with a real 1-byte
-// budget: the run must reroute through the spilled sweep, stay bitwise
-// golden at every worker count, and leave the caller's spill directory
-// empty.
+// TestSpilledBudgetReroute drives the facade ladder on the golden graph
+// with budgets at the pair list's size: a list one byte over must reroute
+// through the spilled sweep, stay bitwise golden at every worker count, and
+// leave the caller's spill directory empty.
 func TestSpilledBudgetReroute(t *testing.T) {
 	runFacadeOracle(t, goldenFamily(t), cells([]int{1, 4, 8}, pathBudgetReroute))
 }
