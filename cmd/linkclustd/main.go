@@ -72,7 +72,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		memBudget    = fs.Int64("mem-budget", 0, "reject submissions while live heap exceeds this many bytes (0 = off)")
 		jobMemBudget = fs.Int64("job-mem-budget", 0, "default per-job memory budget in bytes: pair-list bytes above it choose the spill rung, degrading fine→coarse only if the spill fails; coarse jobs ignore it (0 = off)")
 		spillDir     = fs.String("spill-dir", "", "parent directory for out-of-core spill files (default: system temp dir)")
-		cacheEntries = fs.Int("cache", 64, "entries per cache side (pair lists, results; <0 disables)")
+		cacheEntries = fs.Int("cache", 64, "in-memory entries per cache side (pair lists, results; <0 disables); with -state-dir, pair lists and results are still written to and served from disk, without bound")
 		drainWait    = fs.Duration("drain-timeout", 30*time.Second, "max time to wait for the listener to drain on shutdown")
 		stateDir     = fs.String("state-dir", "", "state directory for crash-safe persistence: job journal, durable caches, checkpoints (empty = memory-only)")
 		ckptOps      = fs.Int("checkpoint-ops", 0, "approx op-count interval between durable sweep checkpoints (0 = default 1<<20 when -state-dir is set; <0 disables)")

@@ -195,6 +195,21 @@ func (j *Job) snapshot() Status {
 	return s
 }
 
+// finishCached completes j at time at from a cached result; cacheMeta is
+// the run report's "cache" meta, naming where the result came from. The
+// report records nothing else: a cached job runs no phase.
+func (j *Job) finishCached(e *resultEntry, cacheMeta string, at time.Time) {
+	j.State, j.Cached = StateDone, true
+	j.StartedAt, j.FinishedAt = at, at
+	r := e.result
+	j.Result, j.merges = &r, e.merges
+	rec := linkclust.NewRecorder()
+	rec.SetMeta("job", j.ID)
+	rec.SetMeta("cache", cacheMeta)
+	rec.SetMeta("algorithm", string(j.Options.Algorithm))
+	j.report = rec.Report()
+}
+
 // jobID builds a debuggable id: a sequence number plus a graph-hash prefix.
 func jobID(seq int64, graphKey [sha256.Size]byte) string {
 	return "j" + strconv.FormatInt(seq, 10) + "-" + fmt.Sprintf("%x", graphKey[:4])

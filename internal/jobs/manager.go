@@ -69,8 +69,11 @@ type Config struct {
 	// spilled run creates one private file under it and removes it on every
 	// exit path. Empty means the system temp directory.
 	SpillDir string
-	// CacheEntries bounds each side of the content-addressed cache and the
-	// shared-graph registry (default 64; <0 disables caching).
+	// CacheEntries bounds, each on its own, the memory side of the pair-list
+	// and result caches, the shared-graph registry, and the raw index's graph
+	// texts and request bodies (default 64; <0 disables these memory maps).
+	// It does not bound the durable tier: with a StateDir, pair lists and
+	// results are still written to disk and served from it, without bound.
 	CacheEntries int
 	// StateDir enables crash-safe persistence: the job journal, the durable
 	// cache tier, graph blobs, and sweep checkpoints all live under it, and
@@ -141,9 +144,10 @@ type Metrics struct {
 // Manager owns the queue, the worker pool, the caches, and every job
 // record. All methods are safe for concurrent use.
 type Manager struct {
-	cfg   Config
-	cache *cache
-	store *persister // nil for memory-only managers
+	cfg     Config
+	pairs   *tier[*core.PairList] // Phase I output by graph hash
+	results *tier[*resultEntry]   // finished results by result key
+	store   *persister            // nil for memory-only managers
 
 	baseCtx context.Context
 	cancel  context.CancelFunc
@@ -156,19 +160,18 @@ type Manager struct {
 	readyFlag  atomic.Bool
 	replayDone chan struct{}
 
+	// graphs interns parsed graphs by canonical hash (see internGraph).
+	graphs lru[*linkclust.Graph]
+	// texts and bodies are the raw index (see rawEntry), split so request
+	// bodies never crowd graph texts out.
+	texts, bodies lru[rawEntry]
+
 	mu       sync.Mutex
 	draining bool
 	jobs     map[string]*Job
 	order    []string // insertion order, for bounded retention
 	idem     map[string]string
-	graphs   map[[sha256.Size]byte]*graphEntry
-	graphLRU []([sha256.Size]byte)
-	rawIndex map[[sha256.Size]byte]*rawEntry
-	// rawLRU orders rawIndex's graph-text keys ([0]) and request-body keys
-	// ([1]); each side is bounded by CacheEntries on its own, so bodies
-	// never crowd graph texts out.
-	rawLRU [2][]([sha256.Size]byte)
-	seq    int64
+	seq      int64
 
 	mSubmitted, mCompleted, mFailed, mCanceled, mDegraded, mSpilled atomic.Int64
 	mRejQueue, mRejOverload, mRejDraining, mRejRecovering           atomic.Int64
@@ -177,19 +180,15 @@ type Manager struct {
 	mReplayed, mJanitorBytes                                        atomic.Int64
 }
 
-type graphEntry struct {
-	g *linkclust.Graph
-}
-
 // rawEntry is what a request's raw bytes resolved to, so the same bytes
 // never pay the decode, the text parse and the canonical serialization
-// twice. rawIndex maps the SHA-256 of the bytes to their entry, for two
-// kinds of bytes: a graph text (its canonical key and shared parsed Graph;
-// opts is nil) and a whole request body, which also holds its normalized
-// options and result key. A byte-identical resubmission is then answered
-// from the body's hash alone — on a result-cache hit, one hash and a few
-// map lookups — and a new request over a graph text seen before (a coarse
-// job after a sweep of the same graph) skips the parse.
+// twice. The raw index maps the SHA-256 of the bytes to their entry, for
+// two kinds of bytes: a graph text (its canonical key and shared parsed
+// Graph; opts is nil) and a whole request body, which also holds its
+// normalized options and result key. A byte-identical resubmission is then
+// answered from the body's hash alone — on a result-cache hit, one hash and
+// a few map lookups — and a new request over a graph text seen before (a
+// coarse job after a sweep of the same graph) skips the parse.
 type rawEntry struct {
 	graphKey  [sha256.Size]byte
 	g         *linkclust.Graph
@@ -238,7 +237,8 @@ func NewPersistentManager(cfg Config) (*Manager, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
 		cfg:        cfg,
-		cache:      newCache(cfg.CacheEntries),
+		pairs:      newPairsTier(cfg.CacheEntries, store),
+		results:    newResultsTier(cfg.CacheEntries, store),
 		store:      store,
 		baseCtx:    ctx,
 		cancel:     cancel,
@@ -246,8 +246,9 @@ func NewPersistentManager(cfg Config) (*Manager, error) {
 		replayDone: make(chan struct{}),
 		jobs:       make(map[string]*Job),
 		idem:       make(map[string]string),
-		graphs:     make(map[[sha256.Size]byte]*graphEntry),
-		rawIndex:   make(map[[sha256.Size]byte]*rawEntry),
+		graphs:     lru[*linkclust.Graph]{max: cfg.CacheEntries},
+		texts:      lru[rawEntry]{max: cfg.CacheEntries},
+		bodies:     lru[rawEntry]{max: cfg.CacheEntries},
 	}
 	for i := 0; i < cfg.Concurrency; i++ {
 		m.wg.Add(1)
@@ -295,8 +296,8 @@ func (m *Manager) SubmitIdem(graphText []byte, opts Options, idemKey string) (St
 
 // submit is SubmitIdem for a request whose raw body hashes to *bodyKey;
 // nil means the caller has no body to remember. A body that carried no
-// idempotency key of its own is recorded in rawIndex, so submitRepeat can
-// answer its byte-identical resubmissions without decoding them.
+// idempotency key of its own is recorded in the raw index, so submitRepeat
+// can answer its byte-identical resubmissions without decoding them.
 func (m *Manager) submit(graphText []byte, opts Options, idemKey string, bodyKey *[sha256.Size]byte) (Status, error) {
 	opts, err := opts.normalize()
 	if err != nil {
@@ -323,9 +324,8 @@ func (m *Manager) submit(graphText []byte, opts Options, idemKey string, bodyKey
 		return Status{}, err
 	}
 	textKey := sha256.Sum256(graphText)
-	m.mu.Lock()
-	e, ok := m.rawIndex[textKey]
-	m.mu.Unlock()
+	e, ok := m.texts.get(textKey)
+	var canon []byte
 	if !ok {
 		g, err := linkclust.ReadGraph(bytes.NewReader(graphText))
 		if err != nil {
@@ -333,29 +333,29 @@ func (m *Manager) submit(graphText []byte, opts Options, idemKey string, bodyKey
 		}
 		// Content address: hash the *canonical* serialization, not the
 		// request bytes, so whitespace/comment variants of the same graph
-		// share cache entries and one immutable in-memory Graph.
-		var canon bytes.Buffer
-		if err := linkclust.WriteGraph(&canon, g); err != nil {
+		// share cache entries and one immutable in-memory Graph. The same
+		// bytes become the graph blob of a persistent manager.
+		var buf bytes.Buffer
+		if err := linkclust.WriteGraph(&buf, g); err != nil {
 			return Status{}, err
 		}
-		e = &rawEntry{graphKey: sha256.Sum256(canon.Bytes()), g: g}
+		canon = buf.Bytes()
+		e = rawEntry{graphKey: sha256.Sum256(canon), g: g}
 	}
 	sub := rawEntry{graphKey: e.graphKey, g: e.g, opts: &opts, resultKey: opts.resultKey(e.graphKey)}
-	return m.enqueue(sub, &textKey, bodyKey, idemKey)
+	return m.enqueue(sub, canon, &textKey, bodyKey, idemKey)
 }
 
 // submitRepeat answers a request body that hashes to bodyKey, when that
 // body was submitted before without an idempotency key, without decoding
-// it: the body's rawIndex entry holds its parsed graph, normalized options
+// it: the body's raw-index entry holds its parsed graph, normalized options
 // and result key, and the submission goes on exactly as a decoded one
 // would — admission, journal records, the result cache, the queue. ok is
 // false when the body is not indexed; the caller then decodes it and calls
 // submit.
 func (m *Manager) submitRepeat(bodyKey [sha256.Size]byte) (st Status, ok bool, err error) {
-	m.mu.Lock()
-	e, ok := m.rawIndex[bodyKey]
-	m.mu.Unlock()
-	if !ok || e.opts == nil {
+	e, ok := m.bodies.get(bodyKey)
+	if !ok {
 		return Status{}, false, nil
 	}
 	if err := m.checkOpen(); err != nil {
@@ -364,7 +364,7 @@ func (m *Manager) submitRepeat(bodyKey [sha256.Size]byte) (st Status, ok bool, e
 	if err := m.checkMemory(); err != nil {
 		return Status{}, true, err
 	}
-	st, err = m.enqueue(*e, nil, nil, "")
+	st, err = m.enqueue(e, nil, nil, nil, "")
 	return st, true, err
 }
 
@@ -397,15 +397,16 @@ func (m *Manager) checkMemory() error {
 }
 
 // enqueue creates the job for an admitted submission (sub.opts is set)
-// and either completes it from the result cache or queues it. A non-nil
-// textKey or bodyKey records the graph text or the request body the
-// submission came from in rawIndex.
-func (m *Manager) enqueue(sub rawEntry, textKey, bodyKey *[sha256.Size]byte, idemKey string) (Status, error) {
+// and either completes it from the result cache or queues it. canon is the
+// graph's canonical serialization when the caller made it (nil otherwise).
+// A non-nil textKey or bodyKey records the graph text or the request body
+// the submission came from in the raw index.
+func (m *Manager) enqueue(sub rawEntry, canon []byte, textKey, bodyKey *[sha256.Size]byte, idemKey string) (Status, error) {
 	graphKey, opts := sub.graphKey, *sub.opts
 	// Persist the canonical graph blob before the job becomes durable in the
 	// journal: replay can only re-run an interrupted job whose graph it can
 	// reload. Content-addressed, so repeats are a stat.
-	m.store.ensureGraph(graphKey, sub.g)
+	m.store.ensureGraph(graphKey, canon, sub.g)
 
 	m.mu.Lock()
 	if m.draining {
@@ -424,13 +425,15 @@ func (m *Manager) enqueue(sub rawEntry, textKey, bodyKey *[sha256.Size]byte, ide
 		resultKey:  sub.resultKey,
 		idemKey:    idemKey,
 	}
-	j.graph = m.internGraphLocked(graphKey, sub.g)
+	j.graph = m.internGraph(graphKey, sub.g)
 	sub.g = j.graph
+	// An eviction from the raw index only costs a later byte-identical
+	// submission one decode or parse.
 	if textKey != nil {
-		m.recordRawLocked(*textKey, rawEntry{graphKey: graphKey, g: j.graph})
+		m.texts.put(*textKey, rawEntry{graphKey: graphKey, g: j.graph})
 	}
 	if bodyKey != nil {
-		m.recordRawLocked(*bodyKey, sub)
+		m.bodies.put(*bodyKey, sub)
 	}
 	if idemKey != "" {
 		m.idem[idemKey] = j.ID
@@ -445,40 +448,24 @@ func (m *Manager) enqueue(sub rawEntry, textKey, bodyKey *[sha256.Size]byte, ide
 	}
 
 	// Full-result cache hit: the job completes at submission, no queue, no
-	// phases — the run report records only the hit. The durable tier backs
-	// the memory LRU: an entry evicted from memory (or written by a previous
-	// process) is promoted back on its next hit.
-	e := m.cache.getResult(j.resultKey)
-	source := "result-hit"
-	if e != nil {
-		m.mHitResult.Add(1)
-	} else if m.store != nil {
-		if res, merges, ok := m.store.loadResult(j.resultKey); ok {
-			e = &resultEntry{key: j.resultKey, result: *res, merges: merges}
-			m.cache.putResult(e)
+	// phases — the run report records only the hit. An entry evicted from
+	// memory (or written by a previous process) comes back from disk.
+	if e, src := m.results.get(j.resultKey); src != miss {
+		cacheMeta := "result-hit"
+		if src == fromDisk {
 			m.mDiskHitResult.Add(1)
-			source = "result-disk-hit"
+			cacheMeta = "result-disk-hit"
+		} else {
+			m.mHitResult.Add(1)
 		}
-	}
-	if e != nil {
-		j.State = StateDone
-		j.Cached = true
 		now := time.Now()
-		j.StartedAt, j.FinishedAt = now, now
-		r := e.result
-		j.Result = &r
-		j.merges = e.merges
-		rec := linkclust.NewRecorder()
-		rec.SetMeta("job", j.ID)
-		rec.SetMeta("cache", source)
-		rec.SetMeta("algorithm", string(opts.Algorithm))
-		j.report = rec.Report()
+		j.finishCached(e, cacheMeta, now)
 		m.retainLocked(j)
 		s := j.snapshot()
 		if m.store != nil {
 			resJSON, _ := json.Marshal(j.Result)
 			m.store.append(persist.Record{
-				Op: persist.OpDone, ID: j.ID, RKey: resultName(j.resultKey),
+				Op: persist.OpDone, ID: j.ID, RKey: m.results.name(j.resultKey),
 				Result: resJSON, AtUnixMS: now.UnixMilli(),
 			})
 		}
@@ -492,12 +479,10 @@ func (m *Manager) enqueue(sub rawEntry, textKey, bodyKey *[sha256.Size]byte, ide
 	default:
 		// The submit record is already journaled; cancel it there too so a
 		// restart does not resurrect a job the client was told was rejected.
-		if m.store != nil {
-			m.store.append(persist.Record{
-				Op: persist.OpCancel, ID: j.ID, Err: ErrQueueFull.Error(),
-				AtUnixMS: time.Now().UnixMilli(),
-			})
-		}
+		m.store.append(persist.Record{
+			Op: persist.OpCancel, ID: j.ID, Err: ErrQueueFull.Error(),
+			AtUnixMS: time.Now().UnixMilli(),
+		})
 		if idemKey != "" {
 			delete(m.idem, idemKey)
 		}
@@ -511,47 +496,17 @@ func (m *Manager) enqueue(sub rawEntry, textKey, bodyKey *[sha256.Size]byte, ide
 	return s, nil
 }
 
-// internGraphLocked deduplicates parsed graphs: concurrent jobs over the
-// same content share one immutable *Graph. The registry is bounded; an
-// evicted graph only means a later submission re-parses (jobs hold their
-// own pointer, so eviction never invalidates queued or running work).
-func (m *Manager) internGraphLocked(key [sha256.Size]byte, g *linkclust.Graph) *linkclust.Graph {
-	if e, ok := m.graphs[key]; ok {
-		return e.g
+// internGraph deduplicates parsed graphs: concurrent jobs over the same
+// content share one immutable *Graph. The registry is bounded; an evicted
+// graph only means a later submission re-parses (jobs hold their own
+// pointer, so eviction never invalidates queued or running work). Callers
+// hold m.mu, so a lookup and its insert are one step.
+func (m *Manager) internGraph(key [sha256.Size]byte, g *linkclust.Graph) *linkclust.Graph {
+	if shared, ok := m.graphs.get(key); ok {
+		return shared
 	}
-	if m.cfg.CacheEntries > 0 {
-		m.graphs[key] = &graphEntry{g: g}
-		m.graphLRU = append(m.graphLRU, key)
-		if len(m.graphLRU) > m.cfg.CacheEntries {
-			delete(m.graphs, m.graphLRU[0])
-			m.graphLRU = m.graphLRU[1:]
-		}
-	}
+	m.graphs.put(key, g)
 	return g
-}
-
-// recordRawLocked remembers what the raw bytes hashing to key resolved to.
-// Graph texts and request bodies are each bounded like the graph registry;
-// an eviction only costs a later byte-identical submission one decode or
-// parse.
-func (m *Manager) recordRawLocked(key [sha256.Size]byte, e rawEntry) {
-	if m.cfg.CacheEntries <= 0 {
-		return
-	}
-	if _, ok := m.rawIndex[key]; ok {
-		return
-	}
-	m.rawIndex[key] = &e
-	side := 0
-	if e.opts != nil {
-		side = 1
-	}
-	lru := append(m.rawLRU[side], key)
-	if len(lru) > m.cfg.CacheEntries {
-		delete(m.rawIndex, lru[0])
-		lru = lru[1:]
-	}
-	m.rawLRU[side] = lru
 }
 
 // maxJobs bounds retained job records; past it, the oldest finished job is
@@ -588,9 +543,7 @@ func (m *Manager) runJob(j *Job) {
 	j.State = StateRunning
 	j.StartedAt = time.Now()
 	m.mu.Unlock()
-	if m.store != nil {
-		m.store.append(persist.Record{Op: persist.OpStart, ID: j.ID, AtUnixMS: j.StartedAt.UnixMilli()})
-	}
+	m.store.append(persist.Record{Op: persist.OpStart, ID: j.ID, AtUnixMS: j.StartedAt.UnixMilli()})
 
 	rec := linkclust.NewRecorder()
 	rec.SetMeta("job", j.ID)
@@ -646,27 +599,28 @@ func (m *Manager) runJob(j *Job) {
 	if m.store == nil {
 		return
 	}
-	// Journal the terminal record. Two deliberate gaps: a drain-cancelled
-	// job gets no record (a redeploy's interrupted jobs must re-run on the
-	// next start), and a degraded result gets none either (degraded output
-	// is not cached, and a re-run may produce the finer result). Both replay
-	// as "interrupted" and re-run; their checkpoints are kept for resume.
+	// Journal the terminal record and drop the checkpoint. Two deliberate
+	// gaps: a drain-cancelled job gets no record (a redeploy's interrupted
+	// jobs must re-run on the next start), and a degraded result gets none
+	// either (degraded output is not cached, and a re-run may produce the
+	// finer result). Both replay as "interrupted" and re-run; their
+	// checkpoints are kept for resume.
 	at := finished.UnixMilli()
 	switch {
 	case state == StateDone && !result.Degraded:
 		resJSON, _ := json.Marshal(result)
 		m.store.append(persist.Record{
-			Op: persist.OpDone, ID: j.ID, RKey: resultName(j.resultKey),
+			Op: persist.OpDone, ID: j.ID, RKey: m.results.name(j.resultKey),
 			Result: resJSON, AtUnixMS: at,
 		})
-		m.store.removeCkpt(j.ID)
 	case state == StateFailed:
 		m.store.append(persist.Record{Op: persist.OpFail, ID: j.ID, Err: jerr, AtUnixMS: at})
-		m.store.removeCkpt(j.ID)
 	case state == StateCanceled && !m.isDraining():
 		m.store.append(persist.Record{Op: persist.OpCancel, ID: j.ID, Err: jerr, AtUnixMS: at})
-		m.store.removeCkpt(j.ID)
+	default:
+		return
 	}
+	m.store.dir.RemoveEntry(persist.EntryCkpt, j.ID)
 }
 
 // execute runs the cache-aware pipeline: Phase I from the pair-list cache
@@ -676,31 +630,24 @@ func (m *Manager) runJob(j *Job) {
 // is bitwise identical to what any in-memory engine would recompute.
 func (m *Manager) execute(ctx context.Context, j *Job, rec *linkclust.Recorder) (*Result, []byte, bool, error) {
 	g := j.graph
-	pairsHit := false
-	var pl *linkclust.PairList
-	if cached := m.cache.getPairs(j.graphKey); cached != nil {
+	pl, src := m.pairs.get(j.graphKey)
+	pairsHit := src != miss
+	switch src {
+	case fromMemory:
 		m.mHitPairs.Add(1)
-		pairsHit = true
 		rec.SetMeta("cache", "pairs-hit")
-		pl = cached
-	} else if disk := m.store.loadPairs(j.graphKey); disk != nil {
-		// Durable tier behind the memory LRU: the entry survives restarts
-		// and memory eviction; promote it so the next hit is memory-speed.
+	case fromDisk:
 		m.mDiskHitPairs.Add(1)
-		pairsHit = true
 		rec.SetMeta("cache", "pairs-disk-hit")
-		m.cache.putPairs(j.graphKey, disk)
-		pl = disk
-	} else {
+	default:
 		var err error
 		pl, err = linkclust.SimilarityCtx(ctx, g, j.Options.Workers, rec)
 		if err != nil {
 			return nil, nil, pairsHit, err
 		}
-		// Store before the sweep sorts pl in place; putPairs clones, and
-		// the durable entry serializes the same master order.
-		m.cache.putPairs(j.graphKey, pl)
-		m.store.savePairs(j.graphKey, pl)
+		// Store before the sweep sorts pl in place: the tier keeps a copy,
+		// and the durable entry serializes the same master order.
+		m.pairs.put(j.graphKey, pl)
 	}
 
 	var (
@@ -746,8 +693,7 @@ func (m *Manager) execute(ctx context.Context, j *Job, rec *linkclust.Recorder) 
 	res.MergesSHA256 = hex.EncodeToString(sum[:])
 
 	if !res.Degraded {
-		m.cache.putResult(&resultEntry{key: j.resultKey, result: *res, merges: buf.Bytes()})
-		m.store.saveResult(j.resultKey, res, buf.Bytes())
+		m.results.put(j.resultKey, &resultEntry{result: *res, merges: buf.Bytes()})
 	}
 	return res, buf.Bytes(), pairsHit, nil
 }
@@ -792,7 +738,8 @@ func (m *Manager) sweep(ctx context.Context, j *Job, pl *linkclust.PairList, rec
 			if final {
 				return // the done record supersedes it
 			}
-			if m.store.saveCkpt(j.ID, j.graphKey, &st) {
+			// Journal a checkpoint only once it is on disk.
+			if m.store.write(persist.EntryCkpt, j.ID, persist.EncodeSweepState(j.graphKey, &st)) {
 				m.store.append(persist.Record{
 					Op: persist.OpCkpt, ID: j.ID, Pos: st.Pos,
 					AtUnixMS: time.Now().UnixMilli(),
@@ -847,12 +794,11 @@ func (m *Manager) Merges(id string) ([]byte, error) {
 
 // Metrics snapshots the manager's counters and gauges.
 func (m *Manager) Metrics() Metrics {
-	pairEnts, resEnts := m.cache.stats()
 	var corrupt, writeSkips, degraded int64
 	if m.store != nil {
 		corrupt = m.store.mCorrupt.Load()
 		writeSkips = m.store.mWriteSkips.Load()
-		if m.store.isDegraded() {
+		if m.store.degraded.Load() {
 			degraded = 1
 		}
 	}
@@ -870,8 +816,8 @@ func (m *Manager) Metrics() Metrics {
 		CacheHitPairs:     m.mHitPairs.Load(),
 		Active:            m.mActive.Load(),
 		QueueDepth:        int64(len(m.queue)),
-		CachePairEntries:  int64(pairEnts),
-		CacheResultEnts:   int64(resEnts),
+		CachePairEntries:  int64(m.pairs.mem.len()),
+		CacheResultEnts:   int64(m.results.mem.len()),
 		LiveHeapBytes:     int64(obs.LiveHeapBytes()),
 
 		RejectedRecovering:    m.mRejRecovering.Load(),

@@ -674,8 +674,8 @@ func TestIdemKeysBoundedByRetention(t *testing.T) {
 	}
 }
 
-// TestRawIndexBoundsTextsAndBodiesApart: rawIndex bounds graph texts and
-// request bodies separately, so a run of distinct bodies over one graph
+// TestRawIndexBoundsTextsAndBodiesApart: the raw index bounds graph texts
+// and request bodies separately, so a run of distinct bodies over one graph
 // text never evicts the text's entry.
 func TestRawIndexBoundsTextsAndBodiesApart(t *testing.T) {
 	m := NewManager(Config{CacheEntries: 2})
@@ -687,12 +687,98 @@ func TestRawIndexBoundsTextsAndBodiesApart(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.rawIndex[sha256.Sum256(text)]; !ok {
+	if _, ok := m.texts.get(sha256.Sum256(text)); !ok {
 		t.Fatal("request bodies evicted the graph text's entry")
 	}
-	if n := len(m.rawIndex); n != 3 {
-		t.Fatalf("%d rawIndex entries, want the text's and the 2 newest bodies'", n)
+	if n := m.texts.len() + m.bodies.len(); n != 3 {
+		t.Fatalf("%d raw index entries, want the text's and the 2 newest bodies'", n)
+	}
+}
+
+// TestBoundedMapsEvictLeastRecentlyUsed fills each of the manager's five
+// bounded maps to CacheEntries with graphs A and B, uses A's entry, adds
+// graph C, and requires every map to stay at the bound with A still in it:
+// each map evicts its least recently used entry, B, not its oldest.
+func TestBoundedMapsEvictLeastRecentlyUsed(t *testing.T) {
+	// sub is one submission: its graph text, its request body's hash, and
+	// the job it made.
+	type sub struct {
+		text []byte
+		body [sha256.Size]byte
+		job  *Job
+	}
+	resubmit := func(t *testing.T, m *Manager, a sub) {
+		if st, err := m.Submit(a.text, Options{}); err != nil || !st.Cached {
+			t.Fatalf("resubmit of A = cached %v, %v; want a result-cache hit", st.Cached, err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		use  func(t *testing.T, m *Manager, a sub)
+		// held reports the map's size and whether it holds a's key (a
+		// lookup, so call it last).
+		held func(m *Manager, a sub) (int, bool)
+	}{
+		{"pairs", func(t *testing.T, m *Manager, a sub) {
+			st, err := m.Submit(a.text, Options{Algorithm: AlgoCoarse})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st = waitState(t, m, st.ID); !st.PairsHit {
+				t.Fatal("coarse job over A missed the pair-list cache")
+			}
+		}, func(m *Manager, a sub) (int, bool) {
+			_, ok := m.pairs.mem.get(a.job.graphKey)
+			return m.pairs.mem.len(), ok
+		}},
+		{"results", resubmit, func(m *Manager, a sub) (int, bool) {
+			_, ok := m.results.mem.get(a.job.resultKey)
+			return m.results.mem.len(), ok
+		}},
+		{"graphs", resubmit, func(m *Manager, a sub) (int, bool) {
+			_, ok := m.graphs.get(a.job.graphKey)
+			return m.graphs.len(), ok
+		}},
+		{"texts", resubmit, func(m *Manager, a sub) (int, bool) {
+			_, ok := m.texts.get(sha256.Sum256(a.text))
+			return m.texts.len(), ok
+		}},
+		{"bodies", func(t *testing.T, m *Manager, a sub) {
+			if st, ok, err := m.submitRepeat(a.body); !ok || err != nil || !st.Cached {
+				t.Fatalf("repeat of A's body = indexed %v, cached %v, %v", ok, st.Cached, err)
+			}
+		}, func(m *Manager, a sub) (int, bool) {
+			_, ok := m.bodies.get(a.body)
+			return m.bodies.len(), ok
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const bound = 2
+			m := NewManager(Config{Concurrency: 1, CacheEntries: bound})
+			defer m.Close()
+			submit := func(i int) sub {
+				s := sub{text: graphText(t, 40, uint64(300+i)), body: sha256.Sum256(fmt.Appendf(nil, "body-%d", i))}
+				st, err := m.submit(s.text, Options{}, "", &s.body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st = waitState(t, m, st.ID); st.State != StateDone {
+					t.Fatalf("job %d %s (%s)", i, st.State, st.Error)
+				}
+				m.mu.Lock()
+				s.job = m.jobs[st.ID]
+				m.mu.Unlock()
+				return s
+			}
+			a := submit(0)
+			for i := 1; i < bound; i++ {
+				submit(i)
+			}
+			tc.use(t, m, a)
+			submit(bound)
+			if n, ok := tc.held(m, a); n != bound || !ok {
+				t.Fatalf("after one more entry: %d entries (A's: %v), want %d with A's, the most recently used", n, ok, bound)
+			}
+		})
 	}
 }

@@ -2,13 +2,11 @@ package jobs
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -18,36 +16,26 @@ import (
 )
 
 // persister couples a Manager to an opened state directory: the job journal,
-// the durable cache tier behind the in-memory LRU, graph blobs for re-running
-// interrupted jobs, and sweep checkpoints. Every method is nil-receiver-safe
-// so the manager's hot paths stay unconditional — a memory-only manager just
-// carries a nil *persister.
+// the durable side of the pair-list and result tiers (see tier), graph blobs
+// for re-running interrupted jobs, and sweep checkpoints. Every method is
+// nil-receiver-safe so the manager's hot paths stay unconditional — a
+// memory-only manager just carries a nil *persister.
 //
 // Failure policy (see DESIGN.md §11): the write side degrades, the read side
 // treats corruption as a miss. The first journal append failure flips
 // `degraded` and the daemon runs memory-only from then on — results are still
-// computed and served, nothing new is promised durable. A failed cache-entry
-// write is skipped individually (the memory tier still has it). A corrupt
-// entry on read is counted, deleted, dropped from the manifest, and reported
-// as a miss; it is never decoded.
+// computed and served, nothing new is promised durable. A failed entry write
+// is skipped individually (the memory tier still has it). A corrupt entry on
+// read is counted, deleted, and reported as a miss; it is never decoded.
 type persister struct {
 	dir     *persist.Dir
 	journal *persist.Journal
-
-	mu       sync.Mutex // guards manifest
-	manifest *persist.Manifest
 
 	degraded atomic.Bool
 
 	mCorrupt    atomic.Int64 // entries that failed validation on read
 	mWriteSkips atomic.Int64 // entry writes skipped after a write fault
 }
-
-// Entry names inside the shared cache/ directory. Pairs are keyed by the
-// graph hash, results by the result key; the prefix keeps the two namespaces
-// disjoint even though both are SHA-256 hex.
-func pairsName(key [32]byte) string  { return "p-" + hex.EncodeToString(key[:]) }
-func resultName(key [32]byte) string { return "r-" + hex.EncodeToString(key[:]) }
 
 // openPersister opens the state directory, runs the janitor, and replays the
 // journal. The returned records are the replay input for Manager.replay.
@@ -62,8 +50,7 @@ func openPersister(stateDir string) (*persister, []persist.Record, int64, error)
 		dir.Close()
 		return nil, nil, 0, err
 	}
-	p := &persister{dir: dir, journal: journal, manifest: dir.LoadManifest()}
-	return p, records, reclaimed, nil
+	return &persister{dir: dir, journal: journal}, records, reclaimed, nil
 }
 
 func (p *persister) close() {
@@ -76,9 +63,6 @@ func (p *persister) close() {
 
 // enabled reports whether writes should still be attempted.
 func (p *persister) enabled() bool { return p != nil && !p.degraded.Load() }
-
-// isDegraded reports whether the write side gave up (journal fault).
-func (p *persister) isDegraded() bool { return p != nil && p.degraded.Load() }
 
 // append journals one record; the first failure degrades the persister to
 // memory-only (the journal's own error is already sticky, this mirrors it so
@@ -93,138 +77,35 @@ func (p *persister) append(rec persist.Record) {
 	}
 }
 
-// saveCacheEntry writes one durable cache entry and indexes it in the
-// manifest. An entry write failure is skipped (memory tier still serves); a
-// manifest save failure leaves the entry invisible, which is the documented
-// crash-window cost, not an error.
-func (p *persister) saveCacheEntry(k persist.Kind, name string, payload []byte) {
+// write atomically persists one entry (replacing any entry of that name)
+// and reports whether it is on disk; a failed write is counted and skipped.
+func (p *persister) write(k persist.Kind, name string, payload []byte) bool {
 	if !p.enabled() {
-		return
+		return false
 	}
 	if err := p.dir.WriteEntry(k, name, payload); err != nil {
 		p.mWriteSkips.Add(1)
-		return
+		return false
 	}
-	p.mu.Lock()
-	p.manifest.Entries[name] = int64(len(payload))
-	p.dir.SaveManifest(p.manifest)
-	p.mu.Unlock()
+	return true
 }
 
-// loadCacheEntry returns a manifest-indexed entry's payload, or nil on any
-// kind of miss. Corrupt entries are counted, removed, and de-indexed.
-func (p *persister) loadCacheEntry(k persist.Kind, name string) []byte {
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	_, indexed := p.manifest.Entries[name]
-	p.mu.Unlock()
-	if !indexed {
-		return nil
-	}
-	payload, err := p.dir.ReadEntry(k, name)
-	if err != nil {
-		p.dropCacheEntry(k, name, err)
-		return nil
-	}
-	return payload
-}
-
-// dropCacheEntry removes a bad entry and its manifest line.
-func (p *persister) dropCacheEntry(k persist.Kind, name string, err error) {
+// drop counts and removes an entry whose read failed validation. Any other
+// read error — a missing file above all — is a plain miss and leaves the
+// file alone.
+func (p *persister) drop(k persist.Kind, name string, err error) {
 	if errors.Is(err, persist.ErrCorrupt) {
 		p.mCorrupt.Add(1)
+		p.dir.RemoveEntry(k, name)
 	}
-	p.dir.RemoveEntry(k, name)
-	p.mu.Lock()
-	delete(p.manifest.Entries, name)
-	p.dir.SaveManifest(p.manifest)
-	p.mu.Unlock()
-}
-
-// savePairs persists a pair list (in the similarity kernel's unsorted master
-// order — the same order the memory tier stores) under the graph hash.
-func (p *persister) savePairs(graphKey [32]byte, pl *core.PairList) {
-	if !p.enabled() {
-		return
-	}
-	var buf bytes.Buffer
-	if err := core.WritePairList(&buf, pl); err != nil {
-		return
-	}
-	p.saveCacheEntry(persist.EntryPairs, pairsName(graphKey), buf.Bytes())
-}
-
-// loadPairs returns the durable pair list for graphKey, or nil on a miss.
-func (p *persister) loadPairs(graphKey [32]byte) *core.PairList {
-	payload := p.loadCacheEntry(persist.EntryPairs, pairsName(graphKey))
-	if payload == nil {
-		return nil
-	}
-	pl, err := core.ReadPairList(bytes.NewReader(payload))
-	if err != nil {
-		// CRC passed but the codec refused: a format skew, not bit rot.
-		// Same treatment — miss, drop, recompute.
-		p.dropCacheEntry(persist.EntryPairs, pairsName(graphKey), persist.ErrCorrupt)
-		return nil
-	}
-	return pl
-}
-
-// Result entry payload: a 4-byte little-endian JSON length, the Result JSON,
-// then the serialized LCMG merge document.
-func encodeResultPayload(res *Result, merges []byte) []byte {
-	rj, _ := json.Marshal(res)
-	payload := make([]byte, 4+len(rj)+len(merges))
-	binary.LittleEndian.PutUint32(payload, uint32(len(rj)))
-	copy(payload[4:], rj)
-	copy(payload[4+len(rj):], merges)
-	return payload
-}
-
-func decodeResultPayload(payload []byte) (*Result, []byte, error) {
-	if len(payload) < 4 {
-		return nil, nil, persist.ErrCorrupt
-	}
-	n := binary.LittleEndian.Uint32(payload)
-	if uint64(n) > uint64(len(payload)-4) {
-		return nil, nil, persist.ErrCorrupt
-	}
-	var res Result
-	if err := json.Unmarshal(payload[4:4+n], &res); err != nil {
-		return nil, nil, persist.ErrCorrupt
-	}
-	return &res, payload[4+n:], nil
-}
-
-// saveResult persists a finished, non-degraded result under its result key.
-func (p *persister) saveResult(resultKey [32]byte, res *Result, merges []byte) {
-	if !p.enabled() {
-		return
-	}
-	p.saveCacheEntry(persist.EntryResult, resultName(resultKey), encodeResultPayload(res, merges))
-}
-
-// loadResult returns the durable result for resultKey, or ok=false on a miss.
-func (p *persister) loadResult(resultKey [32]byte) (*Result, []byte, bool) {
-	name := resultName(resultKey)
-	payload := p.loadCacheEntry(persist.EntryResult, name)
-	if payload == nil {
-		return nil, nil, false
-	}
-	res, merges, err := decodeResultPayload(payload)
-	if err != nil {
-		p.dropCacheEntry(persist.EntryResult, name, persist.ErrCorrupt)
-		return nil, nil, false
-	}
-	return res, merges, true
 }
 
 // ensureGraph persists the canonical serialization of g under its content
-// hash (skipped if the blob already exists — content addressing makes the
-// check a stat). The blob is what lets replay re-run an interrupted job.
-func (p *persister) ensureGraph(graphKey [32]byte, g *linkclust.Graph) {
+// hash, skipped if the blob already exists (content addressing makes the
+// check a stat). canon is that serialization when the caller has it; nil
+// makes ensureGraph write it, and only for a missing blob. The blob is what
+// lets replay re-run an interrupted job.
+func (p *persister) ensureGraph(graphKey [32]byte, canon []byte, g *linkclust.Graph) {
 	if !p.enabled() {
 		return
 	}
@@ -232,23 +113,21 @@ func (p *persister) ensureGraph(graphKey [32]byte, g *linkclust.Graph) {
 	if _, err := os.Stat(p.dir.EntryPath(persist.EntryGraph, name)); err == nil {
 		return
 	}
-	var canon bytes.Buffer
-	if err := linkclust.WriteGraph(&canon, g); err != nil {
-		return
+	if canon == nil {
+		var buf bytes.Buffer
+		if err := linkclust.WriteGraph(&buf, g); err != nil {
+			return
+		}
+		canon = buf.Bytes()
 	}
-	if err := p.dir.WriteEntry(persist.EntryGraph, name, canon.Bytes()); err != nil {
-		p.mWriteSkips.Add(1)
-	}
+	p.write(persist.EntryGraph, name, canon)
 }
 
 // loadGraph reads and parses the graph blob for a hex hash.
 func (p *persister) loadGraph(shaHex string) (*linkclust.Graph, error) {
 	payload, err := p.dir.ReadEntry(persist.EntryGraph, shaHex)
 	if err != nil {
-		if errors.Is(err, persist.ErrCorrupt) {
-			p.mCorrupt.Add(1)
-			p.dir.RemoveEntry(persist.EntryGraph, shaHex)
-		}
+		p.drop(persist.EntryGraph, shaHex, err)
 		return nil, err
 	}
 	g, err := linkclust.ReadGraph(bytes.NewReader(payload))
@@ -256,20 +135,6 @@ func (p *persister) loadGraph(shaHex string) (*linkclust.Graph, error) {
 		return nil, fmt.Errorf("%w: %v", persist.ErrCorrupt, err)
 	}
 	return g, nil
-}
-
-// saveCkpt atomically replaces the job's durable sweep checkpoint and
-// reports whether it is on disk (the caller journals the ckpt record only
-// then, so a journaled checkpoint always exists).
-func (p *persister) saveCkpt(jobID string, graphKey [32]byte, st *core.SweepState) bool {
-	if !p.enabled() {
-		return false
-	}
-	if err := p.dir.WriteEntry(persist.EntryCkpt, jobID, persist.EncodeSweepState(graphKey, st)); err != nil {
-		p.mWriteSkips.Add(1)
-		return false
-	}
-	return true
 }
 
 // loadCkpt returns the job's checkpoint if it exists, validates, and is
@@ -281,28 +146,15 @@ func (p *persister) loadCkpt(jobID string, graphKey [32]byte) *core.SweepState {
 	}
 	payload, err := p.dir.ReadEntry(persist.EntryCkpt, jobID)
 	if err != nil {
-		if errors.Is(err, persist.ErrCorrupt) {
-			p.mCorrupt.Add(1)
-			p.dir.RemoveEntry(persist.EntryCkpt, jobID)
-		}
+		p.drop(persist.EntryCkpt, jobID, err)
 		return nil
 	}
 	sha, st, err := persist.DecodeSweepState(payload)
 	if err != nil || sha != graphKey {
-		p.mCorrupt.Add(1)
-		p.dir.RemoveEntry(persist.EntryCkpt, jobID)
+		p.drop(persist.EntryCkpt, jobID, persist.ErrCorrupt)
 		return nil
 	}
 	return st
-}
-
-// removeCkpt deletes the job's checkpoint once it has a journaled terminal
-// record (drain-interrupted jobs keep theirs — that is the resume path).
-func (p *persister) removeCkpt(jobID string) {
-	if p == nil {
-		return
-	}
-	p.dir.RemoveEntry(persist.EntryCkpt, jobID)
 }
 
 // --- Manager-side replay ---------------------------------------------------
@@ -353,22 +205,14 @@ func (m *Manager) replay(records []persist.Record) {
 	}
 }
 
-// serveRecovered completes j from its durable result entry, reporting whether
-// the entry existed and validated. Callers hold no locks.
+// serveRecovered completes j from the result tier, reporting whether its
+// entry existed and validated. Callers hold no locks.
 func (m *Manager) serveRecovered(j *Job, at time.Time) bool {
-	res, merges, ok := m.store.loadResult(j.resultKey)
-	if !ok {
+	e, src := m.results.get(j.resultKey)
+	if src == miss {
 		return false
 	}
-	j.State, j.Cached = StateDone, true
-	j.StartedAt, j.FinishedAt = at, at
-	j.Result, j.merges = res, merges
-	rec := linkclust.NewRecorder()
-	rec.SetMeta("job", j.ID)
-	rec.SetMeta("cache", "recovered")
-	rec.SetMeta("algorithm", string(j.Options.Algorithm))
-	j.report = rec.Report()
-	m.cache.putResult(&resultEntry{key: j.resultKey, result: *res, merges: merges})
+	j.finishCached(e, "recovered", at)
 	return true
 }
 
@@ -456,7 +300,7 @@ func (m *Manager) replayJob(id string, submit persist.Record, terminal *persist.
 			j.State = StateQueued
 			j.resume = m.store.loadCkpt(id, graphKey)
 			m.mu.Lock()
-			j.graph = m.internGraphLocked(graphKey, g)
+			j.graph = m.internGraph(graphKey, g)
 			m.mu.Unlock()
 		}
 	}

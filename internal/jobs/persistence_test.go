@@ -331,6 +331,58 @@ func TestPersistentDiskCacheTiers(t *testing.T) {
 	}
 }
 
+// TestPersistentCacheWithoutIndex restarts against a state dir whose
+// cache/manifest.json, the entry index of older builds, is gone: the
+// durable entries validate on their own, so both tiers must still serve
+// from disk. Replay promotes A's and B's results into a one-entry memory
+// tier, which leaves B's in memory, so A's resubmission and its coarse
+// run's pair list can only come from disk.
+func TestPersistentCacheWithoutIndex(t *testing.T) {
+	resetJobFaults(t)
+	dir := t.TempDir()
+	textA := graphText(t, 60, 209)
+	textB := graphText(t, 60, 210)
+
+	m1 := openPersistent(t, Config{Concurrency: 1, StateDir: dir})
+	var stA Status
+	for i, text := range [][]byte{textA, textB} {
+		st, err := m1.Submit(text, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st = waitState(t, m1, st.ID); st.State != StateDone {
+			t.Fatalf("job %d %s (%s)", i, st.State, st.Error)
+		}
+		if i == 0 {
+			stA = st
+		}
+	}
+	m1.Close()
+	if err := os.Remove(filepath.Join(dir, "cache", "manifest.json")); err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+
+	m2 := openPersistent(t, Config{Concurrency: 1, StateDir: dir, CacheEntries: 1})
+	defer m2.Close()
+	hitA, err := m2.Submit(textA, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hitA.State != StateDone || !hitA.Cached || hitA.Result.MergesSHA256 != stA.Result.MergesSHA256 {
+		t.Fatalf("resubmit of A = %s cached=%v, want done, cached, the original merges", hitA.State, hitA.Cached)
+	}
+	coarse, err := m2.Submit(textA, Options{Algorithm: AlgoCoarse})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if coarse = waitState(t, m2, coarse.ID); coarse.State != StateDone || !coarse.PairsHit {
+		t.Fatalf("coarse job over A = %s pairs hit %v (%s), want done from the durable pair list", coarse.State, coarse.PairsHit, coarse.Error)
+	}
+	if mt := m2.Metrics(); mt.DiskHitResult < 1 || mt.DiskHitPairs < 1 {
+		t.Fatalf("disk_cache_hits_result = %d, disk_cache_hits_pairs = %d; want both > 0", mt.DiskHitResult, mt.DiskHitPairs)
+	}
+}
+
 // TestPersistentPairListV1IsMiss overwrites the durable pair list a previous
 // process persisted with a well-formed, checksummed entry in the retired
 // version-1 pair-list format, which also carried every pair's
@@ -365,9 +417,13 @@ func TestPersistentPairListV1IsMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	files, err := os.ReadDir(filepath.Join(dir, "cache"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	replaced := 0
-	for name := range pd.LoadManifest().Entries {
-		if strings.HasPrefix(name, "p-") {
+	for _, f := range files {
+		if name, ok := strings.CutSuffix(f.Name(), ".lcpe"); ok && strings.HasPrefix(name, "p-") {
 			if err := pd.WriteEntry(persist.EntryPairs, name, v1); err != nil {
 				t.Fatal(err)
 			}

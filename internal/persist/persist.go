@@ -1,8 +1,9 @@
 // Package persist is the crash-safe persistence layer behind linkclustd: a
 // checksummed append-only job journal (WAL), an atomic enveloped entry store
-// for the durable cache tiers / graph blobs / sweep checkpoints, a versioned
-// cache manifest, a pid lockfile, and the startup janitor that reclaims what
-// a crashed predecessor left behind.
+// for the durable cache tiers / graph blobs / sweep checkpoints, a pid
+// lockfile, and the startup janitor that reclaims what a crashed predecessor
+// left behind. An entry that exists and validates is the entry; there is no
+// index of entries to keep in step with the files.
 //
 // Design rules, in order of importance:
 //
@@ -50,7 +51,7 @@ var (
 // these; the janitor only ever touches paths below them (plus the lockfile).
 const (
 	graphsDir = "graphs" // canonical graph text blobs, content-addressed
-	cacheDir  = "cache"  // durable pair-list / result entries + manifest
+	cacheDir  = "cache"  // durable pair-list / result entries
 	ckptDir   = "ckpt"   // latest sweep checkpoint per interrupted job
 	// SpillSubdir is the parent handed to the out-of-core sweep when a
 	// state dir is configured, so the spill file a crashed process left
@@ -122,8 +123,8 @@ func (d *Dir) Close() error {
 // Janitor removes what a crashed predecessor can leave behind — temp entry
 // files that never reached their rename, and spill files whose owning
 // process died mid-sweep — and reports the bytes reclaimed. It never
-// touches finalized entries, the journal, or the manifest: those are replay
-// and cache state, not garbage. Call it after Open (the lock guarantees no
+// touches finalized entries or the journal: those are replay and cache
+// state, not garbage. Call it after Open (the lock guarantees no
 // sibling process is mid-write) and before journal replay.
 func (d *Dir) Janitor() (reclaimed int64, err error) {
 	var firstErr error

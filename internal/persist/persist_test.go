@@ -199,37 +199,6 @@ func TestEntryLoadFault(t *testing.T) {
 	}
 }
 
-func TestManifestRoundTrip(t *testing.T) {
-	d := openDir(t)
-	if m := d.LoadManifest(); len(m.Entries) != 0 || m.Version != manifestVersion {
-		t.Fatalf("fresh manifest: %+v", m)
-	}
-	m := d.LoadManifest()
-	m.Entries["abc"] = 123
-	m.Entries["def"] = 456
-	if err := d.SaveManifest(m); err != nil {
-		t.Fatalf("SaveManifest: %v", err)
-	}
-	got := d.LoadManifest()
-	if len(got.Entries) != 2 || got.Entries["abc"] != 123 || got.Entries["def"] != 456 {
-		t.Fatalf("reloaded manifest: %+v", got)
-	}
-	// Garbage manifests degrade to empty, never error.
-	if err := os.WriteFile(d.manifestPath(), []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if m := d.LoadManifest(); len(m.Entries) != 0 {
-		t.Fatalf("corrupt manifest should load empty: %+v", m)
-	}
-	wrong, _ := json.Marshal(Manifest{Version: 99, Entries: map[string]int64{"x": 1}})
-	if err := os.WriteFile(d.manifestPath(), wrong, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if m := d.LoadManifest(); len(m.Entries) != 0 {
-		t.Fatalf("wrong-version manifest should load empty: %+v", m)
-	}
-}
-
 func TestJournalRoundTrip(t *testing.T) {
 	d := openDir(t)
 	j, recs, stats, err := d.OpenJournal()

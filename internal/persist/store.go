@@ -2,7 +2,6 @@ package persist
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -24,8 +23,10 @@ import (
 //	32      ...   payload
 //
 // The kind code in the header is validated against the kind the reader asked
-// for, so a file renamed across kinds (or a manifest pointing at the wrong
-// file) reads as corrupt rather than decoding garbage into the wrong type.
+// for, so a file renamed across kinds reads as corrupt rather than decoding
+// garbage into the wrong type. An entry that exists and validates is
+// complete — the rename that finalizes it is atomic — so no separate index
+// of entries is kept.
 const (
 	entryMagic      = "LCPE"
 	entryVersion    = 1
@@ -42,8 +43,8 @@ const (
 	EntryCkpt
 )
 
-// kindDir maps a kind to its subdirectory: cache entries share cache/ (and
-// the manifest), graph blobs and checkpoints have their own lifecycles.
+// kindDir maps a kind to its subdirectory: cache entries share cache/, graph
+// blobs and checkpoints have their own lifecycles.
 func kindDir(k Kind) string {
 	switch k {
 	case EntryGraph:
@@ -156,66 +157,4 @@ func (d *Dir) ReadEntry(k Kind, name string) ([]byte, error) {
 // RemoveEntry deletes the entry file; missing is fine.
 func (d *Dir) RemoveEntry(k Kind, name string) {
 	os.Remove(d.EntryPath(k, name))
-}
-
-// Manifest is the durable cache's index: which entries the cache tier wrote
-// completely, with their payload sizes. An entry file not named by the
-// manifest is invisible (a crash between entry rename and manifest save
-// costs one cache insert, never correctness); a manifest line whose file is
-// missing or corrupt is a miss. The manifest itself is versioned and written
-// atomically through the same temp+rename path as entries.
-type Manifest struct {
-	Version int              `json:"version"`
-	Entries map[string]int64 `json:"entries"` // entry name → payload bytes
-}
-
-const manifestVersion = 1
-
-func (d *Dir) manifestPath() string {
-	return filepath.Join(d.root, cacheDir, "manifest.json")
-}
-
-// LoadManifest reads the cache manifest. Missing, unparseable, or
-// wrong-version manifests yield an empty one — the durable cache then starts
-// cold, which is a degradation, not an error.
-func (d *Dir) LoadManifest() *Manifest {
-	m := &Manifest{Version: manifestVersion, Entries: map[string]int64{}}
-	raw, err := os.ReadFile(d.manifestPath())
-	if err != nil {
-		return m
-	}
-	var got Manifest
-	if json.Unmarshal(raw, &got) != nil || got.Version != manifestVersion || got.Entries == nil {
-		return m
-	}
-	return &got
-}
-
-// SaveManifest atomically rewrites the cache manifest.
-func (d *Dir) SaveManifest(m *Manifest) error {
-	raw, err := json.Marshal(m)
-	if err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(filepath.Join(d.root, cacheDir), "manifest-*"+tmpSuffix)
-	if err != nil {
-		return fmt.Errorf("manifest: %v: %w", err, ErrWriteFault)
-	}
-	if _, err := tmp.Write(raw); err == nil {
-		err = tmp.Sync()
-	}
-	if err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("manifest: %v: %w", err, ErrWriteFault)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("manifest: %v: %w", err, ErrWriteFault)
-	}
-	if err := os.Rename(tmp.Name(), d.manifestPath()); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("manifest: %v: %w", err, ErrWriteFault)
-	}
-	return nil
 }
