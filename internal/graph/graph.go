@@ -146,14 +146,8 @@ func (b *Builder) NumEdges() int { return len(b.us) }
 // out-of-range endpoints, self-loops, or weights that are not positive
 // finite numbers (zero, negative, NaN, ±Inf).
 func (b *Builder) AddEdge(u, v int, w float64) error {
-	if u < 0 || u >= b.n || v < 0 || v >= b.n {
-		return fmt.Errorf("graph: edge (%d,%d) outside [0,%d): %w", u, v, b.n, ErrVertexRange)
-	}
-	if u == v {
-		return fmt.Errorf("graph: edge (%d,%d): %w", u, v, ErrSelfLoop)
-	}
-	if !(w > 0) || math.IsInf(w, 1) {
-		return fmt.Errorf("graph: edge (%d,%d) weight %v (must be positive and finite): %w", u, v, w, ErrBadWeight)
+	if err := checkEdge(b.n, u, v, w); err != nil {
+		return err
 	}
 	if u > v {
 		u, v = v, u
@@ -170,17 +164,20 @@ func (b *Builder) AddEdge(u, v int, w float64) error {
 	return nil
 }
 
-// HasEdge reports whether the pair {u, v} has already been added.
-// Out-of-range endpoints simply report false.
-func (b *Builder) HasEdge(u, v int) bool {
-	if u < 0 || u >= b.n || v < 0 || v >= b.n {
-		return false
+// checkEdge is AddEdge's validation of the edge {u, v} of weight w in a
+// graph of n vertices, in its order: endpoints in range, then no self-loop,
+// then the weight.
+func checkEdge(n, u, v int, w float64) error {
+	if u < 0 || u >= n || v < 0 || v >= n {
+		return fmt.Errorf("graph: edge (%d,%d) outside [0,%d): %w", u, v, n, ErrVertexRange)
 	}
-	if u > v {
-		u, v = v, u
+	if u == v {
+		return fmt.Errorf("graph: edge (%d,%d): %w", u, v, ErrSelfLoop)
 	}
-	_, ok := b.seen[[2]int32{int32(u), int32(v)}]
-	return ok
+	if !(w > 0) || math.IsInf(w, 1) {
+		return fmt.Errorf("graph: edge (%d,%d) weight %v (must be positive and finite): %w", u, v, w, ErrBadWeight)
+	}
+	return nil
 }
 
 // MustAddEdge is AddEdge that panics on error; intended for tests and

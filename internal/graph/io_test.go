@@ -3,8 +3,11 @@ package graph
 import (
 	"bytes"
 	"errors"
+	"io"
+	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"linkclust/internal/rng"
 )
@@ -150,15 +153,100 @@ func TestReadTypedErrors(t *testing.T) {
 func TestBuilderKeepsLastWriteWins(t *testing.T) {
 	b := NewBuilder(2)
 	b.MustAddEdge(0, 1, 1)
-	if !b.HasEdge(1, 0) {
-		t.Fatal("HasEdge(1,0) = false after AddEdge(0,1)")
-	}
-	if b.HasEdge(0, 0) || b.HasEdge(-1, 5) {
-		t.Fatal("HasEdge reported a pair that was never added")
-	}
 	b.MustAddEdge(1, 0, 7)
 	g := b.Build(nil)
 	if g.NumEdges() != 1 || g.Edge(0).Weight != 7 {
 		t.Fatalf("edges = %d weight = %v, want 1 edge of weight 7", g.NumEdges(), g.Edge(0).Weight)
+	}
+}
+
+// TestReadLineCap pins the 16 MiB line cap at its boundary, with and without
+// a trailing newline and with a CR that pushes a line over, against the
+// oracle; a parse error or a repeat on an earlier line still comes first.
+func TestReadLineCap(t *testing.T) {
+	const head = "vertices 2\nedge 0 1 1\n"
+	at := "#" + strings.Repeat("x", maxLineBytes-1) // a line of exactly maxLineBytes
+	over := at + "x"
+	cases := []struct {
+		name, in string
+		ok       bool
+	}{
+		{"at cap, newline", head + at + "\n", true},
+		{"at cap, last line", head + at, true},
+		{"over cap, newline", head + over + "\n", false},
+		{"over cap, last line", head + over, false},
+		{"CR pushes over", head + at + "\r\n", false},
+		{"earlier parse error", "vertices 2\nbogus\n" + over, false},
+		{"earlier repeat", head + "edge 1 0 1\n" + over, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := Read(strings.NewReader(tc.in))
+			want, wantErr := oracleRead(strings.NewReader(tc.in))
+			if (err == nil) != tc.ok {
+				t.Fatalf("err = %v, want ok = %v", err, tc.ok)
+			}
+			if err != nil {
+				sameError(t, tc.name, err, wantErr)
+				return
+			}
+			sameGraph(t, tc.name, g, want)
+		})
+	}
+}
+
+// TestReadReportsReaderErrorFirst pins the one way Read differs from a
+// line-at-a-time reader: it reads its input whole, so an error from the
+// reader wins over a parse error earlier in the text.
+func TestReadReportsReaderErrorFirst(t *testing.T) {
+	boom := errors.New("boom")
+	r := io.MultiReader(strings.NewReader("vertices 2\nbogus\n"), iotest.ErrReader(boom))
+	_, err := Read(r)
+	if !errors.Is(err, boom) || err.Error() != "graph: read: boom" {
+		t.Fatalf("err = %v, want graph: read: boom", err)
+	}
+}
+
+// benchGraph is a graph the size of the daemon-mixed benchmark's pool graph
+// at fraction 0.1: 400 vertices and about 11.4k edges, in random order, each
+// weight printing 17 significant digits.
+func benchGraph() *Graph {
+	src := rng.New(1)
+	er := ErdosRenyi(400, 0.143, src)
+	b := NewBuilder(er.NumVertices())
+	for _, e := range er.Edges() {
+		// 'e' prints d.ddde±xx: 17 significant digits put the 'e' at 18.
+		w := src.Float64()
+		for strings.IndexByte(strconv.FormatFloat(w, 'e', -1, 64), 'e') != 18 {
+			w = src.Float64()
+		}
+		b.MustAddEdge(int(e.U), int(e.V), w)
+	}
+	return b.Build(src.Perm(er.NumEdges()))
+}
+
+func BenchmarkReadGraph(b *testing.B) {
+	var buf bytes.Buffer
+	if err := Write(&buf, benchGraph()); err != nil {
+		b.Fatal(err)
+	}
+	text := buf.Bytes()
+	b.ReportAllocs()
+	b.SetBytes(int64(len(text)))
+	for b.Loop() {
+		if _, err := Read(bytes.NewReader(text)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkWriteGraph(b *testing.B) {
+	g := benchGraph()
+	b.ReportAllocs()
+	for b.Loop() {
+		var buf bytes.Buffer
+		if err := Write(&buf, g); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -782,3 +782,46 @@ func TestBoundedMapsEvictLeastRecentlyUsed(t *testing.T) {
 		})
 	}
 }
+
+// TestParseTimesOnlyWhenParsed: a job whose submission parsed its text
+// records the parse and the canonical write in its run report; a job whose
+// text the raw index already held, and a result-cache hit, record neither.
+func TestParseTimesOnlyWhenParsed(t *testing.T) {
+	m := NewManager(Config{})
+	defer m.Close()
+	text := graphText(t, 40, 7)
+	meta := func(opts Options) map[string]string {
+		t.Helper()
+		st, err := m.Submit(text, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st = waitState(t, m, st.ID); st.State != StateDone {
+			t.Fatalf("job %s (%s)", st.State, st.Error)
+		}
+		rep, err := m.Report(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Meta
+	}
+
+	cold := meta(Options{})
+	for _, k := range []string{"submit_parse", "submit_write"} {
+		if d, err := time.ParseDuration(cold[k]); err != nil || d <= 0 {
+			t.Errorf("cold job meta %s = %q, want a positive duration", k, cold[k])
+		}
+	}
+	for name, opts := range map[string]Options{
+		"raw-index hit":    {Algorithm: AlgoCoarse},
+		"result-cache hit": {},
+	} {
+		got := meta(opts)
+		if _, ok := got["submit_parse"]; ok {
+			t.Errorf("%s: meta %v records a parse", name, got)
+		}
+		if _, ok := got["submit_write"]; ok {
+			t.Errorf("%s: meta %v records a canonical write", name, got)
+		}
+	}
+}
