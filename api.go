@@ -253,7 +253,7 @@ func SweepCtx(ctx context.Context, g *Graph, pl *PairList, rec *Recorder) (*Resu
 // in op order over one chain. An unsorted pair list is sorted in
 // place only as far as the sweep reads it: after the merges span the graph
 // the rest is retired unsorted, so pl.Pairs is left in list-L order only
-// through the closing similarity bucket (core.SweepResumeCtx has the
+// through the closing similarity bucket (core.SweepParallelCtx has the
 // details). workers is normalized exactly as in SimilarityCtx. (The paper
 // parallelizes only the coarse-grained sweep; this engine goes beyond it
 // while reproducing the serial result exactly.) Cancellation is checked at

@@ -360,9 +360,8 @@ func TestCrashAtDoneRecord(t *testing.T) {
 	text := crashGraph(t, 60, 102)
 	control := controlMerges(t, text)
 
-	// -checkpoint-ops=-1 disables checkpoint records, making journal-append
-	// ordinals exact: 1 = submit, 2 = start, 3 = done.
-	d := startDaemon(t, state, []string{"-checkpoint-ops", "-1", "-concurrency", "1"},
+	// Journal-append ordinals: 1 = submit, 2 = start, 3 = done.
+	d := startDaemon(t, state, []string{"-concurrency", "1"},
 		"LINKCLUSTD_FAULT=journal-append:3:kill")
 	d.waitReady(t)
 	code, st, err := d.submitJob(text, nil, "")
@@ -384,40 +383,34 @@ func TestCrashAtDoneRecord(t *testing.T) {
 	d2.shutdown(t)
 }
 
-// TestCrashMidCheckpointResumes arms the kill on the second checkpoint write
-// of a windowed-parallel sweep (cache-store-write ordinals: 1 = graph blob,
-// 2 = pair list, 3 = first checkpoint, 4 = second checkpoint). The restart
-// must re-enqueue the job, resume it from the deepest journaled checkpoint,
-// and still serve the control merge stream bitwise.
-func TestCrashMidCheckpointResumes(t *testing.T) {
+// TestCrashMidSweepReruns kills the daemon at the third window cut of a
+// windowed-parallel sweep, after the job's graph blob and pair list are on
+// disk and before any result is. The restart must re-enqueue the job, re-run
+// its sweep, and still serve the control merge stream bitwise.
+func TestCrashMidSweepReruns(t *testing.T) {
 	state := t.TempDir()
-	// Big enough that the sweep spans many 8192-op windows — each window
-	// boundary is a checkpoint at -checkpoint-ops=1, so the fourth cache
-	// write lands squarely mid-sweep.
+	// Big enough that the sweep spans many 8192-op windows, so the third
+	// cut lands squarely mid-sweep.
 	text := crashGraph(t, 300, 103)
 	control := controlMerges(t, text)
 
-	d := startDaemon(t, state, []string{"-checkpoint-ops", "1", "-concurrency", "1"},
-		"LINKCLUSTD_FAULT=cache-store-write:4:kill")
+	d := startDaemon(t, state, []string{"-concurrency", "1"},
+		"LINKCLUSTD_FAULT=cancel-window:3:kill")
 	d.waitReady(t)
 	code, st, err := d.submitJob(text, map[string]any{"engine": "parallel", "workers": 2}, "")
 	if err != nil || code != http.StatusAccepted {
 		t.Fatalf("submit = %d, %v", code, err)
 	}
 	if err := d.waitExit(t); err == nil {
-		t.Fatal("daemon exited cleanly, expected SIGKILL at second checkpoint write")
+		t.Fatal("daemon exited cleanly, expected SIGKILL at the third window cut")
 	}
 
-	d2 := startDaemon(t, state, []string{"-checkpoint-ops", "1", "-concurrency", "1"})
+	d2 := startDaemon(t, state, []string{"-concurrency", "1"})
 	d2.waitReady(t)
 	d2.pollDone(t, st.ID)
-	requireSameMerges(t, d2.merges(t, st.ID), control, "resumed sweep")
-	m := d2.metrics(t)
-	if m["jobs_recovered"] < 1 {
+	requireSameMerges(t, d2.merges(t, st.ID), control, "re-run sweep")
+	if m := d2.metrics(t); m["jobs_recovered"] < 1 {
 		t.Errorf("jobs_recovered = %d, want >= 1", m["jobs_recovered"])
-	}
-	if m["jobs_resumed_from_checkpoint"] < 1 {
-		t.Errorf("jobs_resumed_from_checkpoint = %d, want >= 1", m["jobs_resumed_from_checkpoint"])
 	}
 	assertNoTemps(t, state)
 	d2.shutdown(t)
@@ -432,7 +425,7 @@ func TestKillMidDrain(t *testing.T) {
 	text := crashGraph(t, 300, 104)
 	control := controlMerges(t, text)
 
-	d := startDaemon(t, state, []string{"-checkpoint-ops", "1", "-concurrency", "1"})
+	d := startDaemon(t, state, []string{"-concurrency", "1"})
 	d.waitReady(t)
 	code, st, err := d.submitJob(text, map[string]any{"engine": "parallel", "workers": 2}, "")
 	if err != nil || code != http.StatusAccepted {

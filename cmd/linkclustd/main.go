@@ -18,11 +18,10 @@
 //	                        and again while draining)
 //
 // With -state-dir the daemon is crash-safe: submissions are journaled,
-// caches get a durable on-disk tier, long sweeps checkpoint, and a restart
-// against the same directory replays the journal — completed results are
-// re-served under their original job ids, interrupted jobs re-run (resuming
-// from their deepest checkpoint) and produce bitwise-identical merge
-// streams. See DESIGN.md §11.
+// caches get a durable on-disk tier, and a restart against the same
+// directory replays the journal — completed results are re-served under
+// their original job ids, interrupted jobs re-run their sweep and produce
+// bitwise-identical merge streams. See DESIGN.md §11.
 //
 // SIGTERM or SIGINT drains gracefully: the listener stops accepting, new
 // submissions get 503, in-flight jobs are cancelled through their contexts,
@@ -74,8 +73,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		spillDir     = fs.String("spill-dir", "", "parent directory for out-of-core spill files (default: system temp dir)")
 		cacheEntries = fs.Int("cache", 64, "in-memory entries per cache side (pair lists, results; <0 disables); with -state-dir, pair lists and results are still written to and served from disk, without bound")
 		drainWait    = fs.Duration("drain-timeout", 30*time.Second, "max time to wait for the listener to drain on shutdown")
-		stateDir     = fs.String("state-dir", "", "state directory for crash-safe persistence: job journal, durable caches, checkpoints (empty = memory-only)")
-		ckptOps      = fs.Int("checkpoint-ops", 0, "approx op-count interval between durable sweep checkpoints (0 = default 1<<20 when -state-dir is set; <0 disables)")
+		stateDir     = fs.String("state-dir", "", "state directory for crash-safe persistence: job journal, durable caches, graph blobs (empty = memory-only)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -93,7 +91,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		SpillDir:          *spillDir,
 		CacheEntries:      *cacheEntries,
 		StateDir:          *stateDir,
-		CheckpointOps:     *ckptOps,
 	})
 	if err != nil {
 		return err

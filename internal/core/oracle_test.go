@@ -62,20 +62,6 @@ func requireIdenticalSweep(t *testing.T, label string, got, want *Result) {
 	}
 }
 
-// requireIdenticalChainState extends requireIdenticalSweep to the raw chain
-// array and its rewrite counter — the resume contract is bitwise state
-// equality, not just equal output.
-func requireIdenticalChainState(t *testing.T, label string, got, want *Result) {
-	t.Helper()
-	requireIdenticalSweep(t, label, got, want)
-	if !slices.Equal(got.Chain.c, want.Chain.c) {
-		t.Fatalf("%s: chain array differs", label)
-	}
-	if got.Chain.Changes() != want.Chain.Changes() {
-		t.Fatalf("%s: %d chain rewrites, want %d", label, got.Chain.Changes(), want.Chain.Changes())
-	}
-}
-
 // sweepPath is one way of running the sweep. sweep owns pl, a fresh copy of
 // the family's list, and records into rec; it may check
 // what only its path promises (a consumed list, an empty spill directory)
@@ -96,7 +82,7 @@ var (
 		}}
 
 	// pathFrontier feeds the engine bucket by bucket, each sorted only when
-	// it is reached — the contract SweepResumeCtx relies on — and requires
+	// it is reached — the contract SweepParallelCtx relies on — and requires
 	// the engine's buffer to end in list-L order.
 	pathFrontier = sweepPath{name: "frontier",
 		sweep: func(t *testing.T, g *graph.Graph, pl *PairList, workers int, rec *obs.Recorder) (*Result, error) {
@@ -108,7 +94,7 @@ var (
 		}}
 
 	// pathFrontierLazy is pathFrontier with the closure rule of
-	// SweepResumeCtx: once the engine closes, buckets are fed unsorted.
+	// SweepParallelCtx: once the engine closes, buckets are fed unsorted.
 	pathFrontierLazy = sweepPath{name: "frontier-lazy", sorts: true,
 		sweep: func(t *testing.T, g *graph.Graph, pl *PairList, workers int, rec *obs.Recorder) (*Result, error) {
 			res, _, err := frontierFed(g, pl, workers, true, rec)
@@ -144,47 +130,10 @@ var (
 			}
 			return res, nil
 		}}
-
-	// pathResumed runs a checkpointing sweep, which must reach the exact
-	// chain state of a run that saves nothing, and resumes a fresh engine
-	// from every checkpoint it saved — over the same list and over a fresh
-	// unsorted one, at worker counts 1 + i%8 — and requires every resumed
-	// run to reach that state too. The checkpointing run is the cell's
-	// result.
-	pathResumed = sweepPath{name: "resumed", sorts: true,
-		sweep: func(t *testing.T, g *graph.Graph, pl *PairList, workers int, rec *obs.Recorder) (*Result, error) {
-			plain, plainErr := SweepParallelCtx(context.Background(), g,
-				&PairList{Pairs: slices.Clone(pl.Pairs), sorted: pl.sorted}, workers, nil)
-			var ckpts []SweepState
-			full, err := SweepResumeCtx(context.Background(), g, pl, nil, workers, 2048,
-				func(s SweepState, _ bool) { ckpts = append(ckpts, s) }, rec)
-			if err != nil {
-				return full, err
-			}
-			if plainErr != nil {
-				t.Fatalf("T=%d: checkpointing run succeeded where a plain run failed: %v", workers, plainErr)
-			}
-			requireIdenticalChainState(t, fmt.Sprintf("T=%d checkpointing run vs plain run", workers), full, plain)
-			for ci := range ckpts {
-				rw := 1 + ci%8
-				// The daemon resumes over a fresh, unsorted copy of the
-				// cached list, which the resume sorts only through the
-				// checkpoint and then as far as it reads.
-				for _, src := range []*PairList{pl, Similarity(g)} {
-					res, err := SweepResumeCtx(context.Background(), g, src, &ckpts[ci], rw, 0, nil, nil)
-					if err != nil {
-						t.Fatalf("resume from pos %d T=%d: %v", ckpts[ci].Pos, rw, err)
-					}
-					requireIdenticalChainState(t,
-						fmt.Sprintf("T=%d run, resumed from pos %d at T=%d", workers, ckpts[ci].Pos, rw), res, full)
-				}
-			}
-			return full, nil
-		}}
 )
 
 // frontierFed drives the windowed engine through consume in frontier
-// increments, the way SweepResumeCtx feeds it: the pairs of pl are placed in
+// increments, the way SweepParallelCtx feeds it: the pairs of pl are placed in
 // their similarity buckets, each bucket is sorted in turn (with lazy, only
 // until the engine closes), and its end is handed to the engine as the new
 // frontier. A pl already marked sorted skips the partition and is fed one
@@ -405,8 +354,7 @@ func checkCell(t *testing.T, label string, p sweepPath, ref oracleRef, res *Resu
 // so that over the suite every path sweeps every family: the presorted path
 // everywhere, and on the random and foreign families what the in-memory,
 // frontier, lazy and spilled selections leave out, at one worker and at
-// four; and the resumed path everywhere from a four-worker run (its resumes
-// run at 1..8 workers). A new path registers here, on every family; a
+// four. A new path registers here, on every family; a
 // selection that takes over cells drops them here.
 func TestSweepOracle(t *testing.T) {
 	unselected := map[string][]sweepPath{
@@ -422,9 +370,7 @@ func TestSweepOracle(t *testing.T) {
 		paths := append(unselected[f.name], pathPresorted)
 		delete(unselected, f.name)
 		t.Run(f.name, func(t *testing.T) {
-			ref := oracleReference(t, f)
-			runCells(t, f, ref, []int{1, 4}, paths...)
-			runCells(t, f, ref, []int{4}, pathResumed)
+			runCells(t, f, oracleReference(t, f), []int{1, 4}, paths...)
 		})
 	}
 	if len(unselected) > 0 {

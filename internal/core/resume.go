@@ -1,204 +1,18 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"linkclust/internal/graph"
-	"linkclust/internal/obs"
-	"linkclust/internal/par"
 )
 
 // This file exports the replay surface the incremental engine in
-// internal/stream builds on: a checkpointable sweep (SweepResumeCtx over
-// SweepState), the per-row similarity kernel (RowKernel), and the pair-list
-// order primitives (CmpPairs, NewSortedPairList, VertexNorms). Everything
-// here reuses the existing engines verbatim — the exports add state capture
-// and single-row entry points, never new algorithmic paths — so outputs stay
-// bitwise identical to the batch pipeline by construction.
-
-// SweepState is a resumable checkpoint of the fine-grained sweep engine: the
-// full engine state after the window ending at pair index Pos. Replaying the
-// sorted pair list from Pos on a state-restored engine produces — bitwise —
-// the merge stream, chain array, and counters of a from-scratch run, because
-// the engine's entire behavior beyond Pos is a function of exactly the fields
-// captured here plus the pairs at and above Pos (see SweepResumeCtx).
-//
-// A SweepState is immutable once captured: Chain and Merges are deep copies,
-// and resuming copies them again, so one checkpoint can seed any number of
-// replays.
-type SweepState struct {
-	// Pos is the pair index the engine stopped at. It is always a window
-	// boundary: pairs below Pos are fully processed, pairs at and above it
-	// untouched.
-	Pos int
-	// Chain is a deep copy of array C over edge ids.
-	Chain []int32
-	// Changes is the chain's rewrite counter at the checkpoint.
-	Changes int64
-	// Merges is a deep copy of the merge stream emitted so far.
-	Merges []Merge
-	// Levels and PairsProcessed mirror the Result fields at the checkpoint.
-	Levels         int32
-	PairsProcessed int64
-	// OpsSinceFlatten is the periodic-flatten accumulator; carrying it keeps
-	// the flatten schedule (and hence the rewrite counter) of a resumed run
-	// identical to an uninterrupted one.
-	OpsSinceFlatten int64
-}
-
-// captureState deep-copies the engine's resumable state at its current
-// window boundary. A closed engine's boundary is the closing window's end:
-// the ops retired past it change nothing but PairsProcessed, which is
-// therefore captured without them.
-func captureState(e *sweepEngine) SweepState {
-	return SweepState{
-		Pos:             e.wp,
-		Chain:           append([]int32(nil), e.ch.c...),
-		Changes:         e.ch.changes,
-		Merges:          append([]Merge(nil), e.res.Merges...),
-		Levels:          e.res.Levels,
-		PairsProcessed:  e.res.PairsProcessed - e.tailOps,
-		OpsSinceFlatten: e.opsSinceFlatten,
-	}
-}
-
-// SweepResumeCtx runs the fine-grained sweep over a pair list, optionally
-// starting from a checkpoint and optionally emitting new checkpoints as it
-// goes.
-//
-// With from == nil and save == nil it is SweepParallelCtx. With a non-nil
-// from — captured by an earlier SweepResumeCtx over a pair list whose entries
-// below from.Pos were identical in list-L order — it restores the engine to
-// the checkpoint and replays only pairs at and above from.Pos. The resumed
-// run's output is bitwise identical to a from-scratch run over the current
-// list: the engine's window cutter is a greedy pure function of op counts
-// over the sorted order, so with an identical prefix every boundary below
-// Pos recurs, and the engine's state at a boundary is exactly (chain,
-// merges, counters, opsSinceFlatten) — all restored here. Nothing else
-// carries across a window boundary: the survivor buffers are refilled by
-// every window's resolution.
-//
-// When save is non-nil it receives a checkpoint at every window boundary
-// reached after at least saveEvery operations since the last one (saveEvery
-// <= 0 disables intermediate checkpoints), plus a final checkpoint, flagged
-// final, after the last window. The engine closes once its merges span the
-// op graph (see closeIfSpanned), so no checkpoint is captured past the
-// closing window: the final one sits at the closing window's end, or at
-// len(pl.Pairs) for a list that never closes. Because the closing point is a
-// function of the merges alone, a resume from it against a grown graph cuts
-// exactly the windows of a from-scratch run. Checkpoints are deep copies;
-// save may retain them.
-//
-// A list flagged sorted (see NewSortedPairList) is swept as it is. Any other
-// list is sorted in place only as far as the sweep reads it, through a
-// SortCursor: each similarity bucket is sorted when the sweep reaches it,
-// and sorting stops at the closing window's bucket. Afterwards pl.Pairs is
-// a permutation whose prefix through that bucket is in list-L order and
-// whose rest is in no particular order; pl.Sorted() is false unless the
-// sweep sorted the last bucket. Window cuts, merges, Levels and checkpoint
-// positions are those of a full sort. The unsorted rest is retired by the
-// order-free closure pass, which sums its counts N. Before a resume the
-// list is sorted through from.Pos.
-//
-// Cancellation and panic isolation match SweepParallelCtx: the context is
-// polled at every window cut and inside every bucket sort, and on error the
-// partial result is discarded (checkpoints already delivered to save remain
-// valid — they describe prefixes that were fully processed).
-func SweepResumeCtx(ctx context.Context, g *graph.Graph, pl *PairList, from *SweepState, workers, saveEvery int, save func(st SweepState, final bool), rec *obs.Recorder) (res *Result, err error) {
-	defer par.RecoverPanicError(&err)
-	workers = par.Normalize(workers)
-	end := rec.Phase("sweep")
-	defer end()
-	endSort := rec.Phase("sort")
-	cur, err := NewSortCursor(ctx, pl, workers)
-	endSort()
-	if err != nil {
-		return nil, err
-	}
-	endMerge := rec.Phase("merge")
-	defer func() { endMerge() }()
-	// Bucket sorts interleave with the merges; keep their time under "sort".
-	sortTo := func(i int) error {
-		endMerge()
-		endSort := rec.Phase("sort")
-		err := cur.SortTo(i)
-		endSort()
-		endMerge = rec.Phase("merge")
-		return err
-	}
-
-	n := len(pl.Pairs)
-	e := &sweepEngine{g: g, pl: pl, workers: workers, ctx: ctx}
-	if !pl.sorted {
-		e.cur = cur
-	}
-	e.init()
-	pos := 0
-	if from != nil {
-		if from.Pos < 0 || from.Pos > n {
-			return nil, fmt.Errorf("core: sweep checkpoint position %d outside pair list of %d", from.Pos, n)
-		}
-		if len(from.Chain) != g.NumEdges() {
-			return nil, fmt.Errorf("core: sweep checkpoint chain has %d entries, graph has %d edges", len(from.Chain), g.NumEdges())
-		}
-		if err := sortTo(from.Pos - 1); err != nil {
-			return nil, err
-		}
-		copy(e.ch.c, from.Chain)
-		e.ch.changes = from.Changes
-		e.res.Merges = append(e.res.Merges, from.Merges...)
-		e.res.Levels = from.Levels
-		e.res.PairsProcessed = from.PairsProcessed
-		e.opsSinceFlatten = from.OpsSinceFlatten
-		e.wp, e.wq = from.Pos, from.Pos
-		pos = from.Pos
-	}
-
-	// Feed the list in frontier increments, each capped at the sorted
-	// prefix and, when checkpointing, at ~saveEvery operations. consume's
-	// window cutter makes increment boundaries invisible to the output, and
-	// a checkpoint is offered only after a full saveEvery increment, so
-	// neither the bucket sizes nor the cap moves a window or a checkpoint.
-	checkpointing := save != nil && saveEvery > 0
-	lastSaved, next, ops := pos, pos, 0
-	e.closeIfSpanned()
-	for next < n && !e.closed {
-		if next >= cur.Sorted() {
-			if err := sortTo(next); err != nil {
-				return nil, err
-			}
-		}
-		lim := cur.Sorted()
-		if !checkpointing {
-			next = lim
-		}
-		for next < lim && ops < saveEvery {
-			ops += int(pl.Pairs[next].N)
-			next++
-		}
-		if err := e.consume(next, next == n); err != nil {
-			return nil, err
-		}
-		if checkpointing && (ops >= saveEvery || next == n) {
-			ops = 0
-			if !e.closed && e.wp > lastSaved && e.wp < n {
-				save(captureState(e), false)
-				lastSaved = e.wp
-			}
-		}
-	}
-	// Retire a closed run's tail — sorted or not — in one pass (and, for an
-	// empty replay range, still run the final cut); a no-op otherwise.
-	if err := e.consume(n, true); err != nil {
-		return nil, err
-	}
-	if save != nil {
-		save(captureState(e), true)
-	}
-	recordSweepEngine(rec, e)
-	return e.res, nil
-}
+// internal/stream builds on: the per-row similarity kernel (RowKernel and
+// PairsTouching) and the pair-list order primitives (CmpPairs,
+// NewSortedPairList, VertexNorms). Everything here reuses the existing
+// kernels verbatim — the exports add single-row entry points, never new
+// algorithmic paths — so outputs stay bitwise identical to the batch
+// pipeline by construction.
 
 // NewSortedPairList wraps pairs that are already in list-L order (CmpPairs
 // ascending) into a PairList with its sorted flag set, so sweeps trust the

@@ -54,7 +54,7 @@ func Sweep(g *graph.Graph, pl *PairList) (*Result, error) {
 // operations — the same window granularity as the parallel engines, so all
 // sweeps share the one-window cancel-latency bound — and a panic inside the
 // sort comparator surfaces as a *par.WorkerPanicError instead of crashing
-// the process. Each checkpoint is also a fault.CancelWindow injection hit.
+// the process. Each context check is also a fault.CancelWindow injection hit.
 // On error the pair list may be left partially sorted (its sorted flag stays
 // accurate) and the partial Result is discarded.
 func SweepCtx(ctx context.Context, g *graph.Graph, pl *PairList, rec *obs.Recorder) (res *Result, err error) {

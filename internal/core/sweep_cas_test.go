@@ -13,7 +13,7 @@ import "testing"
 // (oracle_test.go), whose cell check includes the counters.
 
 // TestSweepCASDifferential runs every shared family at every worker count
-// 1..8 through the lazy frontier feed, SweepResumeCtx's closure rule: once
+// 1..8 through the lazy frontier feed, SweepParallelCtx's closure rule: once
 // the engine closes, the drain reads buckets no one sorted. Window cuts,
 // drops, flattens and chain writes depend on op counts only, so every
 // invariant counter must equal the in-memory single-worker run's.

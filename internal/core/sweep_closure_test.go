@@ -45,29 +45,39 @@ func closureUnion(isolated int) *graph.Graph {
 	return b.Build(nil)
 }
 
-// closedAt runs a checkpointing sweep and returns the final checkpoint's
-// position: the end of the window whose merges closed the spanning forest.
+// closedAt returns the end of the window whose merges closed the spanning
+// forest, as an index into the sorted list: the p at which the counts N of
+// pairs[:p] sum to K2 minus the ops the engine retired after closing.
 func closedAt(t *testing.T, g *graph.Graph) int {
 	t.Helper()
-	var final SweepState
-	if _, err := SweepResumeCtx(context.Background(), g, Similarity(g), nil, 2, 0,
-		func(s SweepState, last bool) {
-			if last {
-				final = s
-			}
-		}, nil); err != nil {
+	rec := obs.New()
+	res, err := SweepParallelCtx(context.Background(), g, Similarity(g), 2, rec)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return final.Pos
+	pl := Similarity(g)
+	pl.Sort()
+	want := res.PairsProcessed - rec.Counter(CtrSweepTailOps)
+	var ops int64
+	for p, pair := range pl.Pairs {
+		if ops == want {
+			return p
+		}
+		ops += int64(pair.N)
+	}
+	if ops != want {
+		t.Fatalf("no pair boundary carries %d of %d ops", want, ops)
+	}
+	return len(pl.Pairs)
 }
 
 // TestSweepForestClosure pins the engine's early close: once its merges
 // span the op graph it retires the rest of the list by counting its ops.
-// Every engine path — T ∈ {1, 2, 4, 8}, spilled, frontier-fed one pair at a
-// time, and resumed from every checkpoint — must still equal serial Sweep
-// bitwise, with worker-invariant closure counters (the oracle's cell check,
-// oracle_test.go), on graphs whose forest closes early, closes on entry (no
-// forest edge at all), or is empty.
+// Every engine path — T ∈ {1, 2, 4, 8}, spilled, and frontier-fed one pair
+// at a time — must still equal serial Sweep bitwise, with worker-invariant
+// closure counters (the oracle's cell check, oracle_test.go), on graphs
+// whose forest closes early, closes on entry (no forest edge at all), or is
+// empty.
 func TestSweepForestClosure(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"union":        closureUnion(8),
@@ -95,13 +105,12 @@ func TestSweepForestClosure(t *testing.T) {
 			}
 			runCells(t, f, ref, []int{1, 2, 4, 8}, pathInMemory)
 			runCells(t, f, ref, []int{1, 4}, pathSpilled)
-			runCells(t, f, ref, []int{2}, pathResumed)
 			// From a list that arrives sorted: frontier-fed one pair at a
-			// time, and checkpointed and resumed.
+			// time.
 			sorted := Similarity(g)
 			sorted.Sort()
 			fs := oracleFamily{name: name, g: g, pl: sorted}
-			runCells(t, fs, oracleReference(t, fs), []int{2}, pathPresorted, pathResumed)
+			runCells(t, fs, oracleReference(t, fs), []int{2}, pathPresorted)
 		})
 	}
 }

@@ -3,7 +3,7 @@ package core
 import "testing"
 
 // The differentials of the engine's pipelined (frontier-fed) consumption,
-// the contract SweepResumeCtx relies on, as selections of the oracle's
+// the contract SweepParallelCtx relies on, as selections of the oracle's
 // frontier cells (oracle_test.go).
 
 // TestSweepPipelinedDifferential: on every graph family and every worker

@@ -87,7 +87,7 @@ const (
 // survivors are then replayed one at a time in serial op order by drain,
 // which with the periodic flatten is the chain's only writer. An unsorted
 // pair list is sorted in place only as far as the sweep reads it (see
-// SweepResumeCtx).
+// SweepParallelCtx).
 //
 // The result is exact, not just dendrogram-equivalent: the merge stream
 // (Level, A, B, Into, Sim per event, in order) is bitwise identical to the
@@ -125,9 +125,64 @@ func SweepParallel(g *graph.Graph, pl *PairList, workers int) (*Result, error) {
 // ctx.Err() is returned, so no goroutine outlives the call. A panic inside a worker surfaces as a
 // *par.WorkerPanicError. The checks are pure reads — when ctx
 // never cancels, the merge stream is bitwise identical to the serial Sweep.
-// It is SweepResumeCtx without a checkpoint to start from or to save.
-func SweepParallelCtx(ctx context.Context, g *graph.Graph, pl *PairList, workers int, rec *obs.Recorder) (*Result, error) {
-	return SweepResumeCtx(ctx, g, pl, nil, workers, 0, nil, rec)
+//
+// A list flagged sorted (see NewSortedPairList) is swept as it is. Any other
+// list is sorted in place only as far as the sweep reads it, through a
+// SortCursor: each similarity bucket is sorted when the sweep reaches it,
+// and sorting stops at the closing window's bucket. Afterwards pl.Pairs is
+// a permutation whose prefix through that bucket is in list-L order and
+// whose rest is in no particular order; pl.Sorted() is false unless the
+// sweep sorted the last bucket. Window cuts, merges and Levels are those of
+// a full sort. The unsorted rest is retired by the order-free closure pass,
+// which sums its counts N.
+func SweepParallelCtx(ctx context.Context, g *graph.Graph, pl *PairList, workers int, rec *obs.Recorder) (res *Result, err error) {
+	defer par.RecoverPanicError(&err)
+	workers = par.Normalize(workers)
+	end := rec.Phase("sweep")
+	defer end()
+	endSort := rec.Phase("sort")
+	cur, err := NewSortCursor(ctx, pl, workers)
+	endSort()
+	if err != nil {
+		return nil, err
+	}
+	endMerge := rec.Phase("merge")
+	defer func() { endMerge() }()
+
+	n := len(pl.Pairs)
+	e := &sweepEngine{g: g, pl: pl, workers: workers, ctx: ctx}
+	if !pl.sorted {
+		e.cur = cur
+	}
+	e.init()
+	// Feed the list in frontier increments, each the sorted prefix so far;
+	// consume's window cutter makes increment boundaries invisible to the
+	// output. Bucket sorts interleave with the merges; their time stays
+	// under "sort".
+	e.closeIfSpanned()
+	for next := 0; next < n && !e.closed; {
+		if next >= cur.Sorted() {
+			endMerge()
+			endSort := rec.Phase("sort")
+			err = cur.SortTo(next)
+			endSort()
+			endMerge = rec.Phase("merge")
+			if err != nil {
+				return nil, err
+			}
+		}
+		next = cur.Sorted()
+		if err := e.consume(next, next == n); err != nil {
+			return nil, err
+		}
+	}
+	// Retire a closed run's tail — sorted or not — in one pass; a no-op
+	// otherwise.
+	if err := e.consume(n, true); err != nil {
+		return nil, err
+	}
+	recordSweepEngine(rec, e)
+	return e.res, nil
 }
 
 // recordSweepEngine records the counters shared by every engine-backed
@@ -277,12 +332,12 @@ func forestSize(g *graph.Graph) int32 {
 // exactly the merge stream) of a single whole-list call.
 //
 // Pairs below the frontier must be in their final sorted positions, or the
-// engine is closed, and must not change afterwards; SweepResumeCtx
+// engine is closed, and must not change afterwards; SweepParallelCtx
 // guarantees this by never advancing the frontier past the sort cursor's
 // sorted prefix before closure.
 //
 // Closure is checked at every window boundary (and on entry, which covers a
-// forest of size zero and a restored checkpoint that had already closed).
+// forest of size zero).
 // The closing point depends only on the merges, so it is the same for any
 // worker count and any frontier sequence; past it consume hands the pairs
 // to retire.

@@ -87,8 +87,8 @@ const (
 	// is the kill-and-restart harness's "crash at journal append" point.
 	JournalAppend
 	// CacheStoreWrite fires in the persistence layer's entry store, once
-	// per entry write (durable cache entries, checkpoints, graph blobs),
-	// before the temp file is created. A firing hit fails the write with
+	// per entry write (durable cache entries, graph blobs), before the temp
+	// file is created. A firing hit fails the write with
 	// the store's typed error; callers treat a failed store as a skipped
 	// write (memory-only), never as job failure.
 	CacheStoreWrite

@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"linkclust"
-	"linkclust/internal/core"
 )
 
 // Algorithm selects the sweeping phase of a job.
@@ -153,9 +152,6 @@ type Job struct {
 	idemKey   string           // the client idempotency key, dropped with the record
 	report    *linkclust.RunReport
 	merges    []byte // serialized LCMG document
-	// resume is the durable sweep checkpoint an interrupted job restarts
-	// from (set only by journal replay; nil means run from scratch).
-	resume *core.SweepState
 
 	// submitParse and submitWrite are how long its submission's parse and
 	// canonical write took; zero when the submission parsed nothing.

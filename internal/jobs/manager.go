@@ -76,18 +76,12 @@ type Config struct {
 	// results are still written to disk and served from it, without bound.
 	CacheEntries int
 	// StateDir enables crash-safe persistence: the job journal, the durable
-	// cache tier, graph blobs, and sweep checkpoints all live under it, and
-	// startup replays the journal (re-serving completed results, re-running
-	// interrupted jobs). Empty disables persistence entirely. Only
-	// NewPersistentManager honors it; see that constructor for the error
+	// cache tier and graph blobs all live under it, and startup replays the
+	// journal (re-serving completed results, re-running interrupted jobs
+	// from the start of their sweep). Empty disables persistence entirely.
+	// Only NewPersistentManager honors it; see that constructor for the error
 	// semantics (locked or unopenable state dirs).
 	StateDir string
-	// CheckpointOps is the approximate operation-count interval between
-	// durable sweep checkpoints for persistent managers (default 1<<20 when
-	// StateDir is set; <0 disables checkpointing). Checkpoints land only at
-	// the engine's window boundaries, so resumed output is bitwise identical
-	// to an uninterrupted run regardless of the interval.
-	CheckpointOps int
 }
 
 func (c Config) withDefaults() Config {
@@ -102,9 +96,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 64
-	}
-	if c.StateDir != "" && c.CheckpointOps == 0 {
-		c.CheckpointOps = 1 << 20
 	}
 	return c
 }
@@ -134,7 +125,6 @@ type Metrics struct {
 	DiskHitPairs          int64 `json:"disk_cache_hits_pairs"`
 	JournalReplayed       int64 `json:"journal_records_replayed"`
 	JobsRecovered         int64 `json:"jobs_recovered"`
-	JobsResumed           int64 `json:"jobs_resumed_from_checkpoint"`
 	CorruptEntries        int64 `json:"persist_corrupt_entries"`
 	PersistWriteSkips     int64 `json:"persist_write_skips"`
 	JanitorReclaimedBytes int64 `json:"janitor_reclaimed_bytes"`
@@ -176,7 +166,7 @@ type Manager struct {
 	mSubmitted, mCompleted, mFailed, mCanceled, mDegraded, mSpilled atomic.Int64
 	mRejQueue, mRejOverload, mRejDraining, mRejRecovering           atomic.Int64
 	mHitResult, mHitPairs, mActive                                  atomic.Int64
-	mDiskHitResult, mDiskHitPairs, mRecovered, mResumed             atomic.Int64
+	mDiskHitResult, mDiskHitPairs, mRecovered                       atomic.Int64
 	mReplayed, mJanitorBytes                                        atomic.Int64
 }
 
@@ -612,12 +602,11 @@ func (m *Manager) runJob(j *Job) {
 	if m.store == nil {
 		return
 	}
-	// Journal the terminal record and drop the checkpoint. Two deliberate
-	// gaps: a drain-cancelled job gets no record (a redeploy's interrupted
-	// jobs must re-run on the next start), and a degraded result gets none
-	// either (degraded output is not cached, and a re-run may produce the
-	// finer result). Both replay as "interrupted" and re-run; their
-	// checkpoints are kept for resume.
+	// Journal the terminal record. Two deliberate gaps: a drain-cancelled
+	// job gets no record (a redeploy's interrupted jobs must re-run on the
+	// next start), and a degraded result gets none either (degraded output
+	// is not cached, and a re-run may produce the finer result). Both replay
+	// as "interrupted" and re-run.
 	at := finished.UnixMilli()
 	switch {
 	case state == StateDone && !result.Degraded:
@@ -630,15 +619,14 @@ func (m *Manager) runJob(j *Job) {
 		m.store.append(persist.Record{Op: persist.OpFail, ID: j.ID, Err: jerr, AtUnixMS: at})
 	case state == StateCanceled && !m.isDraining():
 		m.store.append(persist.Record{Op: persist.OpCancel, ID: j.ID, Err: jerr, AtUnixMS: at})
-	default:
-		return
 	}
-	m.store.dir.RemoveEntry(persist.EntryCkpt, j.ID)
 }
 
 // execute runs the cache-aware pipeline: Phase I from the pair-list cache
-// when possible, then the sweep the job's options select (see sweep for
-// the memory-budget ladder). Only non-degraded, non-error results populate
+// when possible, then the sweep the job's options select. A fine-grained
+// job goes through linkclust.RunSweep, the facade's one engine dispatch and
+// memory-budget ladder, under the job's budget or else
+// Config.JobMemBudgetBytes. Only non-degraded, non-error results populate
 // the result cache — spilled results qualify because the out-of-core sweep
 // is bitwise identical to what any in-memory engine would recompute.
 func (m *Manager) execute(ctx context.Context, j *Job, rec *linkclust.Recorder) (*Result, []byte, bool, error) {
@@ -680,7 +668,17 @@ func (m *Manager) execute(ctx context.Context, j *Job, rec *linkclust.Recorder) 
 		res.FinalClusters = cres.FinalClusters
 		res.PairsProcessed = cres.OpsProcessed
 	} else {
-		sres, run, err := m.sweep(ctx, j, pl, rec)
+		opts := linkclust.ClusterOptions{
+			Workers:        j.Options.Workers,
+			Recorder:       rec,
+			Engine:         j.Options.Engine,
+			MemBudgetBytes: j.Options.MemBudgetBytes,
+			SpillDir:       m.cfg.SpillDir,
+		}
+		if opts.MemBudgetBytes == 0 {
+			opts.MemBudgetBytes = m.cfg.JobMemBudgetBytes
+		}
+		sres, run, err := linkclust.RunSweep(ctx, g, pl, opts)
 		if err != nil {
 			return nil, nil, pairsHit, err
 		}
@@ -709,59 +707,6 @@ func (m *Manager) execute(ctx context.Context, j *Job, rec *linkclust.Recorder) 
 		m.results.put(j.resultKey, &resultEntry{result: *res, merges: buf.Bytes()})
 	}
 	return res, buf.Bytes(), pairsHit, nil
-}
-
-// sweep runs a fine-grained job's sweeping phase. In-memory jobs run
-// core.SweepResumeCtx — the windowed engine plus state capture, so output
-// stays bitwise identical — whenever the manager checkpoints or the job
-// resumes; spilled jobs, jobs whose pair list is over the memory budget
-// (the job's own, else Config.JobMemBudgetBytes), and every job of a
-// manager that does not checkpoint go through linkclust.RunSweep, the
-// facade's one engine dispatch and budget ladder.
-func (m *Manager) sweep(ctx context.Context, j *Job, pl *linkclust.PairList, rec *linkclust.Recorder) (*linkclust.Result, linkclust.SweepRun, error) {
-	opts := linkclust.ClusterOptions{
-		Workers:        j.Options.Workers,
-		Recorder:       rec,
-		Engine:         j.Options.Engine,
-		MemBudgetBytes: j.Options.MemBudgetBytes,
-		SpillDir:       m.cfg.SpillDir,
-	}
-	if opts.MemBudgetBytes == 0 {
-		opts.MemBudgetBytes = m.cfg.JobMemBudgetBytes
-	}
-	engine, err := linkclust.ResolveEngine(opts.Engine)
-	if err != nil {
-		return nil, linkclust.SweepRun{}, err
-	}
-	checkpointing := m.store.enabled() && m.cfg.CheckpointOps > 0
-	resumable := j.resume != nil || checkpointing && engine != linkclust.EngineSpill
-	if opts.OverBudget(pl) || !resumable {
-		return linkclust.RunSweep(ctx, j.graph, pl, opts)
-	}
-	if j.resume != nil {
-		rec.SetMeta("resumed_from_pos", strconv.Itoa(j.resume.Pos))
-		m.mResumed.Add(1)
-	}
-	rec.SetMeta("sweep_engine", linkclust.EngineParallel)
-	var save func(core.SweepState, bool)
-	saveEvery := 0
-	if checkpointing {
-		saveEvery = m.cfg.CheckpointOps
-		save = func(st core.SweepState, final bool) {
-			if final {
-				return // the done record supersedes it
-			}
-			// Journal a checkpoint only once it is on disk.
-			if m.store.write(persist.EntryCkpt, j.ID, persist.EncodeSweepState(j.graphKey, &st)) {
-				m.store.append(persist.Record{
-					Op: persist.OpCkpt, ID: j.ID, Pos: st.Pos,
-					AtUnixMS: time.Now().UnixMilli(),
-				})
-			}
-		}
-	}
-	res, err := core.SweepResumeCtx(ctx, j.graph, pl, j.resume, opts.Workers, saveEvery, save, rec)
-	return res, linkclust.SweepRun{Engine: linkclust.EngineParallel}, err
 }
 
 // Status returns the job's current state snapshot.
@@ -838,7 +783,6 @@ func (m *Manager) Metrics() Metrics {
 		DiskHitPairs:          m.mDiskHitPairs.Load(),
 		JournalReplayed:       m.mReplayed.Load(),
 		JobsRecovered:         m.mRecovered.Load(),
-		JobsResumed:           m.mResumed.Load(),
 		CorruptEntries:        corrupt,
 		PersistWriteSkips:     writeSkips,
 		JanitorReclaimedBytes: m.mJanitorBytes.Load(),

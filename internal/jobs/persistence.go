@@ -11,15 +11,14 @@ import (
 	"time"
 
 	"linkclust"
-	"linkclust/internal/core"
 	"linkclust/internal/persist"
 )
 
 // persister couples a Manager to an opened state directory: the job journal,
-// the durable side of the pair-list and result tiers (see tier), graph blobs
-// for re-running interrupted jobs, and sweep checkpoints. Every method is
-// nil-receiver-safe so the manager's hot paths stay unconditional — a
-// memory-only manager just carries a nil *persister.
+// the durable side of the pair-list and result tiers (see tier), and graph
+// blobs for re-running interrupted jobs. Every method is nil-receiver-safe
+// so the manager's hot paths stay unconditional — a memory-only manager just
+// carries a nil *persister.
 //
 // Failure policy (see DESIGN.md §11): the write side degrades, the read side
 // treats corruption as a miss. The first journal append failure flips
@@ -137,34 +136,14 @@ func (p *persister) loadGraph(shaHex string) (*linkclust.Graph, error) {
 	return g, nil
 }
 
-// loadCkpt returns the job's checkpoint if it exists, validates, and is
-// bound to the same graph; anything else is nil (re-run from scratch, which
-// is always correct).
-func (p *persister) loadCkpt(jobID string, graphKey [32]byte) *core.SweepState {
-	if p == nil {
-		return nil
-	}
-	payload, err := p.dir.ReadEntry(persist.EntryCkpt, jobID)
-	if err != nil {
-		p.drop(persist.EntryCkpt, jobID, err)
-		return nil
-	}
-	sha, st, err := persist.DecodeSweepState(payload)
-	if err != nil || sha != graphKey {
-		p.drop(persist.EntryCkpt, jobID, persist.ErrCorrupt)
-		return nil
-	}
-	return st
-}
-
 // --- Manager-side replay ---------------------------------------------------
 
 // replay reconstructs the job table from the journal: completed jobs are
 // re-served under their original ids, terminal failures are restored as
 // records, and interrupted jobs (no terminal record — including jobs a drain
-// cancelled) are re-enqueued under their original ids, resuming from their
-// deepest valid checkpoint. Runs on its own goroutine; submissions are
-// rejected with ErrRecovering until it finishes.
+// cancelled) are re-enqueued under their original ids and re-run from their
+// graph blob. Runs on its own goroutine; submissions are rejected with
+// ErrRecovering until it finishes.
 func (m *Manager) replay(records []persist.Record) {
 	defer func() {
 		m.readyFlag.Store(true)
@@ -298,7 +277,6 @@ func (m *Manager) replayJob(id string, submit persist.Record, terminal *persist.
 			j.FinishedAt = time.Now()
 		} else {
 			j.State = StateQueued
-			j.resume = m.store.loadCkpt(id, graphKey)
 			m.mu.Lock()
 			j.graph = m.internGraph(graphKey, g)
 			m.mu.Unlock()

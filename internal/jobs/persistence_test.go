@@ -3,6 +3,8 @@ package jobs
 import (
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -169,6 +171,46 @@ func TestPersistentRecoveryRemovedEngine(t *testing.T) {
 	}
 }
 
+// controlSHA is the merges hash of an uninterrupted run of text on a
+// memory-only manager.
+func controlSHA(t *testing.T, text []byte) string {
+	t.Helper()
+	mc := NewManager(Config{Concurrency: 1})
+	defer mc.Close()
+	st, err := mc.Submit(text, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st = waitState(t, mc, st.ID)
+	if st.State != StateDone {
+		t.Fatalf("control job %s (%s)", st.State, st.Error)
+	}
+	return st.Result.MergesSHA256
+}
+
+// drainMidSweep submits text with opts to a persistent manager on dir and
+// drains it at the third window cut of the job's sweep, so the journal holds
+// the job's submit and start records and no terminal one.
+func drainMidSweep(t *testing.T, dir string, text []byte, opts Options) Status {
+	t.Helper()
+	m := openPersistent(t, Config{Concurrency: 1, StateDir: dir})
+	drained := make(chan struct{})
+	fault.Arm(fault.CancelWindow, 3, func() {
+		go func() {
+			m.Drain()
+			close(drained)
+		}()
+		<-m.baseCtx.Done() // the sweep sees the drain at this cut
+	})
+	st, err := m.Submit(text, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-drained
+	fault.Reset()
+	return st
+}
+
 // TestPersistentRecoveryRerunsInterrupted drains mid-job (which journals no
 // terminal record — the job is interrupted, not cancelled) and restarts: the
 // replay must re-enqueue the job under its id and finish it with the same
@@ -177,28 +219,16 @@ func TestPersistentRecoveryRerunsInterrupted(t *testing.T) {
 	resetJobFaults(t)
 	dir := t.TempDir()
 	text := graphText(t, 300, 202)
+	wantSHA := controlSHA(t, text)
 
-	// Control hash from a memory-only manager.
-	mc := NewManager(Config{Concurrency: 2})
-	cst, err := mc.Submit(text, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cst = waitState(t, mc, cst.ID)
-	if cst.State != StateDone {
-		t.Fatalf("control job %s (%s)", cst.State, cst.Error)
-	}
-	wantSHA := cst.Result.MergesSHA256
-	mc.Close()
-
-	m1 := openPersistent(t, Config{Concurrency: 1, StateDir: dir, CheckpointOps: 1})
+	m1 := openPersistent(t, Config{Concurrency: 1, StateDir: dir})
 	st, err := m1.Submit(text, Options{Engine: linkclust.EngineParallel, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m1.Close() // drain cancels the in-flight job without a terminal record
 
-	m2 := openPersistent(t, Config{Concurrency: 1, StateDir: dir, CheckpointOps: 1})
+	m2 := openPersistent(t, Config{Concurrency: 1, StateDir: dir})
 	defer m2.Close()
 	got := waitState(t, m2, st.ID)
 	if got.State != StateDone {
@@ -213,57 +243,91 @@ func TestPersistentRecoveryRerunsInterrupted(t *testing.T) {
 }
 
 // TestPersistentResumeRetiredEngine journals a job under the retired engine
-// name "serial" on a checkpointing manager and drains it at the third
-// window cut of its sweep, after two windows were checkpointed. The restart
-// must replay it under the same name, resume it from the checkpoint, and
-// finish with the merges hash of an uninterrupted run: every in-memory job
-// checkpoints, whatever engine name it was submitted with.
+// name "serial" and drains it at the third window cut of its sweep. The
+// restart must replay it under the same name, re-run its sweep, and finish
+// with the merges hash of an uninterrupted run.
 func TestPersistentResumeRetiredEngine(t *testing.T) {
 	resetJobFaults(t)
 	dir := t.TempDir()
 	text := graphText(t, 300, 202)
+	wantSHA := controlSHA(t, text)
+	st := drainMidSweep(t, dir, text, Options{Engine: linkclust.EngineSerial, Workers: 2})
 
-	mc := NewManager(Config{Concurrency: 1})
-	cst, err := mc.Submit(text, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cst = waitState(t, mc, cst.ID)
-	mc.Close()
-	if cst.State != StateDone {
-		t.Fatalf("control job %s (%s)", cst.State, cst.Error)
-	}
-
-	m1 := openPersistent(t, Config{Concurrency: 1, StateDir: dir, CheckpointOps: 1})
-	drained := make(chan struct{})
-	fault.Arm(fault.CancelWindow, 3, func() {
-		go func() {
-			m1.Drain()
-			close(drained)
-		}()
-		<-m1.baseCtx.Done() // the sweep sees the drain at this cut
-	})
-	st, err := m1.Submit(text, Options{Engine: linkclust.EngineSerial, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-drained
-	fault.Reset()
-
-	m2 := openPersistent(t, Config{Concurrency: 1, StateDir: dir, CheckpointOps: 1})
+	m2 := openPersistent(t, Config{Concurrency: 1, StateDir: dir})
 	defer m2.Close()
 	got := waitState(t, m2, st.ID)
 	if got.State != StateDone {
-		t.Fatalf("resumed job %s (%s)", got.State, got.Error)
+		t.Fatalf("re-run job %s (%s)", got.State, got.Error)
 	}
 	if got.Options.Engine != linkclust.EngineSerial {
 		t.Fatalf("replayed engine %q, want %q", got.Options.Engine, linkclust.EngineSerial)
 	}
-	if got.Result.MergesSHA256 != cst.Result.MergesSHA256 {
-		t.Fatalf("resumed merges sha %s, uninterrupted %s", got.Result.MergesSHA256, cst.Result.MergesSHA256)
+	if got.Result.MergesSHA256 != wantSHA {
+		t.Fatalf("re-run merges sha %s, uninterrupted %s", got.Result.MergesSHA256, wantSHA)
 	}
-	if mt := m2.Metrics(); mt.JobsResumed != 1 {
-		t.Fatalf("jobs_resumed_from_checkpoint = %d, want 1", mt.JobsResumed)
+	if mt := m2.Metrics(); mt.JobsRecovered != 1 {
+		t.Fatalf("jobs_recovered = %d, want 1", mt.JobsRecovered)
+	}
+}
+
+// TestPersistentLegacyCheckpointState restarts on a state dir an older build
+// left behind mid-sweep: besides the job's submit and start records, its
+// journal holds a "ckpt" record and ckpt/ holds the job's checkpoint. The
+// legacy record must decode and be ignored, the job must re-run to the
+// uninterrupted merges hash, and the janitor must remove ckpt/ and count its
+// bytes.
+func TestPersistentLegacyCheckpointState(t *testing.T) {
+	resetJobFaults(t)
+	dir := t.TempDir()
+	text := graphText(t, 300, 203)
+	wantSHA := controlSHA(t, text)
+	st := drainMidSweep(t, dir, text, Options{Workers: 2})
+
+	// The checkpoint record as older builds framed it into the journal.
+	payload := fmt.Appendf(nil, `{"op":"ckpt","id":%q,"pos":8192,"at":%d}`, st.ID, time.Now().UnixMilli())
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
+	frame = append(frame, payload...)
+	wal, err := os.OpenFile(filepath.Join(dir, "journal.wal"), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wal.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(dir, "ckpt")
+	if err := os.MkdirAll(ckpt, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	legacy := append([]byte("LCPE"), make([]byte, 96)...)
+	if err := os.WriteFile(filepath.Join(ckpt, st.ID+".lcpe"), legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	m2 := openPersistent(t, Config{Concurrency: 1, StateDir: dir})
+	defer m2.Close()
+	got := waitState(t, m2, st.ID)
+	if got.State != StateDone {
+		t.Fatalf("re-run job %s (%s)", got.State, got.Error)
+	}
+	if got.Result.MergesSHA256 != wantSHA {
+		t.Fatalf("re-run merges sha %s, uninterrupted %s", got.Result.MergesSHA256, wantSHA)
+	}
+	mt := m2.Metrics()
+	if mt.JournalReplayed != 3 { // submit + start + ckpt
+		t.Fatalf("journal_records_replayed = %d, want 3", mt.JournalReplayed)
+	}
+	if mt.JobsRecovered != 1 {
+		t.Fatalf("jobs_recovered = %d, want 1", mt.JobsRecovered)
+	}
+	if mt.JanitorReclaimedBytes < int64(len(legacy)) {
+		t.Fatalf("janitor_reclaimed_bytes = %d, want >= %d", mt.JanitorReclaimedBytes, len(legacy))
+	}
+	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
+		t.Fatalf("ckpt/ survives the restart (%v)", err)
 	}
 }
 

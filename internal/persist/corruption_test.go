@@ -5,8 +5,6 @@ import (
 	"errors"
 	"os"
 	"testing"
-
-	"linkclust/internal/core"
 )
 
 // TestEntryCorruptionExhaustive flips every byte and truncates to every
@@ -166,35 +164,4 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(b[i:])
-}
-
-// TestCheckpointCorruption byte-flips and truncates an encoded checkpoint;
-// every structural mutation must either decode to ErrCorrupt or decode to a
-// checkpoint whose scalar fields differ benignly (flips inside chain/merge
-// payload bytes are caught one envelope up by the entry CRC, so the codec
-// itself only owes structural validation).
-func TestCheckpointCorruption(t *testing.T) {
-	var sha [32]byte
-	st := &core.SweepState{
-		Pos:    5,
-		Chain:  []int32{1, 2, 3},
-		Merges: []core.Merge{{Level: 1, A: 0, B: 1, Into: 1, Sim: 0.5}, {Level: 2, A: 1, B: 2, Into: 2, Sim: 0.25}},
-	}
-	payload := EncodeSweepState(sha, st)
-	// Truncations: every short length must be ErrCorrupt.
-	for n := 0; n < len(payload); n++ {
-		if _, _, err := DecodeSweepState(payload[:n]); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("truncation to %d: %v", n, err)
-		}
-	}
-	// Extensions must be ErrCorrupt (size cross-check).
-	if _, _, err := DecodeSweepState(append(append([]byte(nil), payload...), 0)); !errors.Is(err, ErrCorrupt) {
-		t.Fatal("extended payload accepted")
-	}
-	// Count-field corruption: blow up the chain length field.
-	mutated := append([]byte(nil), payload...)
-	mutated[68], mutated[69], mutated[70], mutated[71] = 0xFF, 0xFF, 0xFF, 0x7F
-	if _, _, err := DecodeSweepState(mutated); !errors.Is(err, ErrCorrupt) {
-		t.Fatal("implausible chain count accepted")
-	}
 }

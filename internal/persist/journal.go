@@ -46,13 +46,10 @@ const (
 	// OpSubmit records an accepted job: id, graph hash, options, and the
 	// client idempotency key. Written before the job is visible to workers.
 	OpSubmit Op = "submit"
-	// OpStart records a worker picking the job up.
+	// OpStart records a worker picking the job up. Older builds also
+	// journaled "ckpt" records (with a "pos" field); they still decode, and
+	// replay ignores them like OpStart.
 	OpStart Op = "start"
-	// OpCkpt records that a sweep checkpoint at pair position Pos was
-	// durably written to the entry store (the record follows the entry
-	// write, so a replayed OpCkpt always has its checkpoint — at worst a
-	// newer one, which is also valid).
-	OpCkpt Op = "ckpt"
 	// OpDone records a finished job with its result summary and the entry
 	// name its merge stream is cached under.
 	OpDone Op = "done"
@@ -74,7 +71,6 @@ type Record struct {
 	RKey     string          `json:"rkey,omitempty"`
 	Result   json.RawMessage `json:"result,omitempty"`
 	Err      string          `json:"err,omitempty"`
-	Pos      int             `json:"pos,omitempty"`
 	AtUnixMS int64           `json:"at,omitempty"`
 }
 

@@ -1,16 +1,16 @@
 // Package persist is the crash-safe persistence layer behind linkclustd: a
 // checksummed append-only job journal (WAL), an atomic enveloped entry store
-// for the durable cache tiers / graph blobs / sweep checkpoints, a pid
-// lockfile, and the startup janitor that reclaims what a crashed predecessor
-// left behind. An entry that exists and validates is the entry; there is no
-// index of entries to keep in step with the files.
+// for the durable cache tiers and graph blobs, a pid lockfile, and the
+// startup janitor that reclaims what a crashed predecessor left behind. An
+// entry that exists and validates is the entry; there is no index of entries
+// to keep in step with the files.
 //
 // Design rules, in order of importance:
 //
 //  1. Corruption is detected, never served. Every artifact on disk — journal
-//     record, cache entry, checkpoint, graph blob — carries magic, version,
-//     length, and CRC32; a reader that cannot validate all four treats the
-//     artifact as absent (cache miss, replay stop), never as data.
+//     record, cache entry, graph blob — carries magic, version, length, and
+//     CRC32; a reader that cannot validate all four treats the artifact as
+//     absent (cache miss, replay stop), never as data.
 //  2. Writes are atomic. Entries are written to a temp file in the same
 //     directory, fsynced, and renamed into place; the journal appends whole
 //     framed records and fsyncs before reporting success, so a crash leaves
@@ -52,7 +52,9 @@ var (
 const (
 	graphsDir = "graphs" // canonical graph text blobs, content-addressed
 	cacheDir  = "cache"  // durable pair-list / result entries
-	ckptDir   = "ckpt"   // latest sweep checkpoint per interrupted job
+	// legacyCkptDir held the sweep checkpoints of older builds. Nothing
+	// writes it any more; Janitor removes what an older build left there.
+	legacyCkptDir = "ckpt"
 	// SpillSubdir is the parent handed to the out-of-core sweep when a
 	// state dir is configured, so the spill file a crashed process left
 	// behind (one linkclust-spill-* file per spilled run) is inside janitor
@@ -75,7 +77,7 @@ type Dir struct {
 // its pid dead or unparseable — is taken over, and the caller should run
 // Janitor before trusting temp-file-free invariants.
 func Open(root string) (*Dir, error) {
-	for _, sub := range []string{"", graphsDir, cacheDir, ckptDir, SpillSubdir} {
+	for _, sub := range []string{"", graphsDir, cacheDir, SpillSubdir} {
 		if err := os.MkdirAll(filepath.Join(root, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("persist: creating state dir: %w", err)
 		}
@@ -121,14 +123,15 @@ func (d *Dir) Close() error {
 }
 
 // Janitor removes what a crashed predecessor can leave behind — temp entry
-// files that never reached their rename, and spill files whose owning
-// process died mid-sweep — and reports the bytes reclaimed. It never
-// touches finalized entries or the journal: those are replay and cache
-// state, not garbage. Call it after Open (the lock guarantees no
+// files that never reached their rename, spill files whose owning process
+// died mid-sweep, and the ckpt/ subtree of sweep checkpoints an older build
+// wrote — and reports the bytes reclaimed. It never touches a finalized
+// entry of a current kind or the journal: those are replay and cache state,
+// not garbage. Call it after Open (the lock guarantees no
 // sibling process is mid-write) and before journal replay.
 func (d *Dir) Janitor() (reclaimed int64, err error) {
 	var firstErr error
-	for _, sub := range []string{graphsDir, cacheDir, ckptDir} {
+	for _, sub := range []string{graphsDir, cacheDir} {
 		entries, rerr := os.ReadDir(filepath.Join(d.root, sub))
 		if rerr != nil {
 			if firstErr == nil {
@@ -163,6 +166,11 @@ func (d *Dir) Janitor() (reclaimed int64, err error) {
 			}
 		}
 	} else if firstErr == nil {
+		firstErr = rerr
+	}
+	legacy := filepath.Join(d.root, legacyCkptDir)
+	reclaimed += treeSize(legacy)
+	if rerr := os.RemoveAll(legacy); rerr != nil && firstErr == nil {
 		firstErr = rerr
 	}
 	return reclaimed, firstErr

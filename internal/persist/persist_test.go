@@ -1,14 +1,15 @@
 package persist
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strconv"
 	"testing"
 
-	"linkclust/internal/core"
 	"linkclust/internal/fault"
 )
 
@@ -70,13 +71,21 @@ func TestOpenLocking(t *testing.T) {
 
 func TestJanitor(t *testing.T) {
 	d := openDir(t)
-	// Plant what a crash leaves behind: temp entry files and a spill run dir.
+	// Plant what a crash leaves behind: temp entry files and a spill run
+	// dir; and what an older build left: its checkpoint subtree, finalized
+	// checkpoint and temp file alike.
 	tmp1 := filepath.Join(d.Root(), cacheDir, "deadbeef-12345"+tmpSuffix)
 	if err := os.WriteFile(tmp1, make([]byte, 100), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	tmp2 := filepath.Join(d.Root(), ckptDir, "j1-abc-7"+tmpSuffix)
-	if err := os.WriteFile(tmp2, make([]byte, 50), 0o644); err != nil {
+	ckpt := filepath.Join(d.Root(), legacyCkptDir)
+	if err := os.MkdirAll(ckpt, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(ckpt, "j1-abc-7"+tmpSuffix), make([]byte, 50), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(ckpt, "j1-abc.lcpe"), make([]byte, 30), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	spillRun := filepath.Join(d.SpillDir(), "run-123")
@@ -100,10 +109,10 @@ func TestJanitor(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Janitor: %v", err)
 	}
-	if reclaimed != 350 {
-		t.Fatalf("reclaimed %d bytes, want 350", reclaimed)
+	if reclaimed != 380 {
+		t.Fatalf("reclaimed %d bytes, want 380", reclaimed)
 	}
-	for _, gone := range []string{tmp1, tmp2, spillRun} {
+	for _, gone := range []string{tmp1, ckpt, spillRun} {
 		if _, err := os.Stat(gone); !os.IsNotExist(err) {
 			t.Errorf("janitor left %s behind (%v)", gone, err)
 		}
@@ -119,7 +128,7 @@ func TestJanitor(t *testing.T) {
 func TestEntryRoundTrip(t *testing.T) {
 	d := openDir(t)
 	payload := []byte("the quick brown fox")
-	for _, k := range []Kind{EntryPairs, EntryResult, EntryGraph, EntryCkpt} {
+	for _, k := range []Kind{EntryPairs, EntryResult, EntryGraph} {
 		if err := d.WriteEntry(k, "e1", payload); err != nil {
 			t.Fatalf("WriteEntry kind %d: %v", k, err)
 		}
@@ -208,14 +217,35 @@ func TestJournalRoundTrip(t *testing.T) {
 	if len(recs) != 0 || stats.Records != 0 || stats.TruncatedBytes != 0 {
 		t.Fatalf("fresh journal: recs=%d stats=%+v", len(recs), stats)
 	}
+	// The third record is a sweep checkpoint as older builds journaled it,
+	// with a field this build does not have. It is framed into the file by
+	// hand and must still decode.
 	want := []Record{
 		{Op: OpSubmit, ID: "j1-aaaa", Seq: 1, GraphSHA: "aa", Options: json.RawMessage(`{"workers":4}`), IdemKey: "k1"},
 		{Op: OpStart, ID: "j1-aaaa"},
-		{Op: OpCkpt, ID: "j1-aaaa", Pos: 512},
+		{Op: "ckpt", ID: "j1-aaaa"},
 		{Op: OpDone, ID: "j1-aaaa", RKey: "rk", Result: json.RawMessage(`{"levels":3}`)},
 		{Op: OpFail, ID: "j2-bbbb", Err: "boom"},
 	}
-	for _, r := range want {
+	for i, r := range want {
+		if i == 2 {
+			j.Close()
+			legacy := []byte(`{"op":"ckpt","id":"j1-aaaa","pos":512}`)
+			frame := binary.LittleEndian.AppendUint32(nil, uint32(len(legacy)))
+			frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(legacy, entryCRC))
+			f, err := os.OpenFile(filepath.Join(d.Root(), journalFile), os.O_APPEND|os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(append(frame, legacy...)); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			if j, _, _, err = d.OpenJournal(); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
 		if err := j.Append(r); err != nil {
 			t.Fatalf("Append %s: %v", r.Op, err)
 		}
@@ -239,7 +269,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	for i := range want {
 		g, w := got[i], want[i]
 		if g.Op != w.Op || g.ID != w.ID || g.Seq != w.Seq || g.GraphSHA != w.GraphSHA ||
-			g.IdemKey != w.IdemKey || g.RKey != w.RKey || g.Err != w.Err || g.Pos != w.Pos ||
+			g.IdemKey != w.IdemKey || g.RKey != w.RKey || g.Err != w.Err ||
 			string(g.Options) != string(w.Options) || string(g.Result) != string(w.Result) {
 			t.Errorf("record %d: got %+v, want %+v", i, g, w)
 		}
@@ -283,51 +313,5 @@ func TestJournalAppendFault(t *testing.T) {
 	}
 	if len(recs) != 1 || recs[0].Op != OpSubmit {
 		t.Fatalf("journal after faulted appends: %+v", recs)
-	}
-}
-
-func TestCheckpointRoundTrip(t *testing.T) {
-	var sha [32]byte
-	for i := range sha {
-		sha[i] = byte(i * 7)
-	}
-	st := &core.SweepState{
-		Pos:             9,
-		Chain:           []int32{3, 1, 4, 1, 5},
-		Changes:         42,
-		Merges:          []core.Merge{{Level: 1, A: 0, B: 2, Into: 0, Sim: 0.75}, {Level: 2, A: 0, B: 4, Into: 4, Sim: 0.5}},
-		Levels:          2,
-		PairsProcessed:  9,
-		OpsSinceFlatten: 17,
-	}
-	payload := EncodeSweepState(sha, st)
-	gotSHA, got, err := DecodeSweepState(payload)
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	if gotSHA != sha {
-		t.Fatal("graph hash mismatch")
-	}
-	if got.Pos != st.Pos || got.Changes != st.Changes || got.Levels != st.Levels ||
-		got.PairsProcessed != st.PairsProcessed || got.OpsSinceFlatten != st.OpsSinceFlatten {
-		t.Fatalf("scalars: got %+v", got)
-	}
-	if len(got.Chain) != len(st.Chain) || len(got.Merges) != len(st.Merges) {
-		t.Fatalf("lengths: %d chain, %d merges", len(got.Chain), len(got.Merges))
-	}
-	for i := range st.Chain {
-		if got.Chain[i] != st.Chain[i] {
-			t.Fatalf("chain[%d] = %d", i, got.Chain[i])
-		}
-	}
-	for i := range st.Merges {
-		if got.Merges[i] != st.Merges[i] {
-			t.Fatalf("merges[%d] = %+v", i, got.Merges[i])
-		}
-	}
-	// Empty state round-trips too (fresh checkpoint at Pos 0).
-	p0 := EncodeSweepState(sha, &core.SweepState{})
-	if _, got0, err := DecodeSweepState(p0); err != nil || got0.Pos != 0 || len(got0.Chain) != 0 {
-		t.Fatalf("empty state: %+v, %v", got0, err)
 	}
 }

@@ -11,12 +11,12 @@ import (
 )
 
 // Entry envelope: every persisted artifact outside the journal (cache
-// entries, graph blobs, checkpoints) is one file of header + payload.
+// entries, graph blobs) is one file of header + payload.
 //
 //	offset  size  field
 //	0       4     magic "LCPE"
 //	4       4     format version (little-endian, = 1)
-//	8       4     kind code (EntryPairs / EntryResult / EntryGraph / EntryCkpt)
+//	8       4     kind code (EntryPairs / EntryResult / EntryGraph)
 //	12      8     payload byte length
 //	20      4     CRC32 (IEEE) of the payload
 //	24      8     reserved (zero)
@@ -40,20 +40,17 @@ const (
 	EntryPairs Kind = iota + 1
 	EntryResult
 	EntryGraph
-	EntryCkpt
+	// Code 4 is reserved: older builds wrote sweep checkpoints under it,
+	// in the ckpt/ subdirectory that Janitor now removes.
 )
 
 // kindDir maps a kind to its subdirectory: cache entries share cache/, graph
-// blobs and checkpoints have their own lifecycles.
+// blobs have their own lifecycle.
 func kindDir(k Kind) string {
-	switch k {
-	case EntryGraph:
+	if k == EntryGraph {
 		return graphsDir
-	case EntryCkpt:
-		return ckptDir
-	default:
-		return cacheDir
 	}
+	return cacheDir
 }
 
 var entryCRC = crc32.IEEETable
