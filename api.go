@@ -261,7 +261,10 @@ func SweepCtx(ctx context.Context, g *Graph, pl *PairList, rec *Recorder) (*Resu
 // cancellation every worker pool drains before context.Canceled (or the
 // context's error) is returned, so no goroutine outlives the call. When ctx
 // never cancels, the merge stream is bitwise identical to SweepCtx for any
-// worker count.
+// worker count. A pair's common-neighbor count N is checked against the
+// graph except past closure and for pairs whose endpoints are sealed into
+// one cluster, where it is trusted; a pair list read from a file is checked
+// first with core.CheckPairs (the CLI's -pairs does this).
 func SweepParallelCtx(ctx context.Context, g *Graph, pl *PairList, workers int, rec *Recorder) (*Result, error) {
 	return core.SweepParallelCtx(ctx, g, pl, workers, rec)
 }

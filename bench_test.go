@@ -21,6 +21,7 @@ package linkclust
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -360,8 +361,9 @@ func BenchmarkSweepParallel(b *testing.B) {
 // BenchmarkStreamStep times one step of the end-to-end benchmark's
 // stream-trickle workload: a 16-edge IngestBatch plus a Snapshot on a warm
 // stream over the corpus-communities-sized word graph, whose last 1,600
-// edges arrive as the trickle. When the trickle runs out, a fresh engine is
-// warmed untimed.
+// edges arrive as the trickle, at GOMAXPROCS workers as the workload runs
+// (one per CPU). When the trickle runs out, a fresh engine is warmed
+// untimed.
 func BenchmarkStreamStep(b *testing.B) {
 	g, err := corpusGraph()
 	if err != nil {
@@ -380,7 +382,7 @@ func BenchmarkStreamStep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if next == len(arrivals) {
 			b.StopTimer()
-			if eng, err = NewStream(StreamOptions{}); err == nil {
+			if eng, err = NewStream(StreamOptions{Workers: runtime.GOMAXPROCS(0)}); err == nil {
 				err = eng.IngestBatch(arrivals[:warm])
 			}
 			if err == nil {

@@ -73,8 +73,9 @@ func AppendOps(dst []Op, g *graph.Graph, u, v int32) []Op {
 // pair must satisfy 0 <= U < V < |V|, carry a similarity that is not NaN
 // (NaN has no place in list L's order), and have N = |N(U) ∩ N(V)| >= 1; a
 // list flagged sorted must be in list-L order. The sweeps trust the counts
-// N past the point where their merges span the op graph, so a list that
-// fails here could otherwise be clustered without an error. The error names
+// N past the point where their merges span the op graph, and for pairs
+// whose endpoints are sealed into one cluster, so a list that fails here
+// could otherwise be clustered without an error. The error names
 // the first failing pair in list order.
 //
 // The counts are checked row by row, as the wedge kernel's count pass makes

@@ -309,8 +309,8 @@ func runCells(t *testing.T, f oracleFamily, ref oracleRef, workers []int, paths 
 // serial's exact error. Otherwise the result must equal serial's bitwise;
 // the recorded counters must agree with the result; every worker-invariant
 // counter must equal the in-memory engine's at T=1 (so also the path's own
-// at T=1); and a path that sorts as it reads must have sorted exactly as far
-// as the in-memory engine.
+// at T=1), and so must the count of sealed pairs; and a path that sorts as
+// it reads must have sorted exactly as far as the in-memory engine.
 func checkCell(t *testing.T, label string, p sweepPath, ref oracleRef, res *Result, err error, rec *obs.Recorder) {
 	t.Helper()
 	if ref.err != nil {
@@ -342,6 +342,9 @@ func checkCell(t *testing.T, label string, p sweepPath, ref oracleRef, res *Resu
 		if g, w := rec.Counter(c), ref.base.Counter(c); g != w {
 			t.Fatalf("%s: %s = %d, in-memory T=1 %d", label, c, g, w)
 		}
+	}
+	if g, w := rec.Counter(CtrSweepSealedPairs), ref.base.Counter(CtrSweepSealedPairs); g != w {
+		t.Fatalf("%s: sealed %d pairs, in-memory T=1 %d", label, g, w)
 	}
 	if p.sorts {
 		if g, w := rec.Counter(CtrSweepSortedPairs), ref.base.Counter(CtrSweepSortedPairs); g != w {

@@ -44,7 +44,8 @@ func (r *Result) NumClusters() int { return r.Chain.NumClusters() }
 // number of common neighbors its endpoints have in g, which indicates the
 // list was built from a different graph. It is the reference the windowed
 // engine is tested against: it checks every pair, where the engine trusts
-// the counts past closure. SweepCtx is the instrumented, cancellable form.
+// the counts past closure and for pairs whose endpoints are sealed into one
+// cluster. SweepCtx is the instrumented, cancellable form.
 func Sweep(g *graph.Graph, pl *PairList) (*Result, error) {
 	return SweepCtx(context.Background(), g, pl, nil)
 }

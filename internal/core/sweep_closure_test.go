@@ -244,11 +244,9 @@ func plantedLists(t *testing.T, v plantedList) (sorted, unsorted *PairList, firs
 // order; "last-bucket" on every pair of the last bucket, far past closure.
 // The endpoint variants move U or V of a tail pair to a dense (on the
 // union) or sparse (on the union with every vertex sparse) vertex that
-// shares no neighbor with the other endpoint. CheckPairs must name the first
-// planted pair of the list it is given, in sorted and in Phase I order;
-// serial Sweep must report it as the first failing pair in sorted order;
-// and every engine path — T ∈ {1, 2, 4, 8}, spilled, frontier-fed, sorted
-// and unsorted — must still close before it and emit the clean merge stream.
+// shares no neighbor with the other endpoint. Every variant is held to
+// requireTrustedPlant: the engine closes before the planted pairs and emits
+// the clean merge stream, and CheckPairs and serial Sweep name them.
 func TestSweepForestClosureKeepsCheck(t *testing.T) {
 	variants := map[string]plantedList{}
 	for _, g := range []*graph.Graph{closureUnion(8), closureUnion(3000)} {
@@ -295,64 +293,82 @@ func TestSweepForestClosureKeepsCheck(t *testing.T) {
 	}
 
 	for name, v := range variants {
-		t.Run(name, func(t *testing.T) {
-			g := v.g
-			sorted, unsorted, first := plantedLists(t, v)
-			clean, err := Sweep(g, Similarity(g))
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantPair := fmt.Sprintf("(%d,%d)", first.U, first.V)
-			if _, err := Sweep(g, NewSortedPairList(slices.Clone(sorted.Pairs))); err == nil || !strings.Contains(err.Error(), wantPair) {
-				t.Fatalf("serial sweep: error %v, want one naming pair %s", err, wantPair)
-			}
-			if err := CheckPairs(g, sorted); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("pair %d %s", v.want, wantPair)) {
-				t.Fatalf("CheckPairs on the sorted list: error %v, want one naming pair %d %s", err, v.want, wantPair)
-			}
-			firstUnsorted := slices.IndexFunc(unsorted.Pairs, func(p Pair) bool {
-				return len(AppendOps(nil, g, p.U, p.V)) != int(p.N)
-			})
-			fu := unsorted.Pairs[firstUnsorted]
-			if err := CheckPairs(g, unsorted); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("pair %d (%d,%d)", firstUnsorted, fu.U, fu.V)) {
-				t.Fatalf("CheckPairs on Phase I's order: error %v, want one naming pair %d (%d,%d)", err, firstUnsorted, fu.U, fu.V)
-			}
-			// The engine closes before every planted pair, so none of
-			// their ops is regenerated.
-			requireCleanMerges := func(label string, res *Result, err error) {
-				t.Helper()
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				if !slices.Equal(res.Merges, clean.Merges) {
-					t.Fatalf("%s: merge stream differs from the clean run's", label)
-				}
-			}
-			for _, workers := range []int{1, 2, 4, 8} {
-				res, err := SweepParallel(g, NewSortedPairList(slices.Clone(sorted.Pairs)), workers)
-				requireCleanMerges(fmt.Sprintf("T=%d", workers), res, err)
-				res, err = SweepParallel(g, &PairList{Pairs: slices.Clone(unsorted.Pairs)}, workers)
-				requireCleanMerges(fmt.Sprintf("unsorted T=%d", workers), res, err)
-			}
-			res, err := SweepSpilledOpts(context.Background(), g, &PairList{Pairs: slices.Clone(unsorted.Pairs)}, 4, SpillOptions{Dir: t.TempDir()}, nil)
-			requireCleanMerges("spilled", res, err)
-			res, _, err = frontierFed(g, NewSortedPairList(slices.Clone(sorted.Pairs)), 2, false, nil)
-			requireCleanMerges("frontier-fed", res, err)
-			res, _, err = frontierFed(g, &PairList{Pairs: slices.Clone(unsorted.Pairs)}, 2, true, nil)
-			requireCleanMerges("unsorted frontier-fed", res, err)
-		})
+		t.Run(name, func(t *testing.T) { requireTrustedPlant(t, v) })
 	}
 }
 
+// requireTrustedPlant checks a planted list whose planted pairs the engine
+// retires from their counts N without regenerating their ops (past closure,
+// or sealed): CheckPairs must name the first planted pair of the list it is
+// given, in sorted and in Phase I order; serial Sweep must report it as the
+// first failing pair in sorted order; and every engine path — T ∈ {1, 2, 4,
+// 8}, spilled, frontier-fed, sorted and unsorted — must emit the clean
+// merge stream.
+func requireTrustedPlant(t *testing.T, v plantedList) {
+	t.Helper()
+	g := v.g
+	sorted, unsorted, first := plantedLists(t, v)
+	clean, err := Sweep(g, Similarity(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPair := fmt.Sprintf("(%d,%d)", first.U, first.V)
+	if _, err := Sweep(g, NewSortedPairList(slices.Clone(sorted.Pairs))); err == nil || !strings.Contains(err.Error(), wantPair) {
+		t.Fatalf("serial sweep: error %v, want one naming pair %s", err, wantPair)
+	}
+	if err := CheckPairs(g, sorted); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("pair %d %s", v.want, wantPair)) {
+		t.Fatalf("CheckPairs on the sorted list: error %v, want one naming pair %d %s", err, v.want, wantPair)
+	}
+	firstUnsorted := slices.IndexFunc(unsorted.Pairs, func(p Pair) bool {
+		return len(AppendOps(nil, g, p.U, p.V)) != int(p.N)
+	})
+	fu := unsorted.Pairs[firstUnsorted]
+	if err := CheckPairs(g, unsorted); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("pair %d (%d,%d)", firstUnsorted, fu.U, fu.V)) {
+		t.Fatalf("CheckPairs on Phase I's order: error %v, want one naming pair %d (%d,%d)", err, firstUnsorted, fu.U, fu.V)
+	}
+	// No planted pair's ops are regenerated.
+	requireCleanMerges := func(label string, res *Result, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if !slices.Equal(res.Merges, clean.Merges) {
+			t.Fatalf("%s: merge stream differs from the clean run's", label)
+		}
+	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		res, err := SweepParallel(g, NewSortedPairList(slices.Clone(sorted.Pairs)), workers)
+		requireCleanMerges(fmt.Sprintf("T=%d", workers), res, err)
+		res, err = SweepParallel(g, &PairList{Pairs: slices.Clone(unsorted.Pairs)}, workers)
+		requireCleanMerges(fmt.Sprintf("unsorted T=%d", workers), res, err)
+	}
+	res, err := SweepSpilledOpts(context.Background(), g, &PairList{Pairs: slices.Clone(unsorted.Pairs)}, 4, SpillOptions{Dir: t.TempDir()}, nil)
+	requireCleanMerges("spilled", res, err)
+	res, _, err = frontierFed(g, NewSortedPairList(slices.Clone(sorted.Pairs)), 2, false, nil)
+	requireCleanMerges("frontier-fed", res, err)
+	res, _, err = frontierFed(g, &PairList{Pairs: slices.Clone(unsorted.Pairs)}, 2, true, nil)
+	requireCleanMerges("unsorted frontier-fed", res, err)
+}
+
 // TestSweepRejectsPrefixCountMismatch plants wrong counts N before the
-// closure point, where the engine regenerates every pair's ops and compares
-// their number with N. Every engine path — T ∈ {1, 2, 4, 8}, spilled,
+// closure point, where the engine regenerates a pair's ops and compares
+// their number with N — unless both endpoints are sealed into one cluster
+// before the pair's window (replaySeals), when it retires the pair from N
+// as it does past closure. A variant whose first planted pair is
+// regenerated must make every engine path — T ∈ {1, 2, 4, 8}, spilled,
 // frontier-fed, from the sorted list and from Phase I's unsorted order —
-// must report serial Sweep's exact error, which names the first planted
-// pair in sorted order. "first" overcounts the list's first pair; "mid"
-// undercounts a pair in a later window; "two-in-window" overcounts the last
-// and then the first pair of one window, so the later pair lands in an
-// earlier worker's range only if the plants are read out of order; and
-// "closing" overcounts the closing window's last pair.
+// report serial Sweep's exact error, which names that pair. A variant
+// whose planted pair is sealed is held to requireTrustedPlant instead: the
+// engine emits the clean merge stream and CheckPairs names the pair.
+//
+// "first" overcounts the list's first pair; "mid" undercounts a pair in a
+// later window; "two-in-window" overcounts the last and then the first pair
+// of one window, so the later pair lands in an earlier worker's range only
+// if the plants are read out of order; "closing" overcounts the closing
+// window's last pair, which is sealed; "sealed" overcounts the first pair
+// the engine retires as sealed; and "isolated" moves V of that pair to a
+// vertex with no edge, which is never sealed, so the pair is regenerated
+// and fails.
 func TestSweepRejectsPrefixCountMismatch(t *testing.T) {
 	variants := map[string]plantedList{}
 	for _, tc := range []struct {
@@ -386,6 +402,14 @@ func TestSweepRejectsPrefixCountMismatch(t *testing.T) {
 		if mid < 0 {
 			t.Fatal("the second window has no pair with N > 1")
 		}
+		sealed := slices.Index(replaySeals(g, base), true)
+		if sealed < 0 {
+			t.Fatal("no prefix pair is sealed")
+		}
+		isolated := int32(g.NumVertices() - 1)
+		if g.Degree(int(isolated)) != 0 || base.Pairs[sealed].U >= isolated {
+			t.Fatal("the union's last vertex is not an isolated vertex above the sealed pair")
+		}
 		lo, hi := cuts[0], cuts[1]-1
 		variants["first"+tc.suffix] = plantedList{g, func(pl *PairList) { plantCount(pl, 0, 1) }, 0}
 		variants["mid"+tc.suffix] = plantedList{g, func(pl *PairList) { plantCount(pl, mid, -1) }, mid}
@@ -394,11 +418,23 @@ func TestSweepRejectsPrefixCountMismatch(t *testing.T) {
 			plantCount(pl, lo, 1)
 		}, lo}
 		variants["closing"+tc.suffix] = plantedList{g, func(pl *PairList) { plantCount(pl, pos-1, 1) }, pos - 1}
+		variants["sealed"+tc.suffix] = plantedList{g, func(pl *PairList) { plantCount(pl, sealed, 1) }, sealed}
+		variants["isolated"+tc.suffix] = plantedList{g, func(pl *PairList) { pl.Pairs[sealed].V = isolated }, sealed}
 	}
+	// trusted lists the variants whose first planted pair is sealed.
+	trusted := map[string]bool{"closing": true, "closing-sparse": true, "sealed": true, "sealed-sparse": true}
 
 	for name, v := range variants {
 		t.Run(name, func(t *testing.T) {
 			sorted, unsorted, first := plantedLists(t, v)
+			seals := replaySeals(v.g, sorted)
+			if got := v.want < len(seals) && seals[v.want]; got != trusted[name] {
+				t.Fatalf("planted pair %d sealed = %v, want %v", v.want, got, trusted[name])
+			}
+			if trusted[name] {
+				requireTrustedPlant(t, v)
+				return
+			}
 			// The oracle's foreign-list check, on the sorted list and on
 			// Phase I's order; a sorted list is fed to the frontier one pair
 			// at a time, an unsorted one lazily.

@@ -3,7 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"linkclust/internal/fault"
 	"linkclust/internal/graph"
@@ -33,6 +36,14 @@ const (
 	// unsorted. It is a pure function of the pair list, so it reads the same
 	// in memory and spilled, at any worker count.
 	CtrSweepSortedPairs = "sweep.sorted_pairs"
+	// CtrSweepSealedPairs counts prefix pairs retired without regenerating
+	// their ops because both endpoints were sealed into one cluster before
+	// their window (see sealedRoot). Their N ops are counted in
+	// CtrSweepNoopDrops as well. It is a function of the pair list and the
+	// window cuts, so it reads the same on every engine path and at any
+	// worker count; it is not in InvariantCounters because serial Sweep
+	// records none, as with CtrSweepSortedPairs.
+	CtrSweepSealedPairs = "sweep.sealed_pairs"
 )
 
 // InvariantCounters names the counters that are pure functions of the input
@@ -41,7 +52,8 @@ const (
 // pair and wedge-row counts, and the sweep's op, rewrite, merge, window,
 // drop, flatten and tail counts. Window cuts, drops and flattens are
 // triggered by op counts only, so they belong here; CtrSweepSortedPairs does
-// not, because a list that arrives sorted records none. The differential
+// not, because a list that arrives sorted records none, and neither does
+// CtrSweepSealedPairs, because serial Sweep records none. The differential
 // tests compare exactly this set across paths, and the golden tests pin its
 // hash.
 var InvariantCounters = []string{
@@ -103,14 +115,18 @@ const (
 // its ops by intersecting the packed adjacency rows of U and V, and a pair
 // whose regenerated count differs from N fails the run with an error that
 // names the first such pair in sorted order, exactly as serial Sweep does.
+// The exception is a pair whose two endpoints are sealed into one cluster
+// before its window (every incident edge of U and of V in that cluster):
+// all of its ops are no-ops, so it is retired from its N without the
+// intersection, and its N is trusted.
 //
 // The engine stops merging once the merge stream spans the op graph: after
 // the window in which Levels reaches |E| minus the number of non-isolated
 // components of g, every later op joins two edges already in one cluster,
 // so the rest of the list is retired by summing its counts N (see retire)
-// instead of being resolved and replayed. Those pairs are not checked
-// against the graph; a list from outside Phase I is checked once at the
-// boundary with CheckPairs.
+// instead of being resolved and replayed. Those pairs, like the sealed
+// pairs, are not checked against the graph; a list from outside Phase I is
+// checked once at the boundary with CheckPairs.
 func SweepParallel(g *graph.Graph, pl *PairList, workers int) (*Result, error) {
 	return SweepParallelCtx(context.Background(), g, pl, workers, nil)
 }
@@ -135,6 +151,11 @@ func SweepParallel(g *graph.Graph, pl *PairList, workers int) (*Result, error) {
 // sweep sorted the last bucket. Window cuts, merges and Levels are those of
 // a full sort. The unsorted rest is retired by the order-free closure pass,
 // which sums its counts N.
+//
+// The counts N are trusted past closure and for pairs whose endpoints are
+// sealed into one cluster (see SweepParallel); every other pair's N is
+// checked against its regenerated ops. A list from outside Phase I is
+// checked at the boundary with CheckPairs.
 func SweepParallelCtx(ctx context.Context, g *graph.Graph, pl *PairList, workers int, rec *obs.Recorder) (res *Result, err error) {
 	defer par.RecoverPanicError(&err)
 	workers = par.Normalize(workers)
@@ -199,6 +220,7 @@ func recordSweepEngine(rec *obs.Recorder, e *sweepEngine) {
 	rec.Add(CtrSweepNoopDrops, e.drops)
 	rec.Add(CtrSweepFlattens, e.flattens)
 	rec.Add(CtrSweepTailOps, e.tailOps)
+	rec.Add(CtrSweepSealedPairs, e.sealedPairs)
 	if e.cur != nil {
 		rec.Add(CtrSweepSortedPairs, int64(e.sortedPairs()))
 	}
@@ -242,6 +264,24 @@ type sweepEngine struct {
 	adjOff []int32
 	adjTE  []uint64
 
+	// Neighbor bitsets of the dense vertices, those whose degree is at
+	// least twice the bitset's length in words (rowWords): vertex v's is
+	// bits[bitOff[v]:][:rowWords], and bitOff[v] is -1 for a sparse
+	// vertex. A pair of two dense vertices is intersected word by word,
+	// and a common neighbor's edge ids are found by rank: the number of
+	// set bits below it is its index in the packed row. The bitsets hold
+	// at most |E| words.
+	rowWords int
+	bitOff   []int32
+	bits     []uint64
+
+	// seal is the per-vertex seal state the resolution workers share (see
+	// sealedRoot): sealedWord once the vertex is sealed, else the stamp of
+	// the last window in which it was checked and found unsealed, 0 if
+	// never. stamp numbers the resolved windows from 1.
+	seal  []atomic.Uint32
+	stamp uint32
+
 	offs []int32       // per-pair op offsets within the window
 	wbuf []survivorBuf // per-worker survivor buffers, in op order
 
@@ -268,7 +308,7 @@ type sweepEngine struct {
 	// sweep reads it; sortedPairs reads its bucket layout.
 	cur *SortCursor
 
-	windows, drops, flattens int64
+	windows, drops, flattens, sealedPairs int64
 
 	errMu   sync.Mutex
 	errPair int
@@ -287,12 +327,13 @@ type survivorBuf struct {
 	pair   []int32 // survivor -> pair index
 	e1, e2 []int32 // resolved incident edge ids, per survivor
 	drops  int64
+	sealed int64 // pairs retired as sealed
 }
 
 func (b *survivorBuf) reset() {
 	b.pair = b.pair[:0]
 	b.e1, b.e2 = b.e1[:0], b.e2[:0]
-	b.drops = 0
+	b.drops, b.sealed = 0, 0
 }
 
 // init allocates the chain, the per-worker buffers and the merge stream, and
@@ -305,6 +346,7 @@ func (e *sweepEngine) init() {
 	e.forest = forestSize(e.g)
 	e.res = &Result{Chain: e.ch, Merges: make([]Merge, 0, e.forest)}
 	e.wbuf = make([]survivorBuf, e.workers)
+	e.seal = make([]atomic.Uint32, e.g.NumVertices())
 	e.buildCSR()
 }
 
@@ -437,15 +479,62 @@ func (e *sweepEngine) flatten() {
 // and drops the ops that are no-ops against the pre-window chain; drain
 // replays the survivors serially.
 func (e *sweepEngine) window(p0, p1, w int) error {
+	e.nextStamp()
 	bufs := e.resolve(p0, p1, w)
 	if e.err != nil {
 		return e.err
 	}
 	for i := range bufs {
 		e.drops += bufs[i].drops
+		e.sealedPairs += bufs[i].sealed
 		e.drain(&bufs[i])
 	}
 	return nil
+}
+
+// sealedWord is the seal state of a sealed vertex; every other value is a
+// window stamp.
+const sealedWord = math.MaxUint32
+
+// nextStamp starts a window's seal checks: unsealed results of earlier
+// windows no longer hold. Stamps cycle through 1..sealedWord-1; a stale
+// stamp that comes round again after 2³²−2 windows can only make a sealed
+// vertex read as unsealed for one window, which skips less but never
+// wrongly.
+func (e *sweepEngine) nextStamp() {
+	e.stamp = e.stamp%(sealedWord-1) + 1
+}
+
+// sealedRoot reports whether vertex v is sealed — it has an edge, and all of
+// its incident edges share one cluster of the pre-window chain — and if so
+// returns that cluster. Sealing is monotone (clusters only merge), so a
+// sealed vertex is never checked again, and an unsealed one is checked at
+// most once per window, stopping at its first edge in another cluster. The
+// check reads only the pre-window chain, which no one writes while workers
+// resolve, so two workers that check v at once reach the same result and
+// store the same word.
+func (e *sweepEngine) sealedRoot(v int32) (int32, bool) {
+	s := e.seal[v].Load()
+	if s == e.stamp {
+		return 0, false
+	}
+	row := e.adjTE[e.adjOff[v]:e.adjOff[v+1]]
+	if len(row) == 0 {
+		return 0, false
+	}
+	c := e.ch.c
+	r := chainFind(c, int32(uint32(row[0])))
+	if s == sealedWord {
+		return r, true
+	}
+	for _, h := range row[1:] {
+		if chainFind(c, int32(uint32(h))) != r {
+			e.seal[v].Store(e.stamp)
+			return 0, false
+		}
+	}
+	e.seal[v].Store(sealedWord)
+	return r, true
 }
 
 // resolve computes the window's operations — for every pair and every common
@@ -487,7 +576,8 @@ func (e *sweepEngine) resolve(p0, p1, w int) []survivorBuf {
 	return e.wbuf[:len(ranges)]
 }
 
-// buildCSR flattens the adjacency into the packed resolution layout.
+// buildCSR flattens the adjacency into the packed resolution layout and
+// builds the dense vertices' neighbor bitsets.
 func (e *sweepEngine) buildCSR() {
 	n := e.g.NumVertices()
 	e.adjOff = make([]int32, n+1)
@@ -501,6 +591,28 @@ func (e *sweepEngine) buildCSR() {
 		}
 	}
 	e.adjOff[n] = pos
+
+	e.rowWords = (n + 63) / 64
+	e.bitOff = make([]int32, n)
+	dense := 0
+	for v := range e.bitOff {
+		e.bitOff[v] = -1
+		if e.g.Degree(v) >= 2*e.rowWords {
+			e.bitOff[v] = int32(dense * e.rowWords)
+			dense++
+		}
+	}
+	e.bits = make([]uint64, dense*e.rowWords)
+	for v, o := range e.bitOff {
+		if o < 0 {
+			continue
+		}
+		row := e.bits[o:][:e.rowWords]
+		for _, te := range e.adjTE[e.adjOff[v]:e.adjOff[v+1]] {
+			k := te >> 32
+			row[k>>6] |= 1 << (k & 63)
+		}
+	}
 }
 
 // resolveRange regenerates the ops of pairs [lo, hi) and keeps their
@@ -509,12 +621,20 @@ func (e *sweepEngine) buildCSR() {
 // and the longer galloped, so a pair costs O(min(deg U, deg V)) steps, and
 // both edge ids come from the packed entries that matched. A pair whose
 // regenerated count differs from its N stops the range (see fail).
+//
+// A pair whose endpoints are sealed into one cluster (see sealedRoot) is
+// retired first, as N drops, without the intersection: each of its ops
+// joins an edge of U's cluster to an edge of V's, so every one of them
+// would be dropped below. The shorter row's vertex is checked first, since
+// an unsealed check is cut short at its first foreign edge. A pair of two
+// dense vertices is intersected through their neighbor bitsets instead of
+// the walk (see intersectDense), in the same ascending k.
 func (e *sweepEngine) resolveRange(lo, hi int, b *survivorBuf) {
 	pairs := e.pl.Pairs
 	adjOff, adjTE := e.adjOff, e.adjTE
 	nv := uint32(len(adjOff) - 1)
 	c := e.ch.c
-	drops := int64(0)
+	drops, sealed := int64(0), int64(0)
 	for pi := lo; pi < hi; pi++ {
 		pr := &pairs[pi]
 		if uint32(pr.U) >= nv || uint32(pr.V) >= nv {
@@ -531,6 +651,22 @@ func (e *sweepEngine) resolveRange(lo, hi int, b *survivorBuf) {
 		swap := len(ts) > len(tl)
 		if swap {
 			ts, tl = tl, ts
+		}
+		if e.sealedPair(pr.U, pr.V, swap) {
+			drops += int64(pr.N)
+			sealed++
+			continue
+		}
+		if ou, ov := e.bitOff[pr.U], e.bitOff[pr.V]; ou >= 0 && ov >= 0 {
+			ru := adjTE[adjOff[pr.U]:adjOff[pr.U+1]]
+			rv := adjTE[adjOff[pr.V]:adjOff[pr.V+1]]
+			n, d := e.intersectDense(pi, ou, ov, ru, rv, b)
+			if n != pr.N {
+				e.fail(pi, n)
+				return
+			}
+			drops += d
+			continue
 		}
 		var n int32
 		j := 0
@@ -568,24 +704,8 @@ func (e *sweepEngine) resolveRange(lo, hi int, b *survivorBuf) {
 			}
 			j++
 			n++
-			// Pre-window find, while e1/e2 are still in registers. Equal
-			// terminals against the pre-window state mean the op is a no-op
-			// at its serial position too (merging is monotone), so it is
-			// retired here and never reaches drain.
-			x := e1
-			for c[x] != x {
-				x = c[x]
-			}
-			y := e2
-			for c[y] != y {
-				y = c[y]
-			}
-			if x == y {
+			if b.dropOrKeep(c, pi, e1, e2) {
 				drops++
-			} else {
-				b.pair = append(b.pair, int32(pi))
-				b.e1 = append(b.e1, e1)
-				b.e2 = append(b.e2, e2)
 			}
 		}
 		if n != pr.N {
@@ -593,7 +713,70 @@ func (e *sweepEngine) resolveRange(lo, hi int, b *survivorBuf) {
 			return
 		}
 	}
-	b.drops = drops
+	b.drops, b.sealed = drops, sealed
+}
+
+// intersectDense regenerates the ops of pair pi between two dense vertices
+// from their neighbor bitsets at bits[ou:] and bits[ov:], whose packed rows
+// are ru and rv, keeping the survivors in b. It returns the number of ops
+// and of those dropped.
+func (e *sweepEngine) intersectDense(pi int, ou, ov int32, ru, rv []uint64, b *survivorBuf) (n int32, drops int64) {
+	bu, bv := e.bits[ou:][:e.rowWords], e.bits[ov:][:e.rowWords]
+	c := e.ch.c
+	// iu and iv are the packed-row indices of the first neighbor in word w.
+	iu, iv := 0, 0
+	for w, xu := range bu {
+		xv := bv[w]
+		for m := xu & xv; m != 0; m &= m - 1 {
+			below := uint64(1)<<bits.TrailingZeros64(m) - 1
+			e1 := int32(uint32(ru[iu+bits.OnesCount64(xu&below)]))
+			e2 := int32(uint32(rv[iv+bits.OnesCount64(xv&below)]))
+			n++
+			if b.dropOrKeep(c, pi, e1, e2) {
+				drops++
+			}
+		}
+		iu += bits.OnesCount64(xu)
+		iv += bits.OnesCount64(xv)
+	}
+	return n, drops
+}
+
+// dropOrKeep finds op (e1, e2)'s two terminals in the pre-window chain c.
+// Equal terminals mean the op is a no-op at its serial position too
+// (merging is monotone), so it is dropped here and never reaches drain,
+// and dropOrKeep reports true; otherwise the op is kept as a survivor of
+// pair pi.
+func (b *survivorBuf) dropOrKeep(c []int32, pi int, e1, e2 int32) (dropped bool) {
+	x := e1
+	for c[x] != x {
+		x = c[x]
+	}
+	y := e2
+	for c[y] != y {
+		y = c[y]
+	}
+	if x == y {
+		return true
+	}
+	b.pair = append(b.pair, int32(pi))
+	b.e1 = append(b.e1, e1)
+	b.e2 = append(b.e2, e2)
+	return false
+}
+
+// sealedPair reports whether u and v are both sealed into one cluster,
+// checking v first when swap is set (v's row is the shorter).
+func (e *sweepEngine) sealedPair(u, v int32, swap bool) bool {
+	if swap {
+		u, v = v, u
+	}
+	ru, ok := e.sealedRoot(u)
+	if !ok {
+		return false
+	}
+	rv, ok := e.sealedRoot(v)
+	return ok && ru == rv
 }
 
 // fail records a pair whose regenerated op count n differs from its N,

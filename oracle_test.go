@@ -32,8 +32,8 @@ type facadePath struct {
 	name string
 	// stream marks the stream replay, whose counters are the stream.* set
 	// pinned by goldenStreamCountersSHA. Every other path records the
-	// worker-invariant engine set pinned by goldenCountersSHA, and how far
-	// it sorted the list.
+	// worker-invariant engine set pinned by goldenCountersSHA, how far it
+	// sorted the list and how many pairs it retired as sealed.
 	stream bool
 	run    func(t *testing.T, g *Graph, workers int, rec *Recorder) (*Result, error)
 }
@@ -261,7 +261,8 @@ func cellCounters(t *testing.T, p facadePath, rep *RunReport, golden bool, label
 	if rep.Counters[core.CtrSweepSortedPairs] < 1 {
 		t.Fatalf("%s: %s = 0: the list was never sorted", label, core.CtrSweepSortedPairs)
 	}
-	shared = canon + fmt.Sprintf("%s=%d\n", core.CtrSweepSortedPairs, rep.Counters[core.CtrSweepSortedPairs])
+	shared = canon + fmt.Sprintf("%s=%d\n%s=%d\n", core.CtrSweepSortedPairs, rep.Counters[core.CtrSweepSortedPairs],
+		core.CtrSweepSealedPairs, rep.Counters[core.CtrSweepSealedPairs])
 	return shared + fmt.Sprintf("%s=%d\n", CtrSpillBytesWritten, rep.Counters[CtrSpillBytesWritten]), shared
 }
 
