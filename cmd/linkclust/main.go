@@ -315,10 +315,9 @@ func cmdSynth(args []string, stdout io.Writer) error {
 func cmdGraph(args []string, stdin io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("graph", flag.ContinueOnError)
 	var (
-		in      = fs.String("in", "-", "input corpus, one document per line (- for stdin)")
-		alpha   = fs.Float64("alpha", 0.1, "fraction of most frequent candidate words to keep")
-		seed    = fs.Uint64("permseed", 42, "edge-id permutation seed (0 keeps construction order)")
-		workers = fs.Int("workers", 1, "worker threads for co-occurrence counting")
+		in    = fs.String("in", "-", "input corpus, one document per line (- for stdin)")
+		alpha = fs.Float64("alpha", 0.1, "fraction of most frequent candidate words to keep")
+		seed  = fs.Uint64("permseed", 42, "edge-id permutation seed (0 keeps construction order)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -332,7 +331,7 @@ func cmdGraph(args []string, stdin io.Reader, stdout io.Writer) error {
 	if err := c.ReadLines(r); err != nil {
 		return fmt.Errorf("reading corpus: %w", err)
 	}
-	g, err := linkclust.BuildWordGraph(c, *alpha, linkclust.AssocOptions{EdgePermSeed: *seed, Workers: *workers})
+	g, err := linkclust.BuildWordGraph(c, *alpha, linkclust.AssocOptions{EdgePermSeed: *seed})
 	if err != nil {
 		return err
 	}

@@ -375,24 +375,6 @@ func TestAnalyzeErrors(t *testing.T) {
 	}
 }
 
-func TestGraphWorkersFlagMatchesSerial(t *testing.T) {
-	var tweets bytes.Buffer
-	if err := run(context.Background(), []string{"synth", "-vocab", "200", "-docs", "400", "-topics", "4", "-seed", "8"}, nil, &tweets); err != nil {
-		t.Fatal(err)
-	}
-	raw := tweets.String()
-	var serial, parallel bytes.Buffer
-	if err := run(context.Background(), []string{"graph", "-alpha", "0.4"}, strings.NewReader(raw), &serial); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(context.Background(), []string{"graph", "-alpha", "0.4", "-workers", "3"}, strings.NewReader(raw), &parallel); err != nil {
-		t.Fatal(err)
-	}
-	if serial.String() != parallel.String() {
-		t.Fatal("parallel graph construction changed the output")
-	}
-}
-
 // TestClusterEngineFlagMatchesPlain runs every accepted engine name at
 // worker counts 1, 2, 4 and 8 and requires the saved merge stream to equal
 // the default run's byte for byte, with the engine that ran named in the

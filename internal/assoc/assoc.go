@@ -13,8 +13,7 @@ package assoc
 import (
 	"fmt"
 	"math"
-	"sort"
-	"sync"
+	"slices"
 
 	"linkclust/internal/corpus"
 	"linkclust/internal/graph"
@@ -31,11 +30,6 @@ type Options struct {
 	// edges be enumerated "in a random order". Zero keeps construction
 	// order.
 	EdgePermSeed uint64
-	// Workers > 1 counts co-occurrences with that many goroutines
-	// (per-worker maps over disjoint document ranges, merged pairwise —
-	// the same structure as the paper's parallel initialization). The
-	// resulting graph is identical to the serial one.
-	Workers int
 }
 
 // Build constructs the word-association graph over the top fraction alpha of
@@ -63,6 +57,10 @@ func Build(c *corpus.Corpus, alpha float64, opts Options) (*graph.Graph, error) 
 
 // BuildFromWords constructs the association graph over an explicit word set.
 // Words absent from the corpus are still vertices, just isolated ones.
+//
+// Edges are inserted in ascending (u, v) word-index order, so edge ids are
+// reproducible: each row u counts its co-occurrences with the words v > u in
+// a dense accumulator and emits them sorted.
 func BuildFromWords(c *corpus.Corpus, words []string, opts Options) (*graph.Graph, error) {
 	if c.NumDocs() == 0 {
 		return nil, fmt.Errorf("assoc: corpus has no documents")
@@ -70,45 +68,60 @@ func BuildFromWords(c *corpus.Corpus, words []string, opts Options) (*graph.Grap
 	if len(words) == 0 {
 		return nil, fmt.Errorf("assoc: empty word set")
 	}
-	index := make(map[string]int32, len(words))
+	// wordOf maps a term id to its word index, or -1.
+	wordOf := make([]int32, c.NumTerms())
+	for i := range wordOf {
+		wordOf[i] = -1
+	}
+	seen := make(map[string]struct{}, len(words))
 	for i, w := range words {
-		if _, dup := index[w]; dup {
+		if _, dup := seen[w]; dup {
 			return nil, fmt.Errorf("assoc: duplicate word %q", w)
 		}
-		index[w] = int32(i)
-	}
-
-	pairCount := countPairs(c, index, opts.Workers)
-
-	minCount := opts.MinPairCount
-	if minCount < 1 {
-		minCount = 1
-	}
-	// Insert edges in sorted pair order: map iteration order is
-	// randomized per process, and edge ids must be reproducible across
-	// runs (and identical for any Workers setting).
-	keys := make([]uint64, 0, len(pairCount))
-	for key := range pairCount {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	m := float64(c.NumDocs())
-	b := graph.NewLabeledBuilder(words)
-	for _, key := range keys {
-		cnt := pairCount[key]
-		if cnt < minCount {
-			continue
+		seen[w] = struct{}{}
+		if id, ok := c.TermID(w); ok {
+			wordOf[id] = int32(i)
 		}
-		u, v := unpackPair(key)
-		joint := float64(cnt) / m
-		pu := float64(c.DocFreq(words[u])) / m
-		pv := float64(c.DocFreq(words[v])) / m
-		w := joint * math.Log(joint/(pu*pv))
-		if w > 0 {
-			if err := b.AddEdge(int(u), int(v), w); err != nil {
-				return nil, fmt.Errorf("assoc: %w", err)
+	}
+
+	docs, posts := selectWords(c, wordOf, len(words))
+	minCount := max(opts.MinPairCount, 1)
+	m := float64(c.NumDocs())
+	p := make([]float64, len(words))
+	for u, w := range words {
+		p[u] = float64(c.DocFreq(w)) / m
+	}
+	b := graph.NewLabeledBuilder(words)
+	acc := make([]int32, len(words))
+	var touched []int32
+	for u := range words {
+		for _, d := range posts.row(u) {
+			for _, v := range docs.row(int(d)) {
+				if v <= int32(u) {
+					continue
+				}
+				if acc[v] == 0 {
+					touched = append(touched, v)
+				}
+				acc[v]++
 			}
 		}
+		slices.Sort(touched)
+		for _, v := range touched {
+			cnt := int(acc[v])
+			acc[v] = 0
+			if cnt < minCount {
+				continue
+			}
+			joint := float64(cnt) / m
+			w := joint * math.Log(joint/(p[u]*p[v]))
+			if w > 0 {
+				if err := b.AddEdge(u, int(v), w); err != nil {
+					return nil, fmt.Errorf("assoc: %w", err)
+				}
+			}
+		}
+		touched = touched[:0]
 	}
 
 	var perm []int
@@ -118,71 +131,44 @@ func BuildFromWords(c *corpus.Corpus, words []string, opts Options) (*graph.Grap
 	return b.Build(perm), nil
 }
 
-// countPairs tallies, for every selected word pair, the number of documents
-// containing both. Documents hold distinct terms, so each document
-// contributes at most once per pair. With workers > 1 the document range is
-// split across goroutines with private maps that are folded afterwards.
-func countPairs(c *corpus.Corpus, index map[string]int32, workers int) map[uint64]int {
-	countRange := func(lo, hi int, out map[uint64]int) {
-		var ids []int32
-		for d := lo; d < hi; d++ {
-			doc := c.Doc(d)
-			ids = ids[:0]
-			for _, t := range doc {
-				if id, ok := index[t]; ok {
-					ids = append(ids, id)
-				}
-			}
-			for i := 0; i < len(ids); i++ {
-				for j := i + 1; j < len(ids); j++ {
-					out[pairKey(ids[i], ids[j])]++
-				}
-			}
-		}
-	}
+// csr is a list of int32 rows stored flat: row i is vals[offs[i]:offs[i+1]].
+type csr struct {
+	offs []int32
+	vals []int32
+}
+
+func (r csr) row(i int) []int32 { return r.vals[r.offs[i]:r.offs[i+1]] }
+
+// selectWords returns each document's selected words (word indices, in
+// document order) and each word's postings (the documents holding it, in
+// ascending order).
+func selectWords(c *corpus.Corpus, wordOf []int32, nWords int) (docs, posts csr) {
 	n := c.NumDocs()
-	if workers < 2 || n < 2*workers {
-		out := make(map[uint64]int)
-		countRange(0, n, out)
-		return out
-	}
-	parts := make([]map[uint64]int, workers)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for t := 0; t < workers; t++ {
-		lo := t * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(t, lo, hi int) {
-			defer wg.Done()
-			out := make(map[uint64]int)
-			countRange(lo, hi, out)
-			parts[t] = out
-		}(t, lo, hi)
-	}
-	wg.Wait()
-	total := make(map[uint64]int)
-	for _, part := range parts {
-		for k, v := range part {
-			total[k] += v
+	posts.offs = make([]int32, nWords+1)
+	for d := 0; d < n; d++ {
+		for _, id := range c.DocIDs(d) {
+			if u := wordOf[id]; u >= 0 {
+				posts.offs[u+1]++
+			}
 		}
 	}
-	return total
-}
-
-func pairKey(a, b int32) uint64 {
-	if a > b {
-		a, b = b, a
+	for u := 0; u < nWords; u++ {
+		posts.offs[u+1] += posts.offs[u]
 	}
-	return uint64(uint32(a))<<32 | uint64(uint32(b))
-}
-
-func unpackPair(k uint64) (int32, int32) {
-	return int32(k >> 32), int32(uint32(k))
+	total := posts.offs[nWords]
+	docs.offs = make([]int32, n+1)
+	docs.vals = make([]int32, 0, total)
+	posts.vals = make([]int32, total)
+	next := slices.Clone(posts.offs[:nWords])
+	for d := 0; d < n; d++ {
+		for _, id := range c.DocIDs(d) {
+			if u := wordOf[id]; u >= 0 {
+				docs.vals = append(docs.vals, u)
+				posts.vals[next[u]] = int32(d)
+				next[u]++
+			}
+		}
+		docs.offs[d+1] = int32(len(docs.vals))
+	}
+	return docs, posts
 }

@@ -2,6 +2,7 @@ package assoc
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"linkclust/internal/corpus"
@@ -181,62 +182,39 @@ func TestDensityFallsAsAlphaGrows(t *testing.T) {
 	}
 }
 
+// BenchmarkBuild times one corpus-communities pass's first two layers at
+// that workload's scale: AddDocument over 6,000 tweet lines of the small
+// preset corpus (4,000 words, 16 topics), then Build at fraction 0.1.
 func BenchmarkBuild(b *testing.B) {
-	cfg := corpus.SynthConfig{Vocab: 2000, Topics: 20, Docs: 4000, MinLen: 4, MaxLen: 10, ZipfExponent: 1.05, TopicMixture: 0.7, Seed: 1}
-	c := corpus.Synthesize(cfg)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Build(c, 0.2, Options{}); err != nil {
+	cfg := corpus.DefaultSynthConfig()
+	cfg.Vocab, cfg.Docs, cfg.Topics = 4000, 6000, 16
+	synth := corpus.Synthesize(cfg)
+	lines := make([]string, synth.NumDocs())
+	for i := range lines {
+		lines[i] = strings.Join(synth.Doc(i), " ")
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		c := corpus.New()
+		for _, l := range lines {
+			c.AddDocument(l)
+		}
+		if _, err := Build(c, 0.1, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func TestParallelCountingMatchesSerial(t *testing.T) {
-	cfg := corpus.SynthConfig{Vocab: 300, Topics: 6, Docs: 2000, MinLen: 3, MaxLen: 9, ZipfExponent: 1.1, TopicMixture: 0.7, Seed: 17}
-	c := corpus.Synthesize(cfg)
-	serial, err := Build(c, 0.5, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 8} {
-		par, err := Build(c, 0.5, Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if par.NumEdges() != serial.NumEdges() || par.NumVertices() != serial.NumVertices() {
-			t.Fatalf("workers=%d: shape %d/%d vs %d/%d", workers,
-				par.NumVertices(), par.NumEdges(), serial.NumVertices(), serial.NumEdges())
-		}
-		for _, e := range serial.Edges() {
-			if w := par.Weight(int(e.U), int(e.V)); math.Abs(w-e.Weight) > 1e-12 {
-				t.Fatalf("workers=%d: edge (%d,%d) weight %v vs %v", workers, e.U, e.V, w, e.Weight)
-			}
-		}
-	}
-}
-
-func TestParallelCountingTinyCorpus(t *testing.T) {
-	// Fewer documents than 2*workers falls back to the serial path.
-	g, err := BuildFromWords(tinyCorpus(), []string{"x", "y", "z"}, Options{Workers: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumEdges() != 1 {
-		t.Fatalf("%d edges, want 1", g.NumEdges())
-	}
-}
-
 func TestBuildDeterministicEdgeIDs(t *testing.T) {
-	// Edge ids must be identical across Build invocations (the pair map's
-	// iteration order is randomized per run, so insertion must be sorted).
+	// Edge ids must be identical across Build invocations: edges are
+	// inserted in (u, v) order, never in a map's iteration order.
 	cfg := corpus.SynthConfig{Vocab: 150, Topics: 4, Docs: 600, MinLen: 3, MaxLen: 8, ZipfExponent: 1.1, TopicMixture: 0.6, Seed: 23}
 	c := corpus.Synthesize(cfg)
 	a, err := Build(c, 0.5, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Build(c, 0.5, Options{Workers: 4})
+	b, err := Build(c, 0.5, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

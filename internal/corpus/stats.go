@@ -29,17 +29,14 @@ type Stats struct {
 // its statistics. Degenerate corpora (no documents, single term) yield zero
 // exponents.
 func ComputeStats(c *Corpus) Stats {
-	s := Stats{Docs: c.NumDocs(), DistinctTerms: len(c.docFreq)}
-	for d := 0; d < c.NumDocs(); d++ {
-		s.TotalTerms += int64(len(c.Doc(d)))
-	}
+	s := Stats{Docs: c.NumDocs(), DistinctTerms: c.NumTerms(), TotalTerms: int64(len(c.docIDs))}
 	if s.Docs > 0 {
 		s.AvgDocLen = float64(s.TotalTerms) / float64(s.Docs)
 	}
 
 	// Zipf: regression over the top half of the vocabulary (the tail is
 	// dominated by ties at frequency 1, which flatten the slope).
-	vocab := c.Vocabulary()
+	vocab := c.vocabularyIDs()
 	top := len(vocab) / 2
 	if top > 2000 {
 		top = 2000
@@ -49,7 +46,7 @@ func ComputeStats(c *Corpus) Stats {
 		ys := make([]float64, top)
 		for r := 0; r < top; r++ {
 			xs[r] = math.Log(float64(r + 1))
-			ys[r] = math.Log(float64(c.DocFreq(vocab[r])))
+			ys[r] = math.Log(float64(c.docFreq[vocab[r]]))
 		}
 		s.ZipfExponent = slope(xs, ys)
 	}
@@ -57,19 +54,20 @@ func ComputeStats(c *Corpus) Stats {
 	// Heaps: vocabulary size sampled along the document stream at
 	// geometric checkpoints.
 	if s.TotalTerms >= 8 && s.DistinctTerms >= 2 {
-		seen := make(map[string]struct{}, s.DistinctTerms)
-		var tokens int64
+		// Documents are stored in order, so the term stream is docIDs.
+		seen := make([]bool, s.DistinctTerms)
+		distinct := 0
 		var xs, ys []float64
 		next := int64(4)
-		for d := 0; d < c.NumDocs(); d++ {
-			for _, t := range c.Doc(d) {
-				tokens++
-				seen[t] = struct{}{}
-				if tokens >= next {
-					xs = append(xs, math.Log(float64(tokens)))
-					ys = append(ys, math.Log(float64(len(seen))))
-					next *= 2
-				}
+		for i, id := range c.docIDs {
+			if !seen[id] {
+				seen[id] = true
+				distinct++
+			}
+			if tokens := int64(i + 1); tokens >= next {
+				xs = append(xs, math.Log(float64(tokens)))
+				ys = append(ys, math.Log(float64(distinct)))
+				next *= 2
 			}
 		}
 		if len(xs) >= 3 {

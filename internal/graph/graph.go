@@ -195,18 +195,12 @@ func (b *Builder) MustAddEdge(u, v int, w float64) {
 // permutation.
 func (b *Builder) Build(perm []int) *Graph {
 	m := len(b.us)
-	order := perm
-	if order == nil {
-		order = make([]int, m)
-		for i := range order {
-			order[i] = i
-		}
-	} else {
-		if len(order) != m {
-			panic(fmt.Sprintf("graph: perm length %d != edge count %d", len(order), m))
+	if perm != nil {
+		if len(perm) != m {
+			panic(fmt.Sprintf("graph: perm length %d != edge count %d", len(perm), m))
 		}
 		seen := make([]bool, m)
-		for _, p := range order {
+		for _, p := range perm {
 			if p < 0 || p >= m || seen[p] {
 				panic("graph: perm is not a permutation of edge indices")
 			}
@@ -219,25 +213,46 @@ func (b *Builder) Build(perm []int) *Graph {
 		edges:  make([]Edge, m),
 		labels: b.labels,
 	}
-	deg := make([]int32, b.n)
-	for i := range b.us {
-		deg[b.us[i]]++
-		deg[b.vs[i]]++
+	// perm[e] is the insertion index of the edge that receives id e.
+	for e := range g.edges {
+		src := e
+		if perm != nil {
+			src = perm[e]
+		}
+		g.edges[e] = Edge{U: b.us[src], V: b.vs[src], Weight: b.ws[src]}
+	}
+	// Every row is a window of one half-edge array, placed in neighbor
+	// order by two counting passes: bucket the edge ids by endpoint, then
+	// walk the vertices x in ascending order and append each edge at x, as
+	// the half-edge to x, to its other endpoint's row.
+	off := make([]int32, b.n+1)
+	for _, e := range g.edges {
+		off[e.U+1]++
+		off[e.V+1]++
+	}
+	for v := range b.n {
+		off[v+1] += off[v]
+	}
+	next := slices.Clone(off[:b.n])
+	incident := make([]int32, 2*m)
+	for e, ed := range g.edges {
+		incident[next[ed.U]] = int32(e)
+		next[ed.U]++
+		incident[next[ed.V]] = int32(e)
+		next[ed.V]++
+	}
+	copy(next, off)
+	halves := make([]Half, 2*m)
+	for x := range int32(b.n) {
+		for _, e := range incident[off[x]:off[x+1]] {
+			ed := g.edges[e]
+			y := ed.U ^ ed.V ^ x // the other endpoint
+			halves[next[y]] = Half{To: x, Weight: ed.Weight, Edge: e}
+			next[y]++
+		}
 	}
 	for v := range g.adj {
-		g.adj[v] = make([]Half, 0, deg[v])
-	}
-	// order[e] is the insertion index of the edge that receives id e.
-	for e, src := range order {
-		u, v, w := b.us[src], b.vs[src], b.ws[src]
-		g.edges[e] = Edge{U: u, V: v, Weight: w}
-		g.adj[u] = append(g.adj[u], Half{To: v, Weight: w, Edge: int32(e)})
-		g.adj[v] = append(g.adj[v], Half{To: u, Weight: w, Edge: int32(e)})
-	}
-	for v := range g.adj {
-		// slices.SortFunc (pdqsort, no interface boxing) — this runs once
-		// per vertex on every graph construction.
-		slices.SortFunc(g.adj[v], func(x, y Half) int { return int(x.To) - int(y.To) })
+		g.adj[v] = halves[off[v]:off[v+1]:off[v+1]]
 	}
 	return g
 }

@@ -194,9 +194,10 @@ func Read(r io.Reader) (*Graph, error) {
 		}
 		b.labels = ls
 	}
-	// Build sorts every adjacency list by neighbor, so a repeated pair shows
-	// as two equal neighbors side by side: checking costs one pass, and only
-	// a text that has a repeat pays repeatErr's sort to find the first.
+	// Build places every adjacency list in neighbor order, so a repeated
+	// pair shows as two equal neighbors side by side: checking costs one
+	// pass, and only a text that has a repeat pays repeatErr's sort to find
+	// the first.
 	g := b.Build(nil)
 	for _, hs := range g.adj {
 		for i := 1; i < len(hs); i++ {

@@ -208,9 +208,11 @@ func TestReadReportsReaderErrorFirst(t *testing.T) {
 }
 
 // benchGraph is a graph the size of the daemon-mixed benchmark's pool graph
-// at fraction 0.1: 400 vertices and about 11.4k edges, in random order, each
-// weight printing 17 significant digits.
-func benchGraph() *Graph {
+// at fraction 0.1: 400 vertices and about 11.4k edges, each weight printing
+// 17 significant digits. Shuffled, its edge ids are a random permutation;
+// otherwise they follow the (u, v) order of canonical text, the order of
+// the daemon's submits.
+func benchGraph(shuffled bool) *Graph {
 	src := rng.New(1)
 	er := ErdosRenyi(400, 0.143, src)
 	b := NewBuilder(er.NumVertices())
@@ -222,26 +224,37 @@ func benchGraph() *Graph {
 		}
 		b.MustAddEdge(int(e.U), int(e.V), w)
 	}
+	if !shuffled {
+		return b.Build(nil)
+	}
 	return b.Build(src.Perm(er.NumEdges()))
 }
 
 func BenchmarkReadGraph(b *testing.B) {
-	var buf bytes.Buffer
-	if err := Write(&buf, benchGraph()); err != nil {
-		b.Fatal(err)
-	}
-	text := buf.Bytes()
-	b.ReportAllocs()
-	b.SetBytes(int64(len(text)))
-	for b.Loop() {
-		if _, err := Read(bytes.NewReader(text)); err != nil {
-			b.Fatal(err)
+	for _, shuffled := range []bool{true, false} {
+		name := "id-ordered"
+		if shuffled {
+			name = "random-order"
 		}
+		b.Run(name, func(b *testing.B) {
+			var buf bytes.Buffer
+			if err := Write(&buf, benchGraph(shuffled)); err != nil {
+				b.Fatal(err)
+			}
+			text := buf.Bytes()
+			b.ReportAllocs()
+			b.SetBytes(int64(len(text)))
+			for b.Loop() {
+				if _, err := Read(bytes.NewReader(text)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 func BenchmarkWriteGraph(b *testing.B) {
-	g := benchGraph()
+	g := benchGraph(true)
 	b.ReportAllocs()
 	for b.Loop() {
 		var buf bytes.Buffer
